@@ -30,7 +30,7 @@ use crate::features::{FeatureCatalog, FeatureKind};
 use crate::pairs::{compare_index, parse_pair_feature, PairFeatureGroup, COMPARE_VALUES};
 use crate::query::{BoundQuery, PairLabel};
 use crate::record::{ExecutionKind, ExecutionLog, ExecutionRecord};
-use mlcore::{AttrValue, Attribute, ColumnStore, FxHashMap};
+use mlcore::{AttrValue, Attribute, ColumnStore, FxHashMap, NominalDictionary};
 use pxql::{Op, Predicate, Value};
 use std::sync::Arc;
 
@@ -543,6 +543,12 @@ impl ColumnarLog {
     pub fn original(&self, col: usize, id: u32) -> &Value {
         &self.originals[col][id as usize]
     }
+
+    /// The global dictionary of column `col`: the canonical PXQL text of
+    /// every interned id, base and tail.
+    pub(crate) fn dictionary(&self, col: usize) -> &NominalDictionary {
+        &self.tail_store.attribute(col).dictionary
+    }
 }
 
 /// One pre-resolved atomic predicate over a pair of rows.
@@ -563,7 +569,7 @@ enum CompiledAtom {
 }
 
 impl CompiledAtom {
-    fn compile(feature: &str, op: Op, constant: &Value, view: &ColumnarLog, sim: f64) -> Self {
+    fn compile(feature: &str, op: Op, constant: &Value, view: &ColumnarLog) -> Self {
         let (raw, group) = parse_pair_feature(feature);
         let Some(col) = view.column_of(raw) else {
             return CompiledAtom::Never;
@@ -580,7 +586,6 @@ impl CompiledAtom {
                 }
                 // Pre-apply the operator to the three possible outcomes.
                 let truth = COMPARE_VALUES.map(|outcome| op.apply(&Value::str(outcome), constant));
-                let _ = sim;
                 if truth.iter().all(|t| !t) {
                     CompiledAtom::Never
                 } else {
@@ -668,12 +673,12 @@ pub struct CompiledPredicate {
 
 impl CompiledPredicate {
     /// Compiles a predicate against a view.
-    pub fn compile(predicate: &Predicate, view: &ColumnarLog, sim: f64) -> Self {
+    pub fn compile(predicate: &Predicate, view: &ColumnarLog) -> Self {
         CompiledPredicate {
             atoms: predicate
                 .atoms()
                 .iter()
-                .map(|a| CompiledAtom::compile(&a.feature, a.op, &a.constant, view, sim))
+                .map(|a| CompiledAtom::compile(&a.feature, a.op, &a.constant, view))
                 .collect(),
         }
     }
@@ -701,9 +706,9 @@ impl CompiledQuery {
     /// Compiles the query's three clauses.
     pub fn compile(query: &BoundQuery, view: &ColumnarLog, sim_threshold: f64) -> Self {
         CompiledQuery {
-            despite: CompiledPredicate::compile(&query.query.despite, view, sim_threshold),
-            observed: CompiledPredicate::compile(&query.query.observed, view, sim_threshold),
-            expected: CompiledPredicate::compile(&query.query.expected, view, sim_threshold),
+            despite: CompiledPredicate::compile(&query.query.despite, view),
+            observed: CompiledPredicate::compile(&query.query.observed, view),
+            expected: CompiledPredicate::compile(&query.query.expected, view),
             sim_threshold,
         }
     }
@@ -822,11 +827,8 @@ mod tests {
                 for (name, value) in &features {
                     let atom = pxql::Atom::new(name.clone(), Op::Eq, value.clone());
                     let by_map = atom.eval(&features);
-                    let compiled = CompiledPredicate::compile(
-                        &Predicate::from_atoms(vec![atom]),
-                        &view,
-                        config.sim_threshold,
-                    );
+                    let compiled =
+                        CompiledPredicate::compile(&Predicate::from_atoms(vec![atom]), &view);
                     assert_eq!(
                         compiled.eval(&view, i, j, config.sim_threshold),
                         by_map,
@@ -842,7 +844,7 @@ mod tests {
         let log = log();
         let view = ColumnarLog::build(&log, ExecutionKind::Job);
         let predicate = Predicate::from_atoms(vec![pxql::Atom::eq("ghost_compare", "GT")]);
-        let compiled = CompiledPredicate::compile(&predicate, &view, 0.1);
+        let compiled = CompiledPredicate::compile(&predicate, &view);
         assert!(!compiled.eval(&view, 0, 1, 0.1));
     }
 

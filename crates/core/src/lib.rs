@@ -146,9 +146,15 @@
 //!    blocking groups and the deterministic cap (a stateless per-ordinal
 //!    hash, so enumeration order and parallelism cannot change the outcome)
 //!    are applied while streaming, and memory stays proportional to the
-//!    *related* pairs.  On multi-core machines the outer record loop fans
-//!    out over `std::thread::scope` threads automatically once the plan
-//!    enumerates at least as many candidates as an unblocked
+//!    *related* pairs.  The blocking groups are built from the encoded
+//!    column, not decoded values: one counting pass keys each row by its
+//!    global dictionary id, and only the distinct ids are sorted, by their
+//!    canonical text.  The text order is kept on purpose: the group order
+//!    fixes every candidate's ordinal, which is what the cap keys on.  An
+//!    unblocked query is the same plan with one group of every row, so
+//!    both enumerate through one loop.  On multi-core machines the outer
+//!    record loop fans out over `std::thread::scope` threads automatically
+//!    once the plan enumerates at least as many candidates as an unblocked
 //!    [`PARALLEL_ENUMERATION_THRESHOLD`]-record log; the `parallel` feature
 //!    forces the fan-out on, the `serial` feature forces it off, and
 //!    results are bit-identical in every mode.

@@ -486,9 +486,12 @@ impl ExecutionLog {
         })
     }
 
-    /// Looks up a record by identifier.
+    /// Looks up a record by identifier.  When several records share the id
+    /// (a re-ingested execution), the **last** one wins — the record a
+    /// columnar view's `row_of` resolves the id to, so a query's
+    /// precondition check and its explanation read the same record.
     pub fn get(&self, id: &str) -> Option<&ExecutionRecord> {
-        self.records.iter().find(|r| r.id == id)
+        self.records.iter().rev().find(|r| r.id == id)
     }
 
     /// Looks up a record by identifier, failing with a descriptive error.
@@ -585,7 +588,7 @@ mod tests {
 
     #[test]
     fn lookup_and_require() {
-        let log = sample_log();
+        let mut log = sample_log();
         assert!(log.get("job_1").is_some());
         assert!(log.get("job_99").is_none());
         assert!(log.require("job_1", ExecutionKind::Job).is_ok());
@@ -597,6 +600,14 @@ mod tests {
             log.require("task_1_m_0", ExecutionKind::Job),
             Err(CoreError::KindMismatch { .. })
         ));
+
+        // A re-ingested id resolves to its last record.
+        log.append(vec![
+            ExecutionRecord::job("job_1").with_feature(DURATION_FEATURE, 999.0)
+        ]);
+        assert_eq!(log.get("job_1").unwrap().duration(), Some(999.0));
+        let required = log.require("job_1", ExecutionKind::Job).unwrap();
+        assert_eq!(required.duration(), Some(999.0));
     }
 
     #[test]

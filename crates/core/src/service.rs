@@ -1454,6 +1454,28 @@ mod tests {
         assert!(quality.precision.unwrap_or(0.0) > 0.0);
     }
 
+    /// Re-ingesting an execution shadows its earlier record in both places
+    /// a query reads it: the precondition check and the cached view.  Here
+    /// `job_4` comes back 10x slower, so the pair of interest now performs
+    /// as expected and there is nothing left to explain.
+    #[test]
+    fn a_reingested_record_is_the_one_the_preconditions_check() {
+        let service = XplainService::new(block_size_log(40));
+        service.explain(&request()).unwrap();
+        service
+            .append(vec![ExecutionRecord::job("job_4")
+                .with_feature("inputsize", 32.0e9)
+                .with_feature("blocksize", 1024.0)
+                .with_feature("numinstances", 150.0)
+                .with_feature("duration", 6000.0)])
+            .unwrap();
+        let err = service.explain(&request()).unwrap_err();
+        assert!(
+            matches!(err, crate::error::CoreError::QueryPreconditionViolated(_)),
+            "expected a precondition violation, got {err:?}"
+        );
+    }
+
     #[test]
     fn invalid_requests_surface_descriptive_errors() {
         let service = XplainService::new(block_size_log(24));

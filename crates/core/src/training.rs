@@ -15,11 +15,21 @@
 //! * **Blocking** — when the despite clause contains `f_isSame = T` for a
 //!   nominal raw feature (e.g. `jobid_isSame = T` for task queries), only
 //!   pairs within the same group can possibly be related, so only those are
-//!   enumerated.
+//!   enumerated.  Rows are grouped in one counting pass keyed by the cell's
+//!   global dictionary id, never by a decoded string; only the distinct ids
+//!   are then sorted, by their canonical PXQL text.  Text order is kept
+//!   because the group order fixes every candidate's ordinal, and the cap
+//!   below decides by ordinal: reordering the groups would change which
+//!   candidates the cap keeps.
 //! * **Capping** — if the candidate space is still larger than
 //!   `max_candidate_pairs`, a deterministic subset is kept, decided by a
 //!   stateless per-candidate hash so that enumeration order (and therefore
-//!   parallelism) cannot change the outcome.
+//!   parallelism) cannot change the outcome.  Candidates are numbered
+//!   `0, 1, …` in enumeration order: groups in text order, then the
+//!   left-hand row by position in its group, then the right-hand row by
+//!   position, skipping the left.  Candidate `k` of `total` is kept iff
+//!   `u < max_candidate_pairs / total`, where `u` is the top 53 bits of
+//!   SplitMix64(`seed ^ 0xC0FFEE ^ k`) scaled into `[0, 1)`.
 //!
 //! The enumeration itself is **streaming**: candidates are classified
 //! against a [`CompiledQuery`] as they are produced, so memory stays
@@ -41,12 +51,12 @@ use crate::features::FeatureKind;
 use crate::pairs::{parse_pair_feature, PairExample, PairFeatureGroup};
 use crate::query::{BoundQuery, PairLabel};
 use crate::record::{ExecutionLog, ExecutionRecord};
-use mlcore::{balanced_sample, AttrValue};
+use mlcore::{balanced_sample, AttrValue, NominalDictionary};
 use pxql::{Op, Value};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A class-balanced, fully materialised set of training pairs.
@@ -123,13 +133,27 @@ fn blocking_feature<'a>(query: &'a BoundQuery, log: &ExecutionLog) -> Option<&'a
     None
 }
 
-/// The candidate enumeration plan: either every ordered pair, or only the
-/// ordered pairs within blocking groups.
-enum CandidatePlan {
-    /// All `n·(n-1)` ordered pairs.
-    All { n: usize },
-    /// Ordered pairs within each group (blocking).
-    Blocked { groups: Vec<Vec<usize>> },
+/// The candidate enumeration plan: the rows arranged group after group,
+/// where the candidates are the ordered pairs within each group.  An
+/// unblocked query is one group of every row, `0..n`.
+///
+/// Candidates are numbered by their *ordinal* in enumeration order: groups
+/// in plan order, then the left-hand row by its position in the group, then
+/// the right-hand row by position, skipping the left.  The cap decides per
+/// ordinal, so the group order is part of the result.
+struct CandidatePlan {
+    /// Row indices, group after group; rows ascend within a group.
+    rows: Vec<usize>,
+    /// Each group's span of `rows`, in enumeration order.
+    groups: Vec<Range<usize>>,
+}
+
+/// Number of candidates in `groups`: the ordered pairs within each group.
+fn candidates_in(groups: &[Range<usize>]) -> u64 {
+    groups
+        .iter()
+        .map(|g| (g.len() as u64) * (g.len().saturating_sub(1) as u64))
+        .sum()
 }
 
 impl CandidatePlan {
@@ -137,91 +161,141 @@ impl CandidatePlan {
     /// despite clause allows it.
     fn build(view: &ColumnarLog, query: &BoundQuery, log: &ExecutionLog) -> CandidatePlan {
         let n = view.num_rows();
-        let Some(block_feature) = blocking_feature(query, log) else {
-            return CandidatePlan::All { n };
-        };
-        let Some(col) = view.column_of(block_feature) else {
-            return CandidatePlan::All { n };
-        };
-        // Group rows by the blocking feature's canonical text, exactly as
-        // the map-based path grouped by `Value::to_string()`; rows with a
-        // missing value can never satisfy `f_isSame = T` and are dropped.
-        let mut key_cache: Vec<Option<String>> = Vec::new();
-        let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for row in 0..n {
-            let key = match view.cell(row, col) {
-                AttrValue::Missing => continue,
-                AttrValue::Num(v) => Value::Num(v).to_string(),
-                AttrValue::Nom(id) => {
-                    let id = id as usize;
-                    if id >= key_cache.len() {
-                        key_cache.resize(id + 1, None);
-                    }
-                    key_cache[id]
-                        .get_or_insert_with(|| view.original(col, id as u32).to_string())
-                        .clone()
+        match blocking_feature(query, log).and_then(|feature| view.column_of(feature)) {
+            Some(col) => CandidatePlan::blocked(view, col),
+            None => CandidatePlan {
+                rows: (0..n).collect(),
+                groups: vec![Range { start: 0, end: n }],
+            },
+        }
+    }
+
+    /// Groups the rows by their cell in the blocking column `col`, ordered
+    /// by the cell's canonical PXQL text — the order of the map-based path,
+    /// which keyed a `BTreeMap<String, _>` by `Value::to_string()`.  Rows
+    /// with a missing cell can never satisfy `f_isSame = T` and are dropped.
+    ///
+    /// The grouping is a counting sort over group keys, never a string per
+    /// row: a nominal cell's key is its global dictionary id, one pass
+    /// reads the keys, the rows are counted per key, and only the distinct
+    /// keys are sorted by their text.  The dictionary is keyed by that same
+    /// text, so equal texts share an id.  A numeric cell (possible when
+    /// records were pushed under a stale catalog) takes the id of the
+    /// dictionary entry with its text, or else an extra key shared by every
+    /// numeric cell with that text.
+    fn blocked(view: &ColumnarLog, col: usize) -> CandidatePlan {
+        use std::fmt::Write as _;
+        let dictionary = view.dictionary(col);
+        let mut numeric = NominalDictionary::new();
+        let mut text = String::new();
+        let keys: Vec<Option<u32>> = (0..view.num_rows())
+            .map(|row| match view.cell(row, col) {
+                AttrValue::Missing => None,
+                AttrValue::Nom(id) => Some(id),
+                AttrValue::Num(v) => {
+                    text.clear();
+                    write!(text, "{}", Value::Num(v))
+                        .expect("formatting into a String cannot fail");
+                    Some(match dictionary.get(&text) {
+                        Some(id) => id,
+                        None => dictionary.len() as u32 + numeric.intern(&text),
+                    })
                 }
-            };
-            groups.entry(key).or_default().push(row);
+            })
+            .collect();
+        let key_text = |key: usize| {
+            match key.checked_sub(dictionary.len()) {
+                None => dictionary.resolve(key as u32),
+                Some(extra) => numeric.resolve(extra as u32),
+            }
+            .expect("every group key names an interned text")
+        };
+
+        let mut counts = vec![0usize; dictionary.len() + numeric.len()];
+        for &key in keys.iter().flatten() {
+            counts[key as usize] += 1;
         }
-        CandidatePlan::Blocked {
-            groups: groups.into_values().collect(),
+        let mut order: Vec<usize> = (0..counts.len()).filter(|&key| counts[key] > 0).collect();
+        order.sort_unstable_by(|&a, &b| key_text(a).cmp(key_text(b)));
+
+        // Lay the groups out in text order; `next[key]` is the slot the
+        // key's next row goes to, so rows ascend within each group.
+        let mut next = vec![0usize; counts.len()];
+        let mut groups = Vec::with_capacity(order.len());
+        let mut start = 0;
+        for key in order {
+            next[key] = start;
+            groups.push(start..start + counts[key]);
+            start += counts[key];
         }
+        let mut rows = vec![0usize; start];
+        for (row, key) in keys.into_iter().enumerate() {
+            if let Some(key) = key {
+                let slot = &mut next[key as usize];
+                rows[*slot] = row;
+                *slot += 1;
+            }
+        }
+        CandidatePlan { rows, groups }
     }
 
     /// Total number of candidates the plan enumerates.
     fn total(&self) -> u64 {
-        match self {
-            CandidatePlan::All { n } => (*n as u64) * (n.saturating_sub(1) as u64),
-            CandidatePlan::Blocked { groups } => groups
-                .iter()
-                .map(|g| (g.len() as u64) * (g.len().saturating_sub(1) as u64))
-                .sum(),
-        }
+        candidates_in(&self.groups)
     }
 
-    /// Flattens the plan into outer units: one unit per left-hand row, with
-    /// the ordinal of its first candidate.  Units are enumerated in the
-    /// exact order the eager path used.
-    fn units(&self) -> Vec<OuterUnit> {
-        let mut units = Vec::new();
-        let mut base = 0u64;
-        match self {
-            CandidatePlan::All { n } => {
-                for left in 0..*n {
-                    units.push(OuterUnit {
-                        left,
-                        group: None,
-                        base,
-                    });
-                    base += n.saturating_sub(1) as u64;
-                }
+    /// Classifies, in enumeration order, the candidates whose left-hand row
+    /// sits at `positions` of the plan's row order, appending the related
+    /// pairs to `out`.  The serial scan is one call over every position and
+    /// each fan-out chunk one call over its span, so both run this loop.
+    /// The cancellation token is checked every [`CANCEL_CHECK_ROWS`]
+    /// left-hand rows.
+    fn scan(
+        &self,
+        positions: Range<usize>,
+        view: &ColumnarLog,
+        compiled: &CompiledQuery,
+        keep: Option<(u64, f64)>,
+        cancel: &CancelToken,
+        out: &mut Vec<RelatedPair>,
+    ) -> Result<()> {
+        if positions.is_empty() {
+            return Ok(());
+        }
+        // The group holding the first position, and `base`: the ordinal of
+        // that position's first candidate.
+        let mut g = self
+            .groups
+            .partition_point(|group| group.end <= positions.start);
+        let first = &self.groups[g];
+        let mut base = candidates_in(&self.groups[..g])
+            + (positions.start - first.start) as u64 * (first.len() as u64 - 1);
+        for (index, position) in positions.enumerate() {
+            if index % CANCEL_CHECK_ROWS == 0 {
+                cancel.check()?;
             }
-            CandidatePlan::Blocked { groups } => {
-                for (g, members) in groups.iter().enumerate() {
-                    for (position, &left) in members.iter().enumerate() {
-                        units.push(OuterUnit {
-                            left,
-                            group: Some((g, position)),
-                            base,
-                        });
-                        base += members.len().saturating_sub(1) as u64;
+            while self.groups[g].end <= position {
+                g += 1;
+            }
+            let members = &self.rows[self.groups[g].clone()];
+            let at = position - self.groups[g].start;
+            let left = members[at];
+            let others = members[..at].iter().chain(&members[at + 1..]);
+            for (offset, &right) in others.enumerate() {
+                if let Some((seed_mix, probability)) = keep {
+                    if unit_f64(mix64(seed_mix ^ (base + offset as u64))) >= probability {
+                        continue;
                     }
                 }
+                let label = compiled.classify(view, left, right);
+                if label.is_related() {
+                    out.push(RelatedPair { left, right, label });
+                }
             }
+            base += members.len() as u64 - 1;
         }
-        units
+        Ok(())
     }
-}
-
-/// One outer-loop unit: a left-hand row plus the ordinal of its first
-/// candidate pair.
-struct OuterUnit {
-    left: usize,
-    /// `(group index, position of `left` within the group)` for blocked
-    /// plans.
-    group: Option<(usize, usize)>,
-    base: u64,
 }
 
 /// Record count at or above which the streaming enumeration of an
@@ -270,55 +344,11 @@ fn unit_f64(hash: u64) -> f64 {
     (hash >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Classifies the candidates of one outer unit, appending related pairs.
-fn scan_unit(
-    unit: &OuterUnit,
-    plan: &CandidatePlan,
-    view: &ColumnarLog,
-    compiled: &CompiledQuery,
-    keep: Option<(u64, f64)>,
-    out: &mut Vec<RelatedPair>,
-) {
-    let mut classify = |left: usize, right: usize, ordinal: u64| {
-        if let Some((seed_mix, probability)) = keep {
-            if unit_f64(mix64(seed_mix ^ ordinal)) >= probability {
-                return;
-            }
-        }
-        let label = compiled.classify(view, left, right);
-        if label.is_related() {
-            out.push(RelatedPair { left, right, label });
-        }
-    };
-    match (unit.group, plan) {
-        (None, _) => {
-            let n = view.num_rows();
-            for right in 0..n {
-                if right == unit.left {
-                    continue;
-                }
-                let offset = if right < unit.left { right } else { right - 1 };
-                classify(unit.left, right, unit.base + offset as u64);
-            }
-        }
-        (Some((g, position)), CandidatePlan::Blocked { groups }) => {
-            for (other, &right) in groups[g].iter().enumerate() {
-                if other == position {
-                    continue;
-                }
-                let offset = if other < position { other } else { other - 1 };
-                classify(unit.left, right, unit.base + offset as u64);
-            }
-        }
-        (Some(_), CandidatePlan::All { .. }) => unreachable!("blocked unit in an All plan"),
-    }
-}
-
-/// Outer units scanned between two cancellation checks.  A unit classifies
-/// up to n candidates, so at 512 units the check amortises to well under a
-/// nanosecond per candidate while an expired deadline still stops a large
-/// enumeration within milliseconds.
-const CANCEL_CHECK_UNITS: usize = 512;
+/// Left-hand rows scanned between two cancellation checks.  One left-hand
+/// row classifies up to n candidates, so at 512 rows the check amortises to
+/// well under a nanosecond per candidate while an expired deadline still
+/// stops a large enumeration within milliseconds.
+const CANCEL_CHECK_ROWS: usize = 512;
 
 /// Enumerates and classifies the related pairs of an encoded view without
 /// materialising the candidate space: memory stays proportional to the
@@ -334,9 +364,9 @@ pub fn collect_related_pairs_in(
 }
 
 /// [`collect_related_pairs_in`] with a cooperative cancellation token,
-/// checked every [`CANCEL_CHECK_UNITS`] outer units (per fan-out thread when
-/// the scan is parallel).  On cancellation the partial result is discarded
-/// and the token's error comes back.
+/// checked every [`CANCEL_CHECK_ROWS`] left-hand rows (per fan-out thread
+/// when the scan is parallel).  On cancellation the partial result is
+/// discarded and the token's error comes back.
 pub fn collect_related_pairs_cancellable(
     view: &ColumnarLog,
     query: &BoundQuery,
@@ -357,30 +387,32 @@ pub fn collect_related_pairs_cancellable(
             config.max_candidate_pairs as f64 / total as f64,
         )
     });
-    let units = plan.units();
 
-    let scan_units = |chunk: &[OuterUnit]| -> Result<Vec<RelatedPair>> {
-        let mut out = Vec::new();
-        for (index, unit) in chunk.iter().enumerate() {
-            if index % CANCEL_CHECK_UNITS == 0 {
-                cancel.check()?;
-            }
-            scan_unit(unit, &plan, view, &compiled, keep, &mut out);
-        }
-        Ok(out)
-    };
-
+    let positions = plan.rows.len();
     let threads = crate::shard::hardware_threads();
-    if threads > 1 && !units.is_empty() && fan_out_enabled(total) {
-        let chunks = crate::shard::map_chunks(&units, threads, scan_units);
-        let mut related = Vec::new();
+    let mut related = Vec::new();
+    if threads > 1 && positions > 0 && fan_out_enabled(total) {
+        // One contiguous span of positions per thread; the chunks come back
+        // in span order, so the concatenation is the serial scan's output.
+        let step = positions.div_ceil(threads);
+        let spans: Vec<Range<usize>> = (0..positions)
+            .step_by(step)
+            .map(|start| start..(start + step).min(positions))
+            .collect();
+        let chunks = crate::shard::map_chunks(&spans, spans.len(), |spans| {
+            let mut out = Vec::new();
+            for span in spans {
+                plan.scan(span.clone(), view, &compiled, keep, cancel, &mut out)?;
+            }
+            Ok::<_, CoreError>(out)
+        });
         for chunk in chunks {
             related.extend(chunk?);
         }
-        return Ok(related);
+    } else {
+        plan.scan(0..positions, view, &compiled, keep, cancel, &mut related)?;
     }
-
-    scan_units(&units)
+    Ok(related)
 }
 
 /// Enumerates and classifies the pairs of the log that are related to the
@@ -617,7 +649,7 @@ pub fn prepare_encoded_training_cancellable<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::ExecutionRecord;
+    use crate::record::{ExecutionKind, ExecutionRecord};
     use pxql::parse_query;
 
     /// A synthetic log where half the job pairs with larger input have the
@@ -731,6 +763,41 @@ mod tests {
         log.rebuild_catalogs();
         let err = prepare_training_set(&log, &query(), &ExplainConfig::default()).unwrap_err();
         assert!(matches!(err, CoreError::NotEnoughTrainingPairs { .. }));
+    }
+
+    /// A fan-out chunk starts its scan at an arbitrary position, mid-group
+    /// included.  Two scans split at any position must return exactly the
+    /// one whole scan, so each chunk recovers the ordinals the cap keys on.
+    #[test]
+    fn a_scan_split_at_any_position_matches_the_whole_scan() {
+        let log = synthetic_log();
+        let q = parse_query(
+            "DESPITE pigscript_isSame = T AND inputsize_compare = GT\n\
+             OBSERVED duration_compare = SIM\n\
+             EXPECTED duration_compare = GT",
+        )
+        .unwrap();
+        let blocked = BoundQuery::new(q, "job_0", "job_1");
+        let view = ColumnarLog::build(&log, ExecutionKind::Job);
+        let cancel = CancelToken::never();
+        for bound in [blocked, query()] {
+            let plan = CandidatePlan::build(&view, &bound, &log);
+            let compiled = CompiledQuery::compile(&bound, &view, 0.1);
+            let keep = Some((7, 0.6));
+            let len = plan.rows.len();
+            let mut whole = Vec::new();
+            plan.scan(0..len, &view, &compiled, keep, &cancel, &mut whole)
+                .unwrap();
+            assert!(!whole.is_empty());
+            for cut in 0..=len {
+                let mut split = Vec::new();
+                for span in [0..cut, cut..len] {
+                    plan.scan(span, &view, &compiled, keep, &cancel, &mut split)
+                        .unwrap();
+                }
+                assert_eq!(split, whole, "split at position {cut}");
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use perfxplain::{
     compute_pair_features, BoundQuery, ExecutionLog, ExecutionRecord, ExplainConfig,
     FeatureCatalog, FeatureDef, PairExample, PairLabel,
 };
+use perfxplain_core::columnar::ColumnarLog;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -673,6 +674,209 @@ proptest! {
             let legacy_despite = engine.despite_from_training(&set, &poi, &log, &bound);
             prop_assert_eq!(new_despite, legacy_despite);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Capped enumeration ≡ a text-grouped reference, in order
+// ---------------------------------------------------------------------------
+
+/// The blocking queries' grouping feature.
+const BLOCK: &str = "pigscript";
+
+/// A log whose `pigscript` cells exercise every grouping edge of a blocked
+/// plan: missing cells, `Bool(true)` beside the string `"T"` (one canonical
+/// text), and the string `"NaN"` (the text a NaN number prints as).  Names
+/// sort away from their first-occurrence order, and the catalog keeps
+/// `pigscript` nominal.
+fn blocking_edge_log(seed: u64) -> ExecutionLog {
+    let scripts = [
+        Some(Value::str("c.pig")),
+        Some(Value::str("a.pig")),
+        Some(Value::Bool(true)),
+        Some(Value::str("T")),
+        Some(Value::str("NaN")),
+        Some(Value::str("z")),
+        None,
+    ];
+    let mut log = ExecutionLog::new();
+    let n = 14 + splitmix(seed) % 8;
+    for i in 0..n {
+        log.push(edge_record(
+            seed,
+            i,
+            scripts[(splitmix(seed ^ i) % 7) as usize].clone(),
+        ));
+    }
+    log.rebuild_catalogs();
+    log
+}
+
+/// One job of [`blocking_edge_log`]: input and duration regimes that give
+/// both observed and expected pairs, and the given blocking cell.
+fn edge_record(seed: u64, i: u64, script: Option<Value>) -> ExecutionRecord {
+    let h = splitmix(seed.wrapping_mul(31).wrapping_add(i));
+    let input = [1.0e9, 4.0e9, 32.0e9][(h % 3) as usize];
+    let duration = if (h >> 8).is_multiple_of(2) {
+        600.0
+    } else {
+        input / 5.0e7 + (h % 7) as f64
+    };
+    let mut record = ExecutionRecord::job(format!("job_{i}"))
+        .with_feature("inputsize", input)
+        .with_feature("duration", duration);
+    if let Some(script) = script {
+        record.set_feature(BLOCK, script);
+    }
+    record
+}
+
+/// The map-based grouping the blocked plan must reproduce: rows keyed by
+/// `Value::to_string()` of their blocking cell in a `BTreeMap` (byte order
+/// of the text, equal texts in one group), missing cells dropped.  An
+/// unblocked plan is one group of every row.
+fn reference_groups(view: &ColumnarLog, block: Option<&str>) -> Vec<Vec<usize>> {
+    let Some(feature) = block else {
+        return vec![(0..view.num_rows()).collect()];
+    };
+    let mut groups: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
+    for (row, record) in view.records().enumerate() {
+        let value = record.feature(feature);
+        if value != Value::Null {
+            groups.entry(value.to_string()).or_default().push(row);
+        }
+    }
+    groups.into_values().collect()
+}
+
+/// The capped enumeration, spelled out: candidates numbered in group
+/// order, then left-hand row, then right-hand row; candidate `k` of `total`
+/// kept iff the top 53 bits of SplitMix64(`seed ^ 0xC0FFEE ^ k`), scaled
+/// into [0, 1), fall below `max_candidate_pairs / total`; kept candidates
+/// classified by `BoundQuery::classify_records`.
+fn reference_capped_pairs(
+    view: &ColumnarLog,
+    groups: &[Vec<usize>],
+    log: &ExecutionLog,
+    query: &BoundQuery,
+    config: &ExplainConfig,
+) -> Vec<(usize, usize, PairLabel)> {
+    let total: u64 = groups
+        .iter()
+        .map(|g| (g.len() * g.len().saturating_sub(1)) as u64)
+        .sum();
+    let keep = config.max_candidate_pairs as f64 / total as f64;
+    let mut ordinal = 0u64;
+    let mut related = Vec::new();
+    for group in groups {
+        for &left in group {
+            for &right in group {
+                if left == right {
+                    continue;
+                }
+                let hash = splitmix(config.seed ^ 0xC0FFEE ^ ordinal);
+                ordinal += 1;
+                if total > config.max_candidate_pairs as u64
+                    && (hash >> 11) as f64 / (1u64 << 53) as f64 >= keep
+                {
+                    continue;
+                }
+                let label = query.classify_records(
+                    log,
+                    view.record(left),
+                    view.record(right),
+                    config.sim_threshold,
+                );
+                if label.is_related() {
+                    related.push((left, right, label));
+                }
+            }
+        }
+    }
+    related
+}
+
+/// Runs a blocked and an unblocked query over `view` with the cap set to
+/// `cap_percent` of each plan's candidates and compares the streaming
+/// enumeration with the reference, pair for pair and in order.
+fn assert_capped_enumeration_matches(
+    view: &ColumnarLog,
+    log: &ExecutionLog,
+    cap_percent: u64,
+) -> Result<(), TestCaseError> {
+    let blocked = "DESPITE pigscript_isSame = T AND inputsize_compare = GT\n\
+                   OBSERVED duration_compare = SIM\n\
+                   EXPECTED duration_compare = GT";
+    let unblocked = "DESPITE inputsize_compare = GT\n\
+                     OBSERVED duration_compare = SIM\n\
+                     EXPECTED duration_compare = GT";
+    for (text, block) in [(blocked, Some(BLOCK)), (unblocked, None)] {
+        let query = BoundQuery::new(parse_query(text).unwrap(), "job_0", "job_1");
+        let groups = reference_groups(view, block);
+        let total: usize = groups
+            .iter()
+            .map(|g| g.len() * g.len().saturating_sub(1))
+            .sum();
+        let config = ExplainConfig {
+            max_candidate_pairs: total * cap_percent as usize / 100,
+            ..ExplainConfig::default()
+        };
+        prop_assert!(config.max_candidate_pairs < total, "the cap must bind");
+        let streamed: Vec<(usize, usize, PairLabel)> =
+            perfxplain_core::training::collect_related_pairs_in(view, &query, log, &config)
+                .iter()
+                .map(|p| (p.left, p.right, p.label))
+                .collect();
+        let reference = reference_capped_pairs(view, &groups, log, &query, &config);
+        prop_assert_eq!(streamed, reference, "query {:?}", block);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// With the cap below the candidate total, the streaming enumeration
+    /// keeps exactly the reference's candidates and returns its related
+    /// pairs in its order — over a flat view (numeric cells `0`, `-0`,
+    /// `NaN` and `7` pushed into the nominal column after the catalog was
+    /// built), a delta view whose tail adds dictionary values that sort
+    /// between the base's, and a view opened from a snapshot.
+    #[test]
+    fn capped_enumeration_matches_a_text_grouped_reference_in_order(
+        seed in 0u64..400,
+        cap_percent in 5u64..95,
+    ) {
+        use perfxplain::{snapshot, ExecutionKind};
+
+        let mut log = blocking_edge_log(seed);
+        let dir = snapshot_dir("capped", seed, cap_percent as usize);
+        snapshot::persist(&log, &dir, 1 + (seed % 3) as usize).unwrap();
+        let snap = snapshot::open(&dir).unwrap();
+        let reopened = snap.to_log();
+        let from_snapshot = ColumnarLog::build_from_snapshot(&snap, ExecutionKind::Job);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_capped_enumeration_matches(&from_snapshot, &reopened, cap_percent)?;
+
+        let base_rows = log.len() as u64;
+        for (i, v) in [0.0, -0.0, f64::NAN, 7.0, -0.0, f64::NAN].into_iter().enumerate() {
+            log.push(edge_record(seed, base_rows + i as u64, Some(Value::Num(v))));
+        }
+        let flat = ColumnarLog::build(&log, ExecutionKind::Job);
+        assert_capped_enumeration_matches(&flat, &log, cap_percent)?;
+
+        let tail_scripts = [Value::str("b.pig"), Value::str("a.pig"), Value::Bool(true), Value::str("b.pig")];
+        let tail: Vec<ExecutionRecord> = tail_scripts
+            .into_iter()
+            .enumerate()
+            .map(|(i, script)| edge_record(seed, base_rows + 6 + i as u64, Some(script)))
+            .collect();
+        let fresh: Vec<&ExecutionRecord> = tail.iter().collect();
+        let delta = flat.with_appended(log.catalog(ExecutionKind::Job), &fresh);
+        for record in &tail {
+            log.push(record.clone());
+        }
+        assert_capped_enumeration_matches(&delta, &log, cap_percent)?;
     }
 }
 
