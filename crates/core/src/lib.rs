@@ -162,7 +162,14 @@
 //!    [`DatasetBridge::encode_from_view`](bridge::DatasetBridge::encode_from_view)
 //!    derives the pair features of the sampled training pairs straight from
 //!    the columns into the split-search [`mlcore::Dataset`];
-//!    [`PairExample`] maps exist only at the API/narration boundary.
+//!    [`PairExample`] maps exist only at the API/narration boundary.  A
+//!    nominal cell is interned from its encoded key — the `isSame` or
+//!    `compare` outcome, the base cell's view dictionary id, or the diff
+//!    cell's ordered id pair — through a per-attribute cache, so its
+//!    canonical text is built and hashed only the first time the key
+//!    appears in a sample (174 distinct keys among 323k cells on the
+//!    paper log's job query); the dataset dictionary still assigns every
+//!    id.
 //! 6. **Train in O(n log n).**  The per-feature predicate search of
 //!    Algorithm 1 ([`mlcore::best_split_for_attribute_filtered`]) is a
 //!    single-sort sweep: values sorted once per (node, attribute), every

@@ -85,10 +85,8 @@ impl Value {
             // Booleans written as T / F strings compare equal to booleans, so
             // that textual queries like `jobid_isSame = T` work naturally.
             (Value::Bool(a), Value::Str(s)) | (Value::Str(s), Value::Bool(a)) => {
-                matches!(
-                    (a, s.to_ascii_uppercase().as_str()),
-                    (true, "T") | (true, "TRUE") | (false, "F") | (false, "FALSE")
-                )
+                let (short, long) = if *a { ("T", "TRUE") } else { ("F", "FALSE") };
+                s.eq_ignore_ascii_case(short) || s.eq_ignore_ascii_case(long)
             }
             _ => false,
         }
@@ -137,6 +135,11 @@ impl From<String> for Value {
     }
 }
 
+/// The PXQL keywords, which a string must not render bare (in any case).
+const KEYWORDS: [&str; 9] = [
+    "FOR", "WHERE", "DESPITE", "OBSERVED", "EXPECTED", "BECAUSE", "AND", "TRUE", "NULL",
+];
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -151,18 +154,7 @@ impl fmt::Display for Value {
                 }
             }
             Value::Str(s) => {
-                let is_keyword = matches!(
-                    s.to_ascii_uppercase().as_str(),
-                    "FOR"
-                        | "WHERE"
-                        | "DESPITE"
-                        | "OBSERVED"
-                        | "EXPECTED"
-                        | "BECAUSE"
-                        | "AND"
-                        | "TRUE"
-                        | "NULL"
-                );
+                let is_keyword = KEYWORDS.iter().any(|k| s.eq_ignore_ascii_case(k));
                 // Dots are excluded because bare identifiers cannot contain
                 // them (they would collide with the `J1.JobID` syntax);
                 // script names like `simple-filter.pig` are therefore
@@ -245,6 +237,22 @@ mod tests {
             Value::pair(Value::str("a"), Value::str("b")).to_string(),
             "(a, b)"
         );
+    }
+
+    #[test]
+    fn keywords_in_any_case_render_quoted_and_reparse_as_strings() {
+        for word in ["Despite", "nuLL", "and", "TRUE", "wHeRe"] {
+            let text = Value::str(word).to_string();
+            assert_eq!(text, format!("'{word}'"));
+            let predicate = crate::parse_predicate(&format!("f = {text}")).unwrap();
+            assert_eq!(predicate.atoms()[0].constant, Value::str(word));
+        }
+        assert_eq!(Value::str("Despiteful").to_string(), "Despiteful");
+        assert!(Value::Bool(true).pxql_eq(&Value::str("tRuE")));
+        assert!(Value::str("fAlSe").pxql_eq(&Value::Bool(false)));
+        assert!(Value::Bool(false).pxql_eq(&Value::str("f")));
+        assert!(!Value::Bool(false).pxql_eq(&Value::str("tRuE")));
+        assert!(!Value::Bool(true).pxql_eq(&Value::str("tr")));
     }
 
     #[test]

@@ -421,9 +421,7 @@ fn event_loop(
         // Time out queued requests even when no completion drains the
         // queue.
         if last_sweep.elapsed() >= Duration::from_millis(5) {
-            let swept = scheduler.sweep_expired();
-            if swept > 0 {
-                stats.expired.fetch_add(swept as u64, Ordering::Relaxed);
+            if scheduler.sweep_expired() > 0 {
                 progressed = true;
             }
             last_sweep = Instant::now();
@@ -754,7 +752,12 @@ fn handle_frame(
     };
     let on_expire = {
         let completions = completions.clone();
+        let stats = Arc::clone(stats);
+        // Counted here, not by the event loop's sweep: a completion, a
+        // refund or an admission drains the queue too, and expires whatever
+        // entry it finds past its deadline.
         move || {
+            stats.expired.fetch_add(1, Ordering::Relaxed);
             let response = WireResponse::error(
                 id,
                 408,

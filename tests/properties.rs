@@ -796,6 +796,64 @@ fn reference_capped_pairs(
     related
 }
 
+/// A query blocked on [`BLOCK`] (its DESPITE clause fixes `pigscript`).
+const BLOCKED_QUERY: &str = "DESPITE pigscript_isSame = T AND inputsize_compare = GT\n\
+                             OBSERVED duration_compare = SIM\n\
+                             EXPECTED duration_compare = GT";
+
+/// [`BLOCKED_QUERY`] without the blocking atom: every row pairs with every
+/// other.
+const UNBLOCKED_QUERY: &str = "DESPITE inputsize_compare = GT\n\
+                               OBSERVED duration_compare = SIM\n\
+                               EXPECTED duration_compare = GT";
+
+/// The three views of [`blocking_edge_log`]`(seed)` the edge properties run
+/// over, each beside the log it encodes: a view opened from a snapshot, a
+/// flat view with numeric cells `0`, `-0`, `NaN` and `7` pushed into the
+/// nominal column after the catalog was built, and a delta view over the
+/// flat one whose tail appends one record per `tail_scripts` cell.  `tag`
+/// and `variant` name the snapshot's scratch directory.
+fn edge_views(
+    seed: u64,
+    tag: &str,
+    variant: usize,
+    tail_scripts: Vec<Value>,
+) -> Vec<(ColumnarLog, ExecutionLog)> {
+    use perfxplain::{snapshot, ExecutionKind};
+
+    let mut log = blocking_edge_log(seed);
+    let dir = snapshot_dir(tag, seed, variant);
+    snapshot::persist(&log, &dir, 1 + (seed % 3) as usize).unwrap();
+    let snap = snapshot::open(&dir).unwrap();
+    let from_snapshot = (
+        ColumnarLog::build_from_snapshot(&snap, ExecutionKind::Job),
+        snap.to_log(),
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let base_rows = log.len() as u64;
+    for (i, v) in [0.0, -0.0, f64::NAN, 7.0, -0.0, f64::NAN]
+        .into_iter()
+        .enumerate()
+    {
+        log.push(edge_record(seed, base_rows + i as u64, Some(Value::Num(v))));
+    }
+    let flat = ColumnarLog::build(&log, ExecutionKind::Job);
+
+    let tail: Vec<ExecutionRecord> = tail_scripts
+        .into_iter()
+        .enumerate()
+        .map(|(i, script)| edge_record(seed, base_rows + 6 + i as u64, Some(script)))
+        .collect();
+    let fresh: Vec<&ExecutionRecord> = tail.iter().collect();
+    let delta = flat.with_appended(log.catalog(ExecutionKind::Job), &fresh);
+    let flat = (flat, log.clone());
+    for record in tail {
+        log.push(record);
+    }
+    vec![from_snapshot, flat, (delta, log)]
+}
+
 /// Runs a blocked and an unblocked query over `view` with the cap set to
 /// `cap_percent` of each plan's candidates and compares the streaming
 /// enumeration with the reference, pair for pair and in order.
@@ -804,13 +862,7 @@ fn assert_capped_enumeration_matches(
     log: &ExecutionLog,
     cap_percent: u64,
 ) -> Result<(), TestCaseError> {
-    let blocked = "DESPITE pigscript_isSame = T AND inputsize_compare = GT\n\
-                   OBSERVED duration_compare = SIM\n\
-                   EXPECTED duration_compare = GT";
-    let unblocked = "DESPITE inputsize_compare = GT\n\
-                     OBSERVED duration_compare = SIM\n\
-                     EXPECTED duration_compare = GT";
-    for (text, block) in [(blocked, Some(BLOCK)), (unblocked, None)] {
+    for (text, block) in [(BLOCKED_QUERY, Some(BLOCK)), (UNBLOCKED_QUERY, None)] {
         let query = BoundQuery::new(parse_query(text).unwrap(), "job_0", "job_1");
         let groups = reference_groups(view, block);
         let total: usize = groups
@@ -847,36 +899,90 @@ proptest! {
         seed in 0u64..400,
         cap_percent in 5u64..95,
     ) {
-        use perfxplain::{snapshot, ExecutionKind};
-
-        let mut log = blocking_edge_log(seed);
-        let dir = snapshot_dir("capped", seed, cap_percent as usize);
-        snapshot::persist(&log, &dir, 1 + (seed % 3) as usize).unwrap();
-        let snap = snapshot::open(&dir).unwrap();
-        let reopened = snap.to_log();
-        let from_snapshot = ColumnarLog::build_from_snapshot(&snap, ExecutionKind::Job);
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert_capped_enumeration_matches(&from_snapshot, &reopened, cap_percent)?;
-
-        let base_rows = log.len() as u64;
-        for (i, v) in [0.0, -0.0, f64::NAN, 7.0, -0.0, f64::NAN].into_iter().enumerate() {
-            log.push(edge_record(seed, base_rows + i as u64, Some(Value::Num(v))));
+        let tail_scripts = vec![Value::str("b.pig"), Value::str("a.pig"), Value::Bool(true), Value::str("b.pig")];
+        for (view, log) in edge_views(seed, "capped", cap_percent as usize, tail_scripts) {
+            assert_capped_enumeration_matches(&view, &log, cap_percent)?;
         }
-        let flat = ColumnarLog::build(&log, ExecutionKind::Job);
-        assert_capped_enumeration_matches(&flat, &log, cap_percent)?;
+    }
 
-        let tail_scripts = [Value::str("b.pig"), Value::str("a.pig"), Value::Bool(true), Value::str("b.pig")];
-        let tail: Vec<ExecutionRecord> = tail_scripts
-            .into_iter()
-            .enumerate()
-            .map(|(i, script)| edge_record(seed, base_rows + 6 + i as u64, Some(script)))
-            .collect();
-        let fresh: Vec<&ExecutionRecord> = tail.iter().collect();
-        let delta = flat.with_appended(log.catalog(ExecutionKind::Job), &fresh);
-        for record in &tail {
-            log.push(record.clone());
+    /// Over the same three edge views, the bridge encoded straight from a
+    /// view equals the map-based bridge over the materialised training set:
+    /// attributes and their dictionaries, the pair of interest's row, the
+    /// labels, every row, and the rendered original behind every id of
+    /// every attribute (rendered, because `Bool(true)` and `"T"` share one
+    /// id and either may be the one kept).  Numeric cells in the nominal
+    /// column (`0` and `-0` agree, `7` beside the string `"7"`) and diff
+    /// cells in both orders are the cells a wrong encoded-key cache would
+    /// mis-encode.
+    #[test]
+    fn encoded_bridge_matches_the_map_bridge_on_edge_values(seed in 0u64..400) {
+        use perfxplain::mlcore::{TestAtom, TestConstant, TestOp};
+        use perfxplain_core::pairs::PairCatalog;
+
+        let tail_scripts = vec![Value::str("b.pig"), Value::Bool(true), Value::str("7")];
+        let config = ExplainConfig::default();
+        for (view, log) in edge_views(seed, "bridge", 0, tail_scripts) {
+            let view = std::sync::Arc::new(view);
+            for text in [BLOCKED_QUERY, UNBLOCKED_QUERY] {
+                let query = parse_query(text).unwrap();
+                let rows = view.num_rows();
+                let Some((bound, poi)) = (0..rows * rows)
+                    .filter(|k| k / rows != k % rows)
+                    .map(|k| BoundQuery::new(
+                        query.clone(),
+                        &view.record(k / rows).id,
+                        &view.record(k % rows).id,
+                    ))
+                    .find_map(|bound| {
+                        let poi = bound.verify_preconditions(&log, config.sim_threshold).ok()?;
+                        Some((bound, poi))
+                    })
+                else {
+                    continue;
+                };
+                let encoded = perfxplain_core::training::prepare_encoded_training_in(
+                    &log, view.clone(), &bound, &config,
+                ).unwrap();
+                let set = encoded.materialise(config.sim_threshold);
+                let catalog = PairCatalog::from_raw(log.job_catalog())
+                    .restrict_to_groups(config.feature_level.allowed_groups());
+                let excluded = perfxplain_core::query::excluded_raw_features(&bound, &config);
+
+                let by_maps = DatasetBridge::build(&set, &poi, &catalog, &excluded);
+                let by_view = DatasetBridge::encode_from_view(
+                    &encoded,
+                    encoded.poi_rows(&bound).unwrap(),
+                    &catalog,
+                    &excluded,
+                    config.sim_threshold,
+                );
+
+                let (a, b) = (by_maps.dataset(), by_view.dataset());
+                prop_assert_eq!(a.attributes(), b.attributes());
+                for attr in 0..by_maps.num_attributes() {
+                    prop_assert_eq!(by_maps.attr_name(attr), by_view.attr_name(attr));
+                    prop_assert_eq!(by_maps.poi_value(attr), by_view.poi_value(attr));
+                }
+                prop_assert_eq!(a.len(), b.len());
+                prop_assert_eq!(a.labels(), b.labels());
+                for row in 0..a.len() {
+                    prop_assert_eq!(a.row(row), b.row(row), "row {} diverges", row);
+                }
+                for (attr, attribute) in a.attributes().iter().enumerate() {
+                    for id in 0..attribute.dictionary.len() as u32 {
+                        let atom = TestAtom {
+                            attribute: attr,
+                            op: TestOp::Eq,
+                            constant: TestConstant::Nom(id),
+                        };
+                        prop_assert_eq!(
+                            by_maps.atom_to_pxql(&atom).to_string(),
+                            by_view.atom_to_pxql(&atom).to_string()
+                        );
+                    }
+                }
+            }
         }
-        assert_capped_enumeration_matches(&delta, &log, cap_percent)?;
     }
 }
 
