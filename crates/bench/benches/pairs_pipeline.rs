@@ -19,7 +19,7 @@
 //! the trend.  Run with `cargo bench --bench pairs_pipeline`.
 
 use perfxplain_core::columnar::{ColumnarLog, CompiledQuery};
-use perfxplain_core::training::{collect_related_pairs_in, PARALLEL_ENUMERATION_THRESHOLD};
+use perfxplain_core::training::collect_related_pairs_in;
 use perfxplain_core::{
     BoundQuery, ExecutionKind, ExecutionLog, ExecutionRecord, ExplainConfig, FsyncPolicy,
     PerfXplain, QueryRequest, XplainService,
@@ -274,9 +274,6 @@ struct PairsBenchReport {
     /// Hardware threads the sharded/parallel numbers were measured with —
     /// on a single-core machine every sharded speedup degenerates to ~1x.
     hardware_threads: usize,
-    /// Record count above which pair enumeration fans out by default (the
-    /// `parallel`/`serial` features force-override this).
-    parallel_enumeration_threshold: usize,
     points: Vec<PairsBenchPoint>,
     service_reuse: ServiceReusePoint,
     sharded_encode: Vec<ShardedEncodePoint>,
@@ -1131,14 +1128,11 @@ fn main() {
                       re-encode a non-delta cache would pay after every append; \
                       journaled points (fsync = always / every:8 / oncheckpoint) add \
                       the write-ahead append journal to the measured loop, so the \
-                      appends_per_sec deltas are the price of each durability tier.  \
-                      Pair enumeration fans out over threads by default above \
-                      parallel_enumeration_threshold records."
+                      appends_per_sec deltas are the price of each durability tier."
             .to_string(),
         hardware_threads: std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
-        parallel_enumeration_threshold: PARALLEL_ENUMERATION_THRESHOLD,
         points,
         service_reuse,
         sharded_encode,

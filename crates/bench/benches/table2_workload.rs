@@ -9,7 +9,7 @@ use workload::{GridSpec, SweepOptions};
 
 fn bench_table2(c: &mut Criterion) {
     // Print the measured grid summary for a strided sweep once.
-    let options = SweepOptions::default().with_stride(12).with_parallelism(4);
+    let options = SweepOptions::default().with_stride(12);
     let sweep = workload::grid::run_sweep(&GridSpec::paper_table2(), &options);
     println!(
         "table2: ran {} of 540 configurations; mean job duration {:.0} s",

@@ -34,12 +34,6 @@ use mlcore::{AttrValue, Attribute, ColumnStore, FxHashMap, NominalDictionary};
 use pxql::{Op, Predicate, Value};
 use std::sync::Arc;
 
-/// Row count at or above which [`ColumnarLog::build_auto`] switches from the
-/// single-shot encode to the sharded parallel encode.  Encoding costs a few
-/// microseconds per record-feature, so below ~8k records the whole encode
-/// finishes in the time it takes to set a thread scope up.
-pub const SHARDED_BUILD_THRESHOLD: usize = 8192;
-
 /// The columnar encoded view of the records of one execution kind.
 ///
 /// The view is **self-contained**: it owns a snapshot of the records it
@@ -52,9 +46,10 @@ pub const SHARDED_BUILD_THRESHOLD: usize = 8192;
 ///
 /// Large logs are encoded **sharded** ([`ColumnarLog::build_sharded`]): the
 /// row space is split into contiguous segments, each segment is encoded
-/// independently (local dictionaries) on its own thread, and the segments
-/// are merged by dictionary remapping ([`ColumnStore::merge_segments`]) into
-/// a view bit-identical to the single-shot encode.
+/// independently (local dictionaries) as one job of the shared worker pool,
+/// and the segments are merged by dictionary remapping
+/// ([`ColumnStore::merge_segments`]) into a view bit-identical to the
+/// single-shot encode.
 ///
 /// # Base and tail
 ///
@@ -193,7 +188,12 @@ pub(crate) fn encode_segment(
 /// concatenated rows, so the result is bit-identical to a single-pass
 /// encode; the original `Value` kept per global id is the one seen at that
 /// first occurrence, exactly as the single-pass encode keeps it.
-fn merge_segments(segments: Vec<EncodedSegment>) -> (ColumnStore, Vec<Vec<Value>>) {
+fn merge_segments(mut segments: Vec<EncodedSegment>) -> (ColumnStore, Vec<Vec<Value>>) {
+    // A single segment is already merged: its remap is the identity.
+    if segments.len() == 1 {
+        let segment = segments.pop().expect("length checked above");
+        return (segment.store, segment.originals);
+    }
     let mut segment_originals = Vec::with_capacity(segments.len());
     let mut stores = Vec::with_capacity(segments.len());
     for segment in segments {
@@ -235,46 +235,40 @@ impl ColumnarLog {
         ColumnarLog::build_sharded(log, kind, 1)
     }
 
-    /// Encodes the records of `kind`, picking the shard count from the log
-    /// size and the machine: single-shot below
-    /// [`SHARDED_BUILD_THRESHOLD`] rows, one shard per available core at or
-    /// above it.  The produced view is always bit-identical to
-    /// [`ColumnarLog::build`].
+    /// Encodes the records of `kind`, sharded by the shared worker pool's
+    /// size rule: one segment per pool thread once the log holds
+    /// [`MIN_FAN_OUT_WORK`](crate::pool::MIN_FAN_OUT_WORK) record-feature
+    /// cells, single-shot below that or on one CPU.  The produced view is
+    /// always bit-identical to [`ColumnarLog::build`].
     pub fn build_auto(log: &ExecutionLog, kind: ExecutionKind) -> Self {
-        let rows = log.of_kind(kind).count();
-        let shards = if rows >= SHARDED_BUILD_THRESHOLD {
-            crate::shard::hardware_threads()
-        } else {
-            1
-        };
-        ColumnarLog::build_sharded(log, kind, shards)
+        let records: Vec<&ExecutionRecord> = log.of_kind(kind).collect();
+        let catalog = log.catalog(kind);
+        let work = records.len().saturating_mul(catalog.len());
+        let segments = crate::pool::shared()
+            .map_chunks_gated(&records, work, |chunk| encode_segment(catalog, chunk));
+        ColumnarLog::assemble(
+            kind,
+            catalog,
+            records.into_iter().cloned().collect(),
+            segments,
+        )
     }
 
-    /// Encodes the records of `kind` as `num_shards` contiguous segments
-    /// fanned out over `std::thread::scope` threads, then merges the
+    /// Encodes the records of `kind` as up to `num_shards` contiguous
+    /// segments, run as jobs of the shared worker pool, then merges the
     /// segments by dictionary remapping.  Bit-identical to
     /// [`ColumnarLog::build`] for every shard count (a shard count above the
     /// row count simply yields fewer, smaller segments).
     pub fn build_sharded(log: &ExecutionLog, kind: ExecutionKind, num_shards: usize) -> Self {
-        let catalog = log.catalog(kind);
         let records: Vec<&ExecutionRecord> = log.of_kind(kind).collect();
-
-        let (store, originals) = if num_shards <= 1 || records.len() <= 1 {
-            let segment = encode_segment(catalog, &records);
-            (segment.store, segment.originals)
-        } else {
-            merge_segments(crate::shard::map_chunks(&records, num_shards, |chunk| {
-                encode_segment(catalog, chunk)
-            }))
-        };
-
-        let kinds = catalog.defs().iter().map(|def| def.kind).collect();
-        ColumnarLog::from_encoded(
+        let catalog = log.catalog(kind);
+        let segments = crate::pool::shared()
+            .map_chunks(&records, num_shards, |chunk| encode_segment(catalog, chunk));
+        ColumnarLog::assemble(
             kind,
+            catalog,
             records.into_iter().cloned().collect(),
-            store,
-            originals,
-            kinds,
+            segments,
         )
     }
 
@@ -386,8 +380,7 @@ impl ColumnarLog {
 
     /// Assembles the view of `kind` from a loaded snapshot, without
     /// re-encoding a single cell: the per-shard binary column segments are
-    /// pulled out of the snapshot across `std::thread::scope` threads
-    /// ([`crate::shard::map_chunks`]) and stitched together by the same
+    /// pulled out of the snapshot and stitched together by the same
     /// dictionary-remapping merge as [`ColumnarLog::build_sharded`] — so the
     /// result is **bit-identical** to encoding the snapshot's log from
     /// scratch, for any shard count the snapshot was written with
@@ -413,11 +406,11 @@ impl ColumnarLog {
         ColumnarLog::assemble(kind, snapshot.catalog(kind), records, segments)
     }
 
-    /// Stitches already-decoded segments and their records into a view:
-    /// the same dictionary-remapping merge as [`ColumnarLog::build_sharded`]
-    /// (bit-identical result), but with the column buffers adopted from the
+    /// Stitches encoded segments and their records into a view by
+    /// dictionary remapping, with the column buffers adopted from the
     /// segments — a single segment's `Arc` columns are moved, not copied.
-    /// This is the zero-copy tail of [`Snapshot::into_views`]
+    /// This is the merge behind [`ColumnarLog::build_sharded`] and the
+    /// zero-copy tail of [`Snapshot::into_views`]
     /// (`crate::snapshot::Snapshot::into_views`).
     pub(crate) fn assemble(
         kind: ExecutionKind,

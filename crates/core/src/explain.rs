@@ -28,9 +28,7 @@ use crate::service::XplainService;
 use crate::training::{
     prepare_encoded_training_cancellable, prepare_encoded_training_in, EncodedTraining, TrainingSet,
 };
-use mlcore::{
-    best_split_for_attribute_filtered, percentile_ranks, SplitCandidate, PARALLEL_SPLIT_MIN_CELLS,
-};
+use mlcore::{best_split_for_attribute_filtered, percentile_ranks, SplitCandidate};
 use pxql::{Atom, Predicate};
 use std::sync::Arc;
 
@@ -332,10 +330,10 @@ impl PerfXplain {
             // every feature.  Each attribute's search is an independent
             // single-sort sweep with the applicability filter threaded
             // through it, so on large nodes the per-attribute searches fan
-            // out over scoped threads; results are collected in attribute
-            // order either way, keeping the scored candidate list (and
-            // therefore the percentile normalisation below) bit-identical
-            // to the serial loop.
+            // out over the shared worker pool; results are collected in
+            // attribute order either way, keeping the scored candidate list
+            // (and therefore the percentile normalisation below)
+            // bit-identical to the serial loop.
             let attrs: Vec<usize> = (0..bridge.num_attributes())
                 .filter(|&attr| {
                     !bridge.poi_value(attr).is_missing()
@@ -349,13 +347,12 @@ impl PerfXplain {
                 })
                 .map(|candidate| (attr, candidate))
             };
-            let per_attr: Vec<Option<(usize, SplitCandidate)>> = crate::shard::map_chunks_gated(
-                &attrs,
-                current.len().saturating_mul(attrs.len()),
-                PARALLEL_SPLIT_MIN_CELLS,
-                |chunk| chunk.iter().map(|&attr| search(attr)).collect(),
-            );
-            let candidates: Vec<(usize, SplitCandidate)> = per_attr.into_iter().flatten().collect();
+            let per_chunk: Vec<Vec<(usize, SplitCandidate)>> = crate::pool::shared()
+                .map_chunks_gated(&attrs, current.len().saturating_mul(attrs.len()), |chunk| {
+                    chunk.iter().filter_map(|&attr| search(attr)).collect()
+                });
+            let candidates: Vec<(usize, SplitCandidate)> =
+                per_chunk.into_iter().flatten().collect();
             if candidates.is_empty() {
                 break;
             }

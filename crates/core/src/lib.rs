@@ -109,8 +109,8 @@
 //! process stays bounded in both memory and per-request latency.
 //!
 //! 1. **Ingest sharded.** [`ExecutionLog::extend_parallel`] ingests record
-//!    batches on concurrent threads (per-batch catalogs inferred in
-//!    parallel, merged by [`FeatureCatalog::merge`]), and
+//!    batches as jobs of the shared worker pool (catalogs inferred per
+//!    group of batches, merged by [`FeatureCatalog::merge`]), and
 //!    [`ExecutionLog::from_shards`] assembles independently collected shard
 //!    logs without re-scanning them — `hadoop_logs::collect_bundles_sharded`
 //!    parses history/conf/Ganglia bundles this way.  Both are exactly
@@ -122,12 +122,13 @@
 //!    [`pxql::Value`] retained per id.
 //!    [`build_sharded`](columnar::ColumnarLog::build_sharded) splits the
 //!    row space into contiguous segments, encodes each with a **local**
-//!    dictionary on its own `std::thread::scope` thread, and merges the
+//!    dictionary as one job of the shared worker pool, and merges the
 //!    segments by dictionary remapping
 //!    ([`mlcore::ColumnStore::merge_segments`]) into a view **bit-identical**
 //!    to the single-shot build;
 //!    [`build_auto`](columnar::ColumnarLog::build_auto) picks the shard
-//!    count (one per core at ≥ [`SHARDED_BUILD_THRESHOLD`] rows), and the
+//!    count by the pool's size rule (one per pool thread at ≥
+//!    [`pool::MIN_FAN_OUT_WORK`] record-feature cells), and the
 //!    [`XplainService`](service::XplainService) builds its cached
 //!    per-`(generation, kind)` views through it automatically.  The view is
 //!    self-contained and `Arc`-shared, so every query — including the
@@ -141,7 +142,7 @@
 //!    truth table), so classifying one candidate pair is a handful of
 //!    integer/float comparisons — no allocation, no string hashing, no
 //!    `BTreeMap`.
-//! 4. **Stream the enumeration, parallel by default.**
+//! 4. **Stream the enumeration, on the pool.**
 //!    `collect_related_pairs` never materialises the candidate space:
 //!    blocking groups and the deterministic cap (a stateless per-ordinal
 //!    hash, so enumeration order and parallelism cannot change the outcome)
@@ -153,11 +154,10 @@
 //!    fixes every candidate's ordinal, which is what the cap keys on.  An
 //!    unblocked query is the same plan with one group of every row, so
 //!    both enumerate through one loop.  On multi-core machines the outer
-//!    record loop fans out over `std::thread::scope` threads automatically
-//!    once the plan enumerates at least as many candidates as an unblocked
-//!    [`PARALLEL_ENUMERATION_THRESHOLD`]-record log; the `parallel` feature
-//!    forces the fan-out on, the `serial` feature forces it off, and
-//!    results are bit-identical in every mode.
+//!    record loop fans out over the shared worker pool once the plan
+//!    enumerates [`pool::MIN_FAN_OUT_WORK`] candidates; below that, and on
+//!    one CPU, it runs inline on the caller.  Results are bit-identical
+//!    either way.
 //! 5. **Encode the sample directly.**
 //!    [`DatasetBridge::encode_from_view`](bridge::DatasetBridge::encode_from_view)
 //!    derives the pair features of the sampled training pairs straight from
@@ -179,7 +179,7 @@
 //!    (the pair of interest must satisfy every emitted predicate) is
 //!    threaded through the sweep itself, the per-attribute searches of the
 //!    greedy clause loop ([`PerfXplain`]) and of [`mlcore::best_split`] fan
-//!    out over `shard::map_chunks` threads on large nodes, and Relief
+//!    out over the shared worker pool on large nodes, and Relief
 //!    ([`mlcore::relief_weights`], behind the RuleOfThumb baseline) scans
 //!    attribute-major over typed contiguous columns with its sampled
 //!    instances fanned out the same way.  The pre-sweep trainer is retained
@@ -368,11 +368,10 @@ pub mod service;
 pub mod snapshot;
 pub mod training;
 
-// The scoped-thread fan-out primitive now lives in `mlcore` (so the split
-// search and Relief can fan out too); re-export it under its historical
-// path — `perfxplain_core::shard::map_chunks` keeps working unchanged.
-// The bounded worker pool sits beside it: servers build their own, batch
-// APIs share `pool::shared()`.
+// The worker pool lives in `mlcore` (so the split search and Relief fan out
+// on it too): every parallel loop shares `pool::shared()`, and servers
+// build their own for requests.  `shard` holds its sizing
+// (`hardware_threads`, `MAX_FANOUT`) under its historical path.
 pub use mlcore::pool;
 pub use mlcore::shard;
 
@@ -383,7 +382,7 @@ pub use mlcore::failpoints;
 
 pub use baselines::{RuleOfThumb, SimButDiff};
 pub use cancel::CancelToken;
-pub use columnar::{ColumnarLog, CompiledPredicate, CompiledQuery, SHARDED_BUILD_THRESHOLD};
+pub use columnar::{ColumnarLog, CompiledPredicate, CompiledQuery};
 pub use config::ExplainConfig;
 pub use error::{CoreError, Result};
 pub use eval::{
@@ -412,7 +411,7 @@ pub use snapshot::{
 };
 pub use training::{
     collect_related_pairs_in, prepare_encoded_training, prepare_encoded_training_in,
-    prepare_training_set, EncodedTraining, TrainingSet, PARALLEL_ENUMERATION_THRESHOLD,
+    prepare_training_set, EncodedTraining, TrainingSet,
 };
 
 // Re-export the query language so that downstream users only need one

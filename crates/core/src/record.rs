@@ -144,6 +144,23 @@ fn count_kind_rows(records: &[ExecutionRecord]) -> [usize; 2] {
     rows
 }
 
+/// Infers the job and the task catalog of `records`, one pass per kind.
+pub(crate) fn infer_catalogs<'a>(
+    records: impl IntoIterator<Item = &'a ExecutionRecord> + Clone,
+) -> (FeatureCatalog, FeatureCatalog) {
+    let of_kind = |kind: ExecutionKind| {
+        records
+            .clone()
+            .into_iter()
+            .filter(move |r| r.kind == kind)
+            .map(|r| &r.features)
+    };
+    (
+        FeatureCatalog::infer(of_kind(ExecutionKind::Job)),
+        FeatureCatalog::infer(of_kind(ExecutionKind::Task)),
+    )
+}
+
 /// Index into per-kind bookkeeping arrays.
 fn kind_index(kind: ExecutionKind) -> usize {
     match kind {
@@ -335,72 +352,33 @@ impl ExecutionLog {
         out
     }
 
-    /// Ingests record batches in parallel: the batches are grouped into at
-    /// most one shard per hardware thread, each shard's catalogs are
-    /// inferred on its own `std::thread::scope` thread (this log's own
-    /// records are re-inferred concurrently as well), and the shards are
-    /// merged in batch order.  Equivalent to extending with the
-    /// concatenated batches and rebuilding the catalogs.
+    /// Ingests record batches in parallel: this log's records and the
+    /// batches are split into one contiguous group per thread of the shared
+    /// worker pool ([`crate::pool::shared`]), each group's catalogs are
+    /// inferred as one pool job, and the group catalogs are merged in
+    /// order.  Equivalent to extending with the concatenated batches and
+    /// rebuilding the catalogs.
     pub fn extend_parallel(&mut self, batches: Vec<Vec<ExecutionRecord>>) {
-        // Group the batches into bounded worker loads up front: batch
-        // counts are caller data (e.g. one batch per ingested bundle), so
-        // one thread per batch would be unbounded.
-        let workers = crate::shard::hardware_threads().min(batches.len()).max(1);
-        let group_size = batches.len().div_ceil(workers).max(1);
-        let mut groups: Vec<Vec<Vec<ExecutionRecord>>> = Vec::with_capacity(workers);
-        let mut batches = batches.into_iter();
-        loop {
-            let group: Vec<Vec<ExecutionRecord>> = batches.by_ref().take(group_size).collect();
-            if group.is_empty() {
-                break;
-            }
-            groups.push(group);
-        }
-
-        let (own_job, own_task, shards) = std::thread::scope(|scope| {
-            let own = scope.spawn(|| {
-                (
-                    FeatureCatalog::infer(
-                        self.records
-                            .iter()
-                            .filter(|r| r.kind == ExecutionKind::Job)
-                            .map(|r| &r.features),
-                    ),
-                    FeatureCatalog::infer(
-                        self.records
-                            .iter()
-                            .filter(|r| r.kind == ExecutionKind::Task)
-                            .map(|r| &r.features),
-                    ),
-                )
-            });
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    scope.spawn(move || {
-                        let mut shard = ExecutionLog::new();
-                        shard.records = group.into_iter().flatten().collect();
-                        shard.rebuild_catalogs();
-                        shard
-                    })
-                })
+        let (job_catalog, task_catalog) = {
+            let parts: Vec<&[ExecutionRecord]> = std::iter::once(self.records.as_slice())
+                .chain(batches.iter().map(Vec::as_slice))
                 .collect();
-            let shards: Vec<ExecutionLog> = handles
-                .into_iter()
-                .map(|handle| handle.join().expect("shard ingest worker panicked"))
-                .collect();
-            let (own_job, own_task) = own.join().expect("catalog inference panicked");
-            (own_job, own_task, shards)
-        });
-        self.job_catalog = own_job;
-        self.task_catalog = own_task;
-        for shard in shards {
-            self.job_catalog.merge(&shard.job_catalog);
-            self.task_catalog.merge(&shard.task_catalog);
-            for (slot, rows) in shard.kind_rows.iter().enumerate() {
-                self.kind_rows[slot] += rows;
+            let pool = crate::pool::shared();
+            let mut merged = (FeatureCatalog::new(), FeatureCatalog::new());
+            for group in pool.map_chunks(&parts, pool.threads(), |group| {
+                infer_catalogs(group.iter().flat_map(|part| part.iter()))
+            }) {
+                merged.0.merge(&group.0);
+                merged.1.merge(&group.1);
             }
-            self.records.extend(shard.records);
+            merged
+        };
+        self.job_catalog = job_catalog;
+        self.task_catalog = task_catalog;
+        self.records.reserve(batches.iter().map(Vec::len).sum());
+        for record in batches.into_iter().flatten() {
+            self.kind_rows[kind_index(record.kind)] += 1;
+            self.records.push(record);
         }
         self.generation += 1;
         self.mark_rewrite();
@@ -412,18 +390,7 @@ impl ExecutionLog {
         self.generation += 1;
         self.mark_rewrite();
         self.kind_rows = count_kind_rows(&self.records);
-        self.job_catalog = FeatureCatalog::infer(
-            self.records
-                .iter()
-                .filter(|r| r.kind == ExecutionKind::Job)
-                .map(|r| &r.features),
-        );
-        self.task_catalog = FeatureCatalog::infer(
-            self.records
-                .iter()
-                .filter(|r| r.kind == ExecutionKind::Task)
-                .map(|r| &r.features),
-        );
+        (self.job_catalog, self.task_catalog) = infer_catalogs(&self.records);
     }
 
     /// The catalog of job features.

@@ -29,7 +29,7 @@
 //!   flags — and one [`QueryOutcome`] carries everything back, replacing
 //!   the old parse → bind → explain → assess → narrate choreography.
 //! * The service is `Sync`: [`XplainService::par_explain_batch`] answers a
-//!   slice of requests across `std::thread::scope` threads, all sharing the
+//!   slice of requests as jobs of the shared worker pool, all sharing the
 //!   same cached `Arc<ColumnarLog>` view.
 //!
 //! The stateless [`PerfXplain::explain`] / [`PerfXplain::explain_full`] are
@@ -1044,11 +1044,10 @@ impl XplainService {
 
     /// Answers a slice of requests concurrently over the process-wide
     /// bounded worker pool ([`crate::pool::shared`]) — the same fixed
-    /// threads that back every batch in the process, instead of a fresh
-    /// `std::thread::scope` fan-out per call — all workers sharing the
-    /// cached view of the current log generation.  Results come back in
-    /// request order; each is exactly what [`XplainService::explain`] would
-    /// have produced serially.
+    /// threads that run every parallel loop in the process — all workers
+    /// sharing the cached view of the current log generation.  Results come
+    /// back in request order; each is exactly what
+    /// [`XplainService::explain`] would have produced serially.
     pub fn par_explain_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryOutcome>> {
         if requests.len() <= 1 {
             return requests.iter().map(|r| self.explain(r)).collect();

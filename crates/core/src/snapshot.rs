@@ -20,8 +20,8 @@
 //!   segments, and only the cells the columns cannot reproduce bit-exactly
 //!   (a `Null` value, a canonical-text collision) ride along as explicit
 //!   exceptions.
-//! * [`open`] loads the segment files across `std::thread::scope` threads
-//!   ([`crate::shard::map_chunks`]), verifies every fingerprint and every
+//! * [`open`] loads the segment files as jobs of the shared worker pool
+//!   ([`crate::pool::shared`]), verifies every fingerprint and every
 //!   schema against the manifest, and hands back a [`Snapshot`].
 //!   [`Snapshot::into_views`] consumes it into a [`SnapshotViews`] — the
 //!   reassembled [`ExecutionLog`] plus both [`ColumnarLog`] views — with
@@ -75,7 +75,7 @@
 use crate::columnar::{encode_segment, ColumnarLog, EncodedSegment};
 use crate::error::{CoreError, Result};
 use crate::features::{FeatureCatalog, FeatureKind};
-use crate::record::{ExecutionKind, ExecutionLog, ExecutionRecord};
+use crate::record::{infer_catalogs, ExecutionKind, ExecutionLog, ExecutionRecord};
 use mlcore::{AttrValue, ByteReader, ByteWriter, CodecError, ColumnStore, FxHashMap, FxHasher};
 use pxql::Value;
 use serde::{Deserialize, Serialize};
@@ -1111,15 +1111,14 @@ pub struct SnapshotViews {
 }
 
 /// Opens a snapshot directory: manifest first, then every segment file
-/// loaded and fingerprint-verified across `std::thread::scope` threads
-/// ([`crate::shard::map_chunks`]), assembled in manifest order.
+/// loaded and fingerprint-verified as jobs of the shared worker pool
+/// ([`crate::pool::shared`]), assembled in manifest order.
 pub fn open(dir: &Path) -> Result<Snapshot> {
+    let pool = crate::pool::shared();
     let retries = AtomicU64::new(0);
     let manifest = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let loaded: Result<Vec<Vec<SnapshotShard>>> = crate::shard::map_chunks(
-        &manifest.shards,
-        crate::shard::hardware_threads().min(manifest.shards.len()),
-        |chunk| {
+    let loaded: Result<Vec<Vec<SnapshotShard>>> = pool
+        .map_chunks(&manifest.shards, pool.threads(), |chunk| {
             chunk
                 .iter()
                 .map(|entry| {
@@ -1132,10 +1131,9 @@ pub fn open(dir: &Path) -> Result<Snapshot> {
                     )
                 })
                 .collect::<Result<Vec<SnapshotShard>>>()
-        },
-    )
-    .into_iter()
-    .collect();
+        })
+        .into_iter()
+        .collect();
     let shards: Vec<SnapshotShard> = loaded?.into_iter().flatten().collect();
 
     // The manifest's global catalogs must be exactly the merge of the
@@ -1274,13 +1272,12 @@ impl PartialSnapshot {
 /// against, and the error says so; the recovery path for that case remains
 /// a full re-ingest.
 pub fn open_salvage(dir: &Path) -> Result<PartialSnapshot> {
+    let pool = crate::pool::shared();
     let retries = AtomicU64::new(0);
     let manifest = SnapshotManifest::load_with_retries(dir, &retries)?;
     let indexed: Vec<(usize, &ShardEntry)> = manifest.shards.iter().enumerate().collect();
-    let loaded: Vec<(usize, Result<SnapshotShard>)> = crate::shard::map_chunks(
-        &indexed,
-        crate::shard::hardware_threads().min(indexed.len()),
-        |chunk| {
+    let loaded: Vec<(usize, Result<SnapshotShard>)> = pool
+        .map_chunks(&indexed, pool.threads(), |chunk| {
             chunk
                 .iter()
                 .map(|(index, entry)| {
@@ -1296,11 +1293,10 @@ pub fn open_salvage(dir: &Path) -> Result<PartialSnapshot> {
                     )
                 })
                 .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
     let mut healthy = Vec::with_capacity(loaded.len());
     let mut quarantined = Vec::new();
@@ -1368,13 +1364,12 @@ impl ShardHealth {
 /// [`ShardHealth`] per shard in manifest order; fails outright only when
 /// the manifest itself is unusable.
 pub fn verify(dir: &Path) -> Result<Vec<ShardHealth>> {
+    let pool = crate::pool::shared();
     let retries = AtomicU64::new(0);
     let manifest = SnapshotManifest::load_with_retries(dir, &retries)?;
     let indexed: Vec<(usize, &ShardEntry)> = manifest.shards.iter().enumerate().collect();
-    let mut checked: Vec<ShardHealth> = crate::shard::map_chunks(
-        &indexed,
-        crate::shard::hardware_threads().min(indexed.len()),
-        |chunk| {
+    let mut checked: Vec<ShardHealth> = pool
+        .map_chunks(&indexed, pool.threads(), |chunk| {
             chunk
                 .iter()
                 .map(|(index, entry)| {
@@ -1405,11 +1400,10 @@ pub fn verify(dir: &Path) -> Result<Vec<ShardHealth>> {
                     }
                 })
                 .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     checked.sort_by_key(|health| health.index);
     Ok(checked)
 }
@@ -1486,6 +1480,7 @@ pub fn persist_shards(dir: &Path, shards: Vec<RecordShard>) -> Result<SyncReport
 }
 
 fn persist_impl(dir: &Path, mut shards: Vec<RecordShard>, generation: u64) -> Result<SyncReport> {
+    let pool = crate::pool::shared();
     if shards.is_empty() {
         shards.push(RecordShard {
             records: Vec::new(),
@@ -1493,19 +1488,16 @@ fn persist_impl(dir: &Path, mut shards: Vec<RecordShard>, generation: u64) -> Re
         });
     }
     // Shard-local catalogs in parallel, then the global merge in order.
-    let local_catalogs: Vec<(FeatureCatalog, FeatureCatalog)> = crate::shard::map_chunks(
-        &shards,
-        crate::shard::hardware_threads().min(shards.len()),
-        |chunk| {
+    let local_catalogs: Vec<(FeatureCatalog, FeatureCatalog)> = pool
+        .map_chunks(&shards, pool.threads(), |chunk| {
             chunk
                 .iter()
                 .map(|shard| infer_catalogs(&shard.records))
                 .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     let mut job_catalog = FeatureCatalog::new();
     let mut task_catalog = FeatureCatalog::new();
     for (job, task) in &local_catalogs {
@@ -1514,19 +1506,16 @@ fn persist_impl(dir: &Path, mut shards: Vec<RecordShard>, generation: u64) -> Re
     }
 
     let encode_started = Instant::now();
-    let files: Vec<(Vec<u8>, ShardSizes)> = crate::shard::map_chunks(
-        &shards,
-        crate::shard::hardware_threads().min(shards.len()),
-        |chunk| {
+    let files: Vec<(Vec<u8>, ShardSizes)> = pool
+        .map_chunks(&shards, pool.threads(), |chunk| {
             chunk
                 .iter()
                 .map(|shard| encode_shard_file(&shard.records, &job_catalog, &task_catalog))
                 .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     let encode_seconds = encode_started.elapsed().as_secs_f64();
 
     let write_started = Instant::now();
@@ -1605,23 +1594,6 @@ fn remove_orphan_segments(dir: &Path, manifest: &SnapshotManifest) {
     }
 }
 
-fn infer_catalogs(records: &[ExecutionRecord]) -> (FeatureCatalog, FeatureCatalog) {
-    (
-        FeatureCatalog::infer(
-            records
-                .iter()
-                .filter(|r| r.kind == ExecutionKind::Job)
-                .map(|r| &r.features),
-        ),
-        FeatureCatalog::infer(
-            records
-                .iter()
-                .filter(|r| r.kind == ExecutionKind::Task)
-                .map(|r| &r.features),
-        ),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Incremental sync
 // ---------------------------------------------------------------------------
@@ -1663,6 +1635,7 @@ pub enum ShardInput {
 /// does not match the manifest; the recovery path is a full
 /// [`persist_shards`] with every shard fresh.
 pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
+    let pool = crate::pool::shared();
     let retries = AtomicU64::new(0);
     let old = SnapshotManifest::load_with_retries(dir, &retries)?;
     let manifest_path = dir.join(MANIFEST_FILE).display().to_string();
@@ -1703,10 +1676,8 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
 
     // Per-shard catalogs: stored entries for unchanged shards, inference
     // for fresh ones; then the global merge in input order.
-    let local_catalogs: Vec<(FeatureCatalog, FeatureCatalog)> = crate::shard::map_chunks(
-        &inputs,
-        crate::shard::hardware_threads().min(inputs.len().max(1)),
-        |chunk| {
+    let local_catalogs: Vec<(FeatureCatalog, FeatureCatalog)> = pool
+        .map_chunks(&inputs, pool.threads(), |chunk| {
             chunk
                 .iter()
                 .map(|input| match input {
@@ -1714,11 +1685,10 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
                     ShardInput::Unchanged { .. } | ShardInput::Keep => Default::default(),
                 })
                 .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     let mut job_catalog = FeatureCatalog::new();
     let mut task_catalog = FeatureCatalog::new();
     let mut entry_catalogs = Vec::with_capacity(inputs.len());
@@ -1741,9 +1711,9 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
     let reloaded: Vec<Option<Vec<ExecutionRecord>>> = if catalog_changed {
         let job_old = &old.job_catalog;
         let task_old = &old.task_catalog;
-        crate::shard::map_chunks(
+        pool.map_chunks(
             &inputs.iter().enumerate().collect::<Vec<_>>(),
-            crate::shard::hardware_threads().min(inputs.len().max(1)),
+            pool.threads(),
             |chunk| {
                 chunk
                     .iter()
@@ -1773,10 +1743,8 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
             .filter(|(_, input)| matches!(input, ShardInput::Unchanged { .. } | ShardInput::Keep))
             .map(|(i, _)| i)
             .collect();
-        let verified: Result<Vec<()>> = crate::shard::map_chunks(
-            &unchanged,
-            crate::shard::hardware_threads().min(unchanged.len().max(1)),
-            |chunk| {
+        let verified: Result<Vec<()>> = pool
+            .map_chunks(&unchanged, pool.threads(), |chunk| {
                 chunk
                     .iter()
                     .map(|&i| {
@@ -1797,11 +1765,10 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
                         Ok(())
                     })
                     .collect::<Result<Vec<()>>>()
-            },
-        )
-        .into_iter()
-        .collect::<Result<Vec<_>>>()
-        .map(|chunks| chunks.into_iter().flatten().collect());
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>>>()
+            .map(|chunks| chunks.into_iter().flatten().collect());
         verified?;
         vec![None; inputs.len()]
     };
@@ -1826,10 +1793,8 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
             ShardInput::Unchanged { .. } | ShardInput::Keep => {}
         }
     }
-    let encoded: Vec<(usize, (Vec<u8>, ShardSizes))> = crate::shard::map_chunks(
-        &jobs,
-        crate::shard::hardware_threads().min(jobs.len().max(1)),
-        |chunk| {
+    let encoded: Vec<(usize, (Vec<u8>, ShardSizes))> = pool
+        .map_chunks(&jobs, pool.threads(), |chunk| {
             chunk
                 .iter()
                 .map(|job| {
@@ -1839,11 +1804,10 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
                     )
                 })
                 .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     let encode_seconds = encode_started.elapsed().as_secs_f64();
 
     // Write the fresh files and assemble the new manifest.

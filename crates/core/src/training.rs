@@ -34,14 +34,12 @@
 //! The enumeration itself is **streaming**: candidates are classified
 //! against a [`CompiledQuery`] as they are produced, so memory stays
 //! proportional to the *related* pairs (bounded by the cap), never to the
-//! O(n²) candidate space.  On multi-core machines the outer record loop is
-//! fanned out over `std::thread::scope` threads **by default** once the
-//! plan enumerates at least as many candidates as an unblocked
-//! [`PARALLEL_ENUMERATION_THRESHOLD`]-record log (below that — including
-//! blocked queries whose groups shrink the candidate space — thread setup
-//! costs more than the whole scan); the `parallel` feature forces the
-//! fan-out on regardless of size and the `serial` feature forces it off.
-//! Results are bit-identical either way.
+//! O(n²) candidate space.  On multi-core machines the outer record loop
+//! fans out over the shared worker pool
+//! ([`WorkerPool::map_chunks_gated`](crate::pool::WorkerPool::map_chunks_gated))
+//! once the plan enumerates [`MIN_FAN_OUT_WORK`](crate::pool::MIN_FAN_OUT_WORK)
+//! candidates, blocked or not; smaller scans, and every scan on one CPU,
+//! run inline.  Results are bit-identical either way.
 
 use crate::cancel::CancelToken;
 use crate::columnar::{ColumnarLog, CompiledQuery};
@@ -298,38 +296,6 @@ impl CandidatePlan {
     }
 }
 
-/// Record count at or above which the streaming enumeration of an
-/// *unblocked* query fans its outer loop out over threads by default.  At
-/// 256 records the candidate space is ~65k pairs (≈1 ms of
-/// classification), comfortably above the ~100 µs a `std::thread::scope`
-/// setup costs, so the fan-out pays for itself; below it the serial scan
-/// wins.  `cargo bench --bench pairs_pipeline` records this choice in
-/// `BENCH_pairs.json`.
-pub const PARALLEL_ENUMERATION_THRESHOLD: usize = 256;
-
-/// The candidate-count form of [`PARALLEL_ENUMERATION_THRESHOLD`]: the
-/// number of ordered pairs a threshold-sized unblocked log enumerates.
-/// The auto gate compares against the *actual* plan total, so a blocked
-/// query whose groups shrink the candidate space (however many records the
-/// log holds) stays serial instead of paying thread setup for microseconds
-/// of work.
-const PARALLEL_ENUMERATION_MIN_CANDIDATES: u64 =
-    (PARALLEL_ENUMERATION_THRESHOLD as u64) * (PARALLEL_ENUMERATION_THRESHOLD as u64 - 1);
-
-/// Whether the outer enumeration loop should fan out for a plan enumerating
-/// `total_candidates` pairs: the `serial` feature forces it off, the
-/// `parallel` feature forces it on, and the default auto mode enables it at
-/// [`PARALLEL_ENUMERATION_MIN_CANDIDATES`] candidates.
-fn fan_out_enabled(total_candidates: u64) -> bool {
-    if cfg!(feature = "serial") {
-        false
-    } else if cfg!(feature = "parallel") {
-        true
-    } else {
-        total_candidates >= PARALLEL_ENUMERATION_MIN_CANDIDATES
-    }
-}
-
 /// SplitMix64 finaliser: a stateless, well-mixed hash of a candidate
 /// ordinal, used for order-independent capping decisions.
 fn mix64(seed: u64) -> u64 {
@@ -364,9 +330,9 @@ pub fn collect_related_pairs_in(
 }
 
 /// [`collect_related_pairs_in`] with a cooperative cancellation token,
-/// checked every [`CANCEL_CHECK_ROWS`] left-hand rows (per fan-out thread
-/// when the scan is parallel).  On cancellation the partial result is
-/// discarded and the token's error comes back.
+/// checked every [`CANCEL_CHECK_ROWS`] left-hand rows (per pool chunk when
+/// the scan fans out).  On cancellation the partial result is discarded and
+/// the token's error comes back.
 pub fn collect_related_pairs_cancellable(
     view: &ColumnarLog,
     query: &BoundQuery,
@@ -388,29 +354,28 @@ pub fn collect_related_pairs_cancellable(
         )
     });
 
+    // One contiguous span of positions per pool thread; the chunks come
+    // back in span order, so the concatenation is the serial scan's output.
+    let pool = crate::pool::shared();
     let positions = plan.rows.len();
-    let threads = crate::shard::hardware_threads();
-    let mut related = Vec::new();
-    if threads > 1 && positions > 0 && fan_out_enabled(total) {
-        // One contiguous span of positions per thread; the chunks come back
-        // in span order, so the concatenation is the serial scan's output.
-        let step = positions.div_ceil(threads);
-        let spans: Vec<Range<usize>> = (0..positions)
-            .step_by(step)
-            .map(|start| start..(start + step).min(positions))
-            .collect();
-        let chunks = crate::shard::map_chunks(&spans, spans.len(), |spans| {
+    let step = positions.div_ceil(pool.threads()).max(1);
+    let spans: Vec<Range<usize>> = (0..positions)
+        .step_by(step)
+        .map(|start| start..(start + step).min(positions))
+        .collect();
+    let work = usize::try_from(total).unwrap_or(usize::MAX);
+    let mut chunks = pool
+        .map_chunks_gated(&spans, work, |spans| {
             let mut out = Vec::new();
             for span in spans {
                 plan.scan(span.clone(), view, &compiled, keep, cancel, &mut out)?;
             }
             Ok::<_, CoreError>(out)
-        });
-        for chunk in chunks {
-            related.extend(chunk?);
-        }
-    } else {
-        plan.scan(0..positions, view, &compiled, keep, cancel, &mut related)?;
+        })
+        .into_iter();
+    let mut related = chunks.next().expect("a fan-out returns a chunk")?;
+    for chunk in chunks {
+        related.extend(chunk?);
     }
     Ok(related)
 }

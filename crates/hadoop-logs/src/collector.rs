@@ -300,12 +300,13 @@ pub fn collect_bundles(bundles: &[JobLogBundle]) -> Result<ExecutionLog, History
     Ok(log)
 }
 
-/// Collects a set of bundles by splitting them into `num_shards` contiguous
-/// batches parsed concurrently (history + configuration + Ganglia parsing is
-/// CPU-bound), each batch becoming an [`ExecutionLog`] shard merged via
-/// [`ExecutionLog::from_shards`].  The resulting log — record order,
-/// catalogs and all — equals [`collect_bundles`] over the same bundles; any
-/// parse error is surfaced, the earliest-shard one first.
+/// Collects a set of bundles by splitting them into up to `num_shards`
+/// contiguous batches parsed as jobs of the shared worker pool (history +
+/// configuration + Ganglia parsing is CPU-bound), each batch becoming an
+/// [`ExecutionLog`] shard merged via [`ExecutionLog::from_shards`].  The
+/// resulting log — record order, catalogs and all — equals
+/// [`collect_bundles`] over the same bundles; any parse error is surfaced,
+/// the earliest-shard one first.
 pub fn collect_bundles_sharded(
     bundles: &[JobLogBundle],
     num_shards: usize,
@@ -313,8 +314,8 @@ pub fn collect_bundles_sharded(
     if num_shards <= 1 || bundles.len() <= 1 {
         return collect_bundles(bundles);
     }
-    let shards: Result<Vec<ExecutionLog>, HistoryParseError> =
-        perfxplain_core::shard::map_chunks(bundles, num_shards, |chunk| {
+    let shards: Result<Vec<ExecutionLog>, HistoryParseError> = perfxplain_core::pool::shared()
+        .map_chunks(bundles, num_shards, |chunk| {
             let collector = LogCollector::new();
             let mut shard = ExecutionLog::new();
             for bundle in chunk {
@@ -337,7 +338,8 @@ pub fn collect_traces(traces: &[JobTrace]) -> Result<ExecutionLog, HistoryParseE
 }
 
 /// Sharded [`collect_traces`]: rendering *and* parsing both fan out, one
-/// thread per shard of traces.  Produces the same log as [`collect_traces`].
+/// pool job per shard of traces.  Produces the same log as
+/// [`collect_traces`].
 pub fn collect_traces_sharded(
     traces: &[JobTrace],
     num_shards: usize,
@@ -345,8 +347,8 @@ pub fn collect_traces_sharded(
     if num_shards <= 1 || traces.len() <= 1 {
         return collect_traces(traces);
     }
-    let shards: Result<Vec<ExecutionLog>, HistoryParseError> =
-        perfxplain_core::shard::map_chunks(traces, num_shards, |chunk| {
+    let shards: Result<Vec<ExecutionLog>, HistoryParseError> = perfxplain_core::pool::shared()
+        .map_chunks(traces, num_shards, |chunk| {
             let collector = LogCollector::new();
             let mut shard = ExecutionLog::new();
             for trace in chunk {

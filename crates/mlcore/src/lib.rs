@@ -38,14 +38,16 @@
 //!   (Robnik-Šikonja & Kononenko) adapted for mixed attributes and missing
 //!   values, used by the RuleOfThumb baseline.
 //! * [`sample`] — the balanced sampling procedure of Section 4.3.
-//! * [`shard`] — the scoped-thread fan-out primitive ([`shard::map_chunks`])
-//!   shared by every parallel path of the workspace (`perfxplain-core`
-//!   re-exports it as `perfxplain_core::shard`).
-//! * [`pool`] — the bounded, long-lived [`WorkerPool`] behind the network
-//!   server and the batch APIs: a fixed set of worker threads over a shared
-//!   job queue, with a caller-helping scoped [`WorkerPool::map_chunks`]
-//!   counterpart of the one-shot `shard` fan-out and a process-wide
+//! * [`pool`] — the bounded, long-lived [`WorkerPool`] behind every
+//!   parallel loop of the workspace and the network server: a fixed set of
+//!   worker threads over a shared job queue, a scoped
+//!   [`WorkerPool::map_chunks`] whose waiting caller runs its own queued
+//!   chunks, with one size rule
+//!   ([`WorkerPool::map_chunks_gated`]), and a process-wide
 //!   [`pool::shared`] instance sized to the hardware.
+//! * [`shard`] — fan-out sizing: [`shard::hardware_threads`] and the
+//!   [`shard::MAX_FANOUT`] ceiling (`perfxplain-core` re-exports it as
+//!   `perfxplain_core::shard`).
 //! * [`stats`] — means, standard deviations and the percentile-rank
 //!   normalisation used by `normalizeScore` in Algorithm 1.
 //! * [`failpoints`] — deterministic fault injection behind the
@@ -75,16 +77,16 @@
 //!   Nominal candidates dedup through an [`FxHashMap`] (first-seen order
 //!   preserved) instead of a linear scan, and equality candidates that
 //!   duplicate an adjacent mid-point's partition are suppressed outright.
-//! * **[`best_split`] fans out across attributes** over
-//!   [`shard::map_chunks`] threads on nodes of at least
-//!   [`PARALLEL_SPLIT_MIN_CELLS`] cells, folding the per-attribute winners
-//!   in attribute order — the result is independent of the fan-out.
+//! * **[`best_split`] fans out across attributes** over the shared
+//!   [`pool`] on nodes of at least [`pool::MIN_FAN_OUT_WORK`] cells,
+//!   folding the per-attribute winners in attribute order — the result is
+//!   independent of the fan-out.
 //! * **Relief is columnar and parallel** ([`relief`]).  Distance scans run
 //!   attribute-major over typed contiguous columns
 //!   ([`dataset::ColumnCells`]) with the kind and normalisation span
 //!   resolved once per column — no per-cell enum dispatch — and the `m`
-//!   sampled instances fan out over scoped threads above
-//!   [`RELIEF_PARALLEL_MIN_CELLS`] cells, with weight updates applied in
+//!   sampled instances fan out over the shared [`pool`] under the same
+//!   rule, with weight updates applied in
 //!   sample order so the weights are bit-identical to the row-at-a-time
 //!   scan (also proptested against [`oracle`]).
 //! * **NaN is missing.**  A NaN feature cell used to panic the split
@@ -143,10 +145,10 @@ pub use dtree::{DecisionTree, TreeConfig};
 pub use entropy::{binary_entropy, entropy_of_counts, information_gain};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use pool::WorkerPool;
-pub use relief::{relief_weights, ReliefConfig, RELIEF_PARALLEL_MIN_CELLS};
+pub use relief::{relief_weights, ReliefConfig};
 pub use sample::{balanced_sample, BalanceStats};
 pub use split::{
     best_split, best_split_for_attribute, best_split_for_attribute_filtered, SplitCandidate,
-    TestAtom, TestConstant, TestOp, PARALLEL_SPLIT_MIN_CELLS,
+    TestAtom, TestConstant, TestOp,
 };
 pub use stats::{mean, percentile_ranks, stddev};

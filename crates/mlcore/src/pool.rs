@@ -1,46 +1,89 @@
-//! A bounded worker pool: long-lived threads consuming queued jobs.
+//! The worker pool behind every parallel loop: long-lived threads consuming
+//! queued jobs.
 //!
-//! [`shard::map_chunks`](crate::shard::map_chunks) spawns fresh
-//! `std::thread::scope` threads on every call, which is the right shape for
-//! one-shot sharded batch work but the wrong one for a *server*: a process
-//! answering a stream of requests wants a **fixed** number of worker threads
-//! (the concurrency bound the admission controller charges against) that
-//! outlive any individual request.  [`WorkerPool`] is that primitive:
+//! The process-wide [`shared`] pool, one worker per hardware thread, runs
+//! every CPU fan-out of the workspace: pair enumeration, the per-feature
+//! split searches, Relief, sharded encodes, snapshot IO, the bundle
+//! collectors, batch ingest, the simulator sweep and batch explains, plus
+//! background compaction.  Nothing else spawns threads per call.  A server
+//! with an explicit concurrency bound builds its own [`WorkerPool`], whose
+//! size is the bound its admission controller charges against.
 //!
 //! * [`WorkerPool::execute`] enqueues an owned (`'static`) job — the shape
 //!   network request handlers take, each job owning its `Arc`s.
-//! * [`WorkerPool::map_chunks`] is the scoped counterpart of
-//!   [`shard::map_chunks`](crate::shard::map_chunks): it fans a *borrowed*
-//!   slice out over the pool's existing threads and blocks until every
-//!   chunk is done, so batch callers reuse the pool instead of spawning
-//!   per-call threads.  While it waits, the calling thread **helps**: it
-//!   pulls queued jobs (its own chunks or anyone else's) and runs them
-//!   inline, so a saturated — or nested — pool can never deadlock a
-//!   `map_chunks` caller, and a pool of `t` threads gives batch work `t+1`
-//!   active lanes.
+//! * [`WorkerPool::map_chunks`] fans a *borrowed* slice out over the pool's
+//!   threads and blocks until every chunk is done.  While it waits, the
+//!   calling thread **helps with its own call**: it takes its call's
+//!   still-queued chunks off the queue and runs them inline, so a
+//!   saturated — or nested — pool can never deadlock a `map_chunks`
+//!   caller, and a pool of `t` threads gives batch work `t+1` active lanes.
+//! * [`WorkerPool::map_chunks_gated`] is `map_chunks` under the size rule
+//!   below, for loops whose work depends on the input.
+//!
+//! # When a fan-out runs inline
+//!
+//! A call runs `f` inline on the caller unless the pool has more than one
+//! thread; a gated call also needs its work to reach [`MIN_FAN_OUT_WORK`]
+//! inner-loop steps (cells scanned, candidate pairs classified), and runs
+//! `f` once over the whole slice otherwise.  Calls that fan out over whole
+//! shards, bundles or configurations skip the work test and ask for an
+//! explicit chunk count, which a one-thread pool keeps: it runs `f` inline
+//! once per chunk, so such a call returns the same chunks on every host.
+//! A two-chunk pool fan-out costs a few microseconds per call (3.6–4.5 µs
+//! on a 2-vCPU Xeon guest, against 84–90 µs for spawning two scoped
+//! threads there), so the threshold sits at the smallest input worth
+//! splitting at all.  On a one-thread pool — one hardware thread, or a
+//! process pinned to one CPU — nothing is ever queued by a fan-out, and
+//! results never depend on the side of the rule a call takes.
+//!
+//! Workers start with the first queued job, not with the pool, so on one
+//! CPU the shared pool gets a thread only for its first `execute` job.  A
+//! worker already idling there would be woken by that job — say a
+//! compaction queued by a snapshot open's journal replay — and preempt the
+//! caller, sharing its one CPU with the fold before the open returns.
+//!
+//! # Failure handling
 //!
 //! A job that panics is caught at the worker (the pool survives; `execute`
 //! jobs are fire-and-forget, so their panics are swallowed after the catch),
-//! and `map_chunks` re-raises the first chunk panic in the caller once every
-//! chunk has settled — the same contract as `std::thread::scope`.  Poisoned
-//! locks are *recovered*, never propagated: a panic that lands while one of
-//! the pool's mutexes is held cannot corrupt the queue (every critical
-//! section is a single push/pop/counter step), so treating poison as fatal
-//! would only convert one bad job into a dead process-wide [`shared`] pool.
-//! Under `--features failpoints` the `"pool.job"` site injects worker
-//! faults between pop and run; faulted jobs are requeued, never dropped.
+//! and `map_chunks` re-raises the first chunk panic, with its original
+//! payload, in the caller once every chunk has settled — the same contract
+//! as `std::thread::scope`.  Poisoned locks are *recovered*, never
+//! propagated: a panic that lands while one of the pool's mutexes is held
+//! cannot corrupt the queue (every critical section is a single
+//! push/pop/counter step), so treating poison as fatal would only convert
+//! one bad job into a dead process-wide [`shared`] pool.  Under
+//! `--features failpoints` the `"pool.job"` site injects worker faults
+//! between pop and run; faulted jobs are requeued, never dropped.
 //!
 //! The queue is intentionally unbounded: the pool's callers bound it.  The
 //! server charges every job against a concurrent-cost budget *before*
 //! submitting (its bounded admission queue is the real backpressure), and
 //! `map_chunks` enqueues at most one job per chunk of a slice the caller
 //! already holds.
+//!
+//! # Why a waiter helps only its own call
+//!
+//! A waiting `map_chunks` caller never runs another caller's job, queued
+//! ahead of its chunks or not.  The caller may hold a lock that job needs:
+//! `XplainService` answers a query — and fans its enumeration and clause
+//! loop out here — under its log's read guard, and a chunk of a concurrent
+//! batch explain takes that guard again, which blocks behind a queued
+//! writer and deadlocks both threads.  Nor does a served request run a
+//! queued background compaction inline before its own answer returns.
+//! Workers, idle at the bottom of their stacks, take whatever job is at
+//! the head of the queue.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The size rule of [`WorkerPool::map_chunks_gated`]: a gated call whose
+/// work is below this many inner-loop steps runs inline.
+pub const MIN_FAN_OUT_WORK: usize = 1 << 14;
 
 /// An enqueued job.  Jobs are type-erased closures; `map_chunks` erases the
 /// *lifetime* too (see the safety argument there).
@@ -58,10 +101,17 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
+/// A queued job, tagged with the `map_chunks` call it is a chunk of (`None`
+/// for an `execute` job) so that call's waiter can find it.
+struct Queued {
+    call: Option<usize>,
+    job: Job,
+}
+
 /// Shared pool state: the job queue plus the shutdown flag, under one lock
 /// so workers can wait on a single condvar.
 struct PoolState {
-    queue: VecDeque<Job>,
+    queue: VecDeque<Queued>,
     shutdown: bool,
 }
 
@@ -69,18 +119,70 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Signalled when a job is enqueued or shutdown begins.
     work_ready: Condvar,
+    /// Source of the ids that tag each `map_chunks` call's chunks.
+    next_call: AtomicUsize,
+}
+
+impl PoolShared {
+    fn push(&self, queued: Queued) {
+        lock_recover(&self.state).queue.push_back(queued);
+        self.work_ready.notify_one();
+    }
+
+    /// Takes the first still-queued chunk of `call` off the queue, wherever
+    /// it sits.
+    fn take_chunk_of(&self, call: usize) -> Option<Queued> {
+        let mut state = lock_recover(&self.state);
+        let position = state
+            .queue
+            .iter()
+            .position(|queued| queued.call == Some(call))?;
+        state.queue.remove(position)
+    }
+
+    /// Runs one dequeued job, for a worker and a helping waiter alike.
+    ///
+    /// The "pool.job" failpoint models a worker blowing up *around* a job
+    /// rather than inside it: an injected fault (or `Panic` action) is
+    /// caught here and the never-run job is pushed back for the next pop,
+    /// so a chunk job's completion latch still counts down eventually —
+    /// jobs are retried, never lost.  Scripted once-then-succeed schedules
+    /// therefore converge; an `Always` panic would spin, which is the chaos
+    /// harness's problem, not the pool's.
+    fn run(&self, queued: Queued) {
+        #[cfg(feature = "failpoints")]
+        {
+            let faulted = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(failure) = crate::failpoints::trigger("pool.job") {
+                    std::panic::panic_any(failure.into_io_error("pool.job").to_string());
+                }
+            }))
+            .is_err();
+            if faulted {
+                self.push(queued);
+                return;
+            }
+        }
+        // A panicking job must not take the worker (and with it the whole
+        // pool's capacity) down, nor abort a helping waiter: its own chunks
+        // park their panics in their slots, and `execute` jobs are
+        // fire-and-forget.
+        let _ = catch_unwind(AssertUnwindSafe(queued.job));
+    }
 }
 
 /// A fixed-size pool of worker threads consuming a shared job queue.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
+    threads: usize,
+    /// Spawned with the first queued job (see `push`).
+    workers: OnceLock<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("threads", &self.workers.len())
+            .field("threads", &self.threads)
             .field("queued", &self.queued())
             .finish()
     }
@@ -91,29 +193,23 @@ impl WorkerPool {
     /// [`MAX_FANOUT`](crate::shard::MAX_FANOUT) — thread counts reach this
     /// constructor from server configuration, i.e. user input).
     pub fn new(threads: usize) -> WorkerPool {
-        let threads = threads.clamp(1, crate::shard::MAX_FANOUT);
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                shutdown: false,
+        WorkerPool {
+            shared: Arc::new(PoolShared {
+                state: Mutex::new(PoolState {
+                    queue: VecDeque::new(),
+                    shutdown: false,
+                }),
+                work_ready: Condvar::new(),
+                next_call: AtomicUsize::new(0),
             }),
-            work_ready: Condvar::new(),
-        });
-        let workers = (0..threads)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("pxworker-{index}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("worker thread spawns")
-            })
-            .collect();
-        WorkerPool { shared, workers }
+            threads: threads.clamp(1, crate::shard::MAX_FANOUT),
+            workers: OnceLock::new(),
+        }
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.threads
     }
 
     /// Number of jobs currently queued (not yet picked up by a worker).
@@ -125,34 +221,43 @@ impl WorkerPool {
     /// workers; a panicking job is caught at the worker and does not take
     /// the pool down.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.push(Box::new(job));
+        self.push(Queued {
+            call: None,
+            job: Box::new(job),
+        });
     }
 
-    fn push(&self, job: Job) {
-        let mut state = lock_recover(&self.shared.state);
-        state.queue.push_back(job);
-        drop(state);
-        self.shared.work_ready.notify_one();
+    /// Queues a job, spawning the workers with the first one, so a pool
+    /// whose fan-outs all run inline (any pool on one CPU) has no thread
+    /// until its first `execute` job.
+    fn push(&self, queued: Queued) {
+        self.workers.get_or_init(|| {
+            (0..self.threads)
+                .map(|index| {
+                    let shared = Arc::clone(&self.shared);
+                    std::thread::Builder::new()
+                        .name(format!("pxworker-{index}"))
+                        .spawn(move || worker_loop(&shared))
+                        .expect("worker thread spawns")
+                })
+                .collect()
+        });
+        self.shared.push(queued);
     }
 
-    /// Pops one queued job without blocking (used by helping waiters).
-    fn try_pop(&self) -> Option<Job> {
-        lock_recover(&self.shared.state).queue.pop_front()
-    }
-
-    /// Runs `f` over up to `chunks` contiguous chunks of `items` on the
-    /// pool's workers and returns the per-chunk results in chunk order —
-    /// the pool-backed counterpart of
-    /// [`shard::map_chunks`](crate::shard::map_chunks), for callers that
-    /// want a *bounded, reused* set of threads instead of a fresh
-    /// `std::thread::scope` fan-out per call.  With `chunks <= 1` or fewer
-    /// than two items, `f` runs inline on the caller.
+    /// Runs `f` over up to `chunks` contiguous chunks of `items` (clamped
+    /// to [`MAX_FANOUT`](crate::shard::MAX_FANOUT)) on the pool's workers
+    /// and returns the per-chunk results in chunk order.  With `chunks <= 1`
+    /// or fewer than two items, `f` runs inline on the caller, once, over
+    /// the whole slice; a one-thread pool runs it inline once per chunk.
     ///
-    /// The calling thread helps while it waits (it executes queued jobs,
-    /// its own or others'), so calling this from inside a pool job — or on
-    /// a pool whose workers are all busy — makes progress instead of
-    /// deadlocking.  If any chunk panics, the panic is re-raised here after
-    /// all chunks have settled.
+    /// The calling thread helps while it waits: it runs its own call's
+    /// chunks that no worker has taken yet, and never another caller's
+    /// job.  So calling this from inside a pool job — or on a pool whose
+    /// workers are all busy — makes progress instead of deadlocking, and a
+    /// caller holding a lock runs nothing but its own chunks under it.  If
+    /// any chunk panics, the panic is re-raised here after all chunks have
+    /// settled.
     pub fn map_chunks<T, R>(
         &self,
         items: &[T],
@@ -170,10 +275,14 @@ impl WorkerPool {
             .len()
             .div_ceil(chunks.min(crate::shard::MAX_FANOUT))
             .max(1);
+        if self.threads() <= 1 {
+            return items.chunks(chunk_size).map(f).collect();
+        }
         let chunk_slices: Vec<&[T]> = items.chunks(chunk_size).collect();
         let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
             chunk_slices.iter().map(|_| Mutex::new(None)).collect();
         let latch = Latch::new(chunk_slices.len());
+        let call = self.shared.next_call.fetch_add(1, Ordering::Relaxed);
 
         let f = &f;
         for (slot, chunk) in slots.iter().zip(&chunk_slices) {
@@ -196,39 +305,20 @@ impl WorkerPool {
             let erased: Job = unsafe {
                 std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(Box::new(task))
             };
-            self.push(erased);
+            self.push(Queued {
+                call: Some(call),
+                job: erased,
+            });
         }
 
-        // Help while waiting: drain queued jobs (ours or anyone's) so a
-        // saturated or nested pool still makes progress.
+        // Help while waiting, with this call's own chunks only (see the
+        // module docs), so a saturated or nested pool still makes progress.
+        // A panicking job must not abort the wait, or borrowed tasks could
+        // outlive `f`; `run` catches it.  The wait is a poll because an
+        // injected `pool.job` fault can put a chunk back on the queue.
         while !latch.is_done() {
-            match self.try_pop() {
-                Some(job) => {
-                    // The helping waiter dequeues jobs exactly like a
-                    // worker, so it passes the same failpoint: a faulted
-                    // dequeue requeues the (never-run) job and keeps
-                    // helping.
-                    #[cfg(feature = "failpoints")]
-                    {
-                        let faulted = catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(failure) = crate::failpoints::trigger("pool.job") {
-                                std::panic::panic_any(
-                                    failure.into_io_error("pool.job").to_string(),
-                                );
-                            }
-                        }))
-                        .is_err();
-                        if faulted {
-                            self.push(job);
-                            continue;
-                        }
-                    }
-                    // Panics here are either our own chunks (parked in
-                    // their slot by the wrapper) or another caller's
-                    // `execute` job (fire-and-forget); neither may abort
-                    // the wait, or borrowed tasks could outlive `f`.
-                    let _ = catch_unwind(AssertUnwindSafe(job));
-                }
+            match self.shared.take_chunk_of(call) {
+                Some(chunk) => self.shared.run(chunk),
                 None => latch.wait_a_moment(),
             }
         }
@@ -244,6 +334,30 @@ impl WorkerPool {
             })
             .collect()
     }
+
+    /// [`map_chunks`](Self::map_chunks) under the size rule: one chunk per
+    /// pool thread when `work` — the call's inner-loop steps, such as cells
+    /// scanned or candidate pairs classified — reaches
+    /// [`MIN_FAN_OUT_WORK`], and `f` inline over the whole slice otherwise.
+    /// The per-chunk results come back in chunk order, so their
+    /// concatenation is the same on both sides of the rule.
+    pub fn map_chunks_gated<T, R>(
+        &self,
+        items: &[T],
+        work: usize,
+        f: impl Fn(&[T]) -> R + Sync,
+    ) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+    {
+        let chunks = if work >= MIN_FAN_OUT_WORK {
+            self.threads()
+        } else {
+            1
+        };
+        self.map_chunks(items, chunks, f)
+    }
 }
 
 impl Drop for WorkerPool {
@@ -253,7 +367,7 @@ impl Drop for WorkerPool {
             state.shutdown = true;
         }
         self.shared.work_ready.notify_all();
-        for worker in self.workers.drain(..) {
+        for worker in self.workers.take().into_iter().flatten() {
             let _ = worker.join();
         }
     }
@@ -261,11 +375,11 @@ impl Drop for WorkerPool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let job = {
+        let queued = {
             let mut state = lock_recover(&shared.state);
             loop {
-                if let Some(job) = state.queue.pop_front() {
-                    break job;
+                if let Some(queued) = state.queue.pop_front() {
+                    break queued;
                 }
                 if state.shutdown {
                     return;
@@ -276,30 +390,7 @@ fn worker_loop(shared: &PoolShared) {
                     .unwrap_or_else(|poison| poison.into_inner());
             }
         };
-        // The "pool.job" failpoint models a worker blowing up *around* a
-        // job rather than inside it: an injected fault (or `Panic` action)
-        // is caught here and the job is pushed back for the next pop, so a
-        // chunk job's completion latch still counts down eventually — jobs
-        // are retried, never lost.  Scripted once-then-succeed schedules
-        // therefore converge; an `Always` panic would spin, which is the
-        // chaos harness's problem, not the pool's.
-        #[cfg(feature = "failpoints")]
-        {
-            let faulted = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(failure) = crate::failpoints::trigger("pool.job") {
-                    std::panic::panic_any(failure.into_io_error("pool.job").to_string());
-                }
-            }))
-            .is_err();
-            if faulted {
-                lock_recover(&shared.state).queue.push_back(job);
-                shared.work_ready.notify_one();
-                continue;
-            }
-        }
-        // A panicking job must not take the worker (and with it the whole
-        // pool's capacity) down.
-        let _ = catch_unwind(AssertUnwindSafe(job));
+        shared.run(queued);
     }
 }
 
@@ -330,8 +421,8 @@ impl Latch {
         *lock_recover(&self.remaining) == 0
     }
 
-    /// Waits briefly for the latch; the caller re-checks the queue between
-    /// waits so it can keep helping.
+    /// Waits briefly for the latch; the caller re-checks the queue for its
+    /// own chunks between waits.
     fn wait_a_moment(&self) {
         let remaining = lock_recover(&self.remaining);
         if *remaining > 0 {
@@ -344,10 +435,9 @@ impl Latch {
 }
 
 /// The process-wide shared pool: one worker per hardware thread, created on
-/// first use.  Batch APIs ([`XplainService::par_explain_batch`] in
-/// `perfxplain-core`) fan out through this pool instead of spawning fresh
-/// threads per call; servers with an explicit concurrency bound create
-/// their own [`WorkerPool`] instead.
+/// first use.  Every parallel loop of the workspace fans out through this
+/// pool; servers with an explicit concurrency bound create their own
+/// [`WorkerPool`] for requests.
 pub fn shared() -> &'static WorkerPool {
     static SHARED: OnceLock<WorkerPool> = OnceLock::new();
     SHARED.get_or_init(|| WorkerPool::new(crate::shard::hardware_threads()))
@@ -378,11 +468,21 @@ mod tests {
     fn map_chunks_matches_the_scoped_fanout() {
         let pool = WorkerPool::new(3);
         let items: Vec<usize> = (0..1000).collect();
+        let sum = |chunk: &[usize]| chunk.iter().sum::<usize>();
         for chunks in [1, 2, 3, 7, 100] {
-            let pooled = pool.map_chunks(&items, chunks, |chunk| chunk.iter().sum::<usize>());
-            let scoped =
-                crate::shard::map_chunks(&items, chunks, |chunk| chunk.iter().sum::<usize>());
-            assert_eq!(pooled, scoped, "{chunks} chunks diverge");
+            let serial: Vec<usize> = if chunks == 1 {
+                vec![sum(&items)]
+            } else {
+                items
+                    .chunks(items.len().div_ceil(chunks))
+                    .map(sum)
+                    .collect()
+            };
+            assert_eq!(
+                pool.map_chunks(&items, chunks, sum),
+                serial,
+                "{chunks} chunks diverge"
+            );
             let echoed: Vec<usize> = pool.map_chunks(&items, chunks, <[usize]>::to_vec).concat();
             assert_eq!(echoed, items);
         }
@@ -397,10 +497,58 @@ mod tests {
     }
 
     #[test]
+    fn absurd_chunk_counts_are_clamped() {
+        let pool = WorkerPool::new(2);
+        let items: Vec<usize> = (0..10_000).collect();
+        let results = pool.map_chunks(&items, usize::MAX, <[usize]>::to_vec);
+        assert!(results.len() <= crate::shard::MAX_FANOUT);
+        assert_eq!(results.concat(), items);
+    }
+
+    #[test]
+    fn gated_fanout_is_order_preserving_on_both_sides_of_the_gate() {
+        let items: Vec<usize> = (0..500).collect();
+        let double = |chunk: &[usize]| chunk.iter().map(|&x| x * 2).collect::<Vec<_>>();
+        let expected: Vec<usize> = items.iter().map(|&x| x * 2).collect();
+
+        // Below the rule: one inline call; at it: one chunk per thread.
+        // Same concatenation either way.
+        let pool = WorkerPool::new(2);
+        let below = pool.map_chunks_gated(&items, MIN_FAN_OUT_WORK - 1, double);
+        assert_eq!(below.len(), 1);
+        assert_eq!(below.concat(), expected);
+        let above = pool.map_chunks_gated(&items, MIN_FAN_OUT_WORK, double);
+        assert_eq!(above.len(), 2);
+        assert_eq!(above.concat(), expected);
+
+        // A one-thread pool (one CPU) runs a gated `f` exactly once, over
+        // the whole slice, however large the work.
+        let single = WorkerPool::new(1);
+        let calls = AtomicUsize::new(0);
+        let counted = |chunk: &[usize]| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            double(chunk)
+        };
+        assert_eq!(
+            single.map_chunks_gated(&items, usize::MAX, counted),
+            vec![expected.clone()]
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        // An explicit chunk count is kept: `f` runs inline once per chunk.
+        let chunked = single.map_chunks(&items, 8, counted);
+        assert_eq!(chunked.len(), 8);
+        assert_eq!(chunked.concat(), expected);
+        assert_eq!(calls.load(Ordering::SeqCst), 1 + 8);
+        // Inline calls queue nothing, so the pool has not started a thread.
+        assert!(single.workers.get().is_none());
+    }
+
+    #[test]
     fn nested_map_chunks_does_not_deadlock() {
         // Every chunk of the outer call runs another map_chunks on the SAME
-        // single-threaded pool: only caller-helping can make progress.
-        let pool = WorkerPool::new(1);
+        // pool; with both workers blocked in nested waits, only
+        // caller-helping can make progress.
+        let pool = WorkerPool::new(2);
         let items: Vec<usize> = (0..100).collect();
         let total: usize = pool
             .map_chunks(&items, 4, |chunk| {
@@ -411,6 +559,42 @@ mod tests {
             .into_iter()
             .sum();
         assert_eq!(total, items.iter().sum::<usize>());
+    }
+
+    #[test]
+    fn a_waiter_runs_only_its_own_chunks() {
+        let pool = WorkerPool::new(2);
+        // Park both workers, then queue a job of another caller behind them.
+        let started = Arc::new(std::sync::Barrier::new(3));
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let parked = Arc::new(Mutex::new(parked));
+        for _ in 0..2 {
+            let (started, parked) = (Arc::clone(&started), Arc::clone(&parked));
+            pool.execute(move || {
+                started.wait();
+                let _ = lock_recover(&parked).recv();
+            });
+        }
+        started.wait();
+        let foreign = Arc::new(Mutex::new(None));
+        let foreign_in = Arc::clone(&foreign);
+        pool.execute(move || {
+            *lock_recover(&foreign_in) = Some(std::thread::current().id());
+        });
+
+        // With no worker free, the caller runs all of its own chunks, and
+        // leaves the foreign job, queued ahead of them, where it is.
+        let items: Vec<usize> = (0..100).collect();
+        let sums = pool.map_chunks(&items, 4, |chunk| chunk.iter().sum::<usize>());
+        assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
+        assert_eq!(*lock_recover(&foreign), None);
+        assert_eq!(pool.queued(), 1);
+
+        // Released, a worker runs it.
+        drop(release);
+        drop(pool);
+        let ran_on = lock_recover(&foreign).expect("a worker ran the foreign job");
+        assert_ne!(ran_on, std::thread::current().id());
     }
 
     #[test]
@@ -428,7 +612,9 @@ mod tests {
                 chunk.len()
             })
         }));
-        assert!(outcome.is_err());
+        // The chunk's own payload is re-raised, not a generic one.
+        let payload = outcome.expect_err("the chunk panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk exploded"));
         // Every chunk settled before the panic was re-raised.
         assert_eq!(ran.load(Ordering::SeqCst), 5);
         // The pool survives and keeps working.
@@ -489,6 +675,9 @@ mod tests {
         let a = shared() as *const WorkerPool;
         let b = shared() as *const WorkerPool;
         assert_eq!(a, b);
-        assert!(shared().threads() >= 1);
+        assert_eq!(
+            shared().threads(),
+            crate::shard::hardware_threads().min(crate::shard::MAX_FANOUT)
+        );
     }
 }

@@ -22,9 +22,12 @@
 //! accumulate in attribute order, so every sum is bit-identical to the
 //! row-at-a-time scan it replaced ([`crate::oracle::relief_weights`], the
 //! retained test oracle).  The `m` sampled instances are independent, so on
-//! multi-core machines they fan out over [`crate::shard::map_chunks`]
-//! threads; weight updates are applied serially in sample order afterwards,
-//! keeping the result independent of the fan-out.
+//! multi-core machines they fan out over the shared worker pool
+//! ([`WorkerPool::map_chunks_gated`](crate::pool::WorkerPool::map_chunks_gated))
+//! once the scan reaches [`MIN_FAN_OUT_WORK`](crate::pool::MIN_FAN_OUT_WORK)
+//! (sample × instance × attribute) distance cells; weight updates are
+//! applied serially in sample order afterwards, keeping the result
+//! independent of the fan-out.
 
 use crate::dataset::{AttrKind, AttrValue, ColumnCells, Dataset, NO_NOMINAL};
 use rand::rngs::StdRng;
@@ -49,11 +52,6 @@ impl Default for ReliefConfig {
         }
     }
 }
-
-/// Number of (sample × instance × attribute) distance cells below which the
-/// sampled-instance scan stays serial — small Relief runs finish in well
-/// under the cost of a `std::thread::scope` setup.
-pub const RELIEF_PARALLEL_MIN_CELLS: usize = 1 << 16;
 
 /// NaN cells are missing values to the trainers.
 fn normalize(value: AttrValue) -> AttrValue {
@@ -292,12 +290,13 @@ pub fn relief_weights(data: &Dataset, config: ReliefConfig) -> Vec<f64> {
             .map(|&i| nearest_hit_miss(&columns, &kinds, &spans, &ranges, labels, &mut dist, i))
             .collect()
     };
-    let neighbours: Vec<Option<(usize, usize)>> = crate::shard::map_chunks_gated(
-        sampled,
-        m.saturating_mul(n).saturating_mul(k.max(1)),
-        RELIEF_PARALLEL_MIN_CELLS,
-        scan_chunk,
-    );
+    let neighbours: Vec<Option<(usize, usize)>> = crate::pool::shared()
+        .map_chunks_gated(
+            sampled,
+            m.saturating_mul(n).saturating_mul(k.max(1)),
+            scan_chunk,
+        )
+        .concat();
 
     // Weight updates in sample order: bit-identical to the serial loop no
     // matter how the scan above was chunked.

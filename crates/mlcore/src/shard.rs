@@ -1,126 +1,24 @@
-//! The scoped-thread fan-out primitive behind every sharded path.
+//! Fan-out sizing shared by the worker pools.
 //!
-//! Sharded encoding, parallel pair enumeration, parallel log ingestion, the
-//! `hadoop-logs` bundle collectors, the per-attribute split search
-//! ([`best_split`](crate::split::best_split)) and the Relief sampled-instance
-//! scan ([`relief_weights`](crate::relief::relief_weights)) all share one
-//! shape: split a slice into contiguous chunks, run the same function over
-//! each chunk on its own `std::thread::scope` thread, and collect the
-//! per-chunk results in chunk order.  [`map_chunks`] is that shape, written
-//! once.  It lives in `mlcore` — the lowest crate of the workspace — so both
-//! the ML trainer and the `perfxplain-core` pipeline (which re-exports this
-//! module as `perfxplain_core::shard`) can fan out through it.
+//! Every parallel loop runs on a [`WorkerPool`](crate::pool::WorkerPool)
+//! (see [`crate::pool`]); this module only answers how wide a pool may be.
+//! It lives in `mlcore` — the lowest crate of the workspace — and
+//! `perfxplain-core` re-exports it as `perfxplain_core::shard`.
 
-/// Hard ceiling on concurrent worker threads, regardless of the requested
-/// chunk count.  Chunk counts reach this function from user input (the CLI's
-/// `--shards`) and from public APIs, and one OS thread per chunk with no
-/// bound would abort the process on thread-spawn failure under resource
-/// exhaustion.  256 is far above any real core count while keeping the
-/// worst case harmless.
+/// Hard ceiling on concurrent worker threads and on the chunks of one
+/// fan-out, regardless of the requested count.  Counts reach the pool from
+/// user input (the CLI's `--shards`, a server's `workers`) and from public
+/// APIs, and an unbounded count would abort the process on thread-spawn
+/// failure under resource exhaustion.  256 is far above any real core
+/// count while keeping the worst case harmless.
 pub const MAX_FANOUT: usize = 256;
 
-/// Runs `f` over up to `chunks` contiguous chunks of `items` (clamped to
-/// [`MAX_FANOUT`]), one scoped thread per chunk, and returns the per-chunk
-/// results in chunk order.  With `chunks <= 1` (or fewer than two items)
-/// `f` runs inline over the whole slice — callers ask for sharding, this
-/// function decides nothing beyond the safety clamp.
-pub fn map_chunks<T, R>(items: &[T], chunks: usize, f: impl Fn(&[T]) -> R + Sync) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    if chunks <= 1 || items.len() <= 1 {
-        return vec![f(items)];
-    }
-    let chunk_size = items.len().div_ceil(chunks.min(MAX_FANOUT)).max(1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(|| f(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("sharded worker panicked"))
-            .collect()
-    })
-}
-
 /// The machine's available hardware parallelism (1 when unknown).
+///
+/// Each call re-reads the process's CPU affinity and cgroup quota, so hot
+/// paths read the fixed width of [`crate::pool::shared`] instead.
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// The work-gated form of [`map_chunks`]: fans `f` over one chunk per
-/// hardware thread when the estimated `work` (a cell count) reaches
-/// `min_work` and the machine has more than one core, and runs `f` inline
-/// over the whole slice otherwise — below the threshold the job finishes in
-/// well under the ~100 µs a `std::thread::scope` setup costs.  `f` returns
-/// the per-chunk results as a `Vec` (so it can keep chunk-local scratch
-/// state); the concatenation is in item order either way, keeping gated
-/// callers bit-identical to their serial form.
-pub fn map_chunks_gated<T, R>(
-    items: &[T],
-    work: usize,
-    min_work: usize,
-    f: impl Fn(&[T]) -> Vec<R> + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    let threads = hardware_threads();
-    if threads > 1 && work >= min_work {
-        map_chunks(items, threads, &f)
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        f(items)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn results_come_back_in_chunk_order() {
-        let items: Vec<usize> = (0..100).collect();
-        for chunks in [1, 2, 3, 7, 100, 200] {
-            let sums = map_chunks(&items, chunks, |chunk| chunk.iter().sum::<usize>());
-            assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-            assert!(sums.len() <= chunks.max(1));
-            // Concatenating per-chunk echoes reproduces the slice in order.
-            let echoed: Vec<usize> = map_chunks(&items, chunks, <[usize]>::to_vec).concat();
-            assert_eq!(echoed, items);
-        }
-    }
-
-    #[test]
-    fn degenerate_inputs_run_inline() {
-        let empty: Vec<usize> = Vec::new();
-        assert_eq!(map_chunks(&empty, 8, <[usize]>::len), vec![0]);
-        assert_eq!(map_chunks(&[42usize], 8, <[usize]>::len), vec![1]);
-        assert!(hardware_threads() >= 1);
-    }
-
-    #[test]
-    fn gated_fanout_is_order_preserving_on_both_sides_of_the_gate() {
-        let items: Vec<usize> = (0..500).collect();
-        let double = |chunk: &[usize]| chunk.iter().map(|&x| x * 2).collect::<Vec<_>>();
-        let expected: Vec<usize> = items.iter().map(|&x| x * 2).collect();
-        // Below the threshold: inline; above it: fanned out.  Same result.
-        assert_eq!(map_chunks_gated(&items, 0, usize::MAX, double), expected);
-        assert_eq!(map_chunks_gated(&items, usize::MAX, 1, double), expected);
-    }
-
-    #[test]
-    fn absurd_chunk_counts_are_clamped() {
-        let items: Vec<usize> = (0..10_000).collect();
-        let results = map_chunks(&items, usize::MAX, <[usize]>::to_vec);
-        assert!(results.len() <= MAX_FANOUT);
-        assert_eq!(results.concat(), items);
-    }
 }

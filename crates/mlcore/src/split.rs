@@ -440,25 +440,20 @@ pub fn best_split_for_attribute_filtered(
     }
 }
 
-/// Number of (instance × attribute) cells below which [`best_split`] stays
-/// serial: the sweep clears small nodes in microseconds, well under the
-/// ~100 µs a `std::thread::scope` setup costs.
-pub const PARALLEL_SPLIT_MIN_CELLS: usize = 1 << 14;
-
 /// Finds the best split over *all* attributes; convenience used by the
 /// decision-tree learner.
 ///
-/// On multi-core machines the per-attribute sweeps fan out over
-/// [`crate::shard::map_chunks_gated`] threads once the node holds at least
-/// [`PARALLEL_SPLIT_MIN_CELLS`] cells; the per-attribute results are then
+/// On multi-core machines the per-attribute sweeps fan out over the shared
+/// worker pool ([`WorkerPool::map_chunks_gated`](crate::pool::WorkerPool::map_chunks_gated))
+/// once the node holds [`MIN_FAN_OUT_WORK`](crate::pool::MIN_FAN_OUT_WORK)
+/// (instance × attribute) cells; the per-attribute results are then
 /// folded in attribute order with the original comparison, so the winner
 /// (ties included) is independent of the fan-out.
 pub fn best_split(data: &Dataset, indices: &[usize]) -> Option<SplitCandidate> {
     let attributes: Vec<usize> = (0..data.num_attributes()).collect();
-    let per_attribute: Vec<Option<SplitCandidate>> = crate::shard::map_chunks_gated(
+    let per_chunk: Vec<Vec<Option<SplitCandidate>>> = crate::pool::shared().map_chunks_gated(
         &attributes,
         indices.len().saturating_mul(attributes.len()),
-        PARALLEL_SPLIT_MIN_CELLS,
         |chunk| {
             chunk
                 .iter()
@@ -467,7 +462,7 @@ pub fn best_split(data: &Dataset, indices: &[usize]) -> Option<SplitCandidate> {
         },
     );
     let mut best: Option<SplitCandidate> = None;
-    for candidate in per_attribute.into_iter().flatten() {
+    for candidate in per_chunk.into_iter().flatten().flatten() {
         let better = match &best {
             None => true,
             Some(b) => candidate.gain > b.gain + 1e-12,

@@ -21,7 +21,6 @@ use hadoop_logs::collect_traces;
 use mrsim::{Cluster, ClusterSpec, JobSpec, JobTrace, PigScript, GB, MB};
 use perfxplain_core::ExecutionLog;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
 /// The paper's base input: 30 copies of the Excite sample ≈ 1.3 GB.
 pub const BYTES_PER_30_COPIES: u64 = (1.3 * GB as f64) as u64;
@@ -173,8 +172,6 @@ pub struct SweepOptions {
     /// Keep every `stride`-th configuration (1 = keep all).  Striding keeps
     /// the sample spread evenly over the grid, unlike a random subset.
     pub stride: usize,
-    /// Number of worker threads (1 = run inline).
-    pub parallelism: usize,
     /// The Excite data profile used to derive record counts.
     pub excite: ExciteSpec,
 }
@@ -184,7 +181,6 @@ impl Default for SweepOptions {
         SweepOptions {
             seed: 0x5EEDED,
             stride: 1,
-            parallelism: 4,
             excite: ExciteSpec::default(),
         }
     }
@@ -200,12 +196,6 @@ impl SweepOptions {
     /// Builder-style setter for the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style setter for the parallelism.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
         self
     }
 }
@@ -252,40 +242,22 @@ pub fn run_sweep(grid: &GridSpec, options: &SweepOptions) -> SweepResult {
         .step_by(options.stride.max(1))
         .collect();
 
-    let traces: Vec<JobTrace> = if options.parallelism <= 1 || configurations.len() <= 1 {
-        configurations
-            .iter()
-            .enumerate()
-            .map(|(i, c)| run_configuration(c, i, options, &excite))
-            .collect()
-    } else {
-        // Fan the configurations out over a small worker pool; results are
-        // collected by index so the output order is deterministic.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<JobTrace>>> = Mutex::new(vec![None; configurations.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..options.parallelism.min(configurations.len()) {
-                let next = &next;
-                let results = &results;
-                let excite = &excite;
-                let configurations = &configurations;
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if index >= configurations.len() {
-                        break;
-                    }
-                    let trace = run_configuration(&configurations[index], index, options, excite);
-                    results.lock().expect("worker poisoned the results")[index] = Some(trace);
-                });
-            }
-        });
-        results
-            .into_inner()
-            .expect("worker poisoned the results")
-            .into_iter()
-            .map(|t| t.expect("every configuration produced a trace"))
-            .collect()
-    };
+    // One pool job per configuration (the pool clamps the job count), so
+    // the shared queue balances configurations of very different cost; the
+    // traces come back in configuration order, so the output is
+    // deterministic.  On one CPU the sweep runs inline, one configuration
+    // after another.
+    let indexed: Vec<(usize, &JobConfiguration)> = configurations.iter().enumerate().collect();
+    let traces: Vec<JobTrace> = perfxplain_core::pool::shared()
+        .map_chunks(&indexed, indexed.len(), |chunk| {
+            chunk
+                .iter()
+                .map(|&(i, c)| run_configuration(c, i, options, &excite))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
     SweepResult {
         configurations,
@@ -342,7 +314,7 @@ mod tests {
     #[test]
     fn sweep_runs_and_produces_an_execution_log() {
         let grid = GridSpec::reduced();
-        let options = SweepOptions::default().with_stride(8).with_parallelism(2);
+        let options = SweepOptions::default().with_stride(8);
         let result = run_sweep(&grid, &options);
         assert!(!result.traces.is_empty());
         assert_eq!(result.traces.len(), result.configurations.len());
@@ -354,16 +326,20 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_and_parallelism_invariant() {
         let grid = GridSpec::reduced();
-        let serial = run_sweep(
-            &grid,
-            &SweepOptions::default().with_stride(16).with_parallelism(1),
-        );
-        let parallel = run_sweep(
-            &grid,
-            &SweepOptions::default().with_stride(16).with_parallelism(4),
-        );
-        assert_eq!(serial.configurations, parallel.configurations);
-        let serial_durations: Vec<f64> = serial.traces.iter().map(|t| t.duration()).collect();
+        let options = SweepOptions::default().with_stride(16);
+        let parallel = run_sweep(&grid, &options);
+        // The serial reference: every kept configuration run in order on
+        // the calling thread.
+        let configurations: Vec<JobConfiguration> =
+            grid.configurations().into_iter().step_by(16).collect();
+        let excite = options.excite.generate();
+        let serial: Vec<JobTrace> = configurations
+            .iter()
+            .enumerate()
+            .map(|(i, c)| run_configuration(c, i, &options, &excite))
+            .collect();
+        assert_eq!(parallel.configurations, configurations);
+        let serial_durations: Vec<f64> = serial.iter().map(|t| t.duration()).collect();
         let parallel_durations: Vec<f64> = parallel.traces.iter().map(|t| t.duration()).collect();
         assert_eq!(serial_durations, parallel_durations);
     }
@@ -372,10 +348,7 @@ mod tests {
     fn stride_reduces_the_number_of_runs() {
         let grid = GridSpec::reduced();
         let all = grid.configurations().len();
-        let strided = run_sweep(
-            &grid,
-            &SweepOptions::default().with_stride(10).with_parallelism(1),
-        );
+        let strided = run_sweep(&grid, &SweepOptions::default().with_stride(10));
         assert_eq!(strided.traces.len(), all.div_ceil(10));
     }
 }

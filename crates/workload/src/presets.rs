@@ -45,22 +45,13 @@ impl LogPreset {
 /// configurations), for callers that need the simulator-level detail.
 pub fn run_preset(preset: LogPreset, seed: u64) -> SweepResult {
     let (grid, stride) = preset.plan();
-    let options = SweepOptions::default()
-        .with_seed(seed)
-        .with_stride(stride)
-        .with_parallelism(num_workers());
+    let options = SweepOptions::default().with_seed(seed).with_stride(stride);
     run_sweep(&grid, &options)
 }
 
 /// Builds the execution log of a preset (sweep → Hadoop logs → collector).
 pub fn build_execution_log(preset: LogPreset, seed: u64) -> ExecutionLog {
     run_preset(preset, seed).execution_log()
-}
-
-fn num_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4)
 }
 
 #[cfg(test)]

@@ -364,8 +364,8 @@ fn ingest_into_snapshot(args: &Args, bundles: &[JobLogBundle], dir: &std::path::
     );
 
     let parse_started = Instant::now();
-    // Parses the dirty shards across threads (one chunk per worker, like
-    // `collect_bundles_sharded`) and interleaves the results with the
+    // Parses the dirty shards on the shared worker pool (one chunk per
+    // pool thread) and interleaves the results with the
     // clean shards' reuse claims.  `damaged` adds shard indices that must
     // be re-parsed regardless of their source fingerprint (the salvage
     // path: their on-disk segments are quarantined).
@@ -381,10 +381,9 @@ fn ingest_into_snapshot(args: &Args, bundles: &[JobLogBundle], dir: &std::path::
                 })
                 .collect();
             type ParsedShard = (usize, Vec<perfxplain::ExecutionRecord>);
-            let parsed: Result<Vec<Vec<ParsedShard>>, String> = perfxplain::shard::map_chunks(
-                &dirty,
-                perfxplain::shard::hardware_threads().min(dirty.len().max(1)),
-                |group| {
+            let pool = perfxplain::mlcore::pool::shared();
+            let parsed: Result<Vec<Vec<ParsedShard>>, String> = pool
+                .map_chunks(&dirty, pool.threads(), |group| {
                     group
                         .iter()
                         .map(|&i| {
@@ -393,10 +392,9 @@ fn ingest_into_snapshot(args: &Args, bundles: &[JobLogBundle], dir: &std::path::
                                 .map_err(|e| e.to_string())
                         })
                         .collect()
-                },
-            )
-            .into_iter()
-            .collect();
+                })
+                .into_iter()
+                .collect();
             let mut parsed: BTreeMap<usize, Vec<perfxplain::ExecutionRecord>> =
                 parsed?.into_iter().flatten().collect();
             let inputs = (0..chunks.len())

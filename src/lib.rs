@@ -67,16 +67,17 @@
 //!
 //! * **Cold JSON/bundle ingest** — the expensive tier, paid once per
 //!   source change.  `hadoop_logs::collect_bundles_sharded(&bundles,
-//!   shards)` parses job log bundles on concurrent threads and merges the
-//!   per-shard logs ([`ExecutionLog::from_shards`] /
+//!   shards)` parses job log bundles as jobs of the shared worker pool
+//!   ([`mlcore::pool::shared`]) and merges the per-shard logs
+//!   ([`ExecutionLog::from_shards`] /
 //!   [`ExecutionLog::extend_parallel`](perfxplain_core::ExecutionLog::extend_parallel))
 //!   into a log identical to a serial ingest; the columnar view encodes
 //!   per shard with local dictionaries and merges by dictionary remapping
 //!   ([`ColumnarLog::build_sharded`](perfxplain_core::ColumnarLog::build_sharded)),
 //!   bit-identical to the single-shot build, auto-enabled by the
-//!   [`XplainService`] above
-//!   [`SHARDED_BUILD_THRESHOLD`](perfxplain_core::SHARDED_BUILD_THRESHOLD)
-//!   rows.
+//!   [`XplainService`] once a log holds
+//!   [`MIN_FAN_OUT_WORK`](mlcore::pool::MIN_FAN_OUT_WORK) record-feature
+//!   cells on a multi-core host.
 //! * **Snapshot open** — the normal cold start.  [`snapshot::persist`]
 //!   (or [`XplainService::persist`]) writes each shard's records *and its
 //!   encoded column segments* as fingerprinted binary segment files;

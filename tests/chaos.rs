@@ -323,9 +323,11 @@ fn salvage_plus_targeted_sync_converges_to_a_clean_ingest() {
 }
 
 /// Faults a real disk could produce: transient hiccups, hard failures and
-/// corruption.  No `Panic` here — the snapshot sites run on scoped encode/
-/// decode threads where an injected panic is a test abort, not an error
-/// path (the pool's panic recovery has its own test below).
+/// corruption.  No `Panic` here — the snapshot sites run inside worker-pool
+/// jobs whose panics re-raise in the caller, so an injected panic is a test
+/// abort, not an error path (the pool's panic recovery has its own test
+/// below).  The storm also strikes the pool's own `pool.job` site; struck
+/// jobs are requeued, so it only delays the fan-outs.
 const STORM: &[Action] = &[
     Action::IoError(ErrorKind::Interrupted),
     Action::IoError(ErrorKind::TimedOut),

@@ -1,9 +1,5 @@
 //! Concurrency tests of the [`XplainService`]: many threads, one cached
 //! columnar view per execution kind, bit-identical answers.
-//!
-//! Run in CI both with default features and with `--features parallel`
-//! (which additionally fans the inner pair enumeration of every query out
-//! over threads).
 
 use perfxplain::prelude::*;
 use perfxplain::QueryInput;
@@ -59,20 +55,19 @@ fn par_explain_batch_is_bit_identical_to_the_serial_path() {
     }
 }
 
-/// Above `SHARDED_BUILD_THRESHOLD` records the service encodes its cached
-/// views through the sharded parallel path.  The encode must stay
-/// bit-identical to the single-shot build, and a parallel batch answered
-/// from the sharded view must match the serial answers.
+/// On a multi-core host the service encodes the cached views of a large
+/// log through the sharded path on the shared worker pool.  The encode must
+/// stay bit-identical to the single-shot build, and a parallel batch
+/// answered from the sharded view must match the serial answers.
 #[test]
 fn sharded_encode_under_par_explain_batch_is_bit_identical() {
     use perfxplain::ExecutionKind;
     use perfxplain_core::columnar::ColumnarLog;
-    use perfxplain_core::SHARDED_BUILD_THRESHOLD;
 
-    // A blocked log just past the auto-shard threshold: small per-script
-    // groups keep the candidate space tractable while the row count forces
-    // the sharded encode.
-    let n = SHARDED_BUILD_THRESHOLD + 128;
+    // A blocked log far past the pool's size rule: small per-script groups
+    // keep the candidate space tractable while the row count makes
+    // `build_auto` shard on a multi-core host.
+    let n = 8_320;
     let group_size = 8;
     let log = perfxplain_bench::blocked_log(n, group_size, 0);
 
@@ -142,4 +137,82 @@ fn external_threads_share_one_service_and_agree() {
         }
     });
     assert_eq!(service.cached_view_count(), 2);
+}
+
+/// Batches that fan out while holding the log's read lock must not stall a
+/// concurrent writer, nor be stalled by it.  Every query here reaches the
+/// pool's size rule (58k candidates, a clause loop of ~2k pairs × 28
+/// attributes), so on a multi-core host each answer fans out on the shared
+/// pool from inside a batch chunk that holds a read guard, while more batch
+/// chunks than pool threads wait in the queue and a writer keeps queueing
+/// behind those guards: plain appends, and rewrites whose
+/// `extend_parallel` fans out under the write guard.  A waiter that ran
+/// another batch's chunk would take a second guard on the log it already
+/// holds, behind the queued writer or under its own write guard, and
+/// deadlock.  The threads are detached, so a deadlock fails the bounded
+/// waits below instead of hanging the test.
+#[test]
+fn batches_and_a_writer_finish_together() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    let group_size = 8;
+    let service = Arc::new(XplainService::new(perfxplain_bench::blocked_log(
+        8_320, group_size, 0,
+    )));
+    let requests: Vec<QueryRequest> = (0..8)
+        .map(|q| {
+            let base = q * group_size;
+            QueryRequest::text(perfxplain_bench::BLOCKED_QUERY)
+                .with_pair(format!("job_{}", base + 2), format!("job_{base}"))
+        })
+        .collect();
+    let readers = 4;
+    let writing = Arc::new(AtomicBool::new(true));
+    let (done, finished) = mpsc::channel();
+    for reader in 0..readers {
+        let (service, requests, done) = (Arc::clone(&service), requests.clone(), done.clone());
+        std::thread::spawn(move || {
+            for _ in 0..2 {
+                for outcome in service.par_explain_batch(&requests) {
+                    outcome.expect("batch query succeeds");
+                }
+            }
+            done.send(format!("reader {reader}")).unwrap();
+        });
+    }
+    {
+        let (service, writing) = (Arc::clone(&service), Arc::clone(&writing));
+        std::thread::spawn(move || {
+            let mut written = 0usize;
+            while writing.load(Ordering::SeqCst) {
+                let record = ExecutionRecord::job(format!("extra_{written}"))
+                    .with_feature("pigscript", format!("extra_{written}.pig"))
+                    .with_feature("inputsize", 1.0e9)
+                    .with_feature("blocksize", 64.0)
+                    .with_feature("duration", 20.0);
+                if written.is_multiple_of(2) {
+                    service.append(vec![record]).expect("append succeeds");
+                } else {
+                    service.with_log_mut(|log| log.extend_parallel(vec![vec![record]]));
+                }
+                written += 1;
+            }
+            done.send("writer".to_string()).unwrap();
+        });
+    }
+
+    let deadline = Duration::from_secs(120);
+    for _ in 0..readers {
+        finished
+            .recv_timeout(deadline)
+            .expect("a batch thread deadlocked against the writer");
+    }
+    writing.store(false, Ordering::SeqCst);
+    assert_eq!(
+        finished.recv_timeout(deadline).as_deref(),
+        Ok("writer"),
+        "the writer deadlocked against the batches"
+    );
 }
