@@ -61,7 +61,10 @@ struct PairsBenchPoint {
 
 /// The `service_reuse` scenario: answering k queries against one cached
 /// [`XplainService`] view vs k cold `PerfXplain::explain` calls (each of
-/// which re-encodes the log).
+/// which re-encodes the log).  The k queries share one template and differ
+/// only in the pair of interest, so the warm queries also reuse the
+/// training sample the first query memoized: they skip the enumeration as
+/// well as the encode.
 #[derive(Debug, Serialize)]
 struct ServiceReusePoint {
     /// Number of log records.
@@ -75,9 +78,10 @@ struct ServiceReusePoint {
     /// Wall time of the service's first query (cache miss: builds the
     /// view), ms.
     service_first_query_ms: f64,
-    /// Mean per-query wall time of queries 2..k on the warm service, ms.
+    /// Mean per-query wall time of queries 2..k on the warm service (view
+    /// and sample reused), ms.
     warm_ms_per_query: f64,
-    /// cold ÷ warm: the payoff of reusing the cached view.
+    /// cold ÷ warm: the payoff of reusing the cached view and sample.
     speedup: f64,
 }
 
@@ -419,8 +423,8 @@ fn measure_service_reuse(n: usize, extra_features: usize, k: usize) -> ServiceRe
     }
     let cold_ms_per_query = cold_start.elapsed().as_secs_f64() * 1e3 / k as f64;
 
-    // Warm path: one service, k queries; the first builds the cached view,
-    // the rest reuse it.
+    // Warm path: one service, k queries; the first builds the cached view
+    // and memoizes the sample, the rest reuse both.
     let service = XplainService::with_config(log, config);
     let first_start = Instant::now();
     let first = service
@@ -434,6 +438,7 @@ fn measure_service_reuse(n: usize, extra_features: usize, k: usize) -> ServiceRe
             .explain(&QueryRequest::bound(bound.clone()))
             .expect("service explain succeeds");
         assert!(outcome.view_reused, "warm query missed the view cache");
+        assert!(outcome.sample_reused, "warm query missed the sample memo");
     }
     let warm_ms_per_query = warm_start.elapsed().as_secs_f64() * 1e3 / (k - 1) as f64;
 

@@ -46,13 +46,15 @@ fn main() {
     );
     assert!(!first.view_reused, "the first query cannot hit the cache");
 
-    // Warm repeat: pure per-query training cost on the cached view.
+    // Warm repeat: the cached view and the memoized training sample, so
+    // this times featurize and the clause loop alone.
     let warm_started = Instant::now();
     let warm = service
         .explain(&request)
         .expect("the warm smoke query must be answerable");
     let warm_ms = warm_started.elapsed().as_secs_f64() * 1e3;
     assert!(warm.view_reused, "the warm query missed the view cache");
+    assert!(warm.sample_reused, "the warm query missed the sample memo");
     assert_eq!(
         warm.explanation, first.explanation,
         "the warm query diverged from the cold one"

@@ -26,7 +26,8 @@ use crate::query::BoundQuery;
 use crate::record::ExecutionLog;
 use crate::service::XplainService;
 use crate::training::{
-    prepare_encoded_training_cancellable, prepare_encoded_training_in, EncodedTraining, TrainingSet,
+    prepare_encoded_training_in, prepare_encoded_training_memoized, EncodedTraining, SampleMemo,
+    TrainingSet,
 };
 use mlcore::{best_split_for_attribute_filtered, percentile_ranks, SplitCandidate};
 use pxql::{Atom, Predicate};
@@ -99,31 +100,33 @@ impl PerfXplain {
         view: Arc<ColumnarLog>,
         query: &BoundQuery,
     ) -> Result<Explanation> {
-        self.explain_with_training(log, view, query, false, false, &CancelToken::never(), None)
-            .map(|(explanation, _, _)| explanation)
+        query.verify_preconditions(log, self.config.sim_threshold)?;
+        self.explain_with_training(log, view, query, false, None, &CancelToken::never(), None)
+            .map(|(explanation, _, _, _)| explanation)
     }
 
-    /// The shared explanation pipeline: verify, train, grow the because
-    /// clause (optionally extending the despite clause first), and hand the
-    /// final training set back so callers (assessment, despite metrics) can
-    /// reuse it instead of re-enumerating the pairs.  Callers that already
-    /// verified the query's preconditions (the single-shot service pass
-    /// checks them *before* paying for an encoding) pass
-    /// `preconditions_verified = true` to skip the re-check — precondition
-    /// verification derives the full pair-feature map of the pair of
-    /// interest, which is not free.
+    /// The shared explanation pipeline for a query whose preconditions the
+    /// caller has verified: train, grow the because clause (optionally
+    /// extending the despite clause first), and hand the final training set
+    /// back so callers (assessment, despite metrics) can reuse it instead
+    /// of re-enumerating the pairs.
+    ///
+    /// Both enumerations go through `memo` when one is given: the served
+    /// path passes its cached view's sample memo, the stateless paths pass
+    /// `None` and always enumerate.  The returned flag is `true` when no
+    /// enumeration ran, every training set having come from the memo.
     ///
     /// `cancel` is checked cooperatively at the pipeline's phase boundaries
-    /// — before work starts, per batch of the pair enumeration, and per
-    /// clause-growing iteration — so a networked caller's deadline or abort
-    /// surfaces as [`CoreError::Cancelled`](crate::CoreError::Cancelled) /
-    /// [`CoreError::DeadlineExceeded`](crate::CoreError::DeadlineExceeded)
+    /// — before each enumeration, per batch of the pair enumeration, and
+    /// per clause-growing iteration — so a networked caller's deadline or
+    /// abort surfaces as [`CoreError::Cancelled`](crate::CoreError::Cancelled)
+    /// / [`CoreError::DeadlineExceeded`](crate::CoreError::DeadlineExceeded)
     /// within one phase of firing.
     ///
     /// `cost_probe`, when given, fires exactly once with the actual related
-    /// pair count right after the first pair enumeration — the moment the
-    /// real workload becomes known — so admission control can refine the
-    /// request's charged cost mid-flight.
+    /// pair count right after the first training set is drawn — the moment
+    /// the real workload becomes known, memoized or not — so admission
+    /// control can refine the request's charged cost mid-flight.
     #[allow(clippy::too_many_arguments)] // internal seam: service + stateless engine share it
     pub(crate) fn explain_with_training<'a>(
         &self,
@@ -131,16 +134,18 @@ impl PerfXplain {
         view: Arc<ColumnarLog>,
         query: &BoundQuery,
         extend_despite: bool,
-        preconditions_verified: bool,
+        memo: Option<&SampleMemo>,
         cancel: &CancelToken,
         cost_probe: Option<&crate::service::CostProbe>,
-    ) -> Result<(Explanation, BoundQuery, EncodedTraining<'a>)> {
-        cancel.check()?;
-        if !preconditions_verified {
-            query.verify_preconditions(log, self.config.sim_threshold)?;
-        }
-        let training =
-            prepare_encoded_training_cancellable(log, view.clone(), query, &self.config, cancel)?;
+    ) -> Result<(Explanation, BoundQuery, EncodedTraining<'a>, bool)> {
+        let (training, mut sample_reused) = prepare_encoded_training_memoized(
+            log,
+            view.clone(),
+            query,
+            &self.config,
+            cancel,
+            memo,
+        )?;
         if let Some(probe) = cost_probe {
             probe.fire(training.related_pairs as u64);
         }
@@ -165,13 +170,15 @@ impl PerfXplain {
                     .query
                     .clone()
                     .with_despite(query.query.despite.conjoin(&extension));
-                let extended_training = prepare_encoded_training_cancellable(
+                let (extended_training, reused) = prepare_encoded_training_memoized(
                     log,
                     view,
                     &extended,
                     &self.config,
                     cancel,
+                    memo,
                 )?;
+                sample_reused &= reused;
                 let extended_bridge = self.encode_bridge(&extended_training, &extended);
                 let because = self.generate_clause_cancellable(
                     &extended_bridge,
@@ -183,13 +190,19 @@ impl PerfXplain {
                     Explanation::new(extension, because),
                     extended,
                     extended_training,
+                    sample_reused,
                 ));
             }
         }
 
         let bridge = self.encode_bridge(&training, query);
         let because = self.generate_clause_cancellable(&bridge, true, self.config.width, cancel)?;
-        Ok((Explanation::because_only(because), query.clone(), training))
+        Ok((
+            Explanation::because_only(because),
+            query.clone(),
+            training,
+            sample_reused,
+        ))
     }
 
     /// Generates a despite-clause extension `des'` for the query using the
@@ -239,8 +252,9 @@ impl PerfXplain {
         view: Arc<ColumnarLog>,
         query: &BoundQuery,
     ) -> Result<(Explanation, BoundQuery)> {
-        self.explain_with_training(log, view, query, true, false, &CancelToken::never(), None)
-            .map(|(explanation, effective, _)| (explanation, effective))
+        query.verify_preconditions(log, self.config.sim_threshold)?;
+        self.explain_with_training(log, view, query, true, None, &CancelToken::never(), None)
+            .map(|(explanation, effective, _, _)| (explanation, effective))
     }
 
     /// Generates the because clause from an already-materialised training

@@ -158,7 +158,20 @@
 //!    enumerates [`pool::MIN_FAN_OUT_WORK`] candidates; below that, and on
 //!    one CPU, it runs inline on the caller.  Results are bit-identical
 //!    either way.
-//! 5. **Encode the sample directly.**
+//! 5. **Reuse the sample.** Algorithm 1 draws its training set from the
+//!    query's three clauses alone; the pair of interest only filters the
+//!    candidate predicates.  So each cached view of the
+//!    [`XplainService`](service::XplainService) memoizes the samples drawn
+//!    over it, keyed by the clauses and the request's effective
+//!    [`ExplainConfig`]: asking one template about another pair skips the
+//!    enumeration, the cap and the balanced sample, and hands the clause
+//!    loop the same pairs, labels and related-pair count
+//!    ([`QueryOutcome::sample_reused`](service::QueryOutcome::sample_reused)).
+//!    The memo lives exactly as long as its log generation, holds at most
+//!    2^18 sampled pairs per view, and the stateless paths never use it.
+//!    The served path also finds the pair of interest through the view's
+//!    row index instead of a scan of the log.
+//! 6. **Encode the sample directly.**
 //!    [`DatasetBridge::encode_from_view`](bridge::DatasetBridge::encode_from_view)
 //!    derives the pair features of the sampled training pairs straight from
 //!    the columns into the split-search [`mlcore::Dataset`];
@@ -170,7 +183,7 @@
 //!    appears in a sample (174 distinct keys among 323k cells on the
 //!    paper log's job query); the dataset dictionary still assigns every
 //!    id.
-//! 6. **Train in O(n log n).**  The per-feature predicate search of
+//! 7. **Train in O(n log n).**  The per-feature predicate search of
 //!    Algorithm 1 ([`mlcore::best_split_for_attribute_filtered`]) is a
 //!    single-sort sweep: values sorted once per (node, attribute), every
 //!    candidate threshold/equality scored in O(1) from running prefix
@@ -185,7 +198,7 @@
 //!    instances fanned out the same way.  The pre-sweep trainer is retained
 //!    as `mlcore::oracle` (tests/benches only) and the winners are
 //!    proptest-proven bit-identical to it.
-//! 7. **Persist the encoded form, compressed.** The [`snapshot`] store
+//! 8. **Persist the encoded form, compressed.** The [`snapshot`] store
 //!    writes each shard as a length-prefixed binary segment file (format
 //!    v2) under a manifest of FxHash content fingerprints, per-shard
 //!    catalogs and per-shard byte accounting
@@ -219,7 +232,7 @@
 //!    source and re-encodes only the dirty shards; a changed global
 //!    catalog re-encodes everything from on-disk records, still never
 //!    re-parsing the source.
-//! 8. **Append live, refresh by delta.**
+//! 9. **Append live, refresh by delta.**
 //!    [`XplainService::append`](service::XplainService::append) extends the
 //!    served log *without* invalidating the cached views: the next query
 //!    splices the fresh records into a small **append-tail segment**
@@ -243,27 +256,27 @@
 //!    re-encode.  [`ViewCacheStats`](service::ViewCacheStats) counts delta
 //!    refreshes vs full rebuilds vs compactions
 //!    ([`XplainService::view_stats`](service::XplainService::view_stats)).
-//! 9. **Recover in layers, cheapest remedy first.** Transient IO errors
-//!    (interrupted, would-block, timed-out) are absorbed *in place*: every
-//!    snapshot read, write and rename retries with bounded exponential
-//!    backoff before surfacing [`CoreError::SnapshotIo`], and
-//!    [`SyncReport::io_retries`](snapshot::SyncReport::io_retries) counts
-//!    what was absorbed.  A store the strict [`snapshot::open`] rejects as
-//!    corrupt is *salvaged* next ([`snapshot::open_salvage`],
-//!    [`XplainService::open_snapshot_salvage`](service::XplainService::open_snapshot_salvage)):
-//!    every shard fingerprint-verifies independently, damaged segments are
-//!    **quarantined** — renamed aside, never deleted — and the healthy
-//!    shards keep serving as a
-//!    [`PartialSnapshot`](snapshot::PartialSnapshot) while a targeted
-//!    [`snapshot::sync`] re-encodes *only* the quarantined shards from
-//!    source.  A full re-ingest is the **last resort**, reserved for
-//!    stores salvage cannot read at all: an unusable manifest, or a v1
-//!    store reporting [`CoreError::SnapshotVersionSkew`].
-//!    [`snapshot::verify`] audits every fingerprint read-only (CLI
-//!    `perfxplain snapshot verify`), and under `--features failpoints`
-//!    every one of these IO sites carries a named fault-injection point
-//!    the chaos suite drives.
-//! 10. **Journal acknowledged appends; replay them on restart.** The
+//! 10. **Recover in layers, cheapest remedy first.** Transient IO errors
+//!     (interrupted, would-block, timed-out) are absorbed *in place*: every
+//!     snapshot read, write and rename retries with bounded exponential
+//!     backoff before surfacing [`CoreError::SnapshotIo`], and
+//!     [`SyncReport::io_retries`](snapshot::SyncReport::io_retries) counts
+//!     what was absorbed.  A store the strict [`snapshot::open`] rejects as
+//!     corrupt is *salvaged* next ([`snapshot::open_salvage`],
+//!     [`XplainService::open_snapshot_salvage`](service::XplainService::open_snapshot_salvage)):
+//!     every shard fingerprint-verifies independently, damaged segments are
+//!     **quarantined** — renamed aside, never deleted — and the healthy
+//!     shards keep serving as a
+//!     [`PartialSnapshot`](snapshot::PartialSnapshot) while a targeted
+//!     [`snapshot::sync`] re-encodes *only* the quarantined shards from
+//!     source.  A full re-ingest is the **last resort**, reserved for
+//!     stores salvage cannot read at all: an unusable manifest, or a v1
+//!     store reporting [`CoreError::SnapshotVersionSkew`].
+//!     [`snapshot::verify`] audits every fingerprint read-only (CLI
+//!     `perfxplain snapshot verify`), and under `--features failpoints`
+//!     every one of these IO sites carries a named fault-injection point
+//!     the chaos suite drives.
+//! 11. **Journal acknowledged appends; replay them on restart.** The
 //!     write-ahead journal
 //!     ([`XplainService::enable_journal`](service::XplainService::enable_journal))
 //!     closes the durability gap between checkpoints: every append writes a

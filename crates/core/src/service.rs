@@ -23,6 +23,20 @@
 //!   ([`ExecutionLog::rewrite_generation`]) is what separates the two.
 //!   Oversized tails are folded back into the base in the background
 //!   ([`CompactionPolicy`]), off the query path.
+//! * Each cached view also **memoizes the training sets** drawn over it.
+//!   Algorithm 1 samples from the query's DESPITE, OBSERVED and EXPECTED
+//!   clauses alone; the pair of interest only filters candidate
+//!   predicates.  So one template asked about many pairs enumerates once.
+//!   The key is the three clauses plus the request's effective
+//!   [`ExplainConfig`], compared with `==`; the value is the sampled
+//!   `(left, right)` rows, their labels and the related-pair count.  A hit
+//!   skips enumeration, the cap and the balanced sample
+//!   ([`QueryOutcome::sample_reused`]).  The memo lives exactly as long
+//!   as its generation's cache entry: an append installs a new entry with
+//!   an empty memo, `with_log_mut` and `replace_log` clear the cache, and
+//!   a tail fold keeps it (same rows, same order).  It is an LRU of at
+//!   most 2^18 sampled pairs per view (about 4.5 MB); a larger sample and
+//!   every error are not stored.  The stateless paths never use it.
 //! * One [`QueryRequest`] carries everything a query needs — the PXQL text
 //!   (or an already-parsed/bound query), the pair of interest, per-query
 //!   config overrides, and the despite-extension / narration / assessment
@@ -46,6 +60,7 @@ use crate::metrics::{assess, ExplanationQuality};
 use crate::narrate::narrate;
 use crate::query::BoundQuery;
 use crate::record::{ExecutionKind, ExecutionLog, ExecutionRecord};
+use crate::training::SampleMemo;
 use pxql::PxqlQuery;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -238,6 +253,11 @@ pub struct QueryOutcome {
     /// Whether the columnar view came from the service cache (`false` for
     /// the call that built it).
     pub view_reused: bool,
+    /// Whether the training set came from the cached view's sample memo:
+    /// `true` when the request ran no pair enumeration, because an equal
+    /// query template and configuration was answered earlier at this
+    /// generation.  Always `false` on the stateless path.
+    pub sample_reused: bool,
     /// How many related pairs the final training set was enumerated from —
     /// the query's *actual* dominant cost, versus the candidate-space upper
     /// bound [`CostEstimate::scanned_pairs`] charged at admission.
@@ -348,11 +368,17 @@ pub struct AppendOutcome {
 /// installed: every record of this kind in `records[..rows_covered]` is in
 /// the view, so a delta refresh only scans `records[rows_covered..]` —
 /// O(appended-since), not O(all rows of the kind).
+///
+/// `samples` memoizes the training sets drawn over the view.  It belongs
+/// to the generation, not to the view buffers: a tail fold replaces only
+/// `view` (same rows, same order) and keeps it, and a new generation
+/// installs a new entry with an empty memo.
 #[derive(Debug, Clone)]
 struct CachedView {
     view: Arc<ColumnarLog>,
     generation: u64,
     rows_covered: usize,
+    samples: Arc<SampleMemo>,
 }
 
 /// Shared mutable delta-maintenance state: counters plus the per-kind
@@ -471,11 +497,12 @@ fn with_journal_rotation(
 /// )
 /// .with_pair("job_0", "job_2");
 ///
-/// // The first query encodes the log; repeats reuse the cached view.
+/// // The first query encodes the log; repeats reuse the cached view, and
+/// // the training sample drawn for this template.
 /// let first = service.explain(&request).unwrap();
 /// let second = service.explain(&request).unwrap();
-/// assert!(!first.view_reused);
-/// assert!(second.view_reused);
+/// assert!(!first.view_reused && !first.sample_reused);
+/// assert!(second.view_reused && second.sample_reused);
 /// assert_eq!(first.explanation, second.explanation);
 /// ```
 #[derive(Debug)]
@@ -618,6 +645,7 @@ impl XplainService {
                         view: Arc::new(view),
                         generation: log.generation(),
                         rows_covered: log.len(),
+                        samples: Arc::default(),
                     },
                 );
             }
@@ -1017,10 +1045,12 @@ impl XplainService {
     }
 
     /// Answers one query.  The columnar view for the log's current
-    /// generation is fetched from the cache or lazily built; everything
-    /// else — binding, training, clause generation, optional despite
-    /// extension, narration and assessment — happens through the same code
-    /// path as the stateless API.
+    /// generation is fetched from the cache or lazily built, and the pair
+    /// of interest is resolved through its row index instead of a scan of
+    /// the log; everything else — binding, training, clause generation,
+    /// optional despite extension, narration and assessment — happens
+    /// through the same code path as the stateless API, with the training
+    /// set drawn through the view's sample memo.
     pub fn explain(&self, request: &QueryRequest) -> Result<QueryOutcome> {
         let bound = request.resolve()?;
         self.explain_resolved(request, &bound)
@@ -1030,7 +1060,7 @@ impl XplainService {
     /// batch path resolves once up front).
     fn explain_resolved(&self, request: &QueryRequest, bound: &BoundQuery) -> Result<QueryOutcome> {
         let log = self.read_log();
-        let (view, view_reused) = self.view_for(&log, bound.kind);
+        let (view, samples, view_reused) = self.view_for(&log, bound.kind);
         let engine;
         let engine = match &request.config {
             Some(config) => {
@@ -1039,7 +1069,17 @@ impl XplainService {
             }
             None => &self.engine,
         };
-        answer(engine, &log, view, view_reused, bound, request, false)
+        request.cancel.check()?;
+        bound.verify_preconditions_in(&log, &view, engine.config().sim_threshold)?;
+        answer(
+            engine,
+            &log,
+            view,
+            view_reused,
+            Some(&samples),
+            bound,
+            request,
+        )
     }
 
     /// Answers a slice of requests concurrently over the process-wide
@@ -1131,7 +1171,7 @@ impl XplainService {
             cancel: CancelToken::never(),
             cost_probe: None,
         };
-        answer(engine, log, view, false, query, &request, true)
+        answer(engine, log, view, false, None, query, &request)
     }
 
     fn read_log(&self) -> std::sync::RwLockReadGuard<'_, ExecutionLog> {
@@ -1154,13 +1194,20 @@ impl XplainService {
     /// Builds run **outside** the cache lock: the caller holds the log
     /// read lock, so the log is frozen and two racing builds for the same
     /// generation produce identical views — whichever installs first wins.
-    fn view_for(&self, log: &ExecutionLog, kind: ExecutionKind) -> (Arc<ColumnarLog>, bool) {
+    ///
+    /// Returns the view, its generation's sample memo, and whether the
+    /// view was reused.
+    fn view_for(
+        &self,
+        log: &ExecutionLog,
+        kind: ExecutionKind,
+    ) -> (Arc<ColumnarLog>, Arc<SampleMemo>, bool) {
         let generation = log.generation();
         let delta_base = {
             let cache = self.views.read().expect("view cache lock poisoned");
             match cache.get(&kind) {
                 Some(entry) if entry.generation == generation => {
-                    return (entry.view.clone(), true);
+                    return (entry.view.clone(), entry.samples.clone(), true);
                 }
                 Some(entry) if entry.generation >= log.rewrite_generation(kind) => {
                     Some((entry.view.clone(), entry.rows_covered))
@@ -1193,26 +1240,24 @@ impl XplainService {
                 (built, false)
             }
         };
-        let installed = {
+        let (installed, samples) = {
             let mut cache = self.views.write().expect("view cache lock poisoned");
-            let entry = cache.entry(kind).or_insert_with(|| CachedView {
+            let fresh = || CachedView {
                 view: view.clone(),
                 generation,
                 rows_covered: log.len(),
-            });
+                samples: Arc::default(),
+            };
+            let entry = cache.entry(kind).or_insert_with(fresh);
             if entry.generation != generation {
-                *entry = CachedView {
-                    view: view.clone(),
-                    generation,
-                    rows_covered: log.len(),
-                };
+                *entry = fresh();
             }
             // A racing query may have installed this generation already;
-            // both views are identical, keep the first.
-            entry.view.clone()
+            // both views are identical, keep the first (and its memo).
+            (entry.view.clone(), entry.samples.clone())
         };
         self.maybe_schedule_compaction(kind, generation, &installed);
-        (installed, reused)
+        (installed, samples, reused)
     }
 
     /// Schedules a background tail fold for `view` when its tail has
@@ -1255,26 +1300,25 @@ impl XplainService {
     }
 }
 
-/// The one code path every query goes through: explain (optionally with the
-/// automatic despite extension) against a shared view, then narrate and
-/// assess on demand.  `preconditions_verified` is `true` only on the
-/// single-shot path, which checks preconditions *before* paying for an
-/// encoding and must not pay for the check twice.
+/// The one code path every query goes through, once its preconditions are
+/// verified: explain (optionally with the automatic despite extension)
+/// against a shared view, then narrate and assess on demand.  `samples` is
+/// the cached view's sample memo; the single-shot path has none.
 fn answer(
     engine: &PerfXplain,
     log: &ExecutionLog,
     view: Arc<ColumnarLog>,
     view_reused: bool,
+    samples: Option<&SampleMemo>,
     bound: &BoundQuery,
     request: &QueryRequest,
-    preconditions_verified: bool,
 ) -> Result<QueryOutcome> {
-    let (explanation, effective, training) = engine.explain_with_training(
+    let (explanation, effective, training, sample_reused) = engine.explain_with_training(
         log,
         view,
         bound,
         request.extend_despite,
-        preconditions_verified,
+        samples,
         &request.cancel,
         request.cost_probe.as_ref(),
     )?;
@@ -1294,6 +1338,7 @@ fn answer(
         quality,
         generation: log.generation(),
         view_reused,
+        sample_reused,
         related_pairs: training.related_pairs as u64,
     })
 }
@@ -1351,9 +1396,41 @@ mod tests {
         let second = service.explain(&request()).unwrap();
         assert!(!first.view_reused);
         assert!(second.view_reused);
+        assert!(!first.sample_reused);
+        assert!(second.sample_reused);
         assert_eq!(first.generation, second.generation);
         assert_eq!(first.explanation, second.explanation);
+        assert_eq!(first.related_pairs, second.related_pairs);
         assert_eq!(service.cached_view_count(), 1);
+    }
+
+    /// The sample depends on the template, not on the pair of interest: a
+    /// second pair reuses it and still gets the stateless engine's answer.
+    /// A different sample size or seed is a different key.
+    #[test]
+    fn the_sample_is_reused_across_pairs_and_keyed_by_the_config() {
+        let log = block_size_log(40);
+        let service = XplainService::new(log.clone());
+        assert!(!service.explain(&request()).unwrap().sample_reused);
+        let other_pair = QueryRequest::text(QUERY).with_pair("job_16", "job_2");
+        let outcome = service.explain(&other_pair).unwrap();
+        assert!(outcome.sample_reused);
+        let fresh = PerfXplain::with_defaults()
+            .explain(&log, &outcome.query)
+            .unwrap();
+        assert_eq!(outcome.explanation, fresh);
+
+        for config in [
+            ExplainConfig::default().with_sample_size(1999),
+            ExplainConfig::default().with_seed(7),
+        ] {
+            let request = request().with_config(config.clone());
+            let first = service.explain(&request).unwrap();
+            assert!(!first.sample_reused, "{config:?}");
+            let fresh = PerfXplain::new(config).explain(&log, &first.query).unwrap();
+            assert_eq!(first.explanation, fresh);
+            assert!(service.explain(&request).unwrap().sample_reused);
+        }
     }
 
     #[test]
@@ -1389,6 +1466,7 @@ mod tests {
         let after = service.explain(&request()).unwrap();
         assert!(after.generation > before.generation);
         assert!(!after.view_reused);
+        assert!(!after.sample_reused);
 
         // The answer matches a fresh engine over the mutated log: the stale
         // view was provably not served.
@@ -1418,6 +1496,7 @@ mod tests {
         assert_eq!(service.cached_view_count(), 0);
         let outcome = service.explain(&request()).unwrap();
         assert!(!outcome.view_reused);
+        assert!(!outcome.sample_reused);
         let fresh = PerfXplain::with_defaults()
             .explain(&log_b, &outcome.query)
             .unwrap();
@@ -1433,6 +1512,7 @@ mod tests {
         assert_eq!(service.cached_view_count(), 0);
         let outcome = service.explain(&request()).unwrap();
         assert!(!outcome.view_reused);
+        assert!(!outcome.sample_reused);
         assert_eq!(service.with_log(|log| log.jobs().count()), 24);
     }
 
@@ -1514,6 +1594,24 @@ mod tests {
         );
     }
 
+    /// A deadline that fires inside the pair enumeration leaves the view's
+    /// sample memo empty.
+    #[test]
+    fn a_request_cancelled_mid_enumeration_stores_no_sample() {
+        use crate::error::CoreError;
+        let service = XplainService::new(block_size_log(20_000));
+        // Build the view first, so the deadline is spent enumerating: the
+        // unblocked query has 400 million candidates, far beyond 2 ms even
+        // fanned out over many cores.
+        service.view(ExecutionKind::Job);
+        let err = service
+            .explain(&request().with_timeout(std::time::Duration::from_millis(2)))
+            .expect_err("the deadline fires before the enumeration ends");
+        assert_eq!(err, CoreError::DeadlineExceeded);
+        let cache = service.views.read().expect("view cache lock poisoned");
+        assert!(cache[&ExecutionKind::Job].samples.is_empty());
+    }
+
     #[test]
     fn cost_estimates_follow_the_plan_statistics() {
         let service = XplainService::new(block_size_log(40));
@@ -1571,6 +1669,7 @@ mod tests {
         let before = service.explain(&request()).unwrap();
         assert_eq!(service.view_stats().full_rebuilds, 1);
 
+        assert!(service.explain(&request()).unwrap().sample_reused);
         let outcome = service.append(extra_jobs(40, 10)).unwrap();
         assert_eq!(outcome.appended, 10);
         // The cached view survives the append (schema unchanged) ...
@@ -1578,6 +1677,8 @@ mod tests {
 
         let after = service.explain(&request()).unwrap();
         assert!(after.generation > before.generation);
+        // A new generation starts with an empty sample memo.
+        assert!(!after.sample_reused);
         let stats = service.view_stats();
         assert_eq!(stats.delta_refreshes, 1);
         assert_eq!(stats.full_rebuilds, 1);
@@ -1590,8 +1691,9 @@ mod tests {
             .explain(&service.snapshot(), &after.query)
             .unwrap();
         assert_eq!(after.explanation, fresh);
-        // The next query hits the refreshed view outright.
-        assert!(service.explain(&request()).unwrap().view_reused);
+        // The next query hits the refreshed view outright, and its memo.
+        let again = service.explain(&request()).unwrap();
+        assert!(again.view_reused && again.sample_reused);
     }
 
     #[test]
@@ -1638,9 +1740,12 @@ mod tests {
         assert_eq!(stats.compactions, 1);
         assert!(stats.last_compaction_unix_ms > 0);
 
-        // The folded view serves the same generation and the same answer.
+        // The folded view serves the same generation and the same answer,
+        // from the sample memoized before the fold.
+        assert!(!delta.sample_reused);
         let compacted = service.explain(&request()).unwrap();
         assert!(compacted.view_reused);
+        assert!(compacted.sample_reused);
         assert_eq!(compacted.explanation, delta.explanation);
         assert_eq!(compacted.generation, delta.generation);
     }
@@ -1665,8 +1770,10 @@ mod tests {
         let stats = service.view_stats();
         assert_eq!(stats.base_rows, 48);
         assert!(stats.compactions >= 1);
-        // Queries keep working over the folded view.
-        assert!(service.explain(&request()).unwrap().view_reused);
+        // Queries keep working over the folded view, and the fold kept the
+        // sample the refreshing query memoized.
+        let folded = service.explain(&request()).unwrap();
+        assert!(folded.view_reused && folded.sample_reused);
     }
 
     #[test]
@@ -1683,6 +1790,17 @@ mod tests {
         let fired = observed.load(Ordering::SeqCst);
         assert_ne!(fired, u64::MAX, "probe must fire");
         assert_eq!(fired, outcome.related_pairs);
+        // A memoized sample reports the count it was drawn from.
+        let hit_target = Arc::new(AtomicU64::new(u64::MAX));
+        let probe_target = Arc::clone(&hit_target);
+        let hit = service
+            .explain(&request().with_cost_probe(CostProbe::new(move |pairs| {
+                probe_target.store(pairs, Ordering::SeqCst);
+            })))
+            .unwrap();
+        assert!(hit.sample_reused);
+        assert_eq!(hit_target.load(Ordering::SeqCst), fired);
+        assert_eq!(hit.related_pairs, outcome.related_pairs);
         // The actual related-pair count is far below the candidate-space
         // upper bound charged at admission.
         let estimate = service.estimate_cost(&request()).unwrap();

@@ -40,6 +40,17 @@
 //! once the plan enumerates [`MIN_FAN_OUT_WORK`](crate::pool::MIN_FAN_OUT_WORK)
 //! candidates, blocked or not; smaller scans, and every scan on one CPU,
 //! run inline.  Results are bit-identical either way.
+//!
+//! The sample depends on the query's three clauses and the configuration,
+//! never on the pair of interest: that enters Algorithm 1 only at line 5,
+//! where a candidate predicate must hold for it.  So one template asked
+//! about many pairs needs one training set.  A cached view of
+//! [`XplainService`](crate::service::XplainService) keeps a `SampleMemo` of
+//! the samples drawn over it, and the served path fetches its training set
+//! through `prepare_encoded_training_memoized`: a hit hands back the
+//! same pairs, labels and related-pair count a fresh enumeration would,
+//! without enumerating.  The stateless paths pass no memo and always
+//! enumerate.
 
 use crate::cancel::CancelToken;
 use crate::columnar::{ColumnarLog, CompiledQuery};
@@ -50,12 +61,12 @@ use crate::pairs::{parse_pair_feature, PairExample, PairFeatureGroup};
 use crate::query::{BoundQuery, PairLabel};
 use crate::record::{ExecutionLog, ExecutionRecord};
 use mlcore::{balanced_sample, AttrValue, NominalDictionary};
-use pxql::{Op, Value};
+use pxql::{Op, Predicate, Value};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A class-balanced, fully materialised set of training pairs.
 #[derive(Debug, Clone, Default)]
@@ -611,6 +622,132 @@ pub fn prepare_encoded_training_cancellable<'a>(
     })
 }
 
+/// Most sampled pairs one [`SampleMemo`] holds, about 4.5 MB of rows and
+/// labels.  A larger sample is not stored.
+const MEMO_MAX_PAIRS: usize = 1 << 18;
+
+/// The training sets drawn over one cached view, least recently used
+/// first.  Every entry was drawn at the view's one log generation, so the
+/// memo lives exactly as long as that generation's cache entry.
+#[derive(Debug, Default)]
+pub(crate) struct SampleMemo {
+    entries: Mutex<Vec<MemoEntry>>,
+}
+
+/// One memoized sample with its key: the three clauses and the whole
+/// configuration, compared with `==`.  Equal keys classify every candidate
+/// identically; a `NaN` anywhere in the key only causes a miss.
+#[derive(Debug)]
+struct MemoEntry {
+    despite: Predicate,
+    observed: Predicate,
+    expected: Predicate,
+    config: ExplainConfig,
+    sample: Sample,
+}
+
+/// A drawn sample: the `(left, right)` rows, their labels and the related
+/// pairs it was drawn from.
+#[derive(Debug, Clone)]
+struct Sample {
+    pairs: Vec<(usize, usize)>,
+    labels: Vec<bool>,
+    related_pairs: usize,
+}
+
+impl MemoEntry {
+    fn matches(&self, query: &BoundQuery, config: &ExplainConfig) -> bool {
+        self.despite == query.query.despite
+            && self.observed == query.query.observed
+            && self.expected == query.query.expected
+            && self.config == *config
+    }
+}
+
+impl SampleMemo {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries
+            .lock()
+            .expect("sample memo lock poisoned")
+            .is_empty()
+    }
+
+    /// The memoized sample for the key, marked most recently used.
+    fn get(&self, query: &BoundQuery, config: &ExplainConfig) -> Option<Sample> {
+        let mut entries = self.entries.lock().expect("sample memo lock poisoned");
+        let at = entries.iter().position(|e| e.matches(query, config))?;
+        let entry = entries.remove(at);
+        let sample = entry.sample.clone();
+        entries.push(entry);
+        Some(sample)
+    }
+
+    /// Stores a freshly drawn sample unless its key is already present (a
+    /// racing miss inserted it first) or it exceeds [`MEMO_MAX_PAIRS`],
+    /// then evicts least recently used entries down to the bound.
+    fn insert(&self, query: &BoundQuery, config: &ExplainConfig, training: &EncodedTraining<'_>) {
+        if training.len() > MEMO_MAX_PAIRS {
+            return;
+        }
+        let mut entries = self.entries.lock().expect("sample memo lock poisoned");
+        if entries.iter().any(|e| e.matches(query, config)) {
+            return;
+        }
+        entries.push(MemoEntry {
+            despite: query.query.despite.clone(),
+            observed: query.query.observed.clone(),
+            expected: query.query.expected.clone(),
+            config: config.clone(),
+            sample: Sample {
+                pairs: training.pairs.clone(),
+                labels: training.labels.clone(),
+                related_pairs: training.related_pairs,
+            },
+        });
+        let mut held: usize = entries.iter().map(|e| e.sample.pairs.len()).sum();
+        while held > MEMO_MAX_PAIRS {
+            held -= entries.remove(0).sample.pairs.len();
+        }
+    }
+}
+
+/// [`prepare_encoded_training_cancellable`] through a view's sample memo.
+/// A hit returns the memoized sample without enumerating; a miss
+/// enumerates with no lock held and stores the sample.  Errors are never
+/// stored.  The flag is `true` on a hit.  Without a memo this is exactly
+/// [`prepare_encoded_training_cancellable`].
+///
+/// The memo must belong to `view`'s cache entry, whose rows the stored
+/// pairs index, and `log` must be the generation that entry was built at.
+pub(crate) fn prepare_encoded_training_memoized<'a>(
+    log: &'a ExecutionLog,
+    view: Arc<ColumnarLog>,
+    query: &BoundQuery,
+    config: &ExplainConfig,
+    cancel: &CancelToken,
+    memo: Option<&SampleMemo>,
+) -> Result<(EncodedTraining<'a>, bool)> {
+    let Some(memo) = memo else {
+        return prepare_encoded_training_cancellable(log, view, query, config, cancel)
+            .map(|training| (training, false));
+    };
+    if let Some(sample) = memo.get(query, config) {
+        cancel.check()?;
+        let training = EncodedTraining {
+            log,
+            view,
+            pairs: sample.pairs,
+            labels: sample.labels,
+            related_pairs: sample.related_pairs,
+        };
+        return Ok((training, true));
+    }
+    let training = prepare_encoded_training_cancellable(log, view, query, config, cancel)?;
+    memo.insert(query, config, &training);
+    Ok((training, false))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,5 +909,72 @@ mod tests {
         log.rebuild_catalogs();
         let (_, related) = collect_related_pairs(&log, &query(), &ExplainConfig::default());
         assert!(related.is_empty());
+    }
+
+    /// A cancelled enumeration stores nothing; the next draw misses and
+    /// stores, and the one after returns the same sample from the memo.
+    #[test]
+    fn the_memo_stores_drawn_samples_and_never_errors() {
+        let log = synthetic_log();
+        let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
+        let config = ExplainConfig::default();
+        let memo = SampleMemo::default();
+        let draw = |cancel: &CancelToken| {
+            prepare_encoded_training_memoized(
+                &log,
+                view.clone(),
+                &query(),
+                &config,
+                cancel,
+                Some(&memo),
+            )
+        };
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        assert_eq!(draw(&cancelled).unwrap_err(), CoreError::Cancelled);
+        assert!(memo.is_empty());
+
+        let (fresh, reused) = draw(&CancelToken::never()).unwrap();
+        assert!(!reused);
+        let (memoized, reused) = draw(&CancelToken::never()).unwrap();
+        assert!(reused);
+        assert_eq!(memoized.pairs, fresh.pairs);
+        assert_eq!(memoized.labels, fresh.labels);
+        assert_eq!(memoized.related_pairs, fresh.related_pairs);
+        // A hit still honours a fired token.
+        assert_eq!(draw(&cancelled).unwrap_err(), CoreError::Cancelled);
+    }
+
+    /// The memo holds at most `MEMO_MAX_PAIRS` sampled pairs, evicting the
+    /// least recently used sample first, and never stores a larger one.
+    #[test]
+    fn the_memo_is_an_lru_bounded_by_sampled_pairs() {
+        let log = synthetic_log();
+        let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
+        let sample = |pairs: usize| EncodedTraining {
+            log: &log,
+            view: view.clone(),
+            pairs: vec![(0, 1); pairs],
+            labels: vec![true; pairs],
+            related_pairs: pairs,
+        };
+        let seeded = |seed: u64| ExplainConfig::default().with_seed(seed);
+        let memo = SampleMemo::default();
+        let quarter = MEMO_MAX_PAIRS / 4;
+        for seed in 0..4 {
+            memo.insert(&query(), &seeded(seed), &sample(quarter));
+        }
+        // Full, not over: every sample is held.  Touching seed 0 makes
+        // seed 1 the least recently used.
+        assert!((0..4).all(|seed| memo.get(&query(), &seeded(seed)).is_some()));
+        assert!(memo.get(&query(), &seeded(0)).is_some());
+        memo.insert(&query(), &seeded(4), &sample(quarter));
+        assert!(memo.get(&query(), &seeded(1)).is_none());
+        for seed in [0, 2, 3, 4] {
+            assert!(memo.get(&query(), &seeded(seed)).is_some(), "seed {seed}");
+        }
+        memo.insert(&query(), &seeded(5), &sample(MEMO_MAX_PAIRS + 1));
+        assert!(memo.get(&query(), &seeded(5)).is_none());
+        assert!(memo.get(&query(), &seeded(4)).is_some());
     }
 }

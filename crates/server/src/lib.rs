@@ -43,11 +43,14 @@
 //! Success response (`status: "ok"`, code 200): `because` / `despite` as
 //! rendered atom strings, optional `narration`, optional `precision` /
 //! `generality` / `relevance`, plus `generation`, `view_reused`,
-//! `related_pairs` (the measured training work) and `cost_units` — the
-//! admission charge *refined* down to the measured work: queries are
-//! admitted on the candidate-space upper bound, then refund the
-//! estimate/actual difference to the budget mid-flight once the view is
-//! built ([`ChargeHandle`](scheduler::ChargeHandle)).
+//! `sample_reused` (the training sample came from the cached view's memo,
+//! so no pairs were enumerated), `related_pairs` (the measured training
+//! work) and `cost_units` — the admission charge *refined* down to the
+//! measured work: queries are admitted on the candidate-space upper bound,
+//! then refund the estimate/actual difference to the budget mid-flight
+//! once the view is built ([`ChargeHandle`](scheduler::ChargeHandle)).  A
+//! memoized sample reports the related-pair count it was drawn from, so
+//! `related_pairs` and `cost_units` do not depend on `sample_reused`.
 //!
 //! A request with `"target": "append"` carries a `records` field — a JSON
 //! array of execution records, encoded as a string — and appends them to

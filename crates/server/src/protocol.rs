@@ -79,6 +79,9 @@ pub struct WireResponse {
     pub generation: Option<u64>,
     /// Whether the columnar view came from the service cache.
     pub view_reused: Option<bool>,
+    /// Whether the training sample came from the cached view's memo, so
+    /// the request ran no pair enumeration.
+    pub sample_reused: Option<bool>,
     /// Admission-control cost ultimately charged for this request — the
     /// *refined* (post-enumeration) cost when it came in below the
     /// admission-time estimate.
@@ -191,6 +194,7 @@ impl WireResponse {
             relevance: outcome.quality.as_ref().and_then(|q| q.relevance.value),
             generation: Some(outcome.generation),
             view_reused: Some(outcome.view_reused),
+            sample_reused: Some(outcome.sample_reused),
             cost_units: Some(cost_units),
             related_pairs: Some(outcome.related_pairs),
             ..WireResponse::default()

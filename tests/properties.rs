@@ -343,6 +343,180 @@ fn uncapped_config() -> ExplainConfig {
     config
 }
 
+/// The key the service's sample memo stores a training set under: the
+/// three clauses and the request's effective configuration.
+type SampleKey = (Predicate, Predicate, Predicate, ExplainConfig);
+
+fn sample_key(bound: &BoundQuery, config: &ExplainConfig) -> SampleKey {
+    let q = &bound.query;
+    (
+        q.despite.clone(),
+        q.observed.clone(),
+        q.expected.clone(),
+        config.clone(),
+    )
+}
+
+/// The keys the service has drawn a training set for at the current log
+/// generation: what its sample memo must hold.
+#[derive(Default)]
+struct MemoModel {
+    generation: u64,
+    keys: Vec<SampleKey>,
+}
+
+impl MemoModel {
+    /// Forgets every key once the log moved to another generation.
+    fn at(&mut self, generation: u64) {
+        if generation != self.generation {
+            self.generation = generation;
+            self.keys.clear();
+        }
+    }
+
+    fn holds(&self, key: &SampleKey) -> bool {
+        self.keys.contains(key)
+    }
+
+    fn store(&mut self, key: SampleKey) {
+        if !self.holds(&key) {
+            self.keys.push(key);
+        }
+    }
+}
+
+/// Two pairs of interest of `log` for which `template`'s preconditions
+/// hold, searched from the `offset`-th job id on; fixed pairs (which may
+/// fail the preconditions) stand in when fewer exist.
+fn pairs_of_interest(
+    log: &ExecutionLog,
+    template: &perfxplain::pxql::PxqlQuery,
+    sim_threshold: f64,
+    offset: usize,
+) -> Vec<(String, String)> {
+    let mut ids: Vec<&str> = Vec::new();
+    for record in log.jobs() {
+        if !ids.contains(&record.id.as_str()) {
+            ids.push(&record.id);
+        }
+    }
+    let start = offset % ids.len().max(1);
+    ids.rotate_left(start);
+    let mut pairs = Vec::new();
+    'search: for left in &ids {
+        for right in &ids {
+            if left == right {
+                continue;
+            }
+            let bound = BoundQuery::new(template.clone(), *left, *right);
+            if bound.verify_preconditions(log, sim_threshold).is_ok() {
+                pairs.push((left.to_string(), right.to_string()));
+                if pairs.len() == 2 {
+                    break 'search;
+                }
+            }
+        }
+    }
+    for fallback in [("job_0", "job_1"), ("job_1", "job_0")] {
+        if pairs.len() < 2 {
+            pairs.push((fallback.0.to_string(), fallback.1.to_string()));
+        }
+    }
+    pairs
+}
+
+/// One query step of the interleaving properties.  The service answers
+/// `template` about two pairs of interest, once more with the despite
+/// extension, and once under a per-request configuration whose sample
+/// size (even steps) or seed (odd steps) differs.  Every answer must equal
+/// the stateless engine's over a snapshot of the log, and
+/// `sample_reused` must be true exactly when the model held every key the
+/// request draws a training set under.
+fn check_query_step(
+    service: &perfxplain::XplainService,
+    config: &ExplainConfig,
+    template: &perfxplain::pxql::PxqlQuery,
+    step: usize,
+    memo: &mut MemoModel,
+) -> Result<(), TestCaseError> {
+    use perfxplain::{PerfXplain, QueryRequest};
+
+    let snapshot = service.snapshot();
+    prop_assert_eq!(service.generation(), snapshot.generation());
+    memo.at(snapshot.generation());
+    let mut varied = config.clone();
+    if step.is_multiple_of(2) {
+        varied.sample_size -= 1;
+    } else {
+        varied.seed += 1;
+    }
+    let pairs = pairs_of_interest(&snapshot, template, config.sim_threshold, step);
+    let asks = [
+        (&pairs[0], false, config),
+        (&pairs[1], false, config),
+        (&pairs[0], true, config),
+        (&pairs[1], false, &varied),
+    ];
+    for ((left, right), extend, ask_config) in asks {
+        let bound = BoundQuery::new(template.clone(), left.clone(), right.clone());
+        let mut request = QueryRequest::bound(bound.clone());
+        if extend {
+            request = request.with_despite_extension();
+        }
+        if ask_config != config {
+            request = request.with_config(ask_config.clone());
+        }
+        let served = service.explain(&request);
+        let engine = PerfXplain::new(ask_config.clone());
+        let fresh = if extend {
+            engine.explain_full(&snapshot, &bound)
+        } else {
+            engine
+                .explain(&snapshot, &bound)
+                .map(|e| (e, bound.clone()))
+        };
+        let first_key = sample_key(&bound, ask_config);
+        match (&served, &fresh) {
+            (Ok(outcome), Ok((explanation, effective))) => {
+                prop_assert_eq!(&outcome.explanation, explanation);
+                prop_assert_eq!(&outcome.query, effective);
+                prop_assert_eq!(outcome.generation, snapshot.generation());
+                let mut keys = vec![first_key];
+                if outcome.query != bound {
+                    keys.push(sample_key(&outcome.query, ask_config));
+                }
+                let reused = keys.iter().all(|key| memo.holds(key));
+                prop_assert_eq!(
+                    outcome.sample_reused,
+                    reused,
+                    "sample_reused for {:?} extend={} at step {}",
+                    (left, right),
+                    extend,
+                    step
+                );
+                for key in keys {
+                    memo.store(key);
+                }
+            }
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(a, b);
+                // A failed request stored its first training set only when
+                // that set was drawn, and the failure came after it.
+                let drawn = bound
+                    .verify_preconditions(&snapshot, ask_config.sim_threshold)
+                    .is_ok()
+                    && perfxplain_core::prepare_encoded_training(&snapshot, &bound, ask_config)
+                        .is_ok();
+                if drawn {
+                    memo.store(first_key);
+                }
+            }
+            other => prop_assert!(false, "service/fresh divergence: {:?}", other),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -427,21 +601,24 @@ proptest! {
         }
     }
 
-    /// An [`perfxplain::XplainService`] never serves a stale view: under any
-    /// interleaving of `push` / `rebuild_catalogs` mutations and queries,
-    /// every query's answer is identical to a stateless engine running
-    /// against a freshly encoded snapshot of the log at that moment.
+    /// An [`perfxplain::XplainService`] never serves a stale view or a
+    /// stale training sample: under any interleaving of `push` /
+    /// `rebuild_catalogs` mutations and queries, every query's answer is
+    /// identical to a stateless engine running against a freshly encoded
+    /// snapshot of the log at that moment, and the sample is reused exactly
+    /// when an equal template and configuration was answered earlier at
+    /// that generation.
     #[test]
     fn service_answers_match_a_fresh_view_under_any_interleaving(
         seed in 0u64..120,
         ops in proptest::collection::vec(0u32..4, 1usize..12),
     ) {
-        use perfxplain::{PerfXplain, QueryRequest, XplainService};
+        use perfxplain::XplainService;
 
         let config = uncapped_config();
         let service = XplainService::with_config(random_log(seed), config.clone());
-        let engine = PerfXplain::new(config.clone());
         let queries = query_pool();
+        let mut memo = MemoModel::default();
 
         let mut extra = 0usize;
         for (step, op) in ops.iter().enumerate() {
@@ -460,23 +637,11 @@ proptest! {
                 }),
                 // Mutate: recompute the catalogs.
                 1 => service.with_log_mut(|log| log.rebuild_catalogs()),
-                // Query: the service (cached view) must agree with a fresh
-                // engine over a snapshot of the current log.
+                // Query: the service (cached view and sample memo) must
+                // agree with a fresh engine over a snapshot of the log.
                 _ => {
-                    let query = queries[(seed as usize + step) % queries.len()].clone();
-                    let bound = BoundQuery::new(query, "job_0", "job_1");
-                    let served = service.explain(&QueryRequest::bound(bound.clone()));
-                    let snapshot = service.snapshot();
-                    let fresh = engine.explain(&snapshot, &bound);
-                    prop_assert_eq!(service.generation(), snapshot.generation());
-                    match (&served, &fresh) {
-                        (Ok(outcome), Ok(explanation)) => {
-                            prop_assert_eq!(&outcome.explanation, explanation);
-                            prop_assert_eq!(outcome.generation, snapshot.generation());
-                        }
-                        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                        other => prop_assert!(false, "service/fresh divergence: {:?}", other),
-                    }
+                    let template = &queries[(seed as usize + step) % queries.len()];
+                    check_query_step(&service, &config, template, step, &mut memo)?;
                 }
             }
         }
@@ -495,13 +660,13 @@ proptest! {
         shards in 1usize..8,
         ops in proptest::collection::vec(0u32..8, 1usize..14),
     ) {
-        use perfxplain::{ExecutionKind, PerfXplain, QueryRequest, XplainService};
+        use perfxplain::{ExecutionKind, XplainService};
         use perfxplain_core::columnar::ColumnarLog;
 
         let config = uncapped_config();
         let service = XplainService::with_config(random_log(seed), config.clone());
-        let engine = PerfXplain::new(config.clone());
         let queries = query_pool();
+        let mut memo = MemoModel::default();
 
         let mut extra = 0usize;
         for (step, op) in ops.iter().enumerate() {
@@ -549,24 +714,16 @@ proptest! {
                     );
                     log.rebuild_catalogs();
                 }),
-                // Fold every cached tail into its base; content-neutral.
+                // Fold every cached tail into its base; content-neutral, and
+                // the memoized samples survive it.
                 5 => {
                     service.compact_views();
                 }
                 // Query: the served answer must match a stateless engine
                 // over a snapshot of the current log.
                 _ => {
-                    let query = queries[(seed as usize + step) % queries.len()].clone();
-                    let bound = BoundQuery::new(query, "job_0", "job_1");
-                    let served = service.explain(&QueryRequest::bound(bound.clone()));
-                    let fresh = engine.explain(&service.snapshot(), &bound);
-                    match (&served, &fresh) {
-                        (Ok(outcome), Ok(explanation)) => {
-                            prop_assert_eq!(&outcome.explanation, explanation);
-                        }
-                        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                        other => prop_assert!(false, "service/fresh divergence: {:?}", other),
-                    }
+                    let template = &queries[(seed as usize + step) % queries.len()];
+                    check_query_step(&service, &config, template, step, &mut memo)?;
                 }
             }
             // After every step, the view the service would serve is

@@ -174,7 +174,9 @@ fn oversized_cost_requests_are_rejected_outright() {
 #[test]
 fn hog_connection_cannot_starve_other_sessions() {
     // The hog pipelines a backlog of slow requests but may only run one at
-    // a time; the victim's single fast request must pass the backlog.
+    // a time; the victim's single fast request must pass the backlog.  Each
+    // hog request asks for its own sample size, so none of them can reuse
+    // another's memoized sample: every one enumerates.
     let (handle, _service) = serve(
         1200,
         SchedulerConfig {
@@ -187,7 +189,7 @@ fn hog_connection_cannot_starve_other_sessions() {
     let mut hog = connect(&handle);
     const HOG_BACKLOG: u64 = 4;
     for i in 0..HOG_BACKLOG {
-        hog.send(&request(i, SLOW_SAMPLE)).expect("send");
+        hog.send(&request(i, SLOW_SAMPLE + i)).expect("send");
     }
     std::thread::sleep(Duration::from_millis(100));
 
