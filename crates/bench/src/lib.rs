@@ -34,5 +34,7 @@ pub use experiments::{
     AblationResult, DespiteRelevance, LevelSeries, LogSizeSeries, RelevancePoint, TechniqueSeries,
     WidthPoint,
 };
-pub use synthetic::{blocked_log, blocked_log_with_group_metrics, BLOCKED_QUERY};
+pub use synthetic::{
+    blocked_log, blocked_log_with_group_metrics, two_regime_job, two_regime_log, BLOCKED_QUERY,
+};
 pub use table::{fmt_aggregate, render_table};

@@ -1,9 +1,10 @@
 //! Shared synthetic workloads.
 //!
-//! The blocked debugging-session log is used by the `pairs_pipeline` bench
-//! (view-reuse and blocked-enumeration scenarios), the `smoke_100k` CI
-//! binary and the sharded-encode concurrency test — one generator, so the
-//! three consumers can never drift apart.
+//! The blocked debugging-session log drives the `smoke` binary's 100k-row
+//! scenarios, the `scale_1m` bench, pxbench's workloads and the integration
+//! tests; the two-regime log drives the `smoke` binary's serving and
+//! crash-recovery scenarios.  One generator per shape, so their consumers
+//! can never drift apart.
 
 use perfxplain_core::{ExecutionLog, ExecutionRecord};
 
@@ -25,8 +26,9 @@ pub fn blocked_log(n: usize, group_size: usize, extra_features: usize) -> Execut
 /// dataset gains high-cardinality numeric *base* features — one distinct
 /// value per sampled group — which is exactly the regime where candidate
 /// threshold search dominates per-query explanation latency (O(d·n) for the
-/// naive evaluator, O(n log n) for the sweep).  The `explain_latency` bench
-/// scenario and the `explain_smoke` CI binary both drive this shape.
+/// naive evaluator, O(n log n) for the sweep).  The `smoke explain` scenario
+/// and the trainer cross-check of `tests/properties.rs` both drive this
+/// shape.
 pub fn blocked_log_with_group_metrics(
     n: usize,
     group_size: usize,
@@ -70,6 +72,37 @@ pub fn blocked_log_with_group_metrics(
 pub const BLOCKED_QUERY: &str = "DESPITE pigscript_isSame = T AND inputsize_compare = GT\n\
                                  OBSERVED duration_compare = SIM\n\
                                  EXPECTED duration_compare = GT";
+
+/// Job `i` of [`two_regime_log`].
+pub fn two_regime_job(i: usize) -> ExecutionRecord {
+    let big_blocks = i.is_multiple_of(2);
+    let input = [1.0e9, 4.0e9, 32.0e9][i % 3];
+    let duration = if big_blocks {
+        600.0 + (i % 13) as f64
+    } else {
+        input / 5.0e7 + (i % 7) as f64
+    };
+    ExecutionRecord::job(format!("job_{i}"))
+        .with_feature("inputsize", input)
+        .with_feature("blocksize", if big_blocks { 1024.0 } else { 64.0 })
+        .with_feature("numinstances", [2.0, 8.0, 16.0][(i / 2) % 3])
+        .with_feature("pigscript", ["a.pig", "b.pig"][i % 2])
+        .with_feature("duration", duration)
+}
+
+/// A log with two duration regimes driven by block size: even-indexed jobs
+/// are big-block runs that plateau near 600 s, odd-indexed ones scale with
+/// their input.  So `job_2` reads far more input than `job_0` at a similar
+/// duration: a pair of interest for the canned query of
+/// `perfxplain_server::default_request`.
+pub fn two_regime_log(n: usize) -> ExecutionLog {
+    let mut log = ExecutionLog::new();
+    for i in 0..n {
+        log.push(two_regime_job(i));
+    }
+    log.rebuild_catalogs();
+    log
+}
 
 #[cfg(test)]
 mod tests {

@@ -191,12 +191,12 @@
 //!    O(d·n), quadratic on continuous features.  The applicability filter
 //!    (the pair of interest must satisfy every emitted predicate) is
 //!    threaded through the sweep itself, the per-attribute searches of the
-//!    greedy clause loop ([`PerfXplain`]) and of [`mlcore::best_split`] fan
-//!    out over the shared worker pool on large nodes, and Relief
+//!    greedy clause loop ([`PerfXplain`]) fan out over the shared worker
+//!    pool on large nodes, and Relief
 //!    ([`mlcore::relief_weights`], behind the RuleOfThumb baseline) scans
 //!    attribute-major over typed contiguous columns with its sampled
 //!    instances fanned out the same way.  The pre-sweep trainer is retained
-//!    as `mlcore::oracle` (tests/benches only) and the winners are
+//!    as `mlcore::oracle` (tests only) and the winners are
 //!    proptest-proven bit-identical to it.
 //! 8. **Persist the encoded form, compressed.** The [`snapshot`] store
 //!    writes each shard as a length-prefixed binary segment file (format
@@ -338,28 +338,20 @@
 //! implementation's (hash-based vs sequential RNG), but is equally
 //! deterministic for a fixed seed.
 //!
-//! `cargo bench --bench pairs_pipeline` tracks pair-classification
-//! throughput and candidate memory at n ∈ {100, 1k, 10k}, cached-view reuse
-//! at n = 20k, sharded ingest+encode wall time at n ∈ {100k, 1M} for
-//! shards ∈ {1, 2, 4, 8}, the cold-start comparison (JSON re-parse vs
-//! snapshot open) at n ∈ {100k, 1M}, a despite-blocked enumeration over
-//! 100k records, and the `explain_latency` phase breakdown (enumerate /
-//! featurize / relief / tree at n ∈ {20k, 100k}, with the retained naive
-//! trainer timed against the sweep trainer on the identical dataset and
-//! cross-checked equal), and the `live_ingest` scenario (sustained append
-//! batches against a served log at n ∈ {100k, 1M}: the O(tail) delta
-//! refresh vs the full re-encode a non-delta cache would pay per append,
-//! plus the sustained append rate and warm query latency while serving),
-//! all in `BENCH_pairs.json` (alongside the
-//! machine's hardware thread count — sharded speedups are real
-//! parallelism, so they track the core count and degenerate to ~1x on a
-//! single core).  CI additionally runs release-mode smokes under
+//! pxbench (`BENCHMARK.json`; its own workspace under `pxbench/`) measures
+//! served latency, set-up time and memory over four seeded workloads with
+//! repeated runs and fixed bounds, and its traced runs time each layer.
+//! `cargo bench --bench scale_1m` records the two 1M-record points it does
+//! not reach in `BENCH_scale_1m.json`: the cold open (JSON re-parse vs
+//! snapshot open, with the open's peak memory) and the delta refresh under
+//! appends.  CI additionally runs the release-mode `smoke` scenarios under
 //! wall-clock ceilings: the sharded 100k ingest+query round trip, the
 //! snapshot persist → reopen → query round trip checked outcome-equal to
 //! the in-memory path, the blocked 100k explain (cold + warm) on a
-//! trainer-heavy log, and the append-while-serving loop (every batch must
-//! refresh by delta, with the mean refresh under a fixed fraction of one
-//! full re-encode).
+//! trainer-heavy log, the networked serving contract, the
+//! append-while-serving loop (every batch must refresh by delta, with the
+//! mean refresh under a fixed fraction of one full re-encode) and the
+//! SIGKILL + journal replay round trip.
 
 pub mod baselines;
 pub mod bridge;

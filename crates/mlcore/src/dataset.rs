@@ -4,7 +4,7 @@
 //! as a fixed-width vector of mixed numeric/nominal features with missing
 //! values, plus a binary label: did the pair perform *as observed* (positive)
 //! or *as expected* (negative).  This module provides that representation in
-//! a form the split search, the decision-tree learner and Relief can share.
+//! a form the split search and Relief can share.
 
 use crate::hash::FxHashMap;
 use serde::{Deserialize, Serialize};

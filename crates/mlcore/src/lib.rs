@@ -30,10 +30,6 @@
 //!   gain of a boolean partition.
 //! * [`split`] — C4.5-style best-split search per attribute (threshold
 //!   candidates for numeric attributes, equality tests for nominal ones).
-//! * [`dtree`] — a reference decision-tree learner.  PerfXplain itself does
-//!   not build full trees, but the tree learner is used by the ablation
-//!   benchmarks ("greedy conjunction vs. plain decision-tree path") and by
-//!   tests as an oracle for the split search.
 //! * [`relief`] — the Relief feature-estimation algorithm
 //!   (Robnik-Šikonja & Kononenko) adapted for mixed attributes and missing
 //!   values, used by the RuleOfThumb baseline.
@@ -55,8 +51,8 @@
 //!   persistence, pool and server paths ask [`failpoints::trigger`]
 //!   whether to fail; disabled, the call inlines to `None` and costs
 //!   nothing.
-//! * [`oracle`] (tests only) — the retained naive split finder, tree fit
-//!   and Relief, the equivalence oracles for everything below.
+//! * [`oracle`] (tests only) — the retained naive split finder and Relief,
+//!   the equivalence oracles for everything below.
 //!
 //! # Performance
 //!
@@ -77,17 +73,13 @@
 //!   Nominal candidates dedup through an [`FxHashMap`] (first-seen order
 //!   preserved) instead of a linear scan, and equality candidates that
 //!   duplicate an adjacent mid-point's partition are suppressed outright.
-//! * **[`best_split`] fans out across attributes** over the shared
-//!   [`pool`] on nodes of at least [`pool::MIN_FAN_OUT_WORK`] cells,
-//!   folding the per-attribute winners in attribute order — the result is
-//!   independent of the fan-out.
 //! * **Relief is columnar and parallel** ([`relief`]).  Distance scans run
 //!   attribute-major over typed contiguous columns
 //!   ([`dataset::ColumnCells`]) with the kind and normalisation span
 //!   resolved once per column — no per-cell enum dispatch — and the `m`
-//!   sampled instances fan out over the shared [`pool`] under the same
-//!   rule, with weight updates applied in
-//!   sample order so the weights are bit-identical to the row-at-a-time
+//!   sampled instances fan out over the shared [`pool`] once the scan
+//!   reaches [`pool::MIN_FAN_OUT_WORK`] cells, with weight updates applied
+//!   in sample order so the weights are bit-identical to the row-at-a-time
 //!   scan (also proptested against [`oracle`]).
 //! * **NaN is missing.**  A NaN feature cell used to panic the split
 //!   search's sort (and with it the whole query service); NaN now behaves
@@ -120,7 +112,6 @@
 pub mod codec;
 pub mod columnar;
 pub mod dataset;
-pub mod dtree;
 pub mod entropy;
 pub mod failpoints;
 pub mod hash;
@@ -141,14 +132,13 @@ pub use columnar::{ColumnData, ColumnStore, MergedStore};
 pub use dataset::{
     AttrKind, AttrValue, Attribute, ColumnCells, Dataset, NominalDictionary, NO_NOMINAL,
 };
-pub use dtree::{DecisionTree, TreeConfig};
 pub use entropy::{binary_entropy, entropy_of_counts, information_gain};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use pool::WorkerPool;
 pub use relief::{relief_weights, ReliefConfig};
 pub use sample::{balanced_sample, BalanceStats};
 pub use split::{
-    best_split, best_split_for_attribute, best_split_for_attribute_filtered, SplitCandidate,
-    TestAtom, TestConstant, TestOp,
+    best_split_for_attribute, best_split_for_attribute_filtered, SplitCandidate, TestAtom,
+    TestConstant, TestOp,
 };
 pub use stats::{mean, percentile_ranks, stddev};

@@ -1,6 +1,5 @@
-//! The retained naive trainers — the proptest and benchmark oracles for the
-//! sweep-based split finder ([`crate::split`]) and the columnar Relief
-//! ([`crate::relief`]).
+//! The retained naive trainers — the test oracles for the sweep-based split
+//! finder ([`crate::split`]) and the columnar Relief ([`crate::relief`]).
 //!
 //! Everything here is the pre-sweep implementation, kept verbatim (modulo
 //! the shared NaN-as-missing rule): candidate atoms are materialised
@@ -8,14 +7,13 @@
 //! ([`evaluate_atom`]), i.e. O(d·n) per attribute; Relief scans row-at-a-time
 //! through per-cell enum dispatch.  The production sweep must return
 //! bit-identical winners — `tests/properties.rs` (workspace root) and the
-//! unit tests of [`crate::split`] prove that on randomized datasets, and the
-//! `pairs_pipeline` bench measures the speedup against this module.
+//! unit tests of [`crate::split`] prove that on randomized datasets and on
+//! a 1,908-row training set of the blocked synthetic log.
 //!
 //! Compiled only for this crate's own tests (`cfg(test)`) or under the
 //! off-by-default `oracle` feature; never part of a production build.
 
 use crate::dataset::{AttrKind, AttrValue, Dataset};
-use crate::dtree::{DecisionTree, TreeConfig};
 use crate::entropy::{information_gain, CellCounts};
 use crate::relief::{diff, ReliefConfig};
 use crate::split::{SplitCandidate, TestAtom, TestConstant, TestOp};
@@ -140,33 +138,6 @@ pub fn best_split_for_attribute(
     attribute: usize,
 ) -> Option<SplitCandidate> {
     best_split_for_attribute_filtered(data, indices, attribute, |_| true)
-}
-
-/// The naive all-attributes search: the serial left-to-right fold the
-/// parallel [`crate::split::best_split`] must reproduce exactly.
-pub fn best_split(data: &Dataset, indices: &[usize]) -> Option<SplitCandidate> {
-    let mut best: Option<SplitCandidate> = None;
-    for attribute in 0..data.num_attributes() {
-        if let Some(candidate) = best_split_for_attribute(data, indices, attribute) {
-            let better = match &best {
-                None => true,
-                Some(b) => candidate.gain > b.gain + 1e-12,
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-    }
-    best
-}
-
-/// Trains the reference tree with the naive split search.  The tree learner
-/// is generic over its split finder, so this reuses the *live* stopping
-/// rules and partitioning of [`DecisionTree::fit`] verbatim — the only
-/// difference is the O(d·n) candidate search, which is exactly what the
-/// benchmarks time and what equivalence checks compare.
-pub fn fit(data: &Dataset, config: TreeConfig) -> DecisionTree {
-    DecisionTree::fit_with(data, config, &best_split)
 }
 
 /// Per-pair distance: the row-at-a-time scan through per-cell dispatch the

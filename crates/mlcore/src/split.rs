@@ -147,28 +147,6 @@ pub struct SplitCandidate {
     pub outside: CellCounts,
 }
 
-impl SplitCandidate {
-    /// Fraction of considered instances that satisfy the test.
-    pub fn coverage(&self) -> f64 {
-        let total = self.inside.total() + self.outside.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.inside.total() as f64 / total as f64
-        }
-    }
-
-    /// Fraction of positive instances among those satisfying the test
-    /// (`None` if nothing satisfies it).
-    pub fn inside_precision(&self) -> Option<f64> {
-        if self.inside.total() == 0 {
-            None
-        } else {
-            Some(self.inside.positive as f64 / self.inside.total() as f64)
-        }
-    }
-}
-
 /// The running winner of the candidate visit order.  Replacement requires a
 /// gain strictly above `best + 1e-12`, or a within-tolerance tie broken by a
 /// strictly larger inside partition — the exact comparison the naive
@@ -440,40 +418,6 @@ pub fn best_split_for_attribute_filtered(
     }
 }
 
-/// Finds the best split over *all* attributes; convenience used by the
-/// decision-tree learner.
-///
-/// On multi-core machines the per-attribute sweeps fan out over the shared
-/// worker pool ([`WorkerPool::map_chunks_gated`](crate::pool::WorkerPool::map_chunks_gated))
-/// once the node holds [`MIN_FAN_OUT_WORK`](crate::pool::MIN_FAN_OUT_WORK)
-/// (instance × attribute) cells; the per-attribute results are then
-/// folded in attribute order with the original comparison, so the winner
-/// (ties included) is independent of the fan-out.
-pub fn best_split(data: &Dataset, indices: &[usize]) -> Option<SplitCandidate> {
-    let attributes: Vec<usize> = (0..data.num_attributes()).collect();
-    let per_chunk: Vec<Vec<Option<SplitCandidate>>> = crate::pool::shared().map_chunks_gated(
-        &attributes,
-        indices.len().saturating_mul(attributes.len()),
-        |chunk| {
-            chunk
-                .iter()
-                .map(|&attribute| best_split_for_attribute(data, indices, attribute))
-                .collect()
-        },
-    );
-    let mut best: Option<SplitCandidate> = None;
-    for candidate in per_chunk.into_iter().flatten().flatten() {
-        let better = match &best {
-            None => true,
-            Some(b) => candidate.gain > b.gain + 1e-12,
-        };
-        if better {
-            best = Some(candidate);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,8 +472,6 @@ mod tests {
         let informative = best_split_for_attribute(&ds, &idx, 0).unwrap();
         let noisy = best_split_for_attribute(&ds, &idx, 1).unwrap();
         assert!(informative.gain > noisy.gain);
-        let overall = best_split(&ds, &idx).unwrap();
-        assert_eq!(overall.atom.attribute, 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! server sees `c` concurrent request streams regardless of how fast it
 //! answers — the arrival rate does not slow down when the server queues,
 //! which is exactly the regime admission control exists for.  The driver
-//! records per-request latency and tallies responses by kind, feeding both
-//! the `serve_qps` benchmark scenario and the CI serve-smoke job.
+//! records per-request latency and tallies responses by kind, feeding the
+//! `smoke serve` scenario.
 
 use crate::protocol::{WireRequest, WireResponse};
 use std::io::{BufRead, BufReader, Write};

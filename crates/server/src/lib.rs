@@ -18,7 +18,7 @@
 //! * [`protocol`] — the line-delimited JSON codec ([`WireRequest`] /
 //!   [`WireResponse`]).
 //! * [`client`] — a blocking client plus the open-loop many-client load
-//!   driver behind the `serve_qps` benchmark and the CI smoke test.
+//!   driver behind the `smoke serve` scenario.
 //!
 //! # Protocol reference
 //!

@@ -65,8 +65,8 @@ fn main() {
 
     // 4. The session continues: follow-up queries reuse the cached columnar
     //    view of the log instead of re-encoding it (on logs of real size
-    //    that is the dominant cost — see the service_reuse scenario in
-    //    BENCH_pairs.json).
+    //    that is the dominant cost), and a repeated query template reuses
+    //    its memoized training sample as well.
     let started = Instant::now();
     let repeat = service.explain(&request).expect("explanation succeeds");
     let second_query = started.elapsed();

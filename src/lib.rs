@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | explanation engine | [`perfxplain_core`] | execution-log data model, PXQL binding, pair features, metrics, Algorithm 1, baselines, evaluation harness |
 //! | query language | [`pxql`] | values, predicates, parser for PXQL |
-//! | ML primitives | [`mlcore`] | entropy, C4.5-style splits, decision trees, Relief, balanced sampling |
+//! | ML primitives | [`mlcore`] | entropy, C4.5-style splits, Relief, balanced sampling |
 //! | cluster simulator | [`mrsim`] | discrete-event MapReduce cluster with a Ganglia-style monitor |
 //! | log substrate | [`hadoop_logs`] | Hadoop job-history / job.xml / Ganglia dump writer, parser and feature collector |
 //! | workloads | [`workload`] | Excite-like data generator, the Table-2 grid, sweep driver and the paper's two queries |

@@ -544,13 +544,11 @@ proptest! {
 
     /// The one-pass columnar dataset encoding produces a dataset identical
     /// to the PairExample-map bridge: same schema, same pair-of-interest
-    /// row, same cells and labels — and therefore the same induced decision
-    /// tree.
+    /// row, same cells and labels.
     #[test]
-    fn encoded_dataset_and_induced_tree_match_the_bridge(seed in 0u64..200) {
+    fn encoded_dataset_matches_the_bridge(seed in 0u64..200) {
         use perfxplain_core::bridge::DatasetBridge;
         use perfxplain_core::pairs::PairCatalog;
-        use perfxplain::mlcore::{DecisionTree, TreeConfig};
 
         let log = random_log(seed);
         let config = uncapped_config();
@@ -593,11 +591,6 @@ proptest! {
             for row in 0..a.len() {
                 prop_assert_eq!(a.row(row), b.row(row), "row {} diverges", row);
             }
-
-            // Identical datasets induce identical decision trees.
-            let tree_a = DecisionTree::fit(a, TreeConfig::default());
-            let tree_b = DecisionTree::fit(b, TreeConfig::default());
-            prop_assert_eq!(tree_a.root(), tree_b.root());
         }
     }
 
@@ -1148,8 +1141,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use perfxplain::mlcore::{
-    best_split, best_split_for_attribute, best_split_for_attribute_filtered, percentile_ranks,
-    relief_weights, AttrValue, Attribute, Dataset, ReliefConfig, SplitCandidate,
+    best_split_for_attribute, best_split_for_attribute_filtered, percentile_ranks, relief_weights,
+    AttrValue, Attribute, Dataset, ReliefConfig, SplitCandidate,
 };
 use perfxplain_core::bridge::DatasetBridge;
 
@@ -1242,8 +1235,7 @@ proptest! {
     /// The sweep-based split finder returns a `SplitCandidate` identical —
     /// atom, gain, inside/outside counts, tie-breaks included — to the
     /// retained naive oracle, unfiltered and under the applicability
-    /// filter, over full and subset index lists; the parallel
-    /// all-attributes search matches the oracle's serial fold.
+    /// filter, over full and subset index lists.
     #[test]
     fn sweep_split_finder_matches_the_naive_oracle(
         schema_seed in any::<u64>(),
@@ -1276,10 +1268,6 @@ proptest! {
                 );
                 prop_assert_eq!(sweep, naive, "filtered attribute {} diverged", attribute);
             }
-            prop_assert_eq!(
-                best_split(&dataset, indices),
-                mlcore::oracle::best_split(&dataset, indices),
-            );
         }
     }
 
@@ -1378,6 +1366,42 @@ fn oracle_because_clause(
     Predicate::from_atoms(atoms)
 }
 
+/// The training dataset `PerfXplain::explain` grows its because clause over,
+/// the explanation it gives, and the one the greedy loop re-run against the
+/// naive oracle gives over the same dataset.  `None` when the query fails
+/// its preconditions or has no training set.
+fn sweep_and_oracle_explanations(
+    log: &ExecutionLog,
+    bound: &BoundQuery,
+    config: &ExplainConfig,
+) -> Option<(
+    DatasetBridge,
+    perfxplain::Explanation,
+    perfxplain::Explanation,
+)> {
+    use perfxplain_core::pairs::PairCatalog;
+
+    bound.verify_preconditions(log, config.sim_threshold).ok()?;
+    let encoded = perfxplain_core::training::prepare_encoded_training(log, bound, config).ok()?;
+    let catalog = PairCatalog::from_raw(log.job_catalog())
+        .restrict_to_groups(config.feature_level.allowed_groups());
+    let excluded = perfxplain_core::query::excluded_raw_features(bound, config);
+    let poi_rows = encoded.poi_rows(bound).expect("poi rows exist");
+    let bridge = DatasetBridge::encode_from_view(
+        &encoded,
+        poi_rows,
+        &catalog,
+        &excluded,
+        config.sim_threshold,
+    );
+    let expected =
+        perfxplain::Explanation::because_only(oracle_because_clause(&bridge, config, config.width));
+    let actual = perfxplain::PerfXplain::new(config.clone())
+        .explain(log, bound)
+        .unwrap();
+    Some((bridge, actual, expected))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -1386,35 +1410,44 @@ proptest! {
     /// trainer produced (the greedy loop re-run against the naive oracle).
     #[test]
     fn explain_output_is_unchanged_by_the_sweep_trainer(seed in 0u64..200) {
-        use perfxplain_core::pairs::PairCatalog;
-
         let log = random_log(seed);
         let config = uncapped_config();
-        let engine = perfxplain::PerfXplain::new(config.clone());
         for query in query_pool() {
             let bound = BoundQuery::new(query, "job_0", "job_1");
-            if bound.verify_preconditions(&log, config.sim_threshold).is_err() {
-                continue;
+            if let Some((_, actual, expected)) =
+                sweep_and_oracle_explanations(&log, &bound, &config)
+            {
+                prop_assert_eq!(actual, expected, "explanation diverged for seed {}", seed);
             }
-            let Ok(encoded) =
-                perfxplain_core::training::prepare_encoded_training(&log, &bound, &config)
-            else {
-                continue;
-            };
-            let catalog = PairCatalog::from_raw(log.job_catalog())
-                .restrict_to_groups(config.feature_level.allowed_groups());
-            let excluded = perfxplain_core::query::excluded_raw_features(&bound, &config);
-            let poi_rows = encoded.poi_rows(&bound).expect("poi rows exist");
-            let bridge = DatasetBridge::encode_from_view(
-                &encoded, poi_rows, &catalog, &excluded, config.sim_threshold,
-            );
-            let expected = perfxplain::Explanation::because_only(
-                oracle_because_clause(&bridge, &config, config.width),
-            );
-            let actual = engine.explain(&log, &bound).unwrap();
-            prop_assert_eq!(actual, expected, "explanation diverged for seed {}", seed);
         }
     }
+}
+
+/// The same cross-check on a realistic training set, far past the
+/// proptests' 60 rows: the blocked log with continuous group metrics, at
+/// the default config.  Relief, behind the RuleOfThumb baseline, must match
+/// its oracle bit for bit on the same dataset.
+#[test]
+fn the_sweep_trainer_matches_the_naive_oracle_on_a_blocked_log() {
+    let log = perfxplain_bench::blocked_log_with_group_metrics(20_000, 10, 1, 3);
+    let config = ExplainConfig::default();
+    let query = parse_query(perfxplain_bench::BLOCKED_QUERY).unwrap();
+    let bound = BoundQuery::new(query, "job_2", "job_0");
+    let (bridge, actual, expected) = sweep_and_oracle_explanations(&log, &bound, &config)
+        .expect("the blocked query has a training set");
+    let dataset = bridge.dataset();
+    assert_eq!((dataset.len(), dataset.num_attributes()), (1_908, 28));
+    assert!(actual.width() >= 1, "empty explanation");
+    assert_eq!(actual, expected);
+
+    let relief = ReliefConfig {
+        iterations: config.relief_iterations,
+        seed: config.seed,
+    };
+    assert_eq!(
+        relief_weights(dataset, relief),
+        mlcore::oracle::relief_weights(dataset, relief),
+    );
 }
 
 /// Regression: a single NaN feature cell used to panic the split search
