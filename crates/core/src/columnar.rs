@@ -378,40 +378,15 @@ impl ColumnarLog {
         )
     }
 
-    /// Assembles the view of `kind` from a loaded snapshot, without
-    /// re-encoding a single cell: the per-shard binary column segments are
-    /// pulled out of the snapshot and stitched together by the same
-    /// dictionary-remapping merge as [`ColumnarLog::build_sharded`] — so the
-    /// result is **bit-identical** to encoding the snapshot's log from
-    /// scratch, for any shard count the snapshot was written with
-    /// (proptested in `tests/properties.rs`).
-    ///
-    /// This is the warm half of the cold-start story: a service rehydrated
-    /// via [`XplainService::open_snapshot`](crate::service::XplainService::open_snapshot)
-    /// serves its first query from these columns instead of re-parsing JSON
-    /// and re-encoding the log.
-    pub fn build_from_snapshot(snapshot: &crate::snapshot::Snapshot, kind: ExecutionKind) -> Self {
-        let shards = snapshot.shards();
-        // Segment clones are shallow now that columns are `Arc`-backed
-        // (`ColumnData`): only dictionaries and originals are duplicated,
-        // so no thread fan-out is worth its setup here.
-        let segments: Vec<EncodedSegment> = shards
-            .iter()
-            .map(|shard| shard.segment(kind).clone())
-            .collect();
-        let records: Vec<ExecutionRecord> = shards
-            .iter()
-            .flat_map(|shard| shard.records().iter().filter(|r| r.kind == kind).cloned())
-            .collect();
-        ColumnarLog::assemble(kind, snapshot.catalog(kind), records, segments)
-    }
-
     /// Stitches encoded segments and their records into a view by
     /// dictionary remapping, with the column buffers adopted from the
     /// segments — a single segment's `Arc` columns are moved, not copied.
-    /// This is the merge behind [`ColumnarLog::build_sharded`] and the
-    /// zero-copy tail of [`Snapshot::into_views`]
-    /// (`crate::snapshot::Snapshot::into_views`).
+    /// This is the merge behind [`ColumnarLog::build_sharded`] and the one
+    /// path from a loaded snapshot to its views,
+    /// [`Snapshot::into_views`](crate::snapshot::Snapshot::into_views): a
+    /// service rehydrated via
+    /// [`XplainService::open_snapshot`](crate::service::XplainService::open_snapshot)
+    /// serves its first query from the stored columns without re-encoding.
     pub(crate) fn assemble(
         kind: ExecutionKind,
         catalog: &FeatureCatalog,

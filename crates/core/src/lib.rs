@@ -231,7 +231,10 @@
 //!    Incremental re-ingest ([`snapshot::sync`]) fingerprints each shard's
 //!    source and re-encodes only the dirty shards; a changed global
 //!    catalog re-encodes everything from on-disk records, still never
-//!    re-parsing the source.
+//!    re-parsing the source.  Full writes ([`snapshot::persist`]) and
+//!    incremental ones commit through one routine, and the strict open,
+//!    the salvage open, [`snapshot::verify`] and `sync`'s reuse check read
+//!    segments through one per-shard loader.
 //! 9. **Append live, refresh by delta.**
 //!    [`XplainService::append`](service::XplainService::append) extends the
 //!    served log *without* invalidating the cached views: the next query
@@ -258,8 +261,9 @@
 //!    ([`XplainService::view_stats`](service::XplainService::view_stats)).
 //! 10. **Recover in layers, cheapest remedy first.** Transient IO errors
 //!     (interrupted, would-block, timed-out) are absorbed *in place*: every
-//!     snapshot read, write and rename retries with bounded exponential
-//!     backoff before surfacing [`CoreError::SnapshotIo`], and
+//!     snapshot and journal file operation runs through one IO helper that
+//!     retries with bounded exponential backoff before surfacing
+//!     [`CoreError::SnapshotIo`], and
 //!     [`SyncReport::io_retries`](snapshot::SyncReport::io_retries) counts
 //!     what was absorbed.  A store the strict [`snapshot::open`] rejects as
 //!     corrupt is *salvaged* next ([`snapshot::open_salvage`],
@@ -301,9 +305,10 @@
 //!     audits frame checksums read-only alongside [`snapshot::verify`],
 //!     [`JournalStats`] (bytes, frames appended /
 //!     replayed / truncated, fsyncs, last rotation generation) feeds the
-//!     server's `status` probe, and the journal's write / fsync / replay
-//!     paths run through the same transient-retry and failpoint machinery
-//!     as the snapshot store.  The invariant is proven both ways: a
+//!     server's `status` probe.  The journal's write / fsync / replay
+//!     operations run through the store's IO helper (transient retry and
+//!     failpoints), and its frames encode records with the segment files'
+//!     record codec, every feature kept.  The invariant is proven both ways: a
 //!     crash-prefix proptest damages the journal at arbitrary byte offsets
 //!     and asserts exactly the acked prefix recovers, and the CI
 //!     crash-recovery smoke SIGKILLs a journaled server mid-storm and
@@ -316,7 +321,7 @@
 //! ingest/encode paths produce logs and views bit-identical to their
 //! single-shot counterparts for every shard count; and a persisted
 //! snapshot reopens to the same log and bit-identical views
-//! (`build_from_snapshot(persist(log)) ≡ build_sharded(log, ..)`), with
+//! (`open(persist(log)).into_views() ≡ build_sharded(log, ..)`), with
 //! one-dirty-shard syncs re-encoding exactly one segment; and the
 //! delta-maintained live views are equivalent to never having cached at
 //! all — under arbitrary interleavings of appends (catalog-preserving and

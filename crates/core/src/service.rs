@@ -702,7 +702,9 @@ impl XplainService {
             _ => None,
         };
         let report = with_journal_rotation(&mut journal, dir, || match incremental_from {
-            Some(rows) => crate::snapshot::sync_append(dir, log.records()[rows..].to_vec()),
+            Some(rows) => {
+                crate::snapshot::sync_append(dir, log.records()[rows..].to_vec(), log.generation())
+            }
             None => crate::snapshot::persist(&log, dir, crate::shard::hardware_threads()),
         })?;
         *state = Some(CheckpointState {
@@ -1945,11 +1947,22 @@ mod tests {
 
         // The checkpoint absorbs the tail into a segment and rotates the
         // journal: the old frames are gone, the cursor is back at the
-        // header, and the rotation generation matches the manifest's.
+        // header, and the rotation generation is the served log's, as the
+        // manifest records it.
         let report = service.checkpoint(&dir).unwrap();
         let after = service.journal_stats().unwrap();
         assert!(after.bytes < before.bytes);
         assert_eq!(after.last_rotation_generation, report.manifest.generation);
+        assert_eq!(after.last_rotation_generation, service.generation());
+        assert!(after.last_rotation_generation > before.last_rotation_generation);
+
+        // Every later incremental checkpoint moves it forward with the log.
+        service.append(extra_jobs(46, 2)).unwrap();
+        let report = service.checkpoint(&dir).unwrap();
+        let again = service.journal_stats().unwrap();
+        assert_eq!(again.last_rotation_generation, report.manifest.generation);
+        assert_eq!(again.last_rotation_generation, service.generation());
+        assert!(again.last_rotation_generation > after.last_rotation_generation);
 
         // A crash right after the checkpoint loses nothing: the manifest
         // covers everything and the fresh journal is empty.
@@ -1960,7 +1973,7 @@ mod tests {
 
         // Records appended before `enable_journal` are bridged into the
         // journal at enable time, so they too survive a crash.
-        reopened.append(extra_jobs(46, 3)).unwrap();
+        reopened.append(extra_jobs(48, 3)).unwrap();
         reopened.enable_journal(&dir, FsyncPolicy::Always).unwrap();
         let expected = reopened.snapshot();
         drop(reopened);

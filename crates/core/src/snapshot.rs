@@ -5,55 +5,78 @@
 //! log and re-encoded every columnar segment from scratch.  The snapshot
 //! store turns that around: the *encoded* form — per-shard binary column
 //! segments plus the records that produced them — is what lives on disk,
-//! and a cold start reads it straight back into the sharded pipeline:
+//! and a cold start reads it straight back into the sharded pipeline.
 //!
-//! * [`persist`] / [`persist_shards`] write one **segment file** per shard
-//!   (length-prefixed binary, format v2: the shard's records slimmed down
-//!   to id/kind/parent plus *exception* features, and its compressed job
-//!   and task column segments with local dictionaries, via
-//!   [`mlcore::ColumnStore::encode_binary`]) and a JSON **manifest** tying
-//!   the shards together: per-shard content fingerprints (FxHash, reusing
-//!   [`mlcore::hash`]), per-shard feature catalogs, per-shard byte
-//!   accounting ([`SnapshotManifest::usage`]), the merged global catalogs
-//!   and the source log's generation.  Feature values are **not** written
-//!   twice: a record's feature map is rebuilt on open from the column
-//!   segments, and only the cells the columns cannot reproduce bit-exactly
-//!   (a `Null` value, a canonical-text collision) ride along as explicit
-//!   exceptions.
-//! * [`open`] loads the segment files as jobs of the shared worker pool
-//!   ([`crate::pool::shared`]), verifies every fingerprint and every
-//!   schema against the manifest, and hands back a [`Snapshot`].
-//!   [`Snapshot::into_views`] consumes it into a [`SnapshotViews`] — the
-//!   reassembled [`ExecutionLog`] plus both [`ColumnarLog`] views — with
-//!   the decoded `Arc`-backed column buffers **moved, not copied**, into
-//!   the views (single-segment snapshots adopt them outright); the views
-//!   are **bit-identical** to [`ColumnarLog::build_sharded`] over the
-//!   original log, and the log equals [`ExecutionLog::from_shards`] over
-//!   the stored shard catalogs, **in manifest order** regardless of how
-//!   the files are laid out on disk.
-//! * [`sync`] is the incremental re-ingest primitive: the caller fingerprints
-//!   each shard's *source* (e.g. the raw bundle bytes), and shards whose
-//!   source fingerprint still matches the manifest are reused verbatim —
+//! On disk a store is one **segment file** per shard (length-prefixed
+//! binary, format v2: the shard's records slimmed down to id/kind/parent
+//! plus *exception* features, and its compressed job and task column
+//! segments with local dictionaries, via
+//! [`mlcore::ColumnStore::encode_binary`]), a JSON **manifest** tying the
+//! shards together — per-shard content fingerprints (FxHash, reusing
+//! [`mlcore::hash`]), per-shard feature catalogs, per-shard byte accounting
+//! ([`SnapshotManifest::usage`]), the merged global catalogs and the source
+//! log's generation — and, while a service journals its appends, the
+//! **append journal** `journal.bin` ([`Journal`]).  Feature values are
+//! **not** written twice: a record's feature map is rebuilt on open from
+//! the column segments, and only the cells the columns cannot reproduce
+//! bit-exactly (a `Null` value, a canonical-text collision) ride along as
+//! explicit exceptions.  Journal frames use the same record codec with
+//! every feature kept, since there are no columns to rebuild from.
+//!
+//! Each job of the store has one implementation:
+//!
+//! * **One commit routine** writes every manifest.  [`persist`] and
+//!   [`persist_shards`] run it with no old manifest (a full write: every
+//!   shard encoded, the directory created first); [`sync`] and
+//!   [`sync_append`] run it against the committed manifest, reusing shards
+//!   by position.  It merges the shard catalogs in input order, encodes
+//!   the fresh shards on the shared worker pool ([`crate::pool::shared`]),
+//!   writes their content-addressed segment files, commits the manifest by
+//!   write-then-rename and removes the segments and journal the commit made
+//!   stale.  Shards a [`sync`] reuses ([`ShardInput::Unchanged`], whose
+//!   source fingerprint still matches, or [`ShardInput::Keep`]) are
 //!   content-fingerprint-verified but never decoded, re-parsed or
-//!   re-encoded — while only the dirty shards are re-encoded.  When the merged feature catalog changes (a new shard
-//!   introduced a new feature, or a feature's kind flipped), every segment's
-//!   schema is stale and the store transparently re-encodes all shards from
-//!   their on-disk records — still without touching the original source.
+//!   re-encoded — unless the merged feature catalog changed (a new shard
+//!   introduced a feature, or a feature's kind flipped), in which case
+//!   every segment's schema is stale and the reused shards re-encode from
+//!   their on-disk records, still without touching the original source.
+//! * **One per-shard loader** reads segment files as jobs of the shared
+//!   worker pool, checks each file's bytes against the fingerprint the
+//!   manifest records, and — where the caller needs the records — decodes
+//!   it and checks its schema against the manifest.  [`open`] decodes every
+//!   shard and fails on the first damaged one in manifest order;
+//!   [`open_salvage`] decodes every shard and keeps going; [`verify`]
+//!   checks fingerprints only; [`sync`] checks the shards it reuses.
+//!   [`Snapshot::into_views`] consumes an opened snapshot into a
+//!   [`SnapshotViews`] — the reassembled [`ExecutionLog`] plus both
+//!   [`ColumnarLog`] views — with the decoded `Arc`-backed column buffers
+//!   **moved, not copied**, into the views (single-segment snapshots adopt
+//!   them outright); the views are **bit-identical** to
+//!   [`ColumnarLog::build_sharded`] over the original log, and the log
+//!   equals [`ExecutionLog::from_shards`] over the stored shard catalogs,
+//!   **in manifest order** regardless of how the files are laid out on
+//!   disk.
+//! * **One IO helper** runs every file operation of the store and the
+//!   journal: it fires the operation's named [`mlcore::failpoints`] site
+//!   (`snapshot.manifest.read`, `snapshot.segment.write`, `journal.fsync`,
+//!   …; cleanup, the journal's truncations and its reopen have none),
+//!   retries transient errors and maps the final one to
+//!   [`CoreError::SnapshotIo`], which best-effort cleanup (orphan
+//!   segments, the stale journal, an abandoned rotation) ignores.
 //!
 //! Corruption — truncated files, flipped bytes, edited manifests, version
 //! skew — surfaces as typed [`CoreError`]s ([`CoreError::SnapshotCorrupt`],
 //! [`CoreError::SnapshotVersionSkew`], [`CoreError::SnapshotIo`]), never a
 //! panic.  Recovery is **layered, cheapest first**:
 //!
-//! 1. **Transient-IO retry.** Every file operation of the store classifies
-//!    its `io::ErrorKind`: `Interrupted` / `WouldBlock` / `TimedOut` retry
-//!    in place with bounded exponential backoff and deterministic jitter
+//! 1. **Transient-IO retry.** The IO helper classifies each error's
+//!    `io::ErrorKind`: `Interrupted` / `WouldBlock` / `TimedOut` retry in
+//!    place with bounded exponential backoff and deterministic jitter
 //!    (`NotFound`, `InvalidData` and every other deterministic outcome
 //!    never retry), and the retry count surfaces in
 //!    [`SyncReport::io_retries`] so operators can see a flaky disk.
-//! 2. **Salvage, then targeted re-encode.** [`open_salvage`] is the
-//!    lenient [`open`]: it fingerprint-verifies every shard
-//!    *independently*, renames damaged segment files aside
+//! 2. **Salvage, then targeted re-encode.** [`open_salvage`] verifies
+//!    every shard *independently*, renames damaged segment files aside
 //!    (`quarantine-…`, never deleted — forensics survive), and returns a
 //!    [`PartialSnapshot`] of the healthy shards plus a [`ShardDamage`]
 //!    report.  [`sync`] with the damaged shards as [`ShardInput::Fresh`]
@@ -66,11 +89,10 @@
 //!    itself is unreadable or version-skewed, or the source no longer
 //!    matches the stored shard layout.
 //!
-//! Every IO site of the store is additionally a named
-//! [`mlcore::failpoints`] site (`snapshot.manifest.read`,
-//! `snapshot.segment.write`, `snapshot.segment.decode`, …), so the chaos
-//! suite (`tests/chaos.rs`, `--features failpoints`) can inject faults at
-//! any of them and prove the layering above actually holds.
+//! The failpoint sites let the chaos suite (`tests/chaos.rs`,
+//! `--features failpoints`) inject faults at any IO operation, plus the
+//! segment decode (`snapshot.segment.decode`), and prove the layering
+//! above actually holds.
 
 use crate::columnar::{encode_segment, ColumnarLog, EncodedSegment};
 use crate::error::{CoreError, Result};
@@ -199,59 +221,25 @@ fn io_error(path: &Path, err: std::io::Error) -> CoreError {
     }
 }
 
-/// `std::fs::read` with the failpoint for `site` and transient retry.
-fn read_file(path: &Path, site: &str, retries: &AtomicU64) -> Result<Vec<u8>> {
+/// Runs one file operation of the store or the journal: fires the
+/// failpoint `site` before each attempt (`None` for the operations that
+/// have no site), retries transient errors ([`with_io_retry`]) and maps the
+/// final error to [`CoreError::SnapshotIo`] naming `path`.
+fn io_op<T>(
+    site: Option<&str>,
+    path: &Path,
+    retries: &AtomicU64,
+    mut op: impl FnMut() -> std::io::Result<T>,
+) -> Result<T> {
     with_io_retry(retries, || {
-        if let Some(failure) = mlcore::failpoints::trigger(site) {
-            return Err(failure.into_io_error(site));
+        if let Some(site) = site {
+            if let Some(failure) = mlcore::failpoints::trigger(site) {
+                return Err(failure.into_io_error(site));
+            }
         }
-        std::fs::read(path)
+        op()
     })
     .map_err(|e| io_error(path, e))
-}
-
-/// `std::fs::read_to_string` with the failpoint for `site` and retry.
-fn read_file_to_string(path: &Path, site: &str, retries: &AtomicU64) -> Result<String> {
-    with_io_retry(retries, || {
-        if let Some(failure) = mlcore::failpoints::trigger(site) {
-            return Err(failure.into_io_error(site));
-        }
-        std::fs::read_to_string(path)
-    })
-    .map_err(|e| io_error(path, e))
-}
-
-/// `std::fs::write` with the failpoint for `site` and retry.
-fn write_file(path: &Path, site: &str, retries: &AtomicU64, bytes: &[u8]) -> Result<()> {
-    with_io_retry(retries, || {
-        if let Some(failure) = mlcore::failpoints::trigger(site) {
-            return Err(failure.into_io_error(site));
-        }
-        std::fs::write(path, bytes)
-    })
-    .map_err(|e| io_error(path, e))
-}
-
-/// `std::fs::rename` with the failpoint for `site` and retry.
-fn rename_file(from: &Path, to: &Path, site: &str, retries: &AtomicU64) -> Result<()> {
-    with_io_retry(retries, || {
-        if let Some(failure) = mlcore::failpoints::trigger(site) {
-            return Err(failure.into_io_error(site));
-        }
-        std::fs::rename(from, to)
-    })
-    .map_err(|e| io_error(to, e))
-}
-
-/// `std::fs::create_dir_all` with its failpoint and retry.
-fn create_dir(dir: &Path, retries: &AtomicU64) -> Result<()> {
-    with_io_retry(retries, || {
-        if let Some(failure) = mlcore::failpoints::trigger("snapshot.dir.create") {
-            return Err(failure.into_io_error("snapshot.dir.create"));
-        }
-        std::fs::create_dir_all(dir)
-    })
-    .map_err(|e| io_error(dir, e))
 }
 
 // ---------------------------------------------------------------------------
@@ -383,7 +371,9 @@ impl SnapshotManifest {
     /// through the transient-IO retry wrapper.
     fn load_with_retries(dir: &Path, retries: &AtomicU64) -> Result<SnapshotManifest> {
         let path = dir.join(MANIFEST_FILE);
-        let text = read_file_to_string(&path, "snapshot.manifest.read", retries)?;
+        let text = io_op(Some("snapshot.manifest.read"), &path, retries, || {
+            std::fs::read_to_string(&path)
+        })?;
         let corrupt = |message: String| CoreError::SnapshotCorrupt {
             path: path.display().to_string(),
             message,
@@ -421,9 +411,12 @@ impl SnapshotManifest {
             .map_err(|e| CoreError::Serialization(e.to_string()))?;
         let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
         let path = dir.join(MANIFEST_FILE);
-        write_file(&tmp, "snapshot.manifest.write", retries, json.as_bytes())?;
-        rename_file(&tmp, &path, "snapshot.manifest.rename", retries)?;
-        Ok(())
+        io_op(Some("snapshot.manifest.write"), &tmp, retries, || {
+            std::fs::write(&tmp, json.as_bytes())
+        })?;
+        io_op(Some("snapshot.manifest.rename"), &path, retries, || {
+            std::fs::rename(&tmp, &path)
+        })
     }
 }
 
@@ -509,16 +502,16 @@ fn column_reconstructs(
     }
 }
 
-/// Writes one record slimmed down to identity plus exceptions: features the
-/// column segment reproduces bit-exactly are *not* written — they are
-/// rebuilt from the columns on open.  `row` is the record's row within its
-/// kind's segment.
-fn encode_record_slim(
+/// Writes one record as identity plus features.  With `columns` — the
+/// column segment of the record's kind, its column index by feature name
+/// and the record's row in it (segment files) — the record is slimmed down
+/// to exceptions: features the column segment reproduces bit-exactly are
+/// *not* written, they are rebuilt from the columns on open.  Without
+/// (journal frames) every feature is kept.
+fn encode_record(
     writer: &mut ByteWriter,
     record: &ExecutionRecord,
-    segment: &EncodedSegment,
-    columns_by_name: &FxHashMap<&str, usize>,
-    row: usize,
+    columns: Option<(&EncodedSegment, &FxHashMap<&str, usize>, usize)>,
 ) {
     writer.put_str(&record.id);
     writer.put_u8(match record.kind {
@@ -536,8 +529,10 @@ fn encode_record_slim(
         .features
         .iter()
         .filter(|(name, value)| {
-            let col = columns_by_name.get(name.as_str()).copied();
-            !column_reconstructs(segment, row, col, value)
+            columns.is_none_or(|(segment, columns_by_name, row)| {
+                let col = columns_by_name.get(name.as_str()).copied();
+                !column_reconstructs(segment, row, col, value)
+            })
         })
         .collect();
     writer.put_u32(exceptions.len() as u32);
@@ -547,16 +542,11 @@ fn encode_record_slim(
     }
 }
 
-/// One record's identity and exception features, before the feature map is
-/// rebuilt from the column segments.
-struct RecordMeta {
-    id: String,
-    kind: ExecutionKind,
-    parent_job: Option<String>,
-    exceptions: Vec<(String, Value)>,
-}
-
-fn decode_record_meta(reader: &mut ByteReader<'_>) -> std::result::Result<RecordMeta, CodecError> {
+/// Reads one record written by [`encode_record`]: its identity and the
+/// features stored with it — every feature of a journal record, only the
+/// exceptions of a segment record, which [`rebuild_record`] completes from
+/// the columns.
+fn decode_record(reader: &mut ByteReader<'_>) -> std::result::Result<ExecutionRecord, CodecError> {
     let id = reader.get_str()?.to_string();
     let kind = match reader.get_u8()? {
         0 => ExecutionKind::Job,
@@ -577,41 +567,40 @@ fn decode_record_meta(reader: &mut ByteReader<'_>) -> std::result::Result<Record
         }
     };
     let count = reader.get_u32()? as usize;
-    let mut exceptions = Vec::with_capacity(count.min(reader.remaining()));
+    let mut features = BTreeMap::new();
     for _ in 0..count {
         let name = reader.get_str()?.to_string();
         let value = decode_value(reader, 0)?;
-        exceptions.push((name, value));
+        features.insert(name, value);
     }
-    Ok(RecordMeta {
+    Ok(ExecutionRecord {
         id,
         kind,
         parent_job,
-        exceptions,
+        features,
     })
 }
 
-/// Rebuilds one record's feature map: every present cell of its segment row
-/// contributes its feature, then the stored exceptions overwrite or extend.
-fn rebuild_record(meta: RecordMeta, segment: &EncodedSegment, row: usize) -> ExecutionRecord {
-    let mut features = BTreeMap::new();
+/// Completes a segment record's feature map: every present cell of its
+/// segment row contributes its feature, unless a stored exception already
+/// holds that feature.
+fn rebuild_record(
+    mut record: ExecutionRecord,
+    segment: &EncodedSegment,
+    row: usize,
+) -> ExecutionRecord {
     for col in 0..segment.store.num_columns() {
         let value = match segment.store.value(row, col) {
             AttrValue::Missing => continue,
             AttrValue::Num(v) => Value::Num(v),
             AttrValue::Nom(id) => segment.originals[col][id as usize].clone(),
         };
-        features.insert(segment.store.attribute(col).name.clone(), value);
+        record
+            .features
+            .entry(segment.store.attribute(col).name.clone())
+            .or_insert(value);
     }
-    for (name, value) in meta.exceptions {
-        features.insert(name, value);
-    }
-    ExecutionRecord {
-        id: meta.id,
-        kind: meta.kind,
-        parent_job: meta.parent_job,
-        features,
-    }
+    record
 }
 
 fn encode_columns(writer: &mut ByteWriter, segment: &EncodedSegment) {
@@ -673,14 +662,6 @@ impl SnapshotShard {
         match kind {
             ExecutionKind::Job => &self.job_catalog,
             ExecutionKind::Task => &self.task_catalog,
-        }
-    }
-
-    /// The encoded column segment of one kind.
-    pub(crate) fn segment(&self, kind: ExecutionKind) -> &EncodedSegment {
-        match kind {
-            ExecutionKind::Job => &self.job,
-            ExecutionKind::Task => &self.task,
         }
     }
 
@@ -809,7 +790,7 @@ fn encode_shard_file(
             };
             let row = *at;
             *at += 1;
-            encode_record_slim(w, record, segment, columns, row);
+            encode_record(w, record, Some((segment, columns, row)));
         }
     });
     let job_start = writer.len() as u64;
@@ -843,19 +824,22 @@ fn decode_shard_file(bytes: &[u8]) -> std::result::Result<ShardPayload, CodecErr
     }
     let mut records_block = reader.get_block()?;
     let count = records_block.get_count()?;
-    let mut metas = Vec::with_capacity(count.min(records_block.remaining()));
+    let mut stored = Vec::with_capacity(count.min(records_block.remaining()));
     for _ in 0..count {
-        metas.push(decode_record_meta(&mut records_block)?);
+        stored.push(decode_record(&mut records_block)?);
     }
     let job = decode_columns(&mut reader.get_block()?)?;
     let task = decode_columns(&mut reader.get_block()?)?;
 
     // The feature maps are rebuilt by walking each record's segment row, so
-    // the row counts must line up *before* any cell access (a zero-column
-    // store cannot know its row count and contributes nothing — see
-    // `load_shard`).
+    // the row counts must line up *before* any cell access.  A zero-column
+    // store (the records of this kind carry no features at all) cannot know
+    // its row count — `ColumnStore::from_columns` derives rows from the
+    // first column — and contributes nothing; the in-memory encode produces
+    // the same zero-row store for such logs, so views still assemble
+    // bit-identically.
     for (kind, segment) in [(ExecutionKind::Job, &job), (ExecutionKind::Task, &task)] {
-        let expected = metas.iter().filter(|m| m.kind == kind).count();
+        let expected = stored.iter().filter(|r| r.kind == kind).count();
         if segment.store.num_columns() > 0 && segment.store.num_rows() != expected {
             return Err(CodecError::Invalid(format!(
                 "{} segment encodes {} row(s) for {expected} {} record(s)",
@@ -867,16 +851,16 @@ fn decode_shard_file(bytes: &[u8]) -> std::result::Result<ShardPayload, CodecErr
     }
     let mut job_at = 0usize;
     let mut task_at = 0usize;
-    let records = metas
+    let records = stored
         .into_iter()
-        .map(|meta| {
-            let (segment, at) = match meta.kind {
+        .map(|record| {
+            let (segment, at) = match record.kind {
                 ExecutionKind::Job => (&job, &mut job_at),
                 ExecutionKind::Task => (&task, &mut task_at),
             };
             let row = *at;
             *at += 1;
-            rebuild_record(meta, segment, row)
+            rebuild_record(record, segment, row)
         })
         .collect();
     Ok(ShardPayload { records, job, task })
@@ -889,35 +873,44 @@ struct ShardPayload {
     task: EncodedSegment,
 }
 
-/// Loads and verifies one shard: read, fingerprint-check, decode,
-/// consistency-check against its manifest entry and the global catalogs.
-fn load_shard(
-    dir: &Path,
-    entry: &ShardEntry,
-    job_catalog: &FeatureCatalog,
-    task_catalog: &FeatureCatalog,
-    retries: &AtomicU64,
-) -> Result<SnapshotShard> {
+/// Reads one segment file and checks its bytes against the fingerprint the
+/// manifest records for it.
+fn read_segment(dir: &Path, entry: &ShardEntry, retries: &AtomicU64) -> Result<Vec<u8>> {
     let path = dir.join(&entry.file);
-    let display = path.display().to_string();
-    let bytes = read_file(&path, "snapshot.segment.read", retries)?;
-    let corrupt = |message: String| CoreError::SnapshotCorrupt {
-        path: display.clone(),
-        message,
-    };
+    let bytes = io_op(Some("snapshot.segment.read"), &path, retries, || {
+        std::fs::read(&path)
+    })?;
     let found = fingerprint_bytes(&bytes);
     if found != entry.fingerprint {
-        return Err(corrupt(format!(
-            "fingerprint mismatch: manifest records {:016x}, file hashes to {found:016x}",
-            entry.fingerprint
-        )));
+        return Err(CoreError::SnapshotCorrupt {
+            path: path.display().to_string(),
+            message: format!(
+                "fingerprint mismatch: manifest records {:016x}, file hashes to {found:016x}",
+                entry.fingerprint
+            ),
+        });
     }
+    Ok(bytes)
+}
+
+/// Decodes one fingerprint-verified segment file and checks it against its
+/// manifest entry and the manifest's global catalogs.
+fn decode_shard(
+    dir: &Path,
+    manifest: &SnapshotManifest,
+    entry: &ShardEntry,
+    bytes: &[u8],
+) -> Result<SnapshotShard> {
+    let corrupt = |message: String| CoreError::SnapshotCorrupt {
+        path: dir.join(&entry.file).display().to_string(),
+        message,
+    };
     if let Some(failure) = mlcore::failpoints::trigger("snapshot.segment.decode") {
         return Err(corrupt(
             failure.into_io_error("snapshot.segment.decode").to_string(),
         ));
     }
-    let payload = decode_shard_file(&bytes).map_err(|e| corrupt(e.to_string()))?;
+    let payload = decode_shard_file(bytes).map_err(|e| corrupt(e.to_string()))?;
     if payload.records.len() as u64 != entry.rows {
         return Err(corrupt(format!(
             "manifest records {} row(s), segment holds {}",
@@ -929,29 +922,7 @@ fn load_shard(
         (ExecutionKind::Job, &payload.job),
         (ExecutionKind::Task, &payload.task),
     ] {
-        let catalog = match kind {
-            ExecutionKind::Job => job_catalog,
-            ExecutionKind::Task => task_catalog,
-        };
-        verify_segment_schema(segment, catalog, kind).map_err(corrupt)?;
-        let expected = payload.records.iter().filter(|r| r.kind == kind).count();
-        // A zero-column store (empty catalog: the records of this kind
-        // carry no features at all) cannot know its row count —
-        // `ColumnStore::from_columns` derives rows from the first column —
-        // so the cross-check is only meaningful when columns exist.  The
-        // in-memory encode produces exactly the same zero-row store for
-        // such logs, so views still assemble bit-identically.
-        if !catalog.is_empty() && segment.store.num_rows() != expected {
-            return Err(CoreError::SnapshotCorrupt {
-                path: display.clone(),
-                message: format!(
-                    "{} segment encodes {} row(s) for {expected} {} record(s)",
-                    kind.as_str(),
-                    segment.store.num_rows(),
-                    kind.as_str()
-                ),
-            });
-        }
+        verify_segment_schema(segment, manifest.catalog(kind), kind).map_err(corrupt)?;
     }
     Ok(SnapshotShard {
         records: payload.records,
@@ -960,6 +931,42 @@ fn load_shard(
         job_catalog: entry.job_catalog.clone(),
         task_catalog: entry.task_catalog.clone(),
     })
+}
+
+/// The per-shard loader behind [`open`], [`open_salvage`], [`verify`] and
+/// the reuse check of [`sync`]: reads the segment files at the manifest
+/// positions `indices` as jobs of the shared worker pool
+/// ([`crate::pool::shared`]), verifies each file's fingerprint
+/// ([`read_segment`]) and passes the verified bytes to `finish` — a decode,
+/// or nothing for a fingerprint-only check.  Results come back in `indices`
+/// order.  With `strict` each job stops at its first failure: the caller
+/// fails with the first one in manifest order, so the shards after it need
+/// not be read.
+fn load_shards<T: Send>(
+    dir: &Path,
+    manifest: &SnapshotManifest,
+    indices: &[usize],
+    strict: bool,
+    retries: &AtomicU64,
+    finish: impl Fn(&ShardEntry, &[u8]) -> Result<T> + Sync,
+) -> Vec<(usize, Result<T>)> {
+    let pool = crate::pool::shared();
+    pool.map_chunks(indices, pool.threads(), |chunk| {
+        let mut loaded = Vec::with_capacity(chunk.len());
+        for &index in chunk {
+            let entry = &manifest.shards[index];
+            let result = read_segment(dir, entry, retries).and_then(|bytes| finish(entry, &bytes));
+            let failed = result.is_err();
+            loaded.push((index, result));
+            if strict && failed {
+                break;
+            }
+        }
+        loaded
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// A stored segment's schema must match the manifest's global catalog
@@ -1041,21 +1048,18 @@ impl Snapshot {
         )
     }
 
-    /// Assembles the columnar view of one kind without re-encoding
-    /// (see [`ColumnarLog::build_from_snapshot`]).
-    pub fn view(&self, kind: ExecutionKind) -> ColumnarLog {
-        ColumnarLog::build_from_snapshot(self, kind)
-    }
-
     /// Consumes the snapshot into the reassembled log plus both columnar
-    /// views, moving the decoded segments instead of cloning them: the
+    /// views without re-encoding a cell: the per-shard segments are
+    /// stitched together by the same dictionary-remapping merge as
+    /// [`ColumnarLog::build_sharded`], and moved rather than cloned — the
     /// `Arc`-backed column buffers decoded off disk are the ones the views
     /// end up holding (adopted outright for single-segment snapshots), so
     /// peak memory during a cold open is approximately the final views
-    /// plus the log — not 2–3× it, as the clone-per-view path costs.
+    /// plus the log.
     ///
-    /// The results are bit-identical to [`Snapshot::to_log`] and
-    /// [`Snapshot::view`] on the same snapshot.
+    /// The log equals [`Snapshot::to_log`]; the views are bit-identical to
+    /// encoding that log from scratch, for any shard count the snapshot was
+    /// written with (proptested in `tests/properties.rs`).
     pub fn into_views(self) -> SnapshotViews {
         let Snapshot { manifest, shards } = self;
         let mut shard_logs = Vec::with_capacity(shards.len());
@@ -1111,30 +1115,19 @@ pub struct SnapshotViews {
 }
 
 /// Opens a snapshot directory: manifest first, then every segment file
-/// loaded and fingerprint-verified as jobs of the shared worker pool
-/// ([`crate::pool::shared`]), assembled in manifest order.
+/// loaded, fingerprint-verified and decoded as jobs of the shared worker
+/// pool ([`crate::pool::shared`]), assembled in manifest order.  Fails with
+/// the first damaged shard in manifest order.
 pub fn open(dir: &Path) -> Result<Snapshot> {
-    let pool = crate::pool::shared();
     let retries = AtomicU64::new(0);
     let manifest = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let loaded: Result<Vec<Vec<SnapshotShard>>> = pool
-        .map_chunks(&manifest.shards, pool.threads(), |chunk| {
-            chunk
-                .iter()
-                .map(|entry| {
-                    load_shard(
-                        dir,
-                        entry,
-                        &manifest.job_catalog,
-                        &manifest.task_catalog,
-                        &retries,
-                    )
-                })
-                .collect::<Result<Vec<SnapshotShard>>>()
-        })
-        .into_iter()
-        .collect();
-    let shards: Vec<SnapshotShard> = loaded?.into_iter().flatten().collect();
+    let all: Vec<usize> = (0..manifest.shards.len()).collect();
+    let shards = load_shards(dir, &manifest, &all, true, &retries, |entry, bytes| {
+        decode_shard(dir, &manifest, entry, bytes)
+    })
+    .into_iter()
+    .map(|(_, shard)| shard)
+    .collect::<Result<Vec<SnapshotShard>>>()?;
 
     // The manifest's global catalogs must be exactly the merge of the
     // per-shard catalogs — otherwise `to_log` and the stored segments
@@ -1272,31 +1265,12 @@ impl PartialSnapshot {
 /// against, and the error says so; the recovery path for that case remains
 /// a full re-ingest.
 pub fn open_salvage(dir: &Path) -> Result<PartialSnapshot> {
-    let pool = crate::pool::shared();
     let retries = AtomicU64::new(0);
     let manifest = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let indexed: Vec<(usize, &ShardEntry)> = manifest.shards.iter().enumerate().collect();
-    let loaded: Vec<(usize, Result<SnapshotShard>)> = pool
-        .map_chunks(&indexed, pool.threads(), |chunk| {
-            chunk
-                .iter()
-                .map(|(index, entry)| {
-                    (
-                        *index,
-                        load_shard(
-                            dir,
-                            entry,
-                            &manifest.job_catalog,
-                            &manifest.task_catalog,
-                            &retries,
-                        ),
-                    )
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+    let all: Vec<usize> = (0..manifest.shards.len()).collect();
+    let loaded = load_shards(dir, &manifest, &all, false, &retries, |entry, bytes| {
+        decode_shard(dir, &manifest, entry, bytes)
+    });
 
     let mut healthy = Vec::with_capacity(loaded.len());
     let mut quarantined = Vec::new();
@@ -1311,9 +1285,11 @@ pub fn open_salvage(dir: &Path) -> Result<PartialSnapshot> {
                 // Best-effort: the damage report stands even if the rename
                 // fails (e.g. the file is simply missing).
                 let quarantined_as = if from.exists() {
-                    rename_file(&from, &to, "snapshot.segment.quarantine", &retries)
-                        .ok()
-                        .map(|()| quarantine_name)
+                    io_op(Some("snapshot.segment.quarantine"), &to, &retries, || {
+                        std::fs::rename(&from, &to)
+                    })
+                    .ok()
+                    .map(|()| quarantine_name)
                 } else {
                     None
                 };
@@ -1328,7 +1304,6 @@ pub fn open_salvage(dir: &Path) -> Result<PartialSnapshot> {
             }
         }
     }
-    quarantined.sort_by_key(|damage| damage.index);
     Ok(PartialSnapshot {
         manifest,
         healthy,
@@ -1364,48 +1339,23 @@ impl ShardHealth {
 /// [`ShardHealth`] per shard in manifest order; fails outright only when
 /// the manifest itself is unusable.
 pub fn verify(dir: &Path) -> Result<Vec<ShardHealth>> {
-    let pool = crate::pool::shared();
     let retries = AtomicU64::new(0);
     let manifest = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let indexed: Vec<(usize, &ShardEntry)> = manifest.shards.iter().enumerate().collect();
-    let mut checked: Vec<ShardHealth> = pool
-        .map_chunks(&indexed, pool.threads(), |chunk| {
-            chunk
-                .iter()
-                .map(|(index, entry)| {
-                    let path = dir.join(&entry.file);
-                    let error = match read_file(&path, "snapshot.segment.read", &retries) {
-                        Err(err) => Some(err),
-                        Ok(bytes) => {
-                            let found = fingerprint_bytes(&bytes);
-                            if found == entry.fingerprint {
-                                None
-                            } else {
-                                Some(CoreError::SnapshotCorrupt {
-                                    path: path.display().to_string(),
-                                    message: format!(
-                                        "fingerprint mismatch: manifest records {:016x}, \
-                                         file hashes to {found:016x}",
-                                        entry.fingerprint
-                                    ),
-                                })
-                            }
-                        }
-                    };
-                    ShardHealth {
-                        index: *index,
-                        file: entry.file.clone(),
-                        rows: entry.rows,
-                        error,
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    checked.sort_by_key(|health| health.index);
-    Ok(checked)
+    let all: Vec<usize> = (0..manifest.shards.len()).collect();
+    Ok(
+        load_shards(dir, &manifest, &all, false, &retries, |_, _| Ok(()))
+            .into_iter()
+            .map(|(index, checked)| {
+                let entry = &manifest.shards[index];
+                ShardHealth {
+                    index,
+                    file: entry.file.clone(),
+                    rows: entry.rows,
+                    error: checked.err(),
+                }
+            })
+            .collect(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1455,20 +1405,16 @@ pub struct SyncReport {
 pub fn persist(log: &ExecutionLog, dir: &Path, num_shards: usize) -> Result<SyncReport> {
     let records = log.records();
     let chunk_size = records.len().div_ceil(num_shards.max(1)).max(1);
-    let mut shards: Vec<RecordShard> = records
+    let shards = records
         .chunks(chunk_size)
-        .map(|chunk| RecordShard {
-            records: chunk.to_vec(),
-            source_fingerprint: None,
+        .map(|chunk| {
+            ShardInput::Fresh(RecordShard {
+                records: chunk.to_vec(),
+                source_fingerprint: None,
+            })
         })
         .collect();
-    if shards.is_empty() {
-        shards.push(RecordShard {
-            records: Vec::new(),
-            source_fingerprint: None,
-        });
-    }
-    persist_impl(dir, shards, log.generation())
+    commit(dir, None, shards, log.generation(), AtomicU64::new(0))
 }
 
 /// Persists explicit record shards (e.g. one per bundle batch, so the shard
@@ -1476,94 +1422,8 @@ pub fn persist(log: &ExecutionLog, dir: &Path, num_shards: usize) -> Result<Sync
 /// re-ingests).  Overwrites whatever snapshot was in `dir`; this is also
 /// the recovery path when [`open`] or [`sync`] report corruption.
 pub fn persist_shards(dir: &Path, shards: Vec<RecordShard>) -> Result<SyncReport> {
-    persist_impl(dir, shards, 1)
-}
-
-fn persist_impl(dir: &Path, mut shards: Vec<RecordShard>, generation: u64) -> Result<SyncReport> {
-    let pool = crate::pool::shared();
-    if shards.is_empty() {
-        shards.push(RecordShard {
-            records: Vec::new(),
-            source_fingerprint: None,
-        });
-    }
-    // Shard-local catalogs in parallel, then the global merge in order.
-    let local_catalogs: Vec<(FeatureCatalog, FeatureCatalog)> = pool
-        .map_chunks(&shards, pool.threads(), |chunk| {
-            chunk
-                .iter()
-                .map(|shard| infer_catalogs(&shard.records))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut job_catalog = FeatureCatalog::new();
-    let mut task_catalog = FeatureCatalog::new();
-    for (job, task) in &local_catalogs {
-        job_catalog.merge(job);
-        task_catalog.merge(task);
-    }
-
-    let encode_started = Instant::now();
-    let files: Vec<(Vec<u8>, ShardSizes)> = pool
-        .map_chunks(&shards, pool.threads(), |chunk| {
-            chunk
-                .iter()
-                .map(|shard| encode_shard_file(&shard.records, &job_catalog, &task_catalog))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let encode_seconds = encode_started.elapsed().as_secs_f64();
-
-    let write_started = Instant::now();
-    let retries = AtomicU64::new(0);
-    create_dir(dir, &retries)?;
-    let mut entries = Vec::with_capacity(shards.len());
-    for (i, ((shard, (bytes, sizes)), (job_local, task_local))) in
-        shards.iter().zip(&files).zip(local_catalogs).enumerate()
-    {
-        let fingerprint = fingerprint_bytes(bytes);
-        let file = segment_file_name(i, fingerprint);
-        let path = dir.join(&file);
-        write_file(&path, "snapshot.segment.write", &retries, bytes)?;
-        entries.push(ShardEntry {
-            file,
-            rows: shard.records.len() as u64,
-            fingerprint,
-            source_fingerprint: shard.source_fingerprint,
-            bytes: sizes.total,
-            job_bytes: sizes.job,
-            task_bytes: sizes.task,
-            raw_bytes: sizes.raw,
-            job_catalog: job_local,
-            task_catalog: task_local,
-        });
-    }
-    let manifest = SnapshotManifest {
-        version: SNAPSHOT_VERSION,
-        generation,
-        job_catalog,
-        task_catalog,
-        shards: entries,
-    };
-    manifest.save(dir, &retries)?;
-    remove_orphan_segments(dir, &manifest);
-    remove_stale_journal(dir);
-    let write_seconds = write_started.elapsed().as_secs_f64();
-
-    Ok(SyncReport {
-        rows: manifest.rows(),
-        shards_encoded: shards.len(),
-        shards_reused: 0,
-        catalog_changed: false,
-        encode_seconds,
-        write_seconds,
-        io_retries: retries.load(Ordering::Relaxed),
-        manifest,
-    })
+    let inputs = shards.into_iter().map(ShardInput::Fresh).collect();
+    commit(dir, None, inputs, 1, AtomicU64::new(0))
 }
 
 /// Segment file names embed the content fingerprint, so a re-encoded shard
@@ -1579,17 +1439,18 @@ fn segment_file_name(index: usize, fingerprint: u64) -> String {
 /// longer references: superseded versions of re-encoded shards, shards
 /// dropped by a shrinking re-ingest, and leftovers of crashed writes.
 /// Failures are ignored — an orphan costs disk, never correctness.
-fn remove_orphan_segments(dir: &Path, manifest: &SnapshotManifest) {
+fn remove_orphan_segments(dir: &Path, manifest: &SnapshotManifest, retries: &AtomicU64) {
     let referenced: std::collections::BTreeSet<&str> =
         manifest.shards.iter().map(|s| s.file.as_str()).collect();
-    let Ok(listing) = std::fs::read_dir(dir) else {
+    let Ok(listing) = io_op(None, dir, retries, || std::fs::read_dir(dir)) else {
         return;
     };
     for entry in listing.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         if name.starts_with("segment-") && name.ends_with(".bin") && !referenced.contains(name) {
-            let _ = std::fs::remove_file(entry.path());
+            let path = entry.path();
+            let _ = io_op(None, &path, retries, || std::fs::remove_file(&path));
         }
     }
 }
@@ -1635,270 +1496,7 @@ pub enum ShardInput {
 /// does not match the manifest; the recovery path is a full
 /// [`persist_shards`] with every shard fresh.
 pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
-    let pool = crate::pool::shared();
-    let retries = AtomicU64::new(0);
-    let old = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let manifest_path = dir.join(MANIFEST_FILE).display().to_string();
-
-    // An emptied source is a full rewrite down to one empty shard — a
-    // zero-shard manifest would be unreadable (`load` rejects it).
-    if inputs.is_empty() {
-        return persist_shards(dir, Vec::new());
-    }
-
-    // Validate every reuse claim against the manifest before doing work.
-    for (i, input) in inputs.iter().enumerate() {
-        match input {
-            ShardInput::Unchanged { source_fingerprint } => {
-                let recorded = old.shards.get(i).and_then(|e| e.source_fingerprint);
-                if recorded != Some(*source_fingerprint) {
-                    return Err(CoreError::SnapshotCorrupt {
-                        path: manifest_path.clone(),
-                        message: format!(
-                            "shard {i} cannot be reused: manifest records source fingerprint \
-                             {recorded:?}, caller observed {source_fingerprint:016x}"
-                        ),
-                    });
-                }
-            }
-            ShardInput::Keep if old.shards.get(i).is_none() => {
-                return Err(CoreError::SnapshotCorrupt {
-                    path: manifest_path.clone(),
-                    message: format!(
-                        "shard {i} cannot be kept: the manifest records only {} shards",
-                        old.shards.len()
-                    ),
-                });
-            }
-            _ => {}
-        }
-    }
-
-    // Per-shard catalogs: stored entries for unchanged shards, inference
-    // for fresh ones; then the global merge in input order.
-    let local_catalogs: Vec<(FeatureCatalog, FeatureCatalog)> = pool
-        .map_chunks(&inputs, pool.threads(), |chunk| {
-            chunk
-                .iter()
-                .map(|input| match input {
-                    ShardInput::Fresh(shard) => infer_catalogs(&shard.records),
-                    ShardInput::Unchanged { .. } | ShardInput::Keep => Default::default(),
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut job_catalog = FeatureCatalog::new();
-    let mut task_catalog = FeatureCatalog::new();
-    let mut entry_catalogs = Vec::with_capacity(inputs.len());
-    for (i, input) in inputs.iter().enumerate() {
-        let (job, task) = match input {
-            ShardInput::Fresh(_) => local_catalogs[i].clone(),
-            ShardInput::Unchanged { .. } | ShardInput::Keep => {
-                let entry = &old.shards[i];
-                (entry.job_catalog.clone(), entry.task_catalog.clone())
-            }
-        };
-        job_catalog.merge(&job);
-        task_catalog.merge(&task);
-        entry_catalogs.push((job, task));
-    }
-    let catalog_changed = job_catalog != old.job_catalog || task_catalog != old.task_catalog;
-
-    // When the schema moved, the reused shards' records must come off disk
-    // so their segments can re-encode against the new catalog.
-    let reloaded: Vec<Option<Vec<ExecutionRecord>>> = if catalog_changed {
-        let job_old = &old.job_catalog;
-        let task_old = &old.task_catalog;
-        pool.map_chunks(
-            &inputs.iter().enumerate().collect::<Vec<_>>(),
-            pool.threads(),
-            |chunk| {
-                chunk
-                    .iter()
-                    .map(|(i, input)| match input {
-                        ShardInput::Unchanged { .. } | ShardInput::Keep => {
-                            load_shard(dir, &old.shards[*i], job_old, task_old, &retries)
-                                .map(|shard| Some(shard.records))
-                        }
-                        ShardInput::Fresh(_) => Ok(None),
-                    })
-                    .collect::<Result<Vec<_>>>()
-            },
-        )
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        // Reused segments are still *served from disk* afterwards, so their
-        // content must be good: verify each one's fingerprint (a cheap byte
-        // hash — no decode, no re-encode) so a corrupted store fails this
-        // sync with a typed error instead of surfacing at the next open.
-        let unchanged: Vec<usize> = inputs
-            .iter()
-            .enumerate()
-            .filter(|(_, input)| matches!(input, ShardInput::Unchanged { .. } | ShardInput::Keep))
-            .map(|(i, _)| i)
-            .collect();
-        let verified: Result<Vec<()>> = pool
-            .map_chunks(&unchanged, pool.threads(), |chunk| {
-                chunk
-                    .iter()
-                    .map(|&i| {
-                        let entry = &old.shards[i];
-                        let path = dir.join(&entry.file);
-                        let bytes = read_file(&path, "snapshot.segment.read", &retries)?;
-                        let found = fingerprint_bytes(&bytes);
-                        if found != entry.fingerprint {
-                            return Err(CoreError::SnapshotCorrupt {
-                                path: path.display().to_string(),
-                                message: format!(
-                                    "fingerprint mismatch: manifest records {:016x}, \
-                                     file hashes to {found:016x}",
-                                    entry.fingerprint
-                                ),
-                            });
-                        }
-                        Ok(())
-                    })
-                    .collect::<Result<Vec<()>>>()
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>>>()
-            .map(|chunks| chunks.into_iter().flatten().collect());
-        verified?;
-        vec![None; inputs.len()]
-    };
-
-    // Encode what needs encoding.
-    let encode_started = Instant::now();
-    struct Job<'a> {
-        index: usize,
-        records: &'a [ExecutionRecord],
-    }
-    let mut jobs = Vec::new();
-    for (i, input) in inputs.iter().enumerate() {
-        match input {
-            ShardInput::Fresh(shard) => jobs.push(Job {
-                index: i,
-                records: &shard.records,
-            }),
-            ShardInput::Unchanged { .. } | ShardInput::Keep if catalog_changed => jobs.push(Job {
-                index: i,
-                records: reloaded[i].as_deref().expect("reloaded above"),
-            }),
-            ShardInput::Unchanged { .. } | ShardInput::Keep => {}
-        }
-    }
-    let encoded: Vec<(usize, (Vec<u8>, ShardSizes))> = pool
-        .map_chunks(&jobs, pool.threads(), |chunk| {
-            chunk
-                .iter()
-                .map(|job| {
-                    (
-                        job.index,
-                        encode_shard_file(job.records, &job_catalog, &task_catalog),
-                    )
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let encode_seconds = encode_started.elapsed().as_secs_f64();
-
-    // Write the fresh files and assemble the new manifest.
-    let write_started = Instant::now();
-    let mut fresh_files: BTreeMap<usize, (Vec<u8>, ShardSizes)> = encoded.into_iter().collect();
-    let mut entries = Vec::with_capacity(inputs.len());
-    let mut shards_encoded = 0usize;
-    let mut shards_reused = 0usize;
-    for (i, input) in inputs.iter().enumerate() {
-        let (job_local, task_local) = entry_catalogs[i].clone();
-        let entry = match (input, fresh_files.remove(&i)) {
-            (ShardInput::Unchanged { source_fingerprint }, None) => {
-                shards_reused += 1;
-                let old_entry = &old.shards[i];
-                ShardEntry {
-                    file: old_entry.file.clone(),
-                    rows: old_entry.rows,
-                    fingerprint: old_entry.fingerprint,
-                    source_fingerprint: Some(*source_fingerprint),
-                    bytes: old_entry.bytes,
-                    job_bytes: old_entry.job_bytes,
-                    task_bytes: old_entry.task_bytes,
-                    raw_bytes: old_entry.raw_bytes,
-                    job_catalog: job_local,
-                    task_catalog: task_local,
-                }
-            }
-            (ShardInput::Keep, None) => {
-                shards_reused += 1;
-                let old_entry = &old.shards[i];
-                let mut entry = old_entry.clone();
-                entry.job_catalog = job_local;
-                entry.task_catalog = task_local;
-                entry
-            }
-            (input, Some((bytes, sizes))) => {
-                shards_encoded += 1;
-                let rows = match input {
-                    ShardInput::Fresh(shard) => shard.records.len(),
-                    ShardInput::Unchanged { .. } | ShardInput::Keep => {
-                        reloaded[i].as_ref().expect("reloaded above").len()
-                    }
-                };
-                let source_fingerprint = match input {
-                    ShardInput::Fresh(shard) => shard.source_fingerprint,
-                    ShardInput::Unchanged { source_fingerprint } => Some(*source_fingerprint),
-                    ShardInput::Keep => old.shards[i].source_fingerprint,
-                };
-                let fingerprint = fingerprint_bytes(&bytes);
-                let file = segment_file_name(i, fingerprint);
-                let path = dir.join(&file);
-                write_file(&path, "snapshot.segment.write", &retries, &bytes)?;
-                ShardEntry {
-                    file,
-                    rows: rows as u64,
-                    fingerprint,
-                    source_fingerprint,
-                    bytes: sizes.total,
-                    job_bytes: sizes.job,
-                    task_bytes: sizes.task,
-                    raw_bytes: sizes.raw,
-                    job_catalog: job_local,
-                    task_catalog: task_local,
-                }
-            }
-            (ShardInput::Fresh(_), None) => unreachable!("fresh shards are always encoded"),
-        };
-        entries.push(entry);
-    }
-    let manifest = SnapshotManifest {
-        version: SNAPSHOT_VERSION,
-        generation: 1,
-        job_catalog,
-        task_catalog,
-        shards: entries,
-    };
-    manifest.save(dir, &retries)?;
-    remove_orphan_segments(dir, &manifest);
-    remove_stale_journal(dir);
-    let write_seconds = write_started.elapsed().as_secs_f64();
-
-    Ok(SyncReport {
-        rows: manifest.rows(),
-        shards_encoded,
-        shards_reused,
-        catalog_changed,
-        encode_seconds,
-        write_seconds,
-        io_retries: retries.load(Ordering::Relaxed),
-        manifest,
-    })
+    sync_at_generation(dir, inputs, 1)
 }
 
 /// Persists `tail` — the records appended since the snapshot in `dir` was
@@ -1909,21 +1507,239 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
 /// When the tail introduces features the stored catalog has never seen the
 /// schema moved, and [`sync`] transparently re-encodes every segment from
 /// its on-disk records — slower, still correct, still no source re-parse.
+/// `generation` is the served log's generation, recorded in the manifest
+/// like [`persist`] records it.
 ///
 /// An empty tail degenerates to a keep-everything sync: the stored
 /// segments are fingerprint-verified and the manifest rewritten, nothing
 /// re-encoded.
-pub fn sync_append(dir: &Path, tail: Vec<ExecutionRecord>) -> Result<SyncReport> {
-    let retries = AtomicU64::new(0);
-    let old = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let mut inputs: Vec<ShardInput> = (0..old.shards.len()).map(|_| ShardInput::Keep).collect();
+pub fn sync_append(dir: &Path, tail: Vec<ExecutionRecord>, generation: u64) -> Result<SyncReport> {
+    let stored = SnapshotManifest::load(dir)?.shards.len();
+    let mut inputs: Vec<ShardInput> = (0..stored).map(|_| ShardInput::Keep).collect();
     if !tail.is_empty() {
         inputs.push(ShardInput::Fresh(RecordShard {
             records: tail,
             source_fingerprint: None,
         }));
     }
-    sync(dir, inputs)
+    sync_at_generation(dir, inputs, generation)
+}
+
+/// [`sync`] recording `generation` in the committed manifest.
+fn sync_at_generation(dir: &Path, inputs: Vec<ShardInput>, generation: u64) -> Result<SyncReport> {
+    let retries = AtomicU64::new(0);
+    let old = SnapshotManifest::load_with_retries(dir, &retries)?;
+    // An emptied source is a full rewrite down to one empty shard.
+    if inputs.is_empty() {
+        return persist_shards(dir, Vec::new());
+    }
+    commit(dir, Some(&old), inputs, generation, retries)
+}
+
+/// The one commit routine behind [`persist`], [`persist_shards`], [`sync`]
+/// and [`sync_append`].  `old` is the committed manifest the inputs refer
+/// to by position, or `None` for a full write, where every input is
+/// [`ShardInput::Fresh`] and the directory is created first.
+///
+/// Validates every reuse claim, merges the shard catalogs in input order,
+/// verifies every reused segment through the loader (decoding its records
+/// when the merged catalog moved, so it can re-encode), encodes and writes
+/// the new segment files, commits the manifest recording `generation`, and
+/// removes the segments and the journal the commit made stale.
+fn commit(
+    dir: &Path,
+    old: Option<&SnapshotManifest>,
+    mut inputs: Vec<ShardInput>,
+    generation: u64,
+    retries: AtomicU64,
+) -> Result<SyncReport> {
+    let pool = crate::pool::shared();
+    // A zero-shard manifest would be unreadable (`load` rejects it).
+    if inputs.is_empty() {
+        inputs.push(ShardInput::Fresh(RecordShard {
+            records: Vec::new(),
+            source_fingerprint: None,
+        }));
+    }
+    let old_shards = old.map_or(&[][..], |old| old.shards.as_slice());
+
+    // Validate every reuse claim against the manifest before doing work.
+    let manifest_path = || dir.join(MANIFEST_FILE).display().to_string();
+    for (i, input) in inputs.iter().enumerate() {
+        match input {
+            ShardInput::Unchanged { source_fingerprint } => {
+                let recorded = old_shards.get(i).and_then(|e| e.source_fingerprint);
+                if recorded != Some(*source_fingerprint) {
+                    return Err(CoreError::SnapshotCorrupt {
+                        path: manifest_path(),
+                        message: format!(
+                            "shard {i} cannot be reused: manifest records source fingerprint \
+                             {recorded:?}, caller observed {source_fingerprint:016x}"
+                        ),
+                    });
+                }
+            }
+            ShardInput::Keep if old_shards.get(i).is_none() => {
+                return Err(CoreError::SnapshotCorrupt {
+                    path: manifest_path(),
+                    message: format!(
+                        "shard {i} cannot be kept: the manifest records only {} shards",
+                        old_shards.len()
+                    ),
+                });
+            }
+            _ => {}
+        }
+    }
+
+    // Per-shard catalogs: inference for fresh shards, the stored entries
+    // for reused ones; then the global merge in input order.
+    let inferred: Vec<Option<(FeatureCatalog, FeatureCatalog)>> = pool
+        .map_chunks(&inputs, pool.threads(), |chunk| {
+            chunk
+                .iter()
+                .map(|input| match input {
+                    ShardInput::Fresh(shard) => Some(infer_catalogs(&shard.records)),
+                    ShardInput::Unchanged { .. } | ShardInput::Keep => None,
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    let mut job_catalog = FeatureCatalog::new();
+    let mut task_catalog = FeatureCatalog::new();
+    let entry_catalogs: Vec<(FeatureCatalog, FeatureCatalog)> = inferred
+        .into_iter()
+        .enumerate()
+        .map(|(i, local)| {
+            let local = local.unwrap_or_else(|| {
+                let entry = &old_shards[i];
+                (entry.job_catalog.clone(), entry.task_catalog.clone())
+            });
+            job_catalog.merge(&local.0);
+            task_catalog.merge(&local.1);
+            local
+        })
+        .collect();
+    let catalog_changed =
+        old.is_some_and(|old| job_catalog != old.job_catalog || task_catalog != old.task_catalog);
+
+    // Reused segments are still *served from disk* afterwards, so their
+    // content must be good: the loader fingerprint-verifies each one, so a
+    // corrupted store fails this commit with a typed error instead of
+    // surfacing at the next open.  When the schema moved, their records
+    // must also come off disk so the segments can re-encode against the
+    // new catalog.
+    let mut reloaded: Vec<Option<Vec<ExecutionRecord>>> = inputs.iter().map(|_| None).collect();
+    if let Some(old) = old {
+        let reused: Vec<usize> = (0..inputs.len())
+            .filter(|&i| !matches!(inputs[i], ShardInput::Fresh(_)))
+            .collect();
+        let loaded = load_shards(dir, old, &reused, true, &retries, |entry, bytes| {
+            if catalog_changed {
+                decode_shard(dir, old, entry, bytes).map(|shard| Some(shard.records))
+            } else {
+                Ok(None)
+            }
+        });
+        for (i, records) in loaded {
+            reloaded[i] = records?;
+        }
+    }
+
+    // Encode what needs encoding: the fresh shards, and the reused ones
+    // when the schema moved.
+    let encode_started = Instant::now();
+    let jobs: Vec<(usize, &[ExecutionRecord])> = inputs
+        .iter()
+        .zip(&reloaded)
+        .enumerate()
+        .filter_map(|(i, (input, reloaded))| match input {
+            ShardInput::Fresh(shard) => Some((i, shard.records.as_slice())),
+            ShardInput::Unchanged { .. } | ShardInput::Keep => {
+                reloaded.as_deref().map(|records| (i, records))
+            }
+        })
+        .collect();
+    let mut encoded: BTreeMap<usize, (Vec<u8>, ShardSizes)> = pool
+        .map_chunks(&jobs, pool.threads(), |chunk| {
+            chunk
+                .iter()
+                .map(|&(i, records)| (i, encode_shard_file(records, &job_catalog, &task_catalog)))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    let encode_seconds = encode_started.elapsed().as_secs_f64();
+
+    // Write the new segment files and assemble the new manifest.
+    let write_started = Instant::now();
+    if old.is_none() {
+        io_op(Some("snapshot.dir.create"), dir, &retries, || {
+            std::fs::create_dir_all(dir)
+        })?;
+    }
+    let mut entries = Vec::with_capacity(inputs.len());
+    let mut shards_reused = 0usize;
+    for (i, (input, (job_local, task_local))) in inputs.iter().zip(entry_catalogs).enumerate() {
+        let Some((bytes, sizes)) = encoded.remove(&i) else {
+            // Reused as stored: the claim validated above means the entry,
+            // source fingerprint included, carries over unchanged.
+            shards_reused += 1;
+            entries.push(old_shards[i].clone());
+            continue;
+        };
+        let (rows, source_fingerprint) = match input {
+            ShardInput::Fresh(shard) => (shard.records.len() as u64, shard.source_fingerprint),
+            // Re-encoded after a schema move: the same records (the loader
+            // checked their count) from the same source.
+            ShardInput::Unchanged { .. } | ShardInput::Keep => {
+                (old_shards[i].rows, old_shards[i].source_fingerprint)
+            }
+        };
+        let fingerprint = fingerprint_bytes(&bytes);
+        let file = segment_file_name(i, fingerprint);
+        let path = dir.join(&file);
+        io_op(Some("snapshot.segment.write"), &path, &retries, || {
+            std::fs::write(&path, &bytes)
+        })?;
+        entries.push(ShardEntry {
+            file,
+            rows,
+            fingerprint,
+            source_fingerprint,
+            bytes: sizes.total,
+            job_bytes: sizes.job,
+            task_bytes: sizes.task,
+            raw_bytes: sizes.raw,
+            job_catalog: job_local,
+            task_catalog: task_local,
+        });
+    }
+    let manifest = SnapshotManifest {
+        version: SNAPSHOT_VERSION,
+        generation,
+        job_catalog,
+        task_catalog,
+        shards: entries,
+    };
+    manifest.save(dir, &retries)?;
+    remove_orphan_segments(dir, &manifest, &retries);
+    remove_stale_journal(dir, &retries);
+    let write_seconds = write_started.elapsed().as_secs_f64();
+
+    Ok(SyncReport {
+        rows: manifest.rows(),
+        shards_encoded: inputs.len() - shards_reused,
+        shards_reused,
+        catalog_changed,
+        encode_seconds,
+        write_seconds,
+        io_retries: retries.load(Ordering::Relaxed),
+        manifest,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -2078,66 +1894,6 @@ fn journal_header_bytes() -> Vec<u8> {
     writer.into_bytes()
 }
 
-/// Journal records carry the **full** feature map — unlike
-/// [`encode_record_slim`], there are no column segments to rebuild from on
-/// replay.
-fn encode_journal_record(writer: &mut ByteWriter, record: &ExecutionRecord) {
-    writer.put_str(&record.id);
-    writer.put_u8(match record.kind {
-        ExecutionKind::Job => 0,
-        ExecutionKind::Task => 1,
-    });
-    match &record.parent_job {
-        None => writer.put_u8(0),
-        Some(parent) => {
-            writer.put_u8(1);
-            writer.put_str(parent);
-        }
-    }
-    writer.put_u32(record.features.len() as u32);
-    for (name, value) in &record.features {
-        writer.put_str(name);
-        encode_value(writer, value);
-    }
-}
-
-fn decode_journal_record(
-    reader: &mut ByteReader<'_>,
-) -> std::result::Result<ExecutionRecord, CodecError> {
-    let id = reader.get_str()?.to_string();
-    let kind = match reader.get_u8()? {
-        0 => ExecutionKind::Job,
-        1 => ExecutionKind::Task,
-        tag => {
-            return Err(CodecError::Invalid(format!(
-                "unknown record kind tag {tag} on '{id}'"
-            )))
-        }
-    };
-    let parent_job = match reader.get_u8()? {
-        0 => None,
-        1 => Some(reader.get_str()?.to_string()),
-        tag => {
-            return Err(CodecError::Invalid(format!(
-                "unknown parent tag {tag} on '{id}'"
-            )))
-        }
-    };
-    let count = reader.get_u32()? as usize;
-    let mut features = BTreeMap::new();
-    for _ in 0..count {
-        let name = reader.get_str()?.to_string();
-        let value = decode_value(reader, 0)?;
-        features.insert(name, value);
-    }
-    Ok(ExecutionRecord {
-        id,
-        kind,
-        parent_job,
-        features,
-    })
-}
-
 /// Encodes one append batch as a self-verifying journal frame.
 fn encode_journal_frame(start_rows: u64, records: &[ExecutionRecord]) -> Vec<u8> {
     let mut writer = ByteWriter::with_capacity(records.len() * 96 + 32);
@@ -2145,7 +1901,7 @@ fn encode_journal_frame(start_rows: u64, records: &[ExecutionRecord]) -> Vec<u8>
         w.put_u64(start_rows);
         w.put_u64(records.len() as u64);
         for record in records {
-            encode_journal_record(w, record);
+            encode_record(w, record, None);
         }
     });
     writer.into_bytes()
@@ -2159,7 +1915,7 @@ fn decode_journal_frame(
     let count = block.get_count()?;
     let mut records = Vec::with_capacity(count.min(block.remaining()));
     for _ in 0..count {
-        records.push(decode_journal_record(&mut block)?);
+        records.push(decode_record(&mut block)?);
     }
     if !block.is_exhausted() {
         return Err(CodecError::Invalid(
@@ -2172,34 +1928,46 @@ fn decode_journal_frame(
     })
 }
 
-/// One pass over a journal file's bytes: decodes clean frames in order and
-/// reports where validity ends.  Never fails — damage is data, not an
-/// error.
+/// One pass over a journal file: its clean frames in order and where
+/// validity ends.
 struct JournalScan {
     batches: Vec<JournalBatch>,
+    /// Bytes of the file on disk.
+    file_bytes: u64,
     /// Bytes (from the start of the file) covered by the header plus every
     /// clean frame; anything beyond is torn or corrupt.
     valid_bytes: u64,
     damage: Option<String>,
 }
 
-fn scan_journal(bytes: &[u8]) -> JournalScan {
+/// Reads the journal in `dir` (`None` when the store has none) and decodes
+/// its clean frames in order.  Only the read can fail — damage is data, not
+/// an error.
+fn scan_journal(dir: &Path, retries: &AtomicU64) -> Result<Option<JournalScan>> {
+    let path = dir.join(JOURNAL_FILE);
+    if !path.exists() {
+        return Ok(None);
+    }
+    let bytes = io_op(Some("journal.replay"), &path, retries, || {
+        std::fs::read(&path)
+    })?;
     let mut scan = JournalScan {
         batches: Vec::new(),
+        file_bytes: bytes.len() as u64,
         valid_bytes: 0,
         damage: None,
     };
     if bytes.is_empty() {
         // An empty file is a journal that never got its header — nothing
         // was ever acknowledged against it, so it is vacuously clean.
-        return scan;
+        return Ok(Some(scan));
     }
-    let mut reader = ByteReader::new(bytes);
+    let mut reader = ByteReader::new(&bytes);
     let header_ok = matches!(reader.take(JOURNAL_MAGIC.len()), Ok(magic) if magic == JOURNAL_MAGIC)
         && matches!(reader.get_u32(), Ok(version) if version == SNAPSHOT_VERSION);
     if !header_ok {
         scan.damage = Some("not a journal file (bad magic or version)".to_string());
-        return scan;
+        return Ok(Some(scan));
     }
     scan.valid_bytes = JOURNAL_HEADER_BYTES;
     while !reader.is_exhausted() {
@@ -2218,7 +1986,7 @@ fn scan_journal(bytes: &[u8]) -> JournalScan {
             }
         }
     }
-    scan
+    Ok(Some(scan))
 }
 
 /// Reads the journal in `dir` for replay: decodes every clean frame and
@@ -2230,22 +1998,18 @@ fn scan_journal(bytes: &[u8]) -> JournalScan {
 /// [`JournalBatch::start_rows`], so frames already covered by the manifest
 /// are skipped and replay stays idempotent.
 pub fn read_journal(dir: &Path) -> Result<JournalReplay> {
-    let path = dir.join(JOURNAL_FILE);
-    if !path.exists() {
-        return Ok(JournalReplay::default());
-    }
     let retries = AtomicU64::new(0);
-    let bytes = read_file(&path, "journal.replay", &retries)?;
-    let scan = scan_journal(&bytes);
+    let Some(scan) = scan_journal(dir, &retries)? else {
+        return Ok(JournalReplay::default());
+    };
     let mut frames_truncated = 0;
-    if scan.valid_bytes < bytes.len() as u64 {
+    if scan.valid_bytes < scan.file_bytes {
         frames_truncated = 1;
-        let valid = scan.valid_bytes;
-        with_io_retry(&retries, || {
+        let path = dir.join(JOURNAL_FILE);
+        io_op(None, &path, &retries, || {
             let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-            file.set_len(valid)
-        })
-        .map_err(|e| io_error(&path, e))?;
+            file.set_len(scan.valid_bytes)
+        })?;
     }
     Ok(JournalReplay {
         batches: scan.batches,
@@ -2259,16 +2023,12 @@ pub fn read_journal(dir: &Path) -> Result<JournalReplay> {
 /// checksum without truncating or touching the file.  A missing journal is
 /// healthy (the store simply has no live tail).
 pub fn verify_journal(dir: &Path) -> Result<JournalHealth> {
-    let path = dir.join(JOURNAL_FILE);
-    if !path.exists() {
+    let Some(scan) = scan_journal(dir, &AtomicU64::new(0))? else {
         return Ok(JournalHealth::default());
-    }
-    let retries = AtomicU64::new(0);
-    let bytes = read_file(&path, "journal.replay", &retries)?;
-    let scan = scan_journal(&bytes);
+    };
     Ok(JournalHealth {
         present: true,
-        bytes: bytes.len() as u64,
+        bytes: scan.file_bytes,
         frames: scan.batches.len() as u64,
         records: scan.batches.iter().map(|b| b.records.len() as u64).sum(),
         damage: scan.damage,
@@ -2339,21 +2099,19 @@ impl Journal {
         frames_truncated: u64,
     ) -> Result<Journal> {
         let retries = AtomicU64::new(0);
-        create_dir(dir, &retries)?;
+        io_op(Some("snapshot.dir.create"), dir, &retries, || {
+            std::fs::create_dir_all(dir)
+        })?;
         let path = dir.join(JOURNAL_FILE);
-        let file = with_io_retry(&retries, || {
-            if let Some(failure) = mlcore::failpoints::trigger("journal.write") {
-                return Err(failure.into_io_error("journal.write"));
-            }
+        let file = io_op(Some("journal.write"), &path, &retries, || {
             std::fs::OpenOptions::new()
                 .read(true)
                 .write(true)
                 .create(true)
                 .truncate(false)
                 .open(&path)
-        })
-        .map_err(|e| io_error(&path, e))?;
-        let len = file.metadata().map_err(|e| io_error(&path, e))?.len();
+        })?;
+        let len = io_op(None, &path, &retries, || file.metadata())?.len();
         let mut journal = Journal {
             dir: dir.to_path_buf(),
             path,
@@ -2371,11 +2129,11 @@ impl Journal {
         };
         if reset || len < JOURNAL_HEADER_BYTES {
             journal.write_at(0, &journal_header_bytes())?;
-            let header = JOURNAL_HEADER_BYTES;
-            let file = &mut journal.file;
-            with_io_retry(&journal.retries, || file.set_len(header))
-                .map_err(|e| io_error(&journal.path, e))?;
-            journal.bytes = header;
+            let file = &journal.file;
+            io_op(None, &journal.path, &journal.retries, || {
+                file.set_len(JOURNAL_HEADER_BYTES)
+            })?;
+            journal.bytes = JOURNAL_HEADER_BYTES;
         }
         Ok(journal)
     }
@@ -2411,25 +2169,17 @@ impl Journal {
     /// never duplicates a partial write.
     fn write_at(&mut self, offset: u64, bytes: &[u8]) -> Result<()> {
         let file = &mut self.file;
-        with_io_retry(&self.retries, || {
-            if let Some(failure) = mlcore::failpoints::trigger("journal.write") {
-                return Err(failure.into_io_error("journal.write"));
-            }
+        io_op(Some("journal.write"), &self.path, &self.retries, || {
             file.seek(SeekFrom::Start(offset))?;
             file.write_all(bytes)
         })
-        .map_err(|e| io_error(&self.path, e))
     }
 
     fn fsync_now(&mut self) -> Result<()> {
-        let file = &mut self.file;
-        with_io_retry(&self.retries, || {
-            if let Some(failure) = mlcore::failpoints::trigger("journal.fsync") {
-                return Err(failure.into_io_error("journal.fsync"));
-            }
+        let file = &self.file;
+        io_op(Some("journal.fsync"), &self.path, &self.retries, || {
             file.sync_data()
-        })
-        .map_err(|e| io_error(&self.path, e))?;
+        })?;
         self.fsyncs += 1;
         self.unsynced_frames = 0;
         Ok(())
@@ -2469,8 +2219,8 @@ impl Journal {
             self.bytes = pre_bytes;
             self.frames_appended = pre_appended;
             self.unsynced_frames = pre_unsynced;
-            let file = &mut self.file;
-            if with_io_retry(&self.retries, || file.set_len(pre_bytes)).is_err() {
+            let file = &self.file;
+            if io_op(None, &self.path, &self.retries, || file.set_len(pre_bytes)).is_err() {
                 self.broken = true;
             }
         }
@@ -2521,12 +2271,10 @@ impl Journal {
     /// tail.
     pub fn begin_rotation(&mut self) -> Result<()> {
         let tmp = self.dir.join(JOURNAL_TMP_FILE);
-        write_file(
-            &tmp,
-            "journal.write",
-            &self.retries,
-            &journal_header_bytes(),
-        )
+        let header = journal_header_bytes();
+        io_op(Some("journal.write"), &tmp, &self.retries, || {
+            std::fs::write(&tmp, &header)
+        })
     }
 
     /// Completes a rotation after the manifest committed: the staged
@@ -2534,16 +2282,16 @@ impl Journal {
     /// `generation` is the manifest generation the checkpoint wrote.
     pub fn commit_rotation(&mut self, generation: u64) -> Result<()> {
         let tmp = self.dir.join(JOURNAL_TMP_FILE);
-        rename_file(&tmp, &self.path, "journal.write", &self.retries)?;
-        let path = self.path.clone();
-        let file = with_io_retry(&self.retries, || {
+        let path = &self.path;
+        io_op(Some("journal.write"), path, &self.retries, || {
+            std::fs::rename(&tmp, path)
+        })?;
+        self.file = io_op(None, path, &self.retries, || {
             std::fs::OpenOptions::new()
                 .read(true)
                 .write(true)
-                .open(&path)
-        })
-        .map_err(|e| io_error(&path, e))?;
-        self.file = file;
+                .open(path)
+        })?;
         self.bytes = JOURNAL_HEADER_BYTES;
         self.unsynced_frames = 0;
         self.last_rotation_generation = generation;
@@ -2558,7 +2306,8 @@ impl Journal {
     /// failed): best-effort removal of the scratch file; the old journal
     /// stays authoritative.
     pub fn abort_rotation(&mut self) {
-        let _ = std::fs::remove_file(self.dir.join(JOURNAL_TMP_FILE));
+        let tmp = self.dir.join(JOURNAL_TMP_FILE);
+        let _ = io_op(None, &tmp, &self.retries, || std::fs::remove_file(&tmp));
     }
 }
 
@@ -2569,8 +2318,9 @@ impl Journal {
 /// rotates right after ([`Journal::commit_rotation`] renames the staged
 /// `journal.bin.tmp` into place — which is why the scratch file is left
 /// alone here).
-fn remove_stale_journal(dir: &Path) {
-    let _ = std::fs::remove_file(dir.join(JOURNAL_FILE));
+fn remove_stale_journal(dir: &Path, retries: &AtomicU64) {
+    let path = dir.join(JOURNAL_FILE);
+    let _ = io_op(None, &path, retries, || std::fs::remove_file(&path));
 }
 
 #[cfg(test)]
@@ -2630,9 +2380,9 @@ mod tests {
             let snapshot = open(&dir).unwrap();
             assert_eq!(snapshot.num_rows(), log.len());
             assert_eq!(snapshot.to_log(), log);
-            for kind in [ExecutionKind::Job, ExecutionKind::Task] {
-                assert_eq!(snapshot.view(kind), ColumnarLog::build(&log, kind));
-            }
+            let views = snapshot.into_views();
+            assert_eq!(views.job, ColumnarLog::build(&log, ExecutionKind::Job));
+            assert_eq!(views.task, ColumnarLog::build(&log, ExecutionKind::Task));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2645,7 +2395,7 @@ mod tests {
         let snapshot = open(&dir).unwrap();
         assert_eq!(snapshot.num_rows(), 0);
         assert_eq!(snapshot.to_log(), log);
-        assert_eq!(snapshot.view(ExecutionKind::Job).num_rows(), 0);
+        assert_eq!(snapshot.into_views().job.num_rows(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2717,7 +2467,7 @@ mod tests {
         let snapshot = open(&dir).unwrap();
         assert_eq!(snapshot.to_log(), expected);
         assert_eq!(
-            snapshot.view(ExecutionKind::Job),
+            snapshot.into_views().job,
             ColumnarLog::build(&expected, ExecutionKind::Job)
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2744,7 +2494,8 @@ mod tests {
                 .with_feature("duration", 11.0),
         ];
         let before = SnapshotManifest::load(&dir).unwrap();
-        let report = sync_append(&dir, tail.clone()).unwrap();
+        let report = sync_append(&dir, tail.clone(), 12).unwrap();
+        assert_eq!(report.manifest.generation, 12);
         assert_eq!(report.shards_encoded, 1);
         assert_eq!(report.shards_reused, base_shards);
         assert!(!report.catalog_changed);
@@ -2762,7 +2513,7 @@ mod tests {
         assert_eq!(open(&dir).unwrap().to_log(), expected);
 
         // An empty tail is a keep-everything no-op sync.
-        let idle = sync_append(&dir, Vec::new()).unwrap();
+        let idle = sync_append(&dir, Vec::new(), 12).unwrap();
         assert_eq!(idle.shards_encoded, 0);
         assert_eq!(idle.shards_reused, base_shards + 1);
 
@@ -2773,7 +2524,7 @@ mod tests {
             .with_feature("pigscript", "script_9.pig")
             .with_feature("brand_new_knob", 3.0)
             .with_feature("duration", 5.0)];
-        let report = sync_append(&dir, oddball.clone()).unwrap();
+        let report = sync_append(&dir, oddball.clone(), 13).unwrap();
         assert!(report.catalog_changed);
         assert_eq!(report.shards_reused, 0);
         assert_eq!(report.shards_encoded, base_shards + 2);
@@ -2886,11 +2637,9 @@ mod tests {
         persist(&log, &dir, 2).unwrap();
         let snap = open(&dir).unwrap();
         assert_eq!(snap.to_log(), log);
-        assert_eq!(snap.view(ExecutionKind::Task).num_rows(), 2);
-        assert_eq!(
-            snap.view(ExecutionKind::Task),
-            ColumnarLog::build(&log, ExecutionKind::Task)
-        );
+        let task = snap.into_views().task;
+        assert_eq!(task.num_rows(), 2);
+        assert_eq!(task, ColumnarLog::build(&log, ExecutionKind::Task));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2936,25 +2685,6 @@ mod tests {
     fn opening_nothing_is_an_io_error() {
         let dir = test_dir("missing");
         assert!(matches!(open(&dir), Err(CoreError::SnapshotIo { .. })));
-    }
-
-    #[test]
-    fn into_views_equals_the_borrowing_paths() {
-        let log = sample_log();
-        let dir = test_dir("into_views");
-        for shards in [1usize, 3] {
-            persist(&log, &dir, shards).unwrap();
-            let snapshot = open(&dir).unwrap();
-            let expected_log = snapshot.to_log();
-            let expected_job = snapshot.view(ExecutionKind::Job);
-            let expected_task = snapshot.view(ExecutionKind::Task);
-            let views = snapshot.into_views();
-            assert_eq!(views.log, expected_log);
-            assert_eq!(views.job, expected_job);
-            assert_eq!(views.task, expected_task);
-            assert_eq!(views.job, ColumnarLog::build(&log, ExecutionKind::Job));
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -3119,8 +2849,8 @@ mod tests {
         let clean = persist_shards(&clean_dir, shards).unwrap();
         assert_eq!(repaired.manifest, clean.manifest);
         assert_eq!(
-            open(&dir).unwrap().view(ExecutionKind::Job),
-            open(&clean_dir).unwrap().view(ExecutionKind::Job)
+            open(&dir).unwrap().into_views().job,
+            open(&clean_dir).unwrap().into_views().job
         );
         // The quarantined file survives the repair.
         assert!(dir.join(format!("quarantine-{victim}")).exists());

@@ -974,11 +974,8 @@ fn edge_views(
     let mut log = blocking_edge_log(seed);
     let dir = snapshot_dir(tag, seed, variant);
     snapshot::persist(&log, &dir, 1 + (seed % 3) as usize).unwrap();
-    let snap = snapshot::open(&dir).unwrap();
-    let from_snapshot = (
-        ColumnarLog::build_from_snapshot(&snap, ExecutionKind::Job),
-        snap.to_log(),
-    );
+    let views = snapshot::open(&dir).unwrap().into_views();
+    let from_snapshot = (views.job, views.log);
     std::fs::remove_dir_all(&dir).unwrap();
 
     let base_rows = log.len() as u64;
@@ -1533,7 +1530,7 @@ fn snapshot_dir(tag: &str, a: u64, b: usize) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `ColumnarLog::build_from_snapshot(persist(log))` is bit-identical to
+    /// `open(persist(log)).into_views()` is bit-identical to
     /// `ColumnarLog::build_sharded(log, ..)` for arbitrary logs and shard
     /// counts, for both execution kinds, and the reopened log equals the
     /// original.
@@ -1552,19 +1549,17 @@ proptest! {
         let snap = snapshot::open(&dir).unwrap();
 
         prop_assert_eq!(&snap.to_log(), &log);
-        for kind in [ExecutionKind::Job, ExecutionKind::Task] {
-            let from_snapshot = ColumnarLog::build_from_snapshot(&snap, kind);
-            prop_assert_eq!(&from_snapshot, &ColumnarLog::build_sharded(&log, kind, shards));
-            prop_assert_eq!(&from_snapshot, &ColumnarLog::build(&log, kind));
-        }
-
-        // The consuming zero-copy path (columns adopted straight from the
-        // decoded segments) produces the same log and the same views as the
-        // borrowing rebuild above.
-        let views = snapshot::open(&dir).unwrap().into_views();
+        // The zero-copy path adopts the columns straight from the decoded
+        // segments.
+        let views = snap.into_views();
         prop_assert_eq!(&views.log, &log);
-        prop_assert_eq!(&views.job, &ColumnarLog::build(&log, ExecutionKind::Job));
-        prop_assert_eq!(&views.task, &ColumnarLog::build(&log, ExecutionKind::Task));
+        for (kind, from_snapshot) in [
+            (ExecutionKind::Job, &views.job),
+            (ExecutionKind::Task, &views.task),
+        ] {
+            prop_assert_eq!(from_snapshot, &ColumnarLog::build_sharded(&log, kind, shards));
+            prop_assert_eq!(from_snapshot, &ColumnarLog::build(&log, kind));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1641,14 +1636,10 @@ proptest! {
             expected.push(record.clone());
         }
         expected.rebuild_catalogs();
-        let snap = snapshot::open(&dir).unwrap();
-        prop_assert_eq!(&snap.to_log(), &expected);
-        for kind in [ExecutionKind::Job, ExecutionKind::Task] {
-            prop_assert_eq!(
-                ColumnarLog::build_from_snapshot(&snap, kind),
-                ColumnarLog::build(&expected, kind)
-            );
-        }
+        let views = snapshot::open(&dir).unwrap().into_views();
+        prop_assert_eq!(&views.log, &expected);
+        prop_assert_eq!(views.job, ColumnarLog::build(&expected, ExecutionKind::Job));
+        prop_assert_eq!(views.task, ColumnarLog::build(&expected, ExecutionKind::Task));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

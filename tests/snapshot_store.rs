@@ -351,9 +351,9 @@ fn manifest_order_wins_over_disk_layout() {
     }
     expected.rebuild_catalogs();
 
-    let snap = snapshot::open(&dir).unwrap();
-    let reopened = snap.to_log();
-    assert_eq!(reopened, expected);
+    let views = snapshot::open(&dir).unwrap().into_views();
+    let reopened = &views.log;
+    assert_eq!(reopened, &expected);
     // Kind resolution is order-independent: `mixed` saw a numeric value in
     // one shard, so it is numeric however the shards are listed.
     assert_eq!(
@@ -362,12 +362,89 @@ fn manifest_order_wins_over_disk_layout() {
     );
     // And the assembled views match a from-scratch encode of the
     // manifest-ordered log, bit for bit.
-    for kind in [ExecutionKind::Job, ExecutionKind::Task] {
+    for (kind, view) in [
+        (ExecutionKind::Job, &views.job),
+        (ExecutionKind::Task, &views.task),
+    ] {
         assert_eq!(
-            snap.view(kind),
-            perfxplain_core::columnar::ColumnarLog::build(&expected, kind)
+            view,
+            &perfxplain_core::columnar::ColumnarLog::build(&expected, kind)
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Pins the on-disk format byte for byte: a fixed edge-value log persisted
+/// as one shard, then one journal frame.  The lengths and fingerprints are
+/// what the store wrote when the format was last changed on purpose; any
+/// other difference means a codec change altered stored bytes.
+#[test]
+fn stored_bytes_match_the_pinned_format() {
+    let dir = test_dir("golden_bytes");
+    let mut log = ExecutionLog::new();
+    log.push(
+        ExecutionRecord::job("job_0")
+            .with_feature("duration", 1.5)
+            .with_feature("mode", "fast")
+            .with_feature("pair", Value::pair(Value::Str("a".into()), Value::Num(2.0))),
+    );
+    log.push(
+        ExecutionRecord::job("job_1")
+            .with_feature("duration", f64::NAN)
+            .with_feature("mode", -0.0),
+    );
+    log.push(
+        ExecutionRecord::job("job_2")
+            .with_feature("duration", f64::INFINITY)
+            .with_feature("mode", Value::Null),
+    );
+    log.push(
+        ExecutionRecord::job("job_3")
+            .with_feature("duration", -0.0)
+            .with_feature("mode", true),
+    );
+    log.push(ExecutionRecord::job("job_4"));
+    log.push(
+        ExecutionRecord::task("task_0", "job_0")
+            .with_feature("tasktype", "MAP")
+            .with_feature("duration", 3.0),
+    );
+    log.rebuild_catalogs();
+
+    let report = snapshot::persist(&log, &dir, 1).unwrap();
+    assert_eq!(report.manifest.shards.len(), 1);
+    let mut journal =
+        snapshot::Journal::create(&dir, perfxplain::snapshot::FsyncPolicy::Always).unwrap();
+    journal
+        .append_batch(
+            log.len() as u64,
+            &[ExecutionRecord::task("task_1", "job_4")
+                .with_feature("duration", f64::NAN)
+                .with_feature("mode", Value::Null)
+                .with_feature("pair", Value::pair(Value::Bool(true), Value::Num(-0.0)))],
+        )
+        .unwrap();
+    drop(journal);
+
+    let stored = |name: &str| {
+        let bytes = std::fs::read(dir.join(name)).unwrap();
+        (bytes.len(), snapshot::fingerprint_bytes(&bytes))
+    };
+    assert_eq!(
+        stored(&report.manifest.shards[0].file),
+        (405, 0x7073_791b_2471_3f76),
+        "segment"
+    );
+    assert_eq!(
+        stored(snapshot::MANIFEST_FILE),
+        (1283, 0x39eb_6cfc_1224_8c9f),
+        "manifest"
+    );
+    assert_eq!(
+        stored(snapshot::JOURNAL_FILE),
+        (115, 0x70c2_4a06_163f_05f6),
+        "journal"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
