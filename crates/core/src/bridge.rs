@@ -1,12 +1,39 @@
 //! Bridge between the pair-feature representation (PXQL [`Value`]s) and the
 //! columnar dataset representation `mlcore` uses for split search.
 //!
-//! The bridge owns the attribute schema (one attribute per allowed pair
-//! feature), the interning dictionaries for nominal values, the mapping from
-//! interned ids back to the *original* `Value`s (so that learned tests can
-//! be turned back into PXQL atoms, including `diff` features whose values
-//! are pairs), and the pair-of-interest's row, which Algorithm 1 needs to
-//! enforce applicability.
+//! A bridge has two parts.  The shared part (`SharedDataset`) depends on
+//! the training sample alone: the attribute schema (one attribute per
+//! allowed pair feature), the dataset of the sampled pairs with its
+//! interning dictionaries, the mapping from interned ids back to the
+//! *original* `Value`s (so that learned tests can be turned back into PXQL
+//! atoms, including `diff` features whose values are pairs), and each
+//! attribute's [`SplitSummary`] over every row, built the first time a
+//! search asks for it.  The per-pair part is the pair of interest's row,
+//! which Algorithm 1 needs to enforce applicability.  Every pair of
+//! interest asked under one template draws the same sample, so the served
+//! path keeps the shared part beside the memoized sample
+//! (`crate::training`) and a repeated template encodes only the pair's
+//! row.
+//!
+//! # Interning order and the pair of interest
+//!
+//! Both constructors intern the sampled rows first, in sample order.  The
+//! pair of interest is then resolved against the finished dictionaries by
+//! its cells' canonical text, without interning: a value the sample never
+//! holds gets the id one past the dictionary's end, which matches no row
+//! and so yields no candidate.  Nothing orders by id — nominal candidates
+//! are offered in first-seen row order, and ties break by gain, then by
+//! inside size, then by offer order — so where the pair's values land
+//! changes no explanation.
+//!
+//! The original kept behind an id is the first sampled value with its
+//! text, which can differ from the pair's own value: `Bool(true)` and
+//! `"T"` share one text, and so do `Num(0)` and `Num(-0)` in a nominal
+//! column.  The applicability filter admits only the pair's own id, so a
+//! winning nominal atom's constant is always the pair's value, and
+//! [`DatasetBridge::atom_to_pxql`] renders it from the pair's own `Value`.
+//! Explanations are then equal as `Value`s, not just as text, whichever
+//! pair first filled the shared part.
 //!
 //! # Interning from encoded keys
 //!
@@ -31,10 +58,10 @@
 //! A hit costs an array index or one [`FxHashMap`] probe.  A miss — the
 //! first time a key appears, or a numeric cell in a nominal column, which
 //! has no view id and so is never cached — builds the same `Value` the map
-//! path would and interns it through `DatasetBridge::intern`, the one
-//! place ids and originals are assigned.  The dictionary stays the
-//! authority, so the dataset is identical to [`DatasetBridge::build`]'s
-//! over the materialised training set by construction.
+//! path would and interns it through `Interner::intern`, the one place ids
+//! and originals are assigned.  The dictionary stays the authority, so the
+//! dataset is identical to [`DatasetBridge::build`]'s over the
+//! materialised training set by construction.
 
 use crate::columnar::ColumnarLog;
 use crate::features::FeatureKind;
@@ -42,18 +69,40 @@ use crate::pairs::{
     compare_index, PairCatalog, PairExample, PairFeatureDef, PairFeatureGroup, COMPARE_VALUES,
 };
 use crate::training::{EncodedTraining, TrainingSet};
-use mlcore::{AttrValue, Attribute, Dataset, FxHashMap, TestAtom, TestConstant, TestOp};
+use mlcore::{
+    AttrValue, Attribute, Dataset, FxHashMap, NominalDictionary, SplitSummary, TestAtom,
+    TestConstant, TestOp,
+};
 use pxql::{Atom, Op, Value};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// The columnar view of a training set plus the pair of interest.
 #[derive(Debug, Clone)]
 pub struct DatasetBridge {
+    shared: Arc<SharedDataset>,
+    poi_row: Vec<AttrValue>,
+    /// For every attribute, the pair of interest's own value behind its
+    /// nominal cell (`Null` where the cell is numeric or missing).
+    poi_values: Vec<Value>,
+}
+
+/// The part of a [`DatasetBridge`] that depends on the training sample
+/// alone, shared by every pair of interest asked against that sample.
+#[derive(Debug)]
+pub(crate) struct SharedDataset {
     dataset: Dataset,
-    attr_names: Vec<String>,
+    /// The pair feature behind each attribute.
+    defs: Vec<PairFeatureDef>,
     /// For every attribute, the original `Value` behind each interned
     /// nominal id (empty for numeric attributes).
     originals: Vec<Vec<Value>>,
-    poi_row: Vec<AttrValue>,
+    /// Each attribute's summary over every row, built on first use.
+    summaries: Vec<OnceLock<SplitSummary>>,
+    /// Heap bytes of everything but the summaries.
+    base_bytes: usize,
+    /// Heap bytes of the summaries built so far.
+    summary_bytes: AtomicUsize,
 }
 
 impl DatasetBridge {
@@ -64,31 +113,46 @@ impl DatasetBridge {
     /// * `excluded_raw` — raw features whose derived pair features must not
     ///   appear in explanations (the query's own performance metric plus any
     ///   user-configured exclusions);
-    /// * `poi` — the pair of interest, interned alongside the training pairs
-    ///   so applicability can be checked per candidate test.
+    /// * `poi` — the pair of interest, resolved against the training pairs'
+    ///   dictionaries so applicability can be checked per candidate test.
     pub fn build(
         set: &TrainingSet,
         poi: &PairExample,
         catalog: &PairCatalog,
         excluded_raw: &[String],
     ) -> Self {
-        let (mut bridge, defs) = Self::empty(catalog, excluded_raw);
-        let encode_row = |bridge: &mut Self, pair: &PairExample| -> Vec<AttrValue> {
-            defs.iter()
-                .enumerate()
-                .map(|(i, def)| bridge.encode_value(i, def.kind, pair.feature(&def.name)))
-                .collect()
-        };
-
-        // Intern the pair of interest first so that its values always exist
-        // in the dictionaries (candidate equality tests can then target
-        // them).
-        bridge.poi_row = encode_row(&mut bridge, poi);
+        let defs = included_defs(catalog, excluded_raw);
+        let mut interner = Interner::new(defs.len());
+        let mut dataset = schema(&defs);
         for (example, label) in set.iter() {
-            let row = encode_row(&mut bridge, example);
-            bridge.dataset.push(row, label);
+            let row = defs
+                .iter()
+                .enumerate()
+                .map(|(attr, def)| {
+                    encode_value(def.kind, example.feature(&def.name), |value| {
+                        interner.intern(attr, value)
+                    })
+                })
+                .collect();
+            dataset.push(row, label);
         }
-        bridge
+        let shared = Arc::new(SharedDataset::new(dataset, defs, interner));
+        let mut poi_values = vec![Value::Null; shared.defs.len()];
+        let poi_row = shared
+            .defs
+            .iter()
+            .enumerate()
+            .map(|(attr, def)| {
+                encode_value(def.kind, poi.feature(&def.name), |value| {
+                    shared.resolve(attr, value, &mut poi_values[attr])
+                })
+            })
+            .collect();
+        DatasetBridge {
+            shared,
+            poi_row,
+            poi_values,
+        }
     }
 
     /// Builds the bridge straight from an encoded training set: pair
@@ -108,46 +172,52 @@ impl DatasetBridge {
         excluded_raw: &[String],
         sim_threshold: f64,
     ) -> Self {
-        let view = &training.view;
-        let (mut bridge, defs) = Self::empty(catalog, excluded_raw);
-        // Resolve every attribute's raw-feature column once, not per cell.
-        let columns: Vec<Option<usize>> = defs.iter().map(|d| view.column_of(&d.raw)).collect();
-        let mut caches: Vec<KeyCache> = defs.iter().map(|_| KeyCache::default()).collect();
+        let shared = SharedDataset::from_view(training, catalog, excluded_raw, sim_threshold);
+        Self::for_pair(Arc::new(shared), &training.view, poi, sim_threshold)
+    }
 
-        let mut encode_row = |bridge: &mut Self, left: usize, right: usize| -> Vec<AttrValue> {
-            defs.iter()
-                .zip(&columns)
-                .zip(&mut caches)
-                .enumerate()
-                .map(|(i, ((def, &col), cache))| {
-                    bridge.encode_pair_cell(view, def, col, left, right, sim_threshold, i, cache)
+    /// The bridge of the pair of interest at rows `poi` of `view` over an
+    /// already encoded sample: only the pair's row is encoded.  `view`
+    /// must hold the records the sample was encoded from, in the same row
+    /// order, and `sim_threshold` must be the one it was encoded with.
+    pub(crate) fn for_pair(
+        shared: Arc<SharedDataset>,
+        view: &ColumnarLog,
+        poi: (usize, usize),
+        sim_threshold: f64,
+    ) -> Self {
+        let mut poi_values = vec![Value::Null; shared.defs.len()];
+        let poi_row = shared
+            .defs
+            .iter()
+            .enumerate()
+            .map(|(attr, def)| {
+                let col = view.column_of(&def.raw);
+                encode_pair_cell(view, def, col, poi, sim_threshold, |_, value| {
+                    shared.resolve(attr, value(), &mut poi_values[attr])
                 })
-                .collect()
-        };
-
-        // Intern the pair of interest first (same order as `build`) so that
-        // its values always exist in the dictionaries.
-        bridge.poi_row = encode_row(&mut bridge, poi.0, poi.1);
-        for (&(left, right), &label) in training.pairs.iter().zip(&training.labels) {
-            let row = encode_row(&mut bridge, left, right);
-            bridge.dataset.push(row, label);
+            })
+            .collect();
+        DatasetBridge {
+            shared,
+            poi_row,
+            poi_values,
         }
-        bridge
     }
 
     /// The columnar dataset (one row per training pair).
     pub fn dataset(&self) -> &Dataset {
-        &self.dataset
+        &self.shared.dataset
     }
 
     /// Number of attributes exposed to the split search.
     pub fn num_attributes(&self) -> usize {
-        self.attr_names.len()
+        self.shared.defs.len()
     }
 
     /// Name of attribute `index`.
     pub fn attr_name(&self, index: usize) -> &str {
-        &self.attr_names[index]
+        &self.shared.defs[index].name
     }
 
     /// The pair of interest's value for attribute `index`.
@@ -155,20 +225,40 @@ impl DatasetBridge {
         self.poi_row[index]
     }
 
+    /// Attribute `attr`'s summary over every row of the dataset, built the
+    /// first time any bridge over this sample asks for it.
+    pub(crate) fn summary(&self, attr: usize) -> &SplitSummary {
+        self.shared.summary(attr)
+    }
+
+    /// The work of searching attribute `attr` over every row: a replay of
+    /// its summary once built, else a sweep of every row.
+    pub(crate) fn summary_work(&self, attr: usize) -> usize {
+        match self.shared.summaries[attr].get() {
+            Some(summary) => summary.replay_work(),
+            None => self.shared.dataset.len(),
+        }
+    }
+
     /// Converts a learned test back into a PXQL atom, resolving interned
-    /// nominal ids to their original values.
+    /// nominal ids to their original values.  The pair of interest's own
+    /// id renders as the pair's own value (see the module docs).
     pub fn atom_to_pxql(&self, atom: &TestAtom) -> Atom {
-        let feature = self.attr_names[atom.attribute].clone();
+        let feature = self.attr_name(atom.attribute).to_string();
         let (op, constant) = match (atom.op, atom.constant) {
             (TestOp::Eq, TestConstant::Num(v)) => (Op::Eq, Value::Num(v)),
             (TestOp::Le, TestConstant::Num(v)) => (Op::Le, Value::Num(v)),
             (TestOp::Gt, TestConstant::Num(v)) => (Op::Gt, Value::Num(v)),
             (_, TestConstant::Nom(id)) => (
                 Op::Eq,
-                self.originals[atom.attribute]
-                    .get(id as usize)
-                    .cloned()
-                    .unwrap_or(Value::Null),
+                if self.poi_row[atom.attribute] == AttrValue::Nom(id) {
+                    self.poi_values[atom.attribute].clone()
+                } else {
+                    self.shared.originals[atom.attribute]
+                        .get(id as usize)
+                        .cloned()
+                        .unwrap_or(Value::Null)
+                },
             ),
         };
         Atom {
@@ -179,142 +269,286 @@ impl DatasetBridge {
     }
 }
 
-impl DatasetBridge {
-    /// An empty bridge over the catalog's pair features minus those derived
-    /// from `excluded_raw`, plus those features' definitions in attribute
-    /// order.
-    fn empty<'c>(
-        catalog: &'c PairCatalog,
+impl SharedDataset {
+    /// Encodes the sampled pairs of `training`: the one featurize routine
+    /// behind both the served path and the stateless one.  See
+    /// [`DatasetBridge::encode_from_view`].
+    pub(crate) fn from_view(
+        training: &EncodedTraining<'_>,
+        catalog: &PairCatalog,
         excluded_raw: &[String],
-    ) -> (Self, Vec<&'c PairFeatureDef>) {
-        let defs: Vec<&PairFeatureDef> = catalog
-            .defs()
+        sim_threshold: f64,
+    ) -> Self {
+        let view = &training.view;
+        let defs = included_defs(catalog, excluded_raw);
+        // Resolve every attribute's raw-feature column once, not per cell.
+        let columns: Vec<Option<usize>> = defs.iter().map(|d| view.column_of(&d.raw)).collect();
+        let mut caches: Vec<KeyCache> = defs.iter().map(|_| KeyCache::default()).collect();
+        let mut interner = Interner::new(defs.len());
+        let mut dataset = schema(&defs);
+        for (&pair, &label) in training.pairs.iter().zip(training.labels.iter()) {
+            let row = defs
+                .iter()
+                .zip(&columns)
+                .zip(&mut caches)
+                .enumerate()
+                .map(|(attr, ((def, &col), cache))| {
+                    encode_pair_cell(view, def, col, pair, sim_threshold, |key, value| {
+                        let slot = match key {
+                            CellKey::Slot(k) => cache.slot(k),
+                            CellKey::Pair(l, r) => cache.pair(l, r),
+                            CellKey::Uncached => return interner.intern(attr, value()),
+                        };
+                        *slot.get_or_insert_with(|| interner.intern(attr, value()))
+                    })
+                })
+                .collect();
+            dataset.push(row, label);
+        }
+        SharedDataset::new(dataset, defs, interner)
+    }
+
+    /// The shared part over the encoded rows of `dataset`, whose
+    /// dictionaries are `interner`'s.
+    fn new(mut dataset: Dataset, defs: Vec<PairFeatureDef>, interner: Interner) -> Self {
+        for (attr, dictionary) in interner.dictionaries.into_iter().enumerate() {
+            dataset.attribute_mut(attr).dictionary = dictionary;
+        }
+        // Cells and labels, plus per nominal id its text (stored twice by
+        // the dictionary), the dictionary's entries and the original.
+        let row_bytes = defs.len() * std::mem::size_of::<AttrValue>()
+            + std::mem::size_of::<Vec<AttrValue>>()
+            + 1;
+        let nominal_bytes: usize = dataset
+            .attributes()
             .iter()
-            .filter(|d| !excluded_raw.iter().any(|x| x == &d.raw))
-            .collect();
-        let attributes: Vec<Attribute> = defs
-            .iter()
-            .map(|d| match d.kind {
-                FeatureKind::Numeric => Attribute::numeric(d.name.clone()),
-                FeatureKind::Nominal => Attribute::nominal(d.name.clone()),
+            .flat_map(|attribute| attribute.dictionary.iter())
+            .map(|(_, text)| 2 * text.len() + 64 + std::mem::size_of::<Value>())
+            .sum();
+        SharedDataset {
+            base_bytes: dataset.len() * row_bytes + nominal_bytes,
+            summaries: defs.iter().map(|_| OnceLock::new()).collect(),
+            dataset,
+            defs,
+            originals: interner.originals,
+            summary_bytes: AtomicUsize::new(0),
+        }
+    }
+
+    /// Heap bytes held: the dataset, its dictionaries and originals, and
+    /// the summaries built so far (an estimate; the memo bounds it).
+    pub(crate) fn bytes(&self) -> usize {
+        self.base_bytes + self.summary_bytes.load(Ordering::Relaxed)
+    }
+
+    fn summary(&self, attr: usize) -> &SplitSummary {
+        self.summaries[attr].get_or_init(|| {
+            let rows: Vec<usize> = (0..self.dataset.len()).collect();
+            let summary = SplitSummary::new(&self.dataset, &rows, attr);
+            self.summary_bytes
+                .fetch_add(summary.heap_bytes(), Ordering::Relaxed);
+            summary
+        })
+    }
+
+    /// The id of `value`'s text in attribute `attr`'s dictionary without
+    /// interning it — one past the end when the sample never holds it —
+    /// keeping `value` in `own`.
+    fn resolve(&self, attr: usize, value: Value, own: &mut Value) -> u32 {
+        let dictionary = &self.dataset.attributes()[attr].dictionary;
+        let id = dictionary
+            .get(&value.to_string())
+            .unwrap_or(dictionary.len() as u32);
+        *own = value;
+        id
+    }
+}
+
+/// An empty dataset with one attribute per pair feature of `defs`.
+fn schema(defs: &[PairFeatureDef]) -> Dataset {
+    Dataset::new(
+        defs.iter()
+            .map(|def| match def.kind {
+                FeatureKind::Numeric => Attribute::numeric(def.name.clone()),
+                FeatureKind::Nominal => Attribute::nominal(def.name.clone()),
             })
-            .collect();
-        let bridge = DatasetBridge {
-            dataset: Dataset::new(attributes),
-            attr_names: defs.iter().map(|d| d.name.clone()).collect(),
-            originals: vec![Vec::new(); defs.len()],
-            poi_row: Vec::new(),
-        };
-        (bridge, defs)
+            .collect(),
+    )
+}
+
+/// The catalog's pair features minus those derived from `excluded_raw`, in
+/// attribute order.
+fn included_defs(catalog: &PairCatalog, excluded_raw: &[String]) -> Vec<PairFeatureDef> {
+    catalog
+        .defs()
+        .iter()
+        .filter(|d| !excluded_raw.iter().any(|x| x == &d.raw))
+        .cloned()
+        .collect()
+}
+
+/// The sampled rows' nominal dictionaries and originals while they are
+/// encoded.
+struct Interner {
+    dictionaries: Vec<NominalDictionary>,
+    originals: Vec<Vec<Value>>,
+}
+
+impl Interner {
+    fn new(attributes: usize) -> Self {
+        Interner {
+            dictionaries: vec![NominalDictionary::new(); attributes],
+            originals: vec![Vec::new(); attributes],
+        }
     }
 
     /// Interns `value` into attribute `attr`'s dictionary, keyed by its
     /// canonical text, and returns its id; the first value seen with a text
     /// is kept as the original behind the id.  Every nominal id and
-    /// original of the bridge is assigned here.
+    /// original of a dataset is assigned here.
     fn intern(&mut self, attr: usize, value: Value) -> u32 {
-        let id = self
-            .dataset
-            .attribute_mut(attr)
-            .dictionary
-            .intern(&value.to_string());
+        let id = self.dictionaries[attr].intern(&value.to_string());
         if id as usize == self.originals[attr].len() {
             self.originals[attr].push(value);
         }
         id
     }
+}
 
-    /// [`DatasetBridge::intern`] behind a cache entry: builds the value
-    /// only when the entry's key has not been interned yet.
-    fn intern_cached(
-        &mut self,
-        attr: usize,
-        cached: &mut Option<u32>,
-        value: impl FnOnce() -> Value,
-    ) -> AttrValue {
-        AttrValue::Nom(*cached.get_or_insert_with(|| self.intern(attr, value())))
+/// Encodes one pair-feature value into the dataset representation; a
+/// nominal value becomes the id `nominal` gives it.
+fn encode_value(kind: FeatureKind, value: Value, nominal: impl FnOnce(Value) -> u32) -> AttrValue {
+    match (&value, kind) {
+        (Value::Null, _) => AttrValue::Missing,
+        (Value::Num(v), FeatureKind::Numeric) => AttrValue::Num(*v),
+        // Everything else is treated as a nominal symbol keyed by its
+        // canonical text form.
+        _ => AttrValue::Nom(nominal(value)),
     }
+}
 
-    /// Encodes one pair-feature value into the dataset representation,
-    /// interning nominal values and remembering their originals.
-    fn encode_value(&mut self, attr: usize, kind: FeatureKind, value: Value) -> AttrValue {
-        match (&value, kind) {
-            (Value::Null, _) => AttrValue::Missing,
-            (Value::Num(v), FeatureKind::Numeric) => AttrValue::Num(*v),
-            // Everything else is treated as a nominal symbol keyed by its
-            // canonical text form.
-            _ => AttrValue::Nom(self.intern(attr, value)),
+/// The encoded key that fixes a nominal cell's text (see the module docs).
+#[derive(Clone, Copy)]
+enum CellKey {
+    /// An `isSame` or `compare` outcome, or a base cell's view id.
+    Slot(usize),
+    /// A diff cell's ordered (left, right) view ids.
+    Pair(u32, u32),
+    /// A numeric cell in a nominal column, which has no view id.
+    Uncached,
+}
+
+/// Derives and encodes the pair feature `def` of the rows `(left, right)`
+/// straight from the columnar view, exactly as [`encode_value`] would
+/// encode the materialised value.  A nominal cell becomes the id `nominal`
+/// gives it, from its encoded key and a closure that builds its value: the
+/// sampled rows intern through a [`KeyCache`], the pair of interest only
+/// looks up.
+fn encode_pair_cell(
+    view: &ColumnarLog,
+    def: &PairFeatureDef,
+    col: Option<usize>,
+    (left, right): (usize, usize),
+    sim_threshold: f64,
+    mut nominal: impl FnMut(CellKey, &dyn Fn() -> Value) -> u32,
+) -> AttrValue {
+    let Some(col) = col else {
+        return AttrValue::Missing;
+    };
+    let l = view.cell(left, col);
+    let r = view.cell(right, col);
+    let missing = l.is_missing() || r.is_missing();
+    let id = match def.group {
+        PairFeatureGroup::IsSame => {
+            if missing {
+                return AttrValue::Missing;
+            }
+            let same = view.cells_equal(l, r);
+            nominal(CellKey::Slot(same as usize), &|| Value::Bool(same))
         }
-    }
+        PairFeatureGroup::Compare => match (view.column_kind(col), l, r) {
+            (FeatureKind::Numeric, AttrValue::Num(lv), AttrValue::Num(rv)) => {
+                let outcome = compare_index(lv, rv, sim_threshold);
+                nominal(CellKey::Slot(outcome), &|| {
+                    Value::str(COMPARE_VALUES[outcome])
+                })
+            }
+            _ => return AttrValue::Missing,
+        },
+        PairFeatureGroup::Diff => {
+            if view.column_kind(col) != FeatureKind::Nominal || missing || view.cells_equal(l, r) {
+                return AttrValue::Missing;
+            }
+            let key = match (l, r) {
+                (AttrValue::Nom(lid), AttrValue::Nom(rid)) => CellKey::Pair(lid, rid),
+                _ => CellKey::Uncached,
+            };
+            nominal(key, &|| {
+                Value::pair(view.decode(col, l), view.decode(col, r))
+            })
+        }
+        PairFeatureGroup::Base => {
+            if missing || !view.cells_equal(l, r) {
+                return AttrValue::Missing;
+            }
+            match (l, def.kind) {
+                (AttrValue::Num(v), FeatureKind::Numeric) => return AttrValue::Num(v),
+                (AttrValue::Nom(id), _) => {
+                    nominal(CellKey::Slot(id as usize), &|| view.decode(col, l))
+                }
+                _ => nominal(CellKey::Uncached, &|| view.decode(col, l)),
+            }
+        }
+    };
+    AttrValue::Nom(id)
+}
 
-    /// Derives and encodes one pair-feature cell straight from the columnar
-    /// view, interning nominal values exactly as
-    /// [`DatasetBridge::encode_value`] would have for the materialised
-    /// value; `cache` is attribute `attr`'s encoded-key cache.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_pair_cell(
-        &mut self,
-        view: &ColumnarLog,
-        def: &PairFeatureDef,
-        col: Option<usize>,
-        left: usize,
-        right: usize,
-        sim_threshold: f64,
-        attr: usize,
-        cache: &mut KeyCache,
-    ) -> AttrValue {
-        let Some(col) = col else {
-            return AttrValue::Missing;
+#[cfg(test)]
+impl DatasetBridge {
+    /// The same bridge with every attribute's nominal ids renumbered by
+    /// the bijection `new_id(attr, id)` of `0..dictionary len`: in the
+    /// cells, the dictionaries, the originals and the pair's row.  The
+    /// summaries start empty.
+    pub(crate) fn renumbered(&self, new_id: impl Fn(usize, u32) -> u32) -> DatasetBridge {
+        let old = &self.shared;
+        let mut interner = Interner::new(old.defs.len());
+        for (attr, attribute) in old.dataset.attributes().iter().enumerate() {
+            let mut by_new_id: Vec<(u32, &str, &Value)> = attribute
+                .dictionary
+                .iter()
+                .map(|(id, text)| (new_id(attr, id), text, &old.originals[attr][id as usize]))
+                .collect();
+            by_new_id.sort_by_key(|&(id, _, _)| id);
+            for (id, text, original) in by_new_id {
+                assert_eq!(
+                    interner.dictionaries[attr].intern(text),
+                    id,
+                    "not a bijection"
+                );
+                interner.originals[attr].push(original.clone());
+            }
+        }
+        let renumber = |attr: usize, cell: AttrValue| match cell {
+            AttrValue::Nom(id) if (id as usize) < old.originals[attr].len() => {
+                AttrValue::Nom(new_id(attr, id))
+            }
+            other => other,
         };
-        let l = view.cell(left, col);
-        let r = view.cell(right, col);
-        let missing = l.is_missing() || r.is_missing();
-        match def.group {
-            PairFeatureGroup::IsSame => {
-                if missing {
-                    AttrValue::Missing
-                } else {
-                    let same = view.cells_equal(l, r);
-                    self.intern_cached(attr, cache.slot(same as usize), || Value::Bool(same))
-                }
-            }
-            PairFeatureGroup::Compare => match (view.column_kind(col), l, r) {
-                (FeatureKind::Numeric, AttrValue::Num(lv), AttrValue::Num(rv)) => {
-                    let outcome = compare_index(lv, rv, sim_threshold);
-                    self.intern_cached(attr, cache.slot(outcome), || {
-                        Value::str(COMPARE_VALUES[outcome])
-                    })
-                }
-                _ => AttrValue::Missing,
-            },
-            PairFeatureGroup::Diff => {
-                if view.column_kind(col) == FeatureKind::Nominal
-                    && !missing
-                    && !view.cells_equal(l, r)
-                {
-                    let value = || Value::pair(view.decode(col, l), view.decode(col, r));
-                    match (l, r) {
-                        (AttrValue::Nom(lid), AttrValue::Nom(rid)) => {
-                            self.intern_cached(attr, cache.pair(lid, rid), value)
-                        }
-                        _ => AttrValue::Nom(self.intern(attr, value())),
-                    }
-                } else {
-                    AttrValue::Missing
-                }
-            }
-            PairFeatureGroup::Base => {
-                if missing || !view.cells_equal(l, r) {
-                    return AttrValue::Missing;
-                }
-                match (l, def.kind) {
-                    (AttrValue::Num(v), FeatureKind::Numeric) => AttrValue::Num(v),
-                    (AttrValue::Nom(id), _) => {
-                        self.intern_cached(attr, cache.slot(id as usize), || view.decode(col, l))
-                    }
-                    _ => AttrValue::Nom(self.intern(attr, view.decode(col, l))),
-                }
-            }
+        let mut dataset = schema(&old.defs);
+        for (row, label) in old.dataset.iter() {
+            let row = row
+                .iter()
+                .enumerate()
+                .map(|(attr, &cell)| renumber(attr, cell))
+                .collect();
+            dataset.push(row, label);
+        }
+        DatasetBridge {
+            shared: Arc::new(SharedDataset::new(dataset, old.defs.clone(), interner)),
+            poi_row: (self.poi_row.iter().enumerate())
+                .map(|(attr, &cell)| renumber(attr, cell))
+                .collect(),
+            poi_values: self.poi_values.clone(),
         }
     }
 }
@@ -400,8 +634,8 @@ mod tests {
         let attr = (0..bridge.num_attributes())
             .find(|&i| bridge.attr_name(i) == "pigscript_diff")
             .unwrap();
-        // The pair of interest (a, b) disagrees on the script, so its diff
-        // value is interned; id 0 belongs to it.
+        // The first sampled pair is the pair of interest (a, b), which
+        // disagrees on the script, so id 0 holds its diff value.
         let atom = TestAtom {
             attribute: attr,
             op: TestOp::Eq,

@@ -15,7 +15,7 @@
 //!    machinery, except that the target class is "performed as expected"
 //!    (maximising relevance instead of precision).
 
-use crate::bridge::DatasetBridge;
+use crate::bridge::{DatasetBridge, SharedDataset};
 use crate::cancel::CancelToken;
 use crate::columnar::ColumnarLog;
 use crate::config::ExplainConfig;
@@ -26,10 +26,10 @@ use crate::query::BoundQuery;
 use crate::record::ExecutionLog;
 use crate::service::XplainService;
 use crate::training::{
-    prepare_encoded_training_in, prepare_encoded_training_memoized, EncodedTraining, SampleMemo,
-    TrainingSet,
+    prepare_encoded_training_in, prepare_encoded_training_memoized, Drawn, EncodedTraining,
+    SampleMemo, TrainingSet,
 };
-use mlcore::{best_split_for_attribute_filtered, percentile_ranks, SplitCandidate};
+use mlcore::{percentile_ranks, SplitCandidate, SplitSummary};
 use pxql::{Atom, Predicate};
 use std::sync::Arc;
 
@@ -61,21 +61,36 @@ impl PerfXplain {
             .restrict_to_groups(self.config.feature_level.allowed_groups())
     }
 
-    /// Encodes the split-search dataset straight from an encoded training
-    /// set (one pass, no pair-feature maps).
-    fn encode_bridge(&self, training: &EncodedTraining<'_>, query: &BoundQuery) -> DatasetBridge {
-        let catalog = self.pair_catalog(training.log(), query);
-        let excluded = crate::query::excluded_raw_features(query, &self.config);
+    /// The split-search bridge of a training set for the query's pair of
+    /// interest.  The sample's encoded dataset is `cached` when the memo
+    /// held one; otherwise it is encoded straight from the view (one pass,
+    /// no pair-feature maps) and, with a memo, stored beside the sample.
+    /// Either way only the pair's row is encoded per request.
+    fn bridge_for(
+        &self,
+        training: &EncodedTraining<'_>,
+        cached: Option<Arc<SharedDataset>>,
+        query: &BoundQuery,
+        memo: Option<&SampleMemo>,
+    ) -> DatasetBridge {
+        let shared = cached.unwrap_or_else(|| {
+            let catalog = self.pair_catalog(training.log(), query);
+            let excluded = crate::query::excluded_raw_features(query, &self.config);
+            let shared = Arc::new(SharedDataset::from_view(
+                training,
+                &catalog,
+                &excluded,
+                self.config.sim_threshold,
+            ));
+            if let Some(memo) = memo {
+                memo.store_dataset(query, &self.config, &shared);
+            }
+            shared
+        });
         let poi = training
             .poi_rows(query)
             .expect("pair-of-interest rows exist after verify_preconditions");
-        DatasetBridge::encode_from_view(
-            training,
-            poi,
-            &catalog,
-            &excluded,
-            self.config.sim_threshold,
-        )
+        DatasetBridge::for_pair(shared, &training.view, poi, self.config.sim_threshold)
     }
 
     /// Generates an explanation for the query: a because clause of the
@@ -138,7 +153,11 @@ impl PerfXplain {
         cancel: &CancelToken,
         cost_probe: Option<&crate::service::CostProbe>,
     ) -> Result<(Explanation, BoundQuery, EncodedTraining<'a>, bool)> {
-        let (training, mut sample_reused) = prepare_encoded_training_memoized(
+        let Drawn {
+            training,
+            reused: mut sample_reused,
+            dataset,
+        } = prepare_encoded_training_memoized(
             log,
             view.clone(),
             query,
@@ -150,52 +169,53 @@ impl PerfXplain {
             probe.fire(training.related_pairs as u64);
         }
 
-        if extend_despite {
-            // Relevance of the empty extension over the sample: the fraction
-            // of pairs that performed as expected.  Below the threshold the
-            // despite clause is extended and the training set regenerated in
-            // the narrower context — on the same view, which only changes
-            // the compiled predicates, not the encoding.
-            let base_relevance = training.num_expected() as f64 / training.len().max(1) as f64;
-            if base_relevance < self.config.relevance_threshold {
-                let bridge = self.encode_bridge(&training, query);
-                let extension = self.generate_clause_cancellable(
-                    &bridge,
-                    false,
-                    self.config.despite_width,
-                    cancel,
-                )?;
-                let mut extended = query.clone();
-                extended.query = extended
-                    .query
-                    .clone()
-                    .with_despite(query.query.despite.conjoin(&extension));
-                let (extended_training, reused) = prepare_encoded_training_memoized(
-                    log,
-                    view,
-                    &extended,
-                    &self.config,
-                    cancel,
-                    memo,
-                )?;
-                sample_reused &= reused;
-                let extended_bridge = self.encode_bridge(&extended_training, &extended);
-                let because = self.generate_clause_cancellable(
-                    &extended_bridge,
-                    true,
-                    self.config.width,
-                    cancel,
-                )?;
-                return Ok((
-                    Explanation::new(extension, because),
-                    extended,
-                    extended_training,
-                    sample_reused,
-                ));
-            }
+        // Relevance of the empty extension over the sample: the fraction of
+        // pairs that performed as expected.  Below the threshold the
+        // despite clause is extended and the training set regenerated in
+        // the narrower context — on the same view, which only changes the
+        // compiled predicates, not the encoding.
+        let base_relevance = training.num_expected() as f64 / training.len().max(1) as f64;
+        let bridge = self.bridge_for(&training, dataset, query, memo);
+        if extend_despite && base_relevance < self.config.relevance_threshold {
+            let extension = self.generate_clause_cancellable(
+                &bridge,
+                false,
+                self.config.despite_width,
+                cancel,
+            )?;
+            let mut extended = query.clone();
+            extended.query = extended
+                .query
+                .clone()
+                .with_despite(query.query.despite.conjoin(&extension));
+            let Drawn {
+                training: extended_training,
+                reused,
+                dataset,
+            } = prepare_encoded_training_memoized(
+                log,
+                view,
+                &extended,
+                &self.config,
+                cancel,
+                memo,
+            )?;
+            sample_reused &= reused;
+            let extended_bridge = self.bridge_for(&extended_training, dataset, &extended, memo);
+            let because = self.generate_clause_cancellable(
+                &extended_bridge,
+                true,
+                self.config.width,
+                cancel,
+            )?;
+            return Ok((
+                Explanation::new(extension, because),
+                extended,
+                extended_training,
+                sample_reused,
+            ));
         }
 
-        let bridge = self.encode_bridge(&training, query);
         let because = self.generate_clause_cancellable(&bridge, true, self.config.width, cancel)?;
         Ok((
             Explanation::because_only(because),
@@ -223,7 +243,7 @@ impl PerfXplain {
     ) -> Result<Predicate> {
         query.verify_preconditions(log, self.config.sim_threshold)?;
         let training = prepare_encoded_training_in(log, view, query, &self.config)?;
-        let bridge = self.encode_bridge(&training, query);
+        let bridge = self.bridge_for(&training, None, query, None);
         Ok(self.generate_clause_from_bridge(&bridge, false, self.config.despite_width))
     }
 
@@ -342,12 +362,16 @@ impl PerfXplain {
             }
             // Line 5 of Algorithm 1: the best (applicable) predicate for
             // every feature.  Each attribute's search is an independent
-            // single-sort sweep with the applicability filter threaded
-            // through it, so on large nodes the per-attribute searches fan
-            // out over the shared worker pool; results are collected in
-            // attribute order either way, keeping the scored candidate list
-            // (and therefore the percentile normalisation below)
-            // bit-identical to the serial loop.
+            // sweep — a summary of the candidates replayed under the
+            // applicability filter — so on large nodes the per-attribute
+            // searches fan out over the shared worker pool; results are
+            // collected in attribute order either way, keeping the scored
+            // candidate list (and therefore the percentile normalisation
+            // below) bit-identical to the serial loop.  The first
+            // iteration searches every row, whose summaries the bridge
+            // shares with every pair asked against the same sample, so
+            // there the search is a replay alone.
+            let first = atoms.is_empty();
             let attrs: Vec<usize> = (0..bridge.num_attributes())
                 .filter(|&attr| {
                     !bridge.poi_value(attr).is_missing()
@@ -355,14 +379,24 @@ impl PerfXplain {
                 })
                 .collect();
             let search = |attr: usize| {
-                let poi_value = bridge.poi_value(attr);
-                best_split_for_attribute_filtered(dataset, &current, attr, |atom| {
-                    atom.matches_value(poi_value)
-                })
-                .map(|candidate| (attr, candidate))
+                let fresh;
+                let summary = if first {
+                    bridge.summary(attr)
+                } else {
+                    fresh = SplitSummary::new(dataset, &current, attr);
+                    &fresh
+                };
+                summary
+                    .best_applicable_to(bridge.poi_value(attr))
+                    .map(|candidate| (attr, candidate))
+            };
+            let work = if first {
+                attrs.iter().map(|&attr| bridge.summary_work(attr)).sum()
+            } else {
+                current.len().saturating_mul(attrs.len())
             };
             let per_chunk: Vec<Vec<(usize, SplitCandidate)>> = crate::pool::shared()
-                .map_chunks_gated(&attrs, current.len().saturating_mul(attrs.len()), |chunk| {
+                .map_chunks_gated(&attrs, work, |chunk| {
                     chunk.iter().filter_map(|&attr| search(attr)).collect()
                 });
             let candidates: Vec<(usize, SplitCandidate)> =
@@ -623,6 +657,110 @@ mod tests {
             );
             assert!(matches!(atom.constant, Value::Bool(_) | Value::Str(_)));
         }
+    }
+
+    /// A log whose durations follow two nominal features, with ties and
+    /// `Bool(true)` beside `"T"`, so grown clauses pick nominal atoms.
+    fn nominal_log(seed: u64) -> ExecutionLog {
+        let scripts = [
+            Value::str("a.pig"),
+            Value::str("b.pig"),
+            Value::Bool(true),
+            Value::str("T"),
+            Value::str("c.pig"),
+        ];
+        let hosts = ["h1", "h2", "h3", "h4"];
+        let mut log = ExecutionLog::new();
+        for i in 0..36u64 {
+            let h = (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i.wrapping_mul(0xBF58_476D)) >> 7;
+            let script = scripts[(h % 5) as usize].clone();
+            let host = hosts[((h >> 5) % 4) as usize];
+            let input = [1.0e9, 4.0e9, 32.0e9][((h >> 9) % 3) as usize];
+            let plateau = host == "h1" || matches!(script, Value::Bool(true));
+            let duration = if plateau {
+                600.0
+            } else {
+                input / 5.0e7 + (h % 7) as f64
+            };
+            let mut record = ExecutionRecord::job(format!("job_{i}"))
+                .with_feature("inputsize", input)
+                .with_feature("host", host)
+                .with_feature("duration", duration);
+            record.set_feature("pigscript", script);
+            log.push(record);
+        }
+        log.rebuild_catalogs();
+        log
+    }
+
+    /// Renumbering every attribute's nominal ids by a random bijection —
+    /// in the cells, the pair's row and the originals — changes no grown
+    /// clause: nothing orders by id.
+    #[test]
+    fn the_grown_clause_does_not_depend_on_nominal_ids() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        let templates = [
+            "DESPITE inputsize_compare = GT\n\
+             OBSERVED duration_compare = SIM\n\
+             EXPECTED duration_compare = GT",
+            "DESPITE pigscript_isSame = T AND inputsize_compare = GT\n\
+             OBSERVED duration_compare = SIM\n\
+             EXPECTED duration_compare = GT",
+        ];
+        let mut nominal_atoms = 0;
+        for seed in 0..24u64 {
+            let log = nominal_log(seed);
+            let engine = PerfXplain::new(ExplainConfig::default().with_seed(seed));
+            let view = Arc::new(ColumnarLog::build(&log, crate::record::ExecutionKind::Job));
+            for text in templates {
+                let template = parse_query(text).unwrap();
+                let Some(bound) = (0..36 * 36)
+                    .map(|k| (seed as usize * 37 + k) % (36 * 36))
+                    .filter(|k| k / 36 != k % 36)
+                    .map(|k| {
+                        BoundQuery::new(
+                            template.clone(),
+                            format!("job_{}", k / 36),
+                            format!("job_{}", k % 36),
+                        )
+                    })
+                    .find(|bound| bound.verify_preconditions(&log, 0.1).is_ok())
+                else {
+                    continue;
+                };
+                let Ok(training) =
+                    prepare_encoded_training_in(&log, view.clone(), &bound, engine.config())
+                else {
+                    continue;
+                };
+                let bridge = engine.bridge_for(&training, None, &bound, None);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let permutations: Vec<Vec<u32>> = bridge
+                    .dataset()
+                    .attributes()
+                    .iter()
+                    .map(|attribute| {
+                        let mut ids: Vec<u32> = (0..attribute.dictionary.len() as u32).collect();
+                        ids.shuffle(&mut rng);
+                        ids
+                    })
+                    .collect();
+                let renumbered = bridge.renumbered(|attr, id| permutations[attr][id as usize]);
+                for target_observed in [true, false] {
+                    let clause = engine.generate_clause_from_bridge(&bridge, target_observed, 3);
+                    let again = engine.generate_clause_from_bridge(&renumbered, target_observed, 3);
+                    assert_eq!(clause, again, "seed {seed}, {bound:?}");
+                    nominal_atoms += clause
+                        .atoms()
+                        .iter()
+                        .filter(|atom| !matches!(atom.constant, Value::Num(_)))
+                        .count();
+                }
+            }
+        }
+        assert!(nominal_atoms > 0, "no clause tested a nominal atom");
     }
 
     #[test]

@@ -158,19 +158,24 @@
 //!    enumerates [`pool::MIN_FAN_OUT_WORK`] candidates; below that, and on
 //!    one CPU, it runs inline on the caller.  Results are bit-identical
 //!    either way.
-//! 5. **Reuse the sample.** Algorithm 1 draws its training set from the
-//!    query's three clauses alone; the pair of interest only filters the
-//!    candidate predicates.  So each cached view of the
-//!    [`XplainService`](service::XplainService) memoizes the samples drawn
-//!    over it, keyed by the clauses and the request's effective
+//! 5. **Reuse the sample and its encoding.** Algorithm 1 draws its
+//!    training set from the query's three clauses alone; the pair of
+//!    interest only filters the candidate predicates.  So each cached view
+//!    of the [`XplainService`](service::XplainService) memoizes the samples
+//!    drawn over it, keyed by the clauses and the request's effective
 //!    [`ExplainConfig`]: asking one template about another pair skips the
 //!    enumeration, the cap and the balanced sample, and hands the clause
 //!    loop the same pairs, labels and related-pair count
-//!    ([`QueryOutcome::sample_reused`](service::QueryOutcome::sample_reused)).
-//!    The memo lives exactly as long as its log generation, holds at most
-//!    2^18 sampled pairs per view, and the stateless paths never use it.
-//!    The served path also finds the pair of interest through the view's
-//!    row index instead of a scan of the log.
+//!    ([`QueryOutcome::sample_reused`](service::QueryOutcome::sample_reused))
+//!    without copying them.  Beside each sample the memo keeps its
+//!    encoded split-search dataset (step 6) with the first clause
+//!    iteration's per-attribute summaries (step 7), so such a request
+//!    encodes only the pair of interest's row and replays the summaries.
+//!    The memo lives exactly as long as its log generation; it holds at
+//!    most 2^18 sampled pairs and 32 MiB of datasets per view, and sheds
+//!    datasets apart from samples.  The stateless paths run the same
+//!    routines and store nothing.  The served path also finds the pair of
+//!    interest through the view's row index instead of a scan of the log.
 //! 6. **Encode the sample directly.**
 //!    [`DatasetBridge::encode_from_view`](bridge::DatasetBridge::encode_from_view)
 //!    derives the pair features of the sampled training pairs straight from
@@ -182,17 +187,23 @@
 //!    canonical text is built and hashed only the first time the key
 //!    appears in a sample (174 distinct keys among 323k cells on the
 //!    paper log's job query); the dataset dictionary still assigns every
-//!    id.
+//!    id.  The sampled rows are interned first; the pair of interest is
+//!    then resolved against the finished dictionaries, and a winning
+//!    nominal constant renders as the pair's own value.
 //! 7. **Train in O(n log n).**  The per-feature predicate search of
 //!    Algorithm 1 ([`mlcore::best_split_for_attribute_filtered`]) is a
 //!    single-sort sweep: values sorted once per (node, attribute), every
 //!    candidate threshold/equality scored in O(1) from running prefix
 //!    counts — the naive evaluator rescanned all rows per candidate,
-//!    O(d·n), quadratic on continuous features.  The applicability filter
-//!    (the pair of interest must satisfy every emitted predicate) is
-//!    threaded through the sweep itself, the per-attribute searches of the
-//!    greedy clause loop ([`PerfXplain`]) fan out over the shared worker
-//!    pool on large nodes, and Relief
+//!    O(d·n), quadratic on continuous features.  The sweep is a
+//!    [`mlcore::SplitSummary`] of every candidate with its counts and gain,
+//!    replayed under the applicability filter (the pair of interest must
+//!    satisfy every emitted predicate).  The first iteration searches every
+//!    sampled row, so its summaries are kept with the encoded sample and a
+//!    repeated template replays them: one lookup per nominal attribute, one
+//!    comparison per candidate on a numeric one, no sort and no gain.  The
+//!    per-attribute searches of the greedy clause loop ([`PerfXplain`]) fan
+//!    out over the shared worker pool on large nodes, and Relief
 //!    ([`mlcore::relief_weights`], behind the RuleOfThumb baseline) scans
 //!    attribute-major over typed contiguous columns with its sampled
 //!    instances fanned out the same way.  The pre-sweep trainer is retained

@@ -29,14 +29,24 @@
 //!   predicates.  So one template asked about many pairs enumerates once.
 //!   The key is the three clauses plus the request's effective
 //!   [`ExplainConfig`], compared with `==`; the value is the sampled
-//!   `(left, right)` rows, their labels and the related-pair count.  A hit
-//!   skips enumeration, the cap and the balanced sample
-//!   ([`QueryOutcome::sample_reused`]).  The memo lives exactly as long
-//!   as its generation's cache entry: an append installs a new entry with
-//!   an empty memo, `with_log_mut` and `replace_log` clear the cache, and
-//!   a tail fold keeps it (same rows, same order).  It is an LRU of at
-//!   most 2^18 sampled pairs per view (about 4.5 MB); a larger sample and
-//!   every error are not stored.  The stateless paths never use it.
+//!   `(left, right)` rows, their labels and the related-pair count, and,
+//!   once a request has featurized it, the sample's encoded split-search
+//!   dataset with the first clause iteration's per-attribute summaries.
+//!   A hit shares the rows and labels without copying them and skips
+//!   enumeration, the cap and the balanced sample
+//!   ([`QueryOutcome::sample_reused`]); when the dataset is held too, it
+//!   encodes only the pair of interest's row and replays the summaries
+//!   instead of sorting and scoring every attribute.  The memo lives
+//!   exactly as long as its generation's cache entry: an append installs
+//!   a new entry with an empty memo, `with_log_mut` and `replace_log`
+//!   clear the cache, and a tail fold keeps it (same rows, same order);
+//!   a replaced entry is freed after the cache lock is released.  Two
+//!   bounds apply per view.  Samples: an LRU of at most 2^18 sampled pairs
+//!   (about 4.5 MB); a larger sample is not stored.  Datasets: at most
+//!   32 MiB, summaries included; over it the least recently used entries
+//!   lose their datasets but keep their samples, and their next hit
+//!   featurizes again.  A larger dataset and every error are not stored.
+//!   The stateless paths run the same code and store nothing.
 //! * One [`QueryRequest`] carries everything a query needs — the PXQL text
 //!   (or an already-parsed/bound query), the pair of interest, per-query
 //!   config overrides, and the despite-extension / narration / assessment
@@ -761,13 +771,18 @@ impl XplainService {
             .expect("journal seed lock poisoned") = None;
         let mut log = self.log.write().expect("log lock poisoned");
         let result = f(&mut log);
-        self.views
-            .write()
-            .expect("view cache lock poisoned")
-            .clear();
+        let stale = self.take_views();
         // Arbitrary mutation invalidates the append-only checkpoint lineage.
         *self.checkpoint.lock().expect("checkpoint lock poisoned") = None;
+        drop(log);
+        drop(stale);
         result
+    }
+
+    /// Empties the view cache, handing the entries back so the caller
+    /// frees them, and the memos they hold, outside the cache lock.
+    fn take_views(&self) -> HashMap<ExecutionKind, CachedView> {
+        std::mem::take(&mut *self.views.write().expect("view cache lock poisoned"))
     }
 
     /// Replaces the served log wholesale, dropping every cached view (the
@@ -781,12 +796,11 @@ impl XplainService {
             .lock()
             .expect("journal seed lock poisoned") = None;
         let mut guard = self.log.write().expect("log lock poisoned");
-        *guard = log;
-        self.views
-            .write()
-            .expect("view cache lock poisoned")
-            .clear();
+        let replaced = std::mem::replace(&mut *guard, log);
+        let stale = self.take_views();
         *self.checkpoint.lock().expect("checkpoint lock poisoned") = None;
+        drop(guard);
+        drop((replaced, stale));
     }
 
     /// Appends records to the served log **without dropping the view
@@ -834,11 +848,16 @@ impl XplainService {
         let mut log = self.log.write().expect("log lock poisoned");
         let generation = log.append(records);
         // Only views whose kind saw a schema change (rewrite watermark
-        // bumped past them) are stale beyond delta repair.
-        self.views
+        // bumped past them) are stale beyond delta repair.  They are freed
+        // outside the cache lock.
+        let stale: Vec<(ExecutionKind, CachedView)> = self
+            .views
             .write()
             .expect("view cache lock poisoned")
-            .retain(|kind, entry| entry.generation >= log.rewrite_generation(*kind));
+            .extract_if(|kind, entry| entry.generation < log.rewrite_generation(*kind))
+            .collect();
+        drop(log);
+        drop(stale);
         AppendOutcome {
             generation,
             appended,
@@ -1242,7 +1261,7 @@ impl XplainService {
                 (built, false)
             }
         };
-        let (installed, samples) = {
+        let (installed, samples, replaced) = {
             let mut cache = self.views.write().expect("view cache lock poisoned");
             let fresh = || CachedView {
                 view: view.clone(),
@@ -1251,13 +1270,15 @@ impl XplainService {
                 samples: Arc::default(),
             };
             let entry = cache.entry(kind).or_insert_with(fresh);
-            if entry.generation != generation {
-                *entry = fresh();
-            }
+            // The replaced generation's entry, and its memo, are freed
+            // after the cache lock is released.
+            let replaced =
+                (entry.generation != generation).then(|| std::mem::replace(entry, fresh()));
             // A racing query may have installed this generation already;
             // both views are identical, keep the first (and its memo).
-            (entry.view.clone(), entry.samples.clone())
+            (entry.view.clone(), entry.samples.clone(), replaced)
         };
+        drop(replaced);
         self.maybe_schedule_compaction(kind, generation, &installed);
         (installed, samples, reused)
     }

@@ -1514,15 +1514,17 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
 /// segments are fingerprint-verified and the manifest rewritten, nothing
 /// re-encoded.
 pub fn sync_append(dir: &Path, tail: Vec<ExecutionRecord>, generation: u64) -> Result<SyncReport> {
-    let stored = SnapshotManifest::load(dir)?.shards.len();
-    let mut inputs: Vec<ShardInput> = (0..stored).map(|_| ShardInput::Keep).collect();
+    // One manifest read serves both the shard count and the commit.
+    let retries = AtomicU64::new(0);
+    let old = SnapshotManifest::load_with_retries(dir, &retries)?;
+    let mut inputs: Vec<ShardInput> = (0..old.shards.len()).map(|_| ShardInput::Keep).collect();
     if !tail.is_empty() {
         inputs.push(ShardInput::Fresh(RecordShard {
             records: tail,
             source_fingerprint: None,
         }));
     }
-    sync_at_generation(dir, inputs, generation)
+    commit(dir, Some(&old), inputs, generation, retries)
 }
 
 /// [`sync`] recording `generation` in the committed manifest.

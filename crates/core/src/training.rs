@@ -44,14 +44,17 @@
 //! The sample depends on the query's three clauses and the configuration,
 //! never on the pair of interest: that enters Algorithm 1 only at line 5,
 //! where a candidate predicate must hold for it.  So one template asked
-//! about many pairs needs one training set.  A cached view of
-//! [`XplainService`](crate::service::XplainService) keeps a `SampleMemo` of
-//! the samples drawn over it, and the served path fetches its training set
-//! through `prepare_encoded_training_memoized`: a hit hands back the
-//! same pairs, labels and related-pair count a fresh enumeration would,
-//! without enumerating.  The stateless paths pass no memo and always
-//! enumerate.
+//! about many pairs needs one training set, and one encoding of it.  A
+//! cached view of [`XplainService`](crate::service::XplainService) keeps a
+//! `SampleMemo` of the samples drawn over it, and the served path fetches
+//! its training set through `prepare_encoded_training_memoized`: a hit
+//! hands back the same pairs, labels and related-pair count a fresh
+//! enumeration would, without enumerating or copying, together with the
+//! sample's encoded dataset (`SharedDataset`) once a request has stored
+//! it.  The stateless paths pass no memo: they always enumerate and
+//! featurize, and store nothing.
 
+use crate::bridge::SharedDataset;
 use crate::cancel::CancelToken;
 use crate::columnar::{ColumnarLog, CompiledQuery};
 use crate::config::ExplainConfig;
@@ -497,9 +500,9 @@ pub struct EncodedTraining<'a> {
     /// The columnar encoded view the pairs index into.
     pub view: Arc<ColumnarLog>,
     /// Sampled `(left, right)` row pairs, in selection order.
-    pub pairs: Vec<(usize, usize)>,
+    pub pairs: Arc<[(usize, usize)]>,
     /// `true` for pairs that performed as observed.
-    pub labels: Vec<bool>,
+    pub labels: Arc<[bool]>,
     /// Total related pairs found by the enumeration, before sampling — the
     /// actual (not estimated) candidate workload, used to refine admission
     /// costs after the fact.
@@ -548,7 +551,7 @@ impl<'a> EncodedTraining<'a> {
     pub fn materialise(&self, sim_threshold: f64) -> TrainingSet {
         let catalog = self.log.catalog(self.view.kind());
         let mut set = TrainingSet::default();
-        for (&(left, right), &label) in self.pairs.iter().zip(&self.labels) {
+        for (&(left, right), &label) in self.pairs.iter().zip(self.labels.iter()) {
             set.examples.push(PairExample::build(
                 catalog,
                 self.view.record(left),
@@ -616,8 +619,8 @@ pub fn prepare_encoded_training_cancellable<'a>(
     Ok(EncodedTraining {
         log,
         view,
-        pairs,
-        labels,
+        pairs: pairs.into(),
+        labels: labels.into(),
         related_pairs,
     })
 }
@@ -626,12 +629,38 @@ pub fn prepare_encoded_training_cancellable<'a>(
 /// labels.  A larger sample is not stored.
 const MEMO_MAX_PAIRS: usize = 1 << 18;
 
+/// Most bytes of encoded datasets ([`SharedDataset::bytes`], summaries
+/// included) one [`SampleMemo`] holds.  A blocked-log dataset takes about
+/// 1 MB, a paper-grid one 5–6 MB, so the bound keeps each kind's base
+/// template and a few despite-extended ones.  A larger dataset is not
+/// stored.
+const MEMO_MAX_DATASET_BYTES: usize = 32 << 20;
+
 /// The training sets drawn over one cached view, least recently used
 /// first.  Every entry was drawn at the view's one log generation, so the
 /// memo lives exactly as long as that generation's cache entry.
-#[derive(Debug, Default)]
+///
+/// An entry also keeps the sample's encoded dataset once a request has
+/// featurized it, so later requests under the key encode only their pair
+/// of interest.  Samples and datasets have separate bounds: over
+/// [`MEMO_MAX_PAIRS`] sampled pairs whole entries go, least recently used
+/// first; over [`MEMO_MAX_DATASET_BYTES`] only datasets go, in the same
+/// order, and their entries keep the samples.  The next hit on such an
+/// entry featurizes from the sample again and stores the result.
+#[derive(Debug)]
 pub(crate) struct SampleMemo {
     entries: Mutex<Vec<MemoEntry>>,
+    /// [`MEMO_MAX_DATASET_BYTES`]; the tests shrink it.
+    dataset_bound: usize,
+}
+
+impl Default for SampleMemo {
+    fn default() -> Self {
+        SampleMemo {
+            entries: Mutex::default(),
+            dataset_bound: MEMO_MAX_DATASET_BYTES,
+        }
+    }
 }
 
 /// One memoized sample with its key: the three clauses and the whole
@@ -644,14 +673,15 @@ struct MemoEntry {
     expected: Predicate,
     config: ExplainConfig,
     sample: Sample,
+    dataset: Option<Arc<SharedDataset>>,
 }
 
 /// A drawn sample: the `(left, right)` rows, their labels and the related
-/// pairs it was drawn from.
+/// pairs it was drawn from.  Cloning shares the rows and labels.
 #[derive(Debug, Clone)]
 struct Sample {
-    pairs: Vec<(usize, usize)>,
-    labels: Vec<bool>,
+    pairs: Arc<[(usize, usize)]>,
+    labels: Arc<[bool]>,
     related_pairs: usize,
 }
 
@@ -664,6 +694,30 @@ impl MemoEntry {
     }
 }
 
+/// Drops the least recently used entries' datasets until the datasets
+/// left fit in `bound` bytes, returning the dropped ones so the caller
+/// frees them after releasing the lock.
+fn shed_datasets(entries: &mut [MemoEntry], bound: usize) -> Vec<Arc<SharedDataset>> {
+    // Each size is read once: a request may be adding summaries to a
+    // dataset meanwhile, and its size only grows.
+    let sizes: Vec<usize> = entries
+        .iter()
+        .map(|e| e.dataset.as_ref().map_or(0, |d| d.bytes()))
+        .collect();
+    let mut held: usize = sizes.iter().sum();
+    let mut dropped = Vec::new();
+    for (entry, size) in entries.iter_mut().zip(sizes) {
+        if held <= bound {
+            break;
+        }
+        if let Some(dataset) = entry.dataset.take() {
+            held -= size;
+            dropped.push(dataset);
+        }
+    }
+    dropped
+}
+
 impl SampleMemo {
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
@@ -673,14 +727,24 @@ impl SampleMemo {
             .is_empty()
     }
 
-    /// The memoized sample for the key, marked most recently used.
-    fn get(&self, query: &BoundQuery, config: &ExplainConfig) -> Option<Sample> {
+    /// The memoized sample for the key, and its dataset when one is held,
+    /// marked most recently used.  Datasets whose summaries grew since the
+    /// last call are shed to the bound first.
+    fn get(
+        &self,
+        query: &BoundQuery,
+        config: &ExplainConfig,
+    ) -> Option<(Sample, Option<Arc<SharedDataset>>)> {
         let mut entries = self.entries.lock().expect("sample memo lock poisoned");
         let at = entries.iter().position(|e| e.matches(query, config))?;
         let entry = entries.remove(at);
-        let sample = entry.sample.clone();
         entries.push(entry);
-        Some(sample)
+        let dropped = shed_datasets(&mut entries, self.dataset_bound);
+        let entry = entries.last().expect("just pushed");
+        let found = (entry.sample.clone(), entry.dataset.clone());
+        drop(entries);
+        drop(dropped);
+        Some(found)
     }
 
     /// Stores a freshly drawn sample unless its key is already present (a
@@ -704,19 +768,62 @@ impl SampleMemo {
                 labels: training.labels.clone(),
                 related_pairs: training.related_pairs,
             },
+            dataset: None,
         });
         let mut held: usize = entries.iter().map(|e| e.sample.pairs.len()).sum();
+        let mut evicted = Vec::new();
         while held > MEMO_MAX_PAIRS {
-            held -= entries.remove(0).sample.pairs.len();
+            let entry = entries.remove(0);
+            held -= entry.sample.pairs.len();
+            evicted.push(entry);
         }
+        drop(entries);
+        drop(evicted);
+    }
+
+    /// Keeps `dataset`, encoded from the key's memoized sample, beside it,
+    /// unless the entry is gone, already holds one (a racing request
+    /// stored it first), or the dataset alone exceeds
+    /// [`MEMO_MAX_DATASET_BYTES`]; then sheds least recently used datasets
+    /// down to the bound.
+    pub(crate) fn store_dataset(
+        &self,
+        query: &BoundQuery,
+        config: &ExplainConfig,
+        dataset: &Arc<SharedDataset>,
+    ) {
+        if dataset.bytes() > self.dataset_bound {
+            return;
+        }
+        let mut entries = self.entries.lock().expect("sample memo lock poisoned");
+        let Some(entry) = entries.iter_mut().find(|e| e.matches(query, config)) else {
+            return;
+        };
+        if entry.dataset.is_some() {
+            return;
+        }
+        entry.dataset = Some(Arc::clone(dataset));
+        let dropped = shed_datasets(&mut entries, self.dataset_bound);
+        drop(entries);
+        drop(dropped);
     }
 }
 
+/// A training set drawn through [`prepare_encoded_training_memoized`]:
+/// the sample, whether it came from the memo, and the memo's encoded
+/// dataset of it when one was held.
+#[derive(Debug)]
+pub(crate) struct Drawn<'a> {
+    pub(crate) training: EncodedTraining<'a>,
+    pub(crate) reused: bool,
+    pub(crate) dataset: Option<Arc<SharedDataset>>,
+}
+
 /// [`prepare_encoded_training_cancellable`] through a view's sample memo.
-/// A hit returns the memoized sample without enumerating; a miss
-/// enumerates with no lock held and stores the sample.  Errors are never
-/// stored.  The flag is `true` on a hit.  Without a memo this is exactly
-/// [`prepare_encoded_training_cancellable`].
+/// A hit returns the memoized sample, and its encoded dataset when the
+/// memo holds one, without enumerating or copying; a miss enumerates with
+/// no lock held and stores the sample.  Errors are never stored.  Without
+/// a memo this is exactly [`prepare_encoded_training_cancellable`].
 ///
 /// The memo must belong to `view`'s cache entry, whose rows the stored
 /// pairs index, and `log` must be the generation that entry was built at.
@@ -727,12 +834,16 @@ pub(crate) fn prepare_encoded_training_memoized<'a>(
     config: &ExplainConfig,
     cancel: &CancelToken,
     memo: Option<&SampleMemo>,
-) -> Result<(EncodedTraining<'a>, bool)> {
-    let Some(memo) = memo else {
-        return prepare_encoded_training_cancellable(log, view, query, config, cancel)
-            .map(|training| (training, false));
+) -> Result<Drawn<'a>> {
+    let fresh = |training| Drawn {
+        training,
+        reused: false,
+        dataset: None,
     };
-    if let Some(sample) = memo.get(query, config) {
+    let Some(memo) = memo else {
+        return prepare_encoded_training_cancellable(log, view, query, config, cancel).map(fresh);
+    };
+    if let Some((sample, dataset)) = memo.get(query, config) {
         cancel.check()?;
         let training = EncodedTraining {
             log,
@@ -741,11 +852,15 @@ pub(crate) fn prepare_encoded_training_memoized<'a>(
             labels: sample.labels,
             related_pairs: sample.related_pairs,
         };
-        return Ok((training, true));
+        return Ok(Drawn {
+            training,
+            reused: true,
+            dataset,
+        });
     }
     let training = prepare_encoded_training_cancellable(log, view, query, config, cancel)?;
     memo.insert(query, config, &training);
-    Ok((training, false))
+    Ok(fresh(training))
 }
 
 #[cfg(test)]
@@ -934,10 +1049,11 @@ mod tests {
         assert_eq!(draw(&cancelled).unwrap_err(), CoreError::Cancelled);
         assert!(memo.is_empty());
 
-        let (fresh, reused) = draw(&CancelToken::never()).unwrap();
-        assert!(!reused);
-        let (memoized, reused) = draw(&CancelToken::never()).unwrap();
-        assert!(reused);
+        let fresh = draw(&CancelToken::never()).unwrap();
+        assert!(!fresh.reused);
+        let memoized = draw(&CancelToken::never()).unwrap();
+        assert!(memoized.reused);
+        let (fresh, memoized) = (fresh.training, memoized.training);
         assert_eq!(memoized.pairs, fresh.pairs);
         assert_eq!(memoized.labels, fresh.labels);
         assert_eq!(memoized.related_pairs, fresh.related_pairs);
@@ -954,8 +1070,8 @@ mod tests {
         let sample = |pairs: usize| EncodedTraining {
             log: &log,
             view: view.clone(),
-            pairs: vec![(0, 1); pairs],
-            labels: vec![true; pairs],
+            pairs: vec![(0, 1); pairs].into(),
+            labels: vec![true; pairs].into(),
             related_pairs: pairs,
         };
         let seeded = |seed: u64| ExplainConfig::default().with_seed(seed);
@@ -976,5 +1092,127 @@ mod tests {
         memo.insert(&query(), &seeded(5), &sample(MEMO_MAX_PAIRS + 1));
         assert!(memo.get(&query(), &seeded(5)).is_none());
         assert!(memo.get(&query(), &seeded(4)).is_some());
+    }
+
+    /// The encoded dataset of `query`'s sample under `config`.
+    fn shared_dataset<'a>(
+        log: &'a ExecutionLog,
+        view: &Arc<ColumnarLog>,
+        config: &ExplainConfig,
+    ) -> (EncodedTraining<'a>, Arc<SharedDataset>) {
+        let training = prepare_encoded_training_in(log, view.clone(), &query(), config).unwrap();
+        let catalog = crate::pairs::PairCatalog::from_raw(log.catalog(ExecutionKind::Job));
+        let excluded = crate::query::excluded_raw_features(&query(), config);
+        let dataset = SharedDataset::from_view(&training, &catalog, &excluded, 0.1);
+        (training, Arc::new(dataset))
+    }
+
+    /// Over the dataset bound, datasets go least recently used first and
+    /// their samples stay; a dataset larger than the bound is not stored.
+    #[test]
+    fn the_memo_sheds_least_recently_used_datasets_and_keeps_their_samples() {
+        let log = synthetic_log();
+        let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
+        let seeded = |seed: u64| ExplainConfig::default().with_seed(seed);
+        let drawn: Vec<_> = (0..4)
+            .map(|seed| shared_dataset(&log, &view, &seeded(seed)))
+            .collect();
+        let largest = drawn.iter().map(|(_, d)| d.bytes()).max().unwrap();
+        let smallest = drawn.iter().map(|(_, d)| d.bytes()).min().unwrap();
+        // Room for two datasets of any size, never three.
+        assert!(
+            3 * smallest > 2 * largest,
+            "datasets differ too much in size"
+        );
+        let memo = SampleMemo {
+            dataset_bound: 2 * largest,
+            ..SampleMemo::default()
+        };
+        let has_dataset = |seed: u64| {
+            let (_, dataset) = memo.get(&query(), &seeded(seed)).expect("sample kept");
+            dataset.is_some()
+        };
+        for (seed, (training, dataset)) in drawn.iter().enumerate().take(3) {
+            memo.insert(&query(), &seeded(seed as u64), training);
+            memo.store_dataset(&query(), &seeded(seed as u64), dataset);
+        }
+        // Seed 0's dataset, the least recently used, went; its sample did
+        // not.  Touching seed 1, then seed 0 (a hit that featurizes again
+        // and stores), leaves seed 2's dataset the least recently used.
+        assert!(has_dataset(1));
+        assert!(!has_dataset(0));
+        memo.store_dataset(&query(), &seeded(0), &drawn[0].1);
+        assert!(has_dataset(1));
+        assert!(has_dataset(0));
+        assert!(!has_dataset(2));
+        // A dataset larger than the bound is not stored.
+        let small = SampleMemo {
+            dataset_bound: smallest - 1,
+            ..SampleMemo::default()
+        };
+        small.insert(&query(), &seeded(3), &drawn[3].0);
+        small.store_dataset(&query(), &seeded(3), &drawn[3].1);
+        let (_, dataset) = small.get(&query(), &seeded(3)).expect("sample kept");
+        assert!(dataset.is_none());
+    }
+
+    /// A hit whose dataset was shed featurizes from the memoized sample
+    /// again, stores the result, and answers exactly as the stateless
+    /// engine does.
+    #[test]
+    fn a_hit_whose_dataset_was_shed_featurizes_again_and_answers_the_same() {
+        use crate::explain::PerfXplain;
+
+        let log = synthetic_log();
+        let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
+        let engine = PerfXplain::new(ExplainConfig::default());
+        let (_, one) = shared_dataset(&log, &view, engine.config());
+        // Room for one template's dataset, not two.
+        let memo = SampleMemo {
+            dataset_bound: one.bytes() * 3 / 2,
+            ..SampleMemo::default()
+        };
+        let pairs = [("job_0", "job_1"), ("job_3", "job_1"), ("job_6", "job_7")];
+        let templates = [query(), {
+            let q = parse_query(
+                "DESPITE inputsize_compare = GT\n\
+                 OBSERVED duration_compare = GT\n\
+                 EXPECTED duration_compare = SIM",
+            )
+            .unwrap();
+            BoundQuery::new(q, "job_0", "job_1")
+        }];
+        let never = CancelToken::never();
+        for round in 0..3 {
+            for template in &templates {
+                for (left, right) in pairs {
+                    let bound = BoundQuery::new(template.query.clone(), left, right);
+                    let Ok(_) = bound.verify_preconditions(&log, 0.1) else {
+                        continue;
+                    };
+                    let served = engine.explain_with_training(
+                        &log,
+                        view.clone(),
+                        &bound,
+                        false,
+                        Some(&memo),
+                        &never,
+                        None,
+                    );
+                    let fresh = engine.explain(&log, &bound);
+                    match (served, fresh) {
+                        (Ok((explanation, _, _, reused)), Ok(expected)) => {
+                            assert_eq!(explanation, expected);
+                            assert_eq!(reused, round > 0 || (left, right) != pairs[0]);
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a, b),
+                        other => panic!("served and fresh diverge: {other:?}"),
+                    }
+                    // The dataset is held again after every request.
+                    let (_, dataset) = memo.get(&bound, engine.config()).expect("sample kept");
+                    assert!(dataset.is_some());
+                }
+            }
+        }
     }
 }

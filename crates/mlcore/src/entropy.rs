@@ -81,18 +81,38 @@ impl CellCounts {
 ///
 /// Returns 0.0 when the overall set is empty.
 pub fn information_gain(inside: CellCounts, outside: CellCounts) -> f64 {
-    let total = inside.total() + outside.total();
-    if total == 0 {
-        return 0.0;
+    GainScorer::new(inside.plus(outside)).gain(inside)
+}
+
+/// The information gain of any split of one set, with the set's own
+/// entropy computed once instead of per split.  [`information_gain`] is
+/// one scorer's one split, so both give the same bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GainScorer {
+    total: CellCounts,
+    parent: f64,
+}
+
+impl GainScorer {
+    pub(crate) fn new(total: CellCounts) -> Self {
+        GainScorer {
+            total,
+            parent: total.entropy(),
+        }
     }
-    let parent = entropy_of_counts(
-        inside.positive + outside.positive,
-        inside.negative + outside.negative,
-    );
-    let weighted = (inside.total() as f64 / total as f64) * inside.entropy()
-        + (outside.total() as f64 / total as f64) * outside.entropy();
-    // Clamp tiny negative values caused by floating-point rounding.
-    (parent - weighted).max(0.0)
+
+    /// The gain of splitting the set into `inside` and the rest.
+    pub(crate) fn gain(&self, inside: CellCounts) -> f64 {
+        let total = self.total.total();
+        if total == 0 {
+            return 0.0;
+        }
+        let outside = self.total.minus(inside);
+        let weighted = (inside.total() as f64 / total as f64) * inside.entropy()
+            + (outside.total() as f64 / total as f64) * outside.entropy();
+        // Clamp tiny negative values caused by floating-point rounding.
+        (self.parent - weighted).max(0.0)
+    }
 }
 
 #[cfg(test)]

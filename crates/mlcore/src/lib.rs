@@ -67,9 +67,11 @@
 //!   ~3·distinct candidates — O(d·n), quadratic on continuous features such
 //!   as runtimes.  The sweep visits candidates in the identical order under
 //!   the identical comparison, so the winning [`SplitCandidate`] is
-//!   bit-identical (proptested against [`oracle`]); the applicability
-//!   filter of PerfXplain's greedy loop is threaded through the sweep, so
-//!   the filtered search is exactly as fast as the unfiltered one.
+//!   bit-identical (proptested against [`oracle`]).  The sweep is two
+//!   steps: a [`SplitSummary`] scores every candidate independently of
+//!   the applicability filter of PerfXplain's greedy loop, and a replay
+//!   offers the candidates the filter admits.  A summary kept for many
+//!   filters makes each later search a replay: no sort, no gain.
 //!   Nominal candidates dedup through an [`FxHashMap`] (first-seen order
 //!   preserved) instead of a linear scan, and equality candidates that
 //!   duplicate an adjacent mid-point's partition are suppressed outright.
@@ -138,7 +140,7 @@ pub use pool::WorkerPool;
 pub use relief::{relief_weights, ReliefConfig};
 pub use sample::{balanced_sample, BalanceStats};
 pub use split::{
-    best_split_for_attribute, best_split_for_attribute_filtered, SplitCandidate, TestAtom,
-    TestConstant, TestOp,
+    best_split_for_attribute, best_split_for_attribute_filtered, SplitCandidate, SplitSummary,
+    TestAtom, TestConstant, TestOp,
 };
 pub use stats::{mean, percentile_ranks, stddev};

@@ -36,9 +36,32 @@
 //! bit-identical.  The retained naive implementation
 //! ([`crate::oracle`], compiled for tests only) is the proptest oracle for
 //! that equivalence.
+//!
+//! # Summary and replay
+//!
+//! The sweep runs in two steps, and only the second sees the filter:
+//!
+//! * [`SplitSummary::new`] is the part that does not depend on it: the
+//!   sort, the prefix counts, and every candidate in visit order with its
+//!   inside counts and its information gain (a numeric attribute's
+//!   thresholds and equalities, a nominal attribute's first-seen ids).
+//! * [`SplitSummary::replay`] offers the candidates the filter admits, in
+//!   visit order, under the same replacement rule.  It does not take a
+//!   prefix maximum: the rule's 1e-12 tie tolerance is not transitive, so
+//!   only the sequential offer reproduces the winner.  It also reproduces
+//!   the redundant-equality suppression, which skips an equality only when
+//!   its `<=` or `>` twin passed the filter.
+//!
+//! [`best_split_for_attribute_filtered`] is one summary replayed once.  A
+//! caller that searches one set of instances under many filters keeps the
+//! summary: PerfXplain's clause loop keeps each attribute's summary over a
+//! training sample and replays it for every pair of interest, so a search
+//! costs one lookup on a nominal attribute
+//! ([`SplitSummary::best_applicable_to`]) and one comparison per candidate
+//! on a numeric one, with no sort and no gain computed.
 
 use crate::dataset::{AttrKind, AttrValue, Dataset};
-use crate::entropy::{information_gain, CellCounts};
+use crate::entropy::{CellCounts, GainScorer};
 use crate::hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -147,28 +170,38 @@ pub struct SplitCandidate {
     pub outside: CellCounts,
 }
 
+/// One scored candidate partition of a [`SplitSummary`]: the instances
+/// satisfying the test and the information gain of splitting there.  An
+/// empty `inside` marks a vacuous test, which is never offered.
+#[derive(Debug, Clone, Copy)]
+struct Scored {
+    inside: CellCounts,
+    gain: f64,
+}
+
 /// The running winner of the candidate visit order.  Replacement requires a
 /// gain strictly above `best + 1e-12`, or a within-tolerance tie broken by a
 /// strictly larger inside partition — the exact comparison the naive
 /// evaluator applied, so the sweep's winner (ties included) is bit-identical
 /// to the oracle's.
 struct RunningBest {
+    total: CellCounts,
     best: Option<SplitCandidate>,
 }
 
 impl RunningBest {
-    fn new() -> Self {
-        RunningBest { best: None }
+    fn new(total: CellCounts) -> Self {
+        RunningBest { total, best: None }
     }
 
-    /// Scores one candidate partition and keeps it if it beats the running
-    /// best.  A vacuous test (matching nothing) can never be part of an
-    /// applicable explanation and is skipped.
-    fn offer(&mut self, atom: TestAtom, inside: CellCounts, outside: CellCounts) {
+    /// Keeps one scored candidate if it beats the running best.  A vacuous
+    /// test (matching nothing) can never be part of an applicable
+    /// explanation and is skipped.
+    fn offer(&mut self, atom: TestAtom, scored: Scored) {
+        let Scored { inside, gain } = scored;
         if inside.total() == 0 {
             return;
         }
-        let gain = information_gain(inside, outside);
         let better = match &self.best {
             None => true,
             Some(b) => {
@@ -181,7 +214,7 @@ impl RunningBest {
                 atom,
                 gain,
                 inside,
-                outside,
+                outside: self.total.minus(inside),
             });
         }
     }
@@ -207,14 +240,186 @@ fn eq_band(distinct: &[f64], i: usize, atom: &TestAtom) -> (usize, usize) {
     (lo, hi)
 }
 
-/// The numeric sweep: sort the present values once, then score every
-/// threshold and equality candidate in O(1) from prefix counts.
-fn sweep_numeric(
-    data: &Dataset,
-    indices: &[usize],
+/// A mid-point threshold of a numeric summary with its `<=` and `>`
+/// partitions.
+#[derive(Debug, Clone, Copy)]
+struct Threshold {
+    value: f64,
+    le: Scored,
+    /// Vacuous when the mid-point rounded up onto the last value.
+    gt: Scored,
+    /// The mid-point between the two smallest values: its `<=`, once
+    /// offered, makes a leading equality band with the same rows redundant.
+    first: bool,
+    /// The mid-point between the two largest values, with a non-vacuous
+    /// `>`: once offered, it makes a trailing equality band redundant.
+    last: bool,
+}
+
+/// An equality candidate of a numeric summary.
+#[derive(Debug, Clone, Copy)]
+struct Equality {
+    value: f64,
+    eq: Scored,
+    /// The band's rows are exactly the first threshold's `<=` rows.
+    twin_of_first_le: bool,
+    /// The band's rows are exactly the last threshold's `>` rows.
+    twin_of_last_gt: bool,
+}
+
+/// An equality candidate of a nominal summary.
+#[derive(Debug, Clone, Copy)]
+struct NominalValue {
+    id: u32,
+    eq: Scored,
+}
+
+#[derive(Debug, Clone)]
+enum Candidates {
+    Numeric {
+        thresholds: Vec<Threshold>,
+        equalities: Vec<Equality>,
+    },
+    Nominal {
+        /// In first-seen order.
+        values: Vec<NominalValue>,
+        /// Each id's index in `values`.
+        position: FxHashMap<u32, usize>,
+    },
+}
+
+/// The half of one attribute's sweep that does not depend on the filter:
+/// every candidate test over the given instances, in the sweep's visit
+/// order, with its inside counts and its information gain (see the module
+/// docs).  [`SplitSummary::replay`] is the other half.
+#[derive(Debug, Clone)]
+pub struct SplitSummary {
     attribute: usize,
-    allow: &impl Fn(&TestAtom) -> bool,
-) -> Option<SplitCandidate> {
+    total: CellCounts,
+    candidates: Candidates,
+}
+
+impl SplitSummary {
+    /// Summarises `attribute` over the instances listed in `indices`.
+    pub fn new(data: &Dataset, indices: &[usize], attribute: usize) -> Self {
+        match data.attributes()[attribute].kind {
+            AttrKind::Nominal => summarize_nominal(data, indices, attribute),
+            AttrKind::Numeric => summarize_numeric(data, indices, attribute),
+        }
+    }
+
+    /// The best candidate test accepted by `allow`: the summary's
+    /// candidates offered in the sweep's order, with the sweep's
+    /// redundant-equality suppression, under the sweep's replacement rule.
+    /// `None` when nothing non-vacuous passes the filter.
+    pub fn replay(&self, allow: impl Fn(&TestAtom) -> bool) -> Option<SplitCandidate> {
+        let mut best = RunningBest::new(self.total);
+        match &self.candidates {
+            Candidates::Numeric {
+                thresholds,
+                equalities,
+            } => {
+                // Whether the suppressing twins were offered: an equality
+                // is skipped only when its twin passed the filter.
+                let mut first_le = false;
+                let mut last_gt = false;
+                for t in thresholds {
+                    let le = self.atom(TestOp::Le, TestConstant::Num(t.value));
+                    if allow(&le) {
+                        first_le |= t.first;
+                        best.offer(le, t.le);
+                    }
+                    let gt = self.atom(TestOp::Gt, TestConstant::Num(t.value));
+                    if allow(&gt) {
+                        last_gt |= t.last;
+                        best.offer(gt, t.gt);
+                    }
+                }
+                for e in equalities {
+                    if (e.twin_of_first_le && first_le) || (e.twin_of_last_gt && last_gt) {
+                        continue;
+                    }
+                    let atom = self.atom(TestOp::Eq, TestConstant::Num(e.value));
+                    if allow(&atom) {
+                        best.offer(atom, e.eq);
+                    }
+                }
+            }
+            Candidates::Nominal { values, .. } => {
+                for v in values {
+                    let atom = self.atom(TestOp::Eq, TestConstant::Nom(v.id));
+                    if allow(&atom) {
+                        best.offer(atom, v.eq);
+                    }
+                }
+            }
+        }
+        best.best
+    }
+
+    /// [`SplitSummary::replay`] under the applicability filter of `value`:
+    /// only tests that `value` satisfies.  A nominal attribute admits only
+    /// `value`'s own id, so this is one lookup; a numeric one compares
+    /// `value` against every candidate.
+    pub fn best_applicable_to(&self, value: AttrValue) -> Option<SplitCandidate> {
+        match (&self.candidates, value) {
+            (Candidates::Nominal { values, position }, AttrValue::Nom(id)) => {
+                let v = values[*position.get(&id)?];
+                let mut best = RunningBest::new(self.total);
+                best.offer(self.atom(TestOp::Eq, TestConstant::Nom(id)), v.eq);
+                best.best
+            }
+            (Candidates::Numeric { .. }, AttrValue::Num(_)) => {
+                self.replay(|atom| atom.matches_value(value))
+            }
+            // No numeric test matches a nominal or missing value, and no
+            // nominal test a numeric or missing one.
+            _ => None,
+        }
+    }
+
+    /// The filter checks a replay under the applicability filter makes:
+    /// the fan-out size of a search over cached summaries.
+    pub fn replay_work(&self) -> usize {
+        match &self.candidates {
+            Candidates::Numeric {
+                thresholds,
+                equalities,
+            } => 2 * thresholds.len() + equalities.len(),
+            Candidates::Nominal { .. } => 1,
+        }
+    }
+
+    /// Bytes the summary holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        match &self.candidates {
+            Candidates::Numeric {
+                thresholds,
+                equalities,
+            } => {
+                thresholds.capacity() * size_of::<Threshold>()
+                    + equalities.capacity() * size_of::<Equality>()
+            }
+            Candidates::Nominal { values, position } => {
+                values.capacity() * size_of::<NominalValue>()
+                    + position.capacity() * (size_of::<(u32, usize)>() + 1)
+            }
+        }
+    }
+
+    fn atom(&self, op: TestOp, constant: TestConstant) -> TestAtom {
+        TestAtom {
+            attribute: self.attribute,
+            op,
+            constant,
+        }
+    }
+}
+
+/// The numeric summary: sort the present values once, then score every
+/// threshold and equality candidate in O(1) from prefix counts.
+fn summarize_numeric(data: &Dataset, indices: &[usize], attribute: usize) -> SplitSummary {
     // One pass: class counts over every instance (missing, NaN and
     // type-mismatched cells satisfy no numeric test — they are permanent
     // "outside" members) plus the present `(value, label)` pairs.
@@ -228,9 +433,6 @@ fn sweep_numeric(
                 values.push((v, label));
             }
         }
-    }
-    if values.is_empty() {
-        return None;
     }
     // The single sort.  Stable, so values comparing equal (-0.0 vs 0.0)
     // keep index order and the distinct list retains the first-seen
@@ -255,18 +457,20 @@ fn sweep_numeric(
         prefix.push(prefix.last().copied().expect("seeded").plus(*cell));
     }
     let present = prefix[k];
+    let scorer = GainScorer::new(total);
+    let scored = |inside: CellCounts| Scored {
+        inside,
+        gain: scorer.gain(inside),
+    };
 
-    let mut best = RunningBest::new();
-
-    // Phase 1: the mid-point thresholds, in ascending order (the naive
-    // candidate order).  Mid-points are non-decreasing, so one pointer
-    // (`below` = number of distinct values <= current threshold) advances
+    // The mid-point thresholds, in ascending order (the naive candidate
+    // order).  Mid-points are non-decreasing, so one pointer (`below` =
+    // number of distinct values <= current threshold) advances
     // monotonically across the whole phase.
+    let mut thresholds = Vec::with_capacity(k.saturating_sub(1));
     let mut below = 0usize;
-    // Bookkeeping for the redundant-equality suppression in phase 2: the
-    // prefix length of the first `<=` partition and the suffix start of the
-    // last `>` partition, recorded only when that twin was actually scored
-    // (allowed and non-vacuous).
+    // The prefix length of the first `<=` partition and the suffix start
+    // of the last non-vacuous `>` partition, for the equality twins.
     let mut first_le_prefix = None;
     let mut last_gt_suffix = None;
     for i in 0..k.saturating_sub(1) {
@@ -280,40 +484,50 @@ fn sweep_numeric(
         while below < k && distinct[below] <= threshold {
             below += 1;
         }
-        let le = TestAtom {
-            attribute,
-            op: TestOp::Le,
-            constant: TestConstant::Num(threshold),
-        };
-        if allow(&le) {
-            if i == 0 {
-                // Never vacuous: the mid-point is >= distinct[0].
-                first_le_prefix = Some(below);
+        let le = scored(prefix[below]);
+        let gt_inside = present.minus(prefix[below]);
+        let gt = if gt_inside.total() == 0 {
+            Scored {
+                inside: gt_inside,
+                gain: 0.0,
             }
-            best.offer(le, prefix[below], total.minus(prefix[below]));
-        }
-        let gt = TestAtom {
-            attribute,
-            op: TestOp::Gt,
-            constant: TestConstant::Num(threshold),
-        };
-        if allow(&gt) {
-            if i == k - 2 && below < k {
-                // `below == k` would make the `>` side vacuous (the
-                // mid-point rounded up onto the last value): not a twin.
-                last_gt_suffix = Some(below);
+        } else if present == total {
+            // With every instance present, `>` is `<=` with the sides
+            // swapped, and the gain's sum of the two sides commutes
+            // exactly.
+            Scored {
+                inside: gt_inside,
+                gain: le.gain,
             }
-            let inside = present.minus(prefix[below]);
-            best.offer(gt, inside, total.minus(inside));
+        } else {
+            scored(gt_inside)
+        };
+        let first = i == 0;
+        // `below == k` would make the `>` side vacuous (the mid-point
+        // rounded up onto the last value): not a twin.
+        let last = i == k - 2 && below < k;
+        if first {
+            first_le_prefix = Some(below);
         }
+        if last {
+            last_gt_suffix = Some(below);
+        }
+        thresholds.push(Threshold {
+            value: threshold,
+            le,
+            gt,
+            first,
+            last,
+        });
     }
 
-    // Phase 2: the equality candidates, in ascending order.  Non-finite
-    // values take part in the ordering (every `Le`/`Gt` above treats them
-    // normally) but produce no equality candidate: the relative tolerance
-    // degenerates on ±inf (`eps = inf`, so `= inf` would match every
-    // *finite* value and not inf itself — an inverted predicate no
-    // explanation should ever state).
+    // The equality candidates, in ascending order.  Non-finite values take
+    // part in the ordering (every `Le`/`Gt` above treats them normally) but
+    // produce no equality candidate: the relative tolerance degenerates on
+    // ±inf (`eps = inf`, so `= inf` would match every *finite* value and
+    // not inf itself — an inverted predicate no explanation should ever
+    // state).
+    let mut equalities = Vec::new();
     for i in 0..k {
         if !distinct[i].is_finite() {
             continue;
@@ -325,63 +539,60 @@ fn sweep_numeric(
         };
         let (lo, hi) = eq_band(&distinct, i, &atom);
         // Redundant-equality suppression: an `=` candidate whose inside
-        // rows are exactly those of an already-scored adjacent mid-point
-        // (`<=` over the same leading band, or `>` over the same trailing
-        // band) carries the identical gain and counts, so under the
-        // strictly-better replacement rule it can never displace anything
-        // its twin could not — skip it without scoring.
-        if (lo == 0 && first_le_prefix == Some(hi + 1))
-            || (hi + 1 == k && last_gt_suffix == Some(lo))
-        {
-            continue;
-        }
-        if allow(&atom) {
-            let inside = prefix[hi + 1].minus(prefix[lo]);
-            best.offer(atom, inside, total.minus(inside));
-        }
+        // rows are exactly those of an adjacent mid-point (`<=` over the
+        // same leading band, or `>` over the same trailing band) carries
+        // the identical gain and counts, so under the strictly-better
+        // replacement rule it can never displace anything its twin could
+        // not.  A replay skips it when its twin was offered.
+        equalities.push(Equality {
+            value: distinct[i],
+            eq: scored(prefix[hi + 1].minus(prefix[lo])),
+            twin_of_first_le: lo == 0 && first_le_prefix == Some(hi + 1),
+            twin_of_last_gt: hi + 1 == k && last_gt_suffix == Some(lo),
+        });
     }
-    best.best
+    SplitSummary {
+        attribute,
+        total,
+        candidates: Candidates::Numeric {
+            thresholds,
+            equalities,
+        },
+    }
 }
 
-/// The nominal sweep: one counting pass (FxHash-deduplicated, first-seen
+/// The nominal summary: one counting pass (FxHash-deduplicated, first-seen
 /// candidate order preserved), then O(1) scoring per distinct value.
-fn sweep_nominal(
-    data: &Dataset,
-    indices: &[usize],
-    attribute: usize,
-    allow: &impl Fn(&TestAtom) -> bool,
-) -> Option<SplitCandidate> {
+fn summarize_nominal(data: &Dataset, indices: &[usize], attribute: usize) -> SplitSummary {
     let mut total = CellCounts::default();
-    let mut order: Vec<u32> = Vec::new();
-    let mut counts: FxHashMap<u32, CellCounts> = FxHashMap::default();
+    let mut values: Vec<NominalValue> = Vec::new();
+    let mut position: FxHashMap<u32, usize> = FxHashMap::default();
     for &i in indices {
         let label = data.label(i);
         total.record(label);
-        if let AttrValue::Nom(v) = data.value(i, attribute) {
-            match counts.get_mut(&v) {
-                Some(cell) => cell.record(label),
-                None => {
-                    let mut cell = CellCounts::default();
-                    cell.record(label);
-                    counts.insert(v, cell);
-                    order.push(v);
-                }
-            }
+        if let AttrValue::Nom(id) = data.value(i, attribute) {
+            let at = *position.entry(id).or_insert_with(|| {
+                values.push(NominalValue {
+                    id,
+                    eq: Scored {
+                        inside: CellCounts::default(),
+                        gain: 0.0,
+                    },
+                });
+                values.len() - 1
+            });
+            values[at].eq.inside.record(label);
         }
     }
-    let mut best = RunningBest::new();
-    for v in order {
-        let atom = TestAtom {
-            attribute,
-            op: TestOp::Eq,
-            constant: TestConstant::Nom(v),
-        };
-        if allow(&atom) {
-            let inside = *counts.get(&v).expect("counted above");
-            best.offer(atom, inside, total.minus(inside));
-        }
+    let scorer = GainScorer::new(total);
+    for v in &mut values {
+        v.eq.gain = scorer.gain(v.eq.inside);
     }
-    best.best
+    SplitSummary {
+        attribute,
+        total,
+        candidates: Candidates::Nominal { values, position },
+    }
 }
 
 /// Finds the atomic test on `attribute` with the highest information gain
@@ -399,23 +610,18 @@ pub fn best_split_for_attribute(
 }
 
 /// Like [`best_split_for_attribute`] but only considers candidate tests
-/// accepted by `allow`.
+/// accepted by `allow`: a [`SplitSummary`] replayed under the filter.
 ///
 /// PerfXplain uses the filter to enforce *applicability*: an explanation must
 /// hold for the pair of interest, so only tests that the pair of interest
-/// satisfies are eligible.  The filter is threaded through the sweep itself,
-/// so the greedy explanation loop pays O(n log n + d) per attribute exactly
-/// like the unfiltered tree search.
+/// satisfies are eligible.
 pub fn best_split_for_attribute_filtered(
     data: &Dataset,
     indices: &[usize],
     attribute: usize,
     allow: impl Fn(&TestAtom) -> bool,
 ) -> Option<SplitCandidate> {
-    match data.attributes()[attribute].kind {
-        AttrKind::Nominal => sweep_nominal(data, indices, attribute, &allow),
-        AttrKind::Numeric => sweep_numeric(data, indices, attribute, &allow),
-    }
+    SplitSummary::new(data, indices, attribute).replay(allow)
 }
 
 #[cfg(test)]
@@ -625,6 +831,109 @@ mod tests {
             best_split_for_attribute_filtered(&ds, &idx, 0, allow),
             crate::oracle::best_split_for_attribute_filtered(&ds, &idx, 0, allow),
         );
+    }
+
+    /// A filter admitting a pseudo-random half of the candidate tests,
+    /// fixed by `seed` and the atom.
+    fn coin(seed: u64) -> impl Fn(&TestAtom) -> bool {
+        move |atom: &TestAtom| {
+            let bits = match atom.constant {
+                TestConstant::Num(v) => v.to_bits(),
+                TestConstant::Nom(id) => id as u64,
+            };
+            let mut z =
+                (seed ^ bits ^ ((atom.op as u64) << 61)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) & 1 == 0
+        }
+    }
+
+    /// One summary replayed under many filters gives, for each, the naive
+    /// oracle's filtered search — over ±inf and NaN, -0.0 beside 0.0,
+    /// adjacent values within the equality tolerance, and the first and
+    /// last thresholds' redundant-equality twins, whether the filter admits
+    /// the twin or not.  Under an applicability filter, the one-lookup
+    /// replay agrees too.
+    #[test]
+    fn one_summary_replays_like_a_fresh_sweep_under_every_filter() {
+        let twins = [1.0, 2.0, 2.0, 3.0, 4.0, 4.0];
+        let edges = [
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.0 + 2.0 * f64::EPSILON,
+            7.5,
+            f64::NAN,
+            f64::INFINITY,
+            -0.0,
+            7.5,
+        ];
+        let mut cases: Vec<(Dataset, Vec<AttrValue>)> = Vec::new();
+        for values in [&twins[..], &edges[..]] {
+            for labels in [0b1010_1100_1011u32, 0b0110_0101_0110] {
+                let mut ds = Dataset::new(vec![Attribute::numeric("x")]);
+                for (i, &v) in values.iter().enumerate() {
+                    ds.push(vec![AttrValue::Num(v)], (labels >> i) & 1 == 1);
+                }
+                // A missing cell makes `>` differ from `<=` swapped.
+                if labels & 1 == 0 {
+                    ds.push(vec![AttrValue::Missing], true);
+                }
+                let mut probes: Vec<AttrValue> =
+                    values.iter().map(|&v| AttrValue::Num(v)).collect();
+                probes.extend([AttrValue::Missing, AttrValue::Nom(0), AttrValue::Num(2.5)]);
+                cases.push((ds, probes));
+            }
+        }
+        let mut nominal = nominal_dataset();
+        let green = nominal.attribute_mut(0).dictionary.intern("green");
+        nominal.push(vec![AttrValue::Nom(green)], true);
+        nominal.push(vec![AttrValue::Missing], false);
+        nominal.push(vec![AttrValue::Num(1.0)], false);
+        let probes = vec![
+            AttrValue::Nom(0),
+            AttrValue::Nom(green),
+            AttrValue::Nom(9),
+            AttrValue::Num(1.0),
+            AttrValue::Missing,
+        ];
+        cases.push((nominal, probes));
+
+        for (ds, probes) in &cases {
+            let idx = all_indices(ds);
+            let summary = SplitSummary::new(ds, &idx, 0);
+            let oracle = |allow: &dyn Fn(&TestAtom) -> bool| {
+                crate::oracle::best_split_for_attribute_filtered(ds, &idx, 0, allow)
+            };
+            let fixed: [fn(&TestAtom) -> bool; 6] = [
+                |_| true,
+                |_| false,
+                |a| a.op == TestOp::Eq,
+                |a| a.op != TestOp::Eq,
+                |a| a.op != TestOp::Le,
+                |a| a.op != TestOp::Gt,
+            ];
+            for allow in fixed {
+                assert_eq!(summary.replay(allow), oracle(&allow));
+            }
+            for seed in 0..64 {
+                let allow = coin(seed);
+                assert_eq!(summary.replay(&allow), oracle(&allow), "coin {seed}");
+            }
+            for &probe in probes {
+                let allow = |atom: &TestAtom| atom.matches_value(probe);
+                let expected = oracle(&allow);
+                assert_eq!(summary.replay(allow), expected, "probe {probe:?}");
+                assert_eq!(
+                    summary.best_applicable_to(probe),
+                    expected,
+                    "probe {probe:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -131,4 +131,4 @@ pub use client::{default_request, run_load, AppendAck, Client, LoadReport};
 pub use cost::QueryCost;
 pub use protocol::{WireRequest, WireResponse};
 pub use scheduler::{ChargeHandle, Rejection, Scheduler, SchedulerConfig, SchedulerStats};
-pub use server::{spawn, ServerConfig, ServerHandle, ServerStats, StatsSnapshot};
+pub use server::{spawn, BeforeQuery, ServerConfig, ServerHandle, ServerStats, StatsSnapshot};

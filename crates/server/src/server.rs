@@ -57,6 +57,29 @@ pub struct ServerConfig {
     /// denial-of-service.  Loopback connections may always shut the
     /// server down (that is how the CLI's own tooling does it).
     pub allow_remote_shutdown: bool,
+    /// Test seam: called on the worker with the request's wire id just
+    /// before an admitted query runs, while it holds its budget.  `None`
+    /// by default; neither the CLI nor the wire can set it.
+    pub before_query: Option<BeforeQuery>,
+}
+
+/// A callback a worker runs before it answers an admitted query
+/// ([`ServerConfig::before_query`]): a test can park the worker there to
+/// hold the budget for as long as it needs, whatever the query costs.
+#[derive(Clone)]
+pub struct BeforeQuery(Arc<dyn Fn(Option<u64>) + Send + Sync>);
+
+impl BeforeQuery {
+    /// Wraps a callback invoked with the request's wire id.
+    pub fn new(f: impl Fn(Option<u64>) + Send + Sync + 'static) -> Self {
+        BeforeQuery(Arc::new(f))
+    }
+}
+
+impl std::fmt::Debug for BeforeQuery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("BeforeQuery(..)")
+    }
 }
 
 impl Default for ServerConfig {
@@ -70,6 +93,7 @@ impl Default for ServerConfig {
             max_write_buffer: 4 << 20,
             drain_timeout: Duration::from_secs(5),
             allow_remote_shutdown: false,
+            before_query: None,
         }
     }
 }
@@ -711,7 +735,11 @@ fn handle_frame(
         let service = Arc::clone(service);
         let completions = completions.clone();
         let stats = Arc::clone(stats);
+        let before_query = config.before_query.clone();
         move |charge: ChargeHandle| {
+            if let Some(hook) = &before_query {
+                (hook.0)(id);
+            }
             // Once the view is built and the actual related-pair count is
             // measured, re-price the query and hand the estimate/actual
             // difference back to the scheduler so queued requests stop

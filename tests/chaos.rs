@@ -799,7 +799,7 @@ fn every_snapshot_failpoint_site_is_wired() {
         ("journal.replay", 1),
         ("journal.write", 5),
         ("snapshot.dir.create", 2),
-        ("snapshot.manifest.read", 7),
+        ("snapshot.manifest.read", 6),
         ("snapshot.manifest.rename", 2),
         ("snapshot.manifest.write", 2),
         ("snapshot.segment.decode", 13),

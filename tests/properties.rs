@@ -957,12 +957,37 @@ const UNBLOCKED_QUERY: &str = "DESPITE inputsize_compare = GT\n\
                                OBSERVED duration_compare = SIM\n\
                                EXPECTED duration_compare = GT";
 
-/// The three views of [`blocking_edge_log`]`(seed)` the edge properties run
-/// over, each beside the log it encodes: a view opened from a snapshot, a
-/// flat view with numeric cells `0`, `-0`, `NaN` and `7` pushed into the
-/// nominal column after the catalog was built, and a delta view over the
-/// flat one whose tail appends one record per `tail_scripts` cell.  `tag`
-/// and `variant` name the snapshot's scratch directory.
+/// The logs behind the edge views: [`blocking_edge_log`]`(seed)`, the
+/// same log with numeric cells `0`, `-0`, `NaN` and `7` pushed into the
+/// nominal column after the catalog was built, and a tail of one record
+/// per `tail_scripts` cell to append to the second.
+fn edge_logs(
+    seed: u64,
+    tail_scripts: Vec<Value>,
+) -> (ExecutionLog, ExecutionLog, Vec<ExecutionRecord>) {
+    let base = blocking_edge_log(seed);
+    let mut flat = base.clone();
+    let base_rows = base.len() as u64;
+    for (i, v) in [0.0, -0.0, f64::NAN, 7.0, -0.0, f64::NAN]
+        .into_iter()
+        .enumerate()
+    {
+        flat.push(edge_record(seed, base_rows + i as u64, Some(Value::Num(v))));
+    }
+    let tail = tail_scripts
+        .into_iter()
+        .enumerate()
+        .map(|(i, script)| edge_record(seed, base_rows + 6 + i as u64, Some(script)))
+        .collect();
+    (base, flat, tail)
+}
+
+/// The three views of [`edge_logs`]`(seed)` the edge properties run over,
+/// each beside the log it encodes: a view of the base log opened from a
+/// snapshot, a flat view of the log with numeric cells in the nominal
+/// column, and a delta view over the flat one whose tail appends one
+/// record per `tail_scripts` cell.  `tag` and `variant` name the
+/// snapshot's scratch directory.
 fn edge_views(
     seed: u64,
     tag: &str,
@@ -971,27 +996,14 @@ fn edge_views(
 ) -> Vec<(ColumnarLog, ExecutionLog)> {
     use perfxplain::{snapshot, ExecutionKind};
 
-    let mut log = blocking_edge_log(seed);
+    let (base, mut log, tail) = edge_logs(seed, tail_scripts);
     let dir = snapshot_dir(tag, seed, variant);
-    snapshot::persist(&log, &dir, 1 + (seed % 3) as usize).unwrap();
+    snapshot::persist(&base, &dir, 1 + (seed % 3) as usize).unwrap();
     let views = snapshot::open(&dir).unwrap().into_views();
     let from_snapshot = (views.job, views.log);
     std::fs::remove_dir_all(&dir).unwrap();
 
-    let base_rows = log.len() as u64;
-    for (i, v) in [0.0, -0.0, f64::NAN, 7.0, -0.0, f64::NAN]
-        .into_iter()
-        .enumerate()
-    {
-        log.push(edge_record(seed, base_rows + i as u64, Some(Value::Num(v))));
-    }
     let flat = ColumnarLog::build(&log, ExecutionKind::Job);
-
-    let tail: Vec<ExecutionRecord> = tail_scripts
-        .into_iter()
-        .enumerate()
-        .map(|(i, script)| edge_record(seed, base_rows + 6 + i as u64, Some(script)))
-        .collect();
     let fresh: Vec<&ExecutionRecord> = tail.iter().collect();
     let delta = flat.with_appended(log.catalog(ExecutionKind::Job), &fresh);
     let flat = (flat, log.clone());
@@ -1126,6 +1138,205 @@ proptest! {
                             by_maps.atom_to_pxql(&atom).to_string(),
                             by_view.atom_to_pxql(&atom).to_string()
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Services over the three edge views of [`edge_views`], each beside the
+/// log it serves: one opened from the base log's snapshot, one over the
+/// flat log, and one that cached the flat view and then appended the tail,
+/// so it answers from a delta view.
+fn edge_services(
+    seed: u64,
+    tag: &str,
+    tail_scripts: Vec<Value>,
+) -> Vec<(perfxplain::XplainService, ExecutionLog)> {
+    use perfxplain::{snapshot, ExecutionKind, XplainService};
+
+    let (base, log, tail) = edge_logs(seed, tail_scripts);
+    let dir = snapshot_dir(tag, seed, 0);
+    snapshot::persist(&base, &dir, 1 + (seed % 3) as usize).unwrap();
+    let from_snapshot = XplainService::open_snapshot(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let flat = XplainService::new(log.clone());
+    let delta = XplainService::new(log);
+    delta.view(ExecutionKind::Job);
+    delta.append(tail).unwrap();
+    [from_snapshot, flat, delta]
+        .into_iter()
+        .map(|service| {
+            let log = service.snapshot();
+            (service, log)
+        })
+        .collect()
+}
+
+/// Up to `limit` pairs of interest of `log` for which `template`'s
+/// preconditions hold, spread over every such pair.
+fn spread_pairs_of_interest(
+    log: &ExecutionLog,
+    template: &perfxplain::pxql::PxqlQuery,
+    sim_threshold: f64,
+    limit: usize,
+) -> Vec<(String, String)> {
+    let ids: Vec<&str> = log.jobs().map(|record| record.id.as_str()).collect();
+    let mut pairs = Vec::new();
+    for left in &ids {
+        for right in &ids {
+            let bound = BoundQuery::new(template.clone(), *left, *right);
+            if left != right && bound.verify_preconditions(log, sim_threshold).is_ok() {
+                pairs.push((left.to_string(), right.to_string()));
+            }
+        }
+    }
+    let stride = pairs.len().div_ceil(limit).max(1);
+    pairs.into_iter().step_by(stride).collect()
+}
+
+/// Whether `constant` is `own`, a pair feature value materialised from
+/// the pair of interest's records, as the view renders it.  A view interns
+/// `Bool(true)` and `"T"` under one id, whose original is the first of
+/// them in its column, so for those only the text must agree.  A number in
+/// a nominal column has no view id and must be the pair's own, bit for bit:
+/// `-0` is not `0`, `NaN` is not `"NaN"` and `7` is not `"7"`.
+fn renders_own_value(constant: &Value, own: &Value) -> bool {
+    match (constant, own) {
+        (Value::Pair(c1, c2), Value::Pair(o1, o2)) => {
+            renders_own_value(c1, o1) && renders_own_value(c2, o2)
+        }
+        (Value::Num(c), Value::Num(o)) => c.to_bits() == o.to_bits(),
+        (Value::Num(_), _) | (_, Value::Num(_)) => false,
+        _ => constant.to_string() == own.to_string(),
+    }
+}
+
+/// Every equality constant on a nominal pair feature of `explanation` is
+/// the pair of interest's own value of that feature
+/// ([`renders_own_value`]): a winning nominal test admits only the pair's
+/// own id.
+fn assert_constants_are_the_pairs_own(
+    explanation: &perfxplain::Explanation,
+    poi: &PairExample,
+    catalog: &perfxplain_core::pairs::PairCatalog,
+) -> Result<(), TestCaseError> {
+    for atom in explanation
+        .despite
+        .atoms()
+        .iter()
+        .chain(explanation.because.atoms())
+    {
+        let nominal = catalog
+            .get(&atom.feature)
+            .is_some_and(|def| def.kind == perfxplain::FeatureKind::Nominal);
+        if atom.op != Op::Eq || !nominal {
+            continue;
+        }
+        let own = poi.feature(&atom.feature);
+        prop_assert!(
+            renders_own_value(&atom.constant, &own),
+            "{} = {:?} but the pair's own value is {:?}",
+            atom.feature,
+            atom.constant,
+            own
+        );
+    }
+    Ok(())
+}
+
+/// `a == b`, and the same `Debug` text: stricter than `==` on `-0.0`
+/// beside `0.0`, and what stands in for `==` on a NaN constant.
+fn assert_identical<T: PartialEq + std::fmt::Debug>(a: &T, b: &T) -> Result<(), TestCaseError> {
+    let (text_a, text_b) = (format!("{a:?}"), format!("{b:?}"));
+    prop_assert_eq!(&text_a, &text_b);
+    if !text_a.contains("NaN") {
+        prop_assert!(a == b);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// One service answers several pairs of interest from each memoized
+    /// sample and its one encoded dataset, with and without the despite
+    /// extension, over the three edge views.  Every answer after the
+    /// first under a key is a hit, and every answer's explanation and
+    /// effective query equal the stateless engine's.  The base log mixes
+    /// `Bool(true)` and `"T"` in `pigscript`, the flat view adds numeric
+    /// `0`, `-0`, `NaN` and `7` there and the delta view `"7"`, so the
+    /// first sampled value behind a dictionary text is often not the
+    /// pair's own; the answers' nominal constants must be the pair's own.
+    /// Besides the default width, a width that takes nearly every feature
+    /// puts `pigscript` atoms in most explanations.
+    #[test]
+    fn memo_hits_answer_like_the_stateless_engine_on_edge_values(seed in 0u64..400) {
+        use perfxplain::{PerfXplain, QueryRequest};
+        use perfxplain_core::pairs::PairCatalog;
+
+        let tail_scripts =
+            vec![Value::str("b.pig"), Value::Bool(true), Value::str("7"), Value::str("T")];
+        for (service, log) in edge_services(seed, "memo", tail_scripts) {
+            let catalog = PairCatalog::from_raw(log.job_catalog());
+            let mut held: Vec<SampleKey> = Vec::new();
+            for (config, text) in [ExplainConfig::default(), ExplainConfig::default().with_width(6)]
+                .into_iter()
+                .flat_map(|config| [(config.clone(), BLOCKED_QUERY), (config, UNBLOCKED_QUERY)])
+            {
+                let engine = PerfXplain::new(config.clone());
+                let template = parse_query(text).unwrap();
+                let pairs = spread_pairs_of_interest(&log, &template, config.sim_threshold, 4);
+                for extend in [false, true] {
+                    for (left, right) in &pairs {
+                        let bound = BoundQuery::new(template.clone(), left.clone(), right.clone());
+                        let mut request = QueryRequest::bound(bound.clone()).with_config(config.clone());
+                        if extend {
+                            request = request.with_despite_extension();
+                        }
+                        let served = service.explain(&request);
+                        let fresh = if extend {
+                            engine.explain_full(&log, &bound)
+                        } else {
+                            engine.explain(&log, &bound).map(|e| (e, bound.clone()))
+                        };
+                        let first_key = sample_key(&bound, &config);
+                        match (&served, &fresh) {
+                            (Ok(outcome), Ok((explanation, effective))) => {
+                                assert_identical(&outcome.explanation, explanation)?;
+                                assert_identical(&outcome.query, effective)?;
+                                let poi = bound.verify_preconditions(&log, config.sim_threshold).unwrap();
+                                assert_constants_are_the_pairs_own(explanation, &poi, &catalog)?;
+                                let mut keys = vec![first_key];
+                                if outcome.query != bound {
+                                    keys.push(sample_key(&outcome.query, &config));
+                                }
+                                prop_assert_eq!(
+                                    outcome.sample_reused,
+                                    keys.iter().all(|key| held.contains(key)),
+                                    "sample_reused for {:?} extend={}", (left, right), extend
+                                );
+                                for key in keys {
+                                    if !held.contains(&key) {
+                                        held.push(key);
+                                    }
+                                }
+                            }
+                            (Err(a), Err(b)) => {
+                                prop_assert_eq!(a, b);
+                                // The first training set was stored when it
+                                // was drawn and the failure came after it.
+                                let drawn = perfxplain_core::prepare_encoded_training(
+                                    &log, &bound, &config,
+                                ).is_ok();
+                                if drawn && !held.contains(&first_key) {
+                                    held.push(first_key);
+                                }
+                            }
+                            other => prop_assert!(false, "served/fresh divergence: {:?}", other),
+                        }
                     }
                 }
             }

@@ -9,10 +9,10 @@
 //! kill a connection that behaved.
 
 use perfxplain::server::{
-    spawn, Client, QueryCost, SchedulerConfig, ServerConfig, ServerHandle, WireRequest,
+    spawn, BeforeQuery, Client, QueryCost, SchedulerConfig, ServerConfig, ServerHandle, WireRequest,
 };
 use perfxplain::{ExecutionLog, ExecutionRecord, QueryRequest, XplainService};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The canonical query over [`synthetic_log`] pairs: job_2 reads far more
@@ -72,24 +72,106 @@ fn cost_of(service: &XplainService, sample_size: usize) -> QueryCost {
 
 /// Spawns a server over a fresh `n`-record log.
 fn serve(n: usize, scheduler: SchedulerConfig) -> (ServerHandle, Arc<XplainService>) {
+    serve_with(n, scheduler, None)
+}
+
+fn serve_with(
+    n: usize,
+    scheduler: SchedulerConfig,
+    before_query: Option<BeforeQuery>,
+) -> (ServerHandle, Arc<XplainService>) {
     let service = Arc::new(XplainService::new(synthetic_log(n)));
     let config = ServerConfig {
         scheduler,
         workers: 2,
         default_timeout: Some(Duration::from_secs(60)),
+        before_query,
         ..ServerConfig::default()
     };
     let handle = spawn(Arc::clone(&service), config).expect("server binds");
     (handle, service)
 }
 
+/// Spawns a server whose worker parks request `held` before running it,
+/// until the returned [`Gate`] is released or dropped.  The parked request
+/// keeps its admission charge for as long as the test needs, however fast
+/// this machine would have answered it.
+fn serve_gated(
+    n: usize,
+    scheduler: SchedulerConfig,
+    held: u64,
+) -> (ServerHandle, Arc<XplainService>, Gate) {
+    let gate = Gate(Arc::default());
+    let state = Arc::clone(&gate.0);
+    let hook = BeforeQuery::new(move |id| {
+        if id == Some(held) {
+            let mut s = state.0.lock().unwrap();
+            s.parked = true;
+            state.1.notify_all();
+            while !s.released {
+                s = state.1.wait(s).unwrap();
+            }
+        }
+    });
+    let (handle, service) = serve_with(n, scheduler, Some(hook));
+    (handle, service, gate)
+}
+
+#[derive(Default)]
+struct GateState {
+    parked: bool,
+    released: bool,
+}
+
+/// The test's end of [`serve_gated`]'s park; dropping it releases.
+struct Gate(Arc<(Mutex<GateState>, Condvar)>);
+
+impl Gate {
+    /// Blocks until the held request is parked on its worker: admitted,
+    /// charged and not yet running.
+    fn wait_until_parked(&self) {
+        let (lock, changed) = &*self.0;
+        let (state, timeout) = changed
+            .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(60), |s| !s.parked)
+            .unwrap();
+        assert!(
+            state.parked && !timeout.timed_out(),
+            "the held request never ran"
+        );
+    }
+
+    fn release(&self) {
+        self.0 .0.lock().unwrap().released = true;
+        self.0 .1.notify_all();
+    }
+}
+
+impl Drop for Gate {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// Polls `done` until it holds, failing the test after a minute.
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let started = Instant::now();
+    while !done() {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "timed out: {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn connect(handle: &ServerHandle) -> Client {
     Client::connect(&handle.addr().to_string()).expect("client connects")
 }
 
-/// A big-sample request is slow enough (hundreds of ms of enumeration and
-/// training on this log) to deterministically hold the budget while other
-/// connections arrive.
+/// A big-sample request: the costliest to admit, and (hundreds of ms of
+/// enumeration and training on this log) the slowest to answer.  The
+/// queue tests hold the budget with a parked request ([`serve_gated`]),
+/// not with its slowness.
 const SLOW_SAMPLE: u64 = 20_000;
 const FAST_SAMPLE: u64 = 50;
 
@@ -100,7 +182,7 @@ fn queue_full_sheds_with_typed_rejections() {
     let service = XplainService::new(synthetic_log(1200));
     let slow_cost = cost_of(&service, SLOW_SAMPLE as usize);
     drop(service);
-    let (handle, _service) = serve(
+    let (handle, _service, gate) = serve_gated(
         1200,
         SchedulerConfig {
             budget: slow_cost,
@@ -108,14 +190,17 @@ fn queue_full_sheds_with_typed_rejections() {
             max_inflight_per_session: 4,
             max_pending_per_session: 16,
         },
+        1,
     );
 
-    // Hold the budget with a slow request on its own connection.
+    // Hold the budget with a request parked on its worker.
     let mut holder = connect(&handle);
     holder.send(&request(1, SLOW_SAMPLE)).expect("send");
-    std::thread::sleep(Duration::from_millis(100));
+    gate.wait_until_parked();
 
-    // Flood from distinct connections: one queues, the rest shed.
+    // Flood from distinct connections: one queues, the rest shed.  Every
+    // flood request meets the held budget (the holder plus all four are
+    // admitted or shed); only then is the holder let go.
     let mut shed = 0;
     let mut queued_or_ok = 0;
     let mut floods: Vec<Client> = (0..4).map(|_| connect(&handle)).collect();
@@ -124,6 +209,11 @@ fn queue_full_sheds_with_typed_rejections() {
             .send(&request(10 + i as u64, SLOW_SAMPLE))
             .expect("send");
     }
+    wait_for("every flood request admitted or shed", || {
+        let stats = handle.stats();
+        stats.admitted + stats.shed > floods.len() as u64
+    });
+    gate.release();
     for client in &mut floods {
         let response = client.recv().expect("response");
         if response.is_shed() {
@@ -217,17 +307,18 @@ fn deadlines_expire_mid_queue_with_a_typed_timeout() {
     let service = XplainService::new(synthetic_log(1200));
     let slow_cost = cost_of(&service, SLOW_SAMPLE as usize);
     drop(service);
-    let (handle, _service) = serve(
+    let (handle, _service, gate) = serve_gated(
         1200,
         SchedulerConfig {
             budget: slow_cost,
             queue_capacity: 8,
             ..SchedulerConfig::default()
         },
+        1,
     );
     let mut holder = connect(&handle);
     holder.send(&request(1, SLOW_SAMPLE)).expect("send");
-    std::thread::sleep(Duration::from_millis(100));
+    gate.wait_until_parked();
 
     let mut waiter = connect(&handle);
     let mut doomed = request(2, SLOW_SAMPLE);
@@ -243,9 +334,10 @@ fn deadlines_expire_mid_queue_with_a_typed_timeout() {
         response.message.as_deref().unwrap_or("").contains("queued"),
         "expiry should name the queue: {response:?}"
     );
-    // The expiry came from the sweep while the budget was still held — long
-    // before the slow holder finished.
+    // The expiry came from the sweep while the budget was still held — the
+    // holder only runs once released.
     assert!(started.elapsed() < Duration::from_secs(5));
+    gate.release();
     assert!(holder.recv().expect("holder answered").is_ok());
     assert!(handle.stats().expired >= 1);
 }
