@@ -416,11 +416,14 @@ impl Interner {
 }
 
 /// Encodes one pair-feature value into the dataset representation; a
-/// nominal value becomes the id `nominal` gives it.
+/// nominal value becomes the id `nominal` gives it.  A nominal value that
+/// PXQL does not equate with itself (a `diff` pair with a NaN side) is
+/// missing: no equality test on it could hold for the pair it came from.
 fn encode_value(kind: FeatureKind, value: Value, nominal: impl FnOnce(Value) -> u32) -> AttrValue {
     match (&value, kind) {
         (Value::Null, _) => AttrValue::Missing,
         (Value::Num(v), FeatureKind::Numeric) => AttrValue::Num(*v),
+        _ if !value.pxql_eq(&value) => AttrValue::Missing,
         // Everything else is treated as a nominal symbol keyed by its
         // canonical text form.
         _ => AttrValue::Nom(nominal(value)),
@@ -476,7 +479,14 @@ fn encode_pair_cell(
             _ => return AttrValue::Missing,
         },
         PairFeatureGroup::Diff => {
-            if view.column_kind(col) != FeatureKind::Nominal || missing || view.cells_equal(l, r) {
+            // A side PXQL does not equate with itself (a NaN number) makes
+            // the pair missing, as in `encode_value`.
+            if view.column_kind(col) != FeatureKind::Nominal
+                || missing
+                || view.cells_equal(l, r)
+                || !view.cells_equal(l, l)
+                || !view.cells_equal(r, r)
+            {
                 return AttrValue::Missing;
             }
             let key = match (l, r) {

@@ -7,8 +7,8 @@
 //! requester keeps one clone and the pipeline checks another at its phase
 //! boundaries — before resolution, per enumeration batch, after training,
 //! and per clause-search iteration — returning
-//! [`CoreError::Cancelled`](crate::CoreError::Cancelled) or
-//! [`CoreError::DeadlineExceeded`](crate::CoreError::DeadlineExceeded)
+//! [`CoreError::Cancelled`] or
+//! [`CoreError::DeadlineExceeded`]
 //! instead of the explanation.  Checks are a relaxed atomic load plus, when
 //! a deadline is set, an `Instant::now()` comparison — cheap enough for
 //! inner loops at batch granularity.

@@ -36,13 +36,17 @@ use std::sync::Arc;
 
 /// The columnar encoded view of the records of one execution kind.
 ///
-/// The view is **self-contained**: it owns a snapshot of the records it
-/// encodes, so it can outlive (and be shared independently of) the
-/// [`ExecutionLog`] it was built from.  That is what allows
-/// [`XplainService`](crate::service::XplainService) to cache views behind an
-/// `Arc` and serve many concurrent queries against one encoding while the
-/// log keeps mutating — a cached view is immutable and internally
-/// consistent by construction.
+/// The view **indexes the log, it does not copy it**: the
+/// [`ExecutionLog`] stays the only owner of its records, and the view keeps
+/// each row's position in [`ExecutionLog::records`]
+/// ([`ColumnarLog::position`]) beside the encoded cells.  A view is valid
+/// with the log it was built from, or with any log that has only been
+/// appended to since (a clone at the same generation included), because
+/// appends never move a record.  Any other mutation invalidates it.
+/// [`XplainService`](crate::service::XplainService) keeps that contract
+/// with its per-generation cache and the log's rewrite watermarks
+/// ([`ExecutionLog::rewrite_generation`]), so it can share one immutable
+/// view behind an `Arc` among many concurrent queries.
 ///
 /// Large logs are encoded **sharded** ([`ColumnarLog::build_sharded`]): the
 /// row space is split into contiguous segments, each segment is encoded
@@ -69,8 +73,9 @@ pub struct ColumnarLog {
     kind: ExecutionKind,
     /// The immutable base chunk, shared across delta generations.
     base: Arc<ViewBase>,
-    /// Records appended since the base was built, in row order.
-    tail_records: Vec<ExecutionRecord>,
+    /// Log positions of the rows appended since the base was built, in row
+    /// order.
+    tail_positions: Vec<usize>,
     /// The tail's cells, encoded against the **global** dictionaries (the
     /// base dictionaries extended in place — base ids are a prefix).  The
     /// attributes here are the view's authoritative schema even when the
@@ -87,12 +92,13 @@ pub struct ColumnarLog {
 }
 
 /// The immutable base chunk of a [`ColumnarLog`]: the encoded columns,
-/// the records they encode, and the id → row index over them.  Shared via
-/// `Arc` so a delta refresh never copies a base cell.
+/// the log positions of the records they encode, and the id → row index
+/// over them.  Shared via `Arc` so a delta refresh never copies a base
+/// cell.
 #[derive(Debug)]
 struct ViewBase {
     store: ColumnStore,
-    records: Vec<ExecutionRecord>,
+    positions: Vec<usize>,
     row_index: FxHashMap<String, usize>,
 }
 
@@ -100,8 +106,8 @@ impl PartialEq for ColumnarLog {
     fn eq(&self, other: &Self) -> bool {
         // Logical-content equality, independent of the base/tail split: a
         // flat build and a delta-maintained view with the same rows,
-        // dictionaries and ids compare equal.  The row indexes are derived
-        // from the records.
+        // positions, dictionaries and ids compare equal.  The row indexes
+        // are derived from the positions' records.
         if self.kind != other.kind
             || self.kinds != other.kinds
             || self.originals != other.originals
@@ -112,7 +118,7 @@ impl PartialEq for ColumnarLog {
         }
         let columns = self.kinds.len();
         for row in 0..self.num_rows() {
-            if self.record(row) != other.record(row) {
+            if self.position(row) != other.position(row) {
                 return false;
             }
             for col in 0..columns {
@@ -135,13 +141,25 @@ pub(crate) struct EncodedSegment {
     pub(crate) originals: Vec<Vec<Value>>,
 }
 
-/// Encodes one contiguous run of records against the shared catalog.  Cells
-/// are stored by *value* type: numeric values inline, everything else
-/// interned by canonical text, so mixed-type features keep the exact
-/// comparison semantics of the map-based path.
+/// Positions in `records`, from `from` on, of the records of `kind`.
+pub(crate) fn positions_of(
+    records: &[ExecutionRecord],
+    kind: ExecutionKind,
+    from: usize,
+) -> Vec<usize> {
+    (from..records.len())
+        .filter(|&at| records[at].kind == kind)
+        .collect()
+}
+
+/// Encodes the records at `positions` of `records`, in that order, against
+/// the shared catalog.  Cells are stored by *value* type: numeric values
+/// inline, everything else interned by canonical text, so mixed-type
+/// features keep the exact comparison semantics of the map-based path.
 pub(crate) fn encode_segment(
     catalog: &FeatureCatalog,
-    records: &[&ExecutionRecord],
+    records: &[ExecutionRecord],
+    positions: &[usize],
 ) -> EncodedSegment {
     use std::fmt::Write as _;
     let mut attributes = Vec::with_capacity(catalog.len());
@@ -155,10 +173,10 @@ pub(crate) fn encode_segment(
             FeatureKind::Numeric => Attribute::numeric(def.name.clone()),
             FeatureKind::Nominal => Attribute::nominal(def.name.clone()),
         };
-        let mut column = Vec::with_capacity(records.len());
+        let mut column = Vec::with_capacity(positions.len());
         let mut column_originals: Vec<Value> = Vec::new();
-        for record in records {
-            let cell = match record.features.get(&def.name) {
+        for &at in positions {
+            let cell = match records[at].features.get(&def.name) {
                 None | Some(Value::Null) => AttrValue::Missing,
                 Some(Value::Num(v)) => AttrValue::Num(*v),
                 Some(value) => {
@@ -241,17 +259,13 @@ impl ColumnarLog {
     /// cells, single-shot below that or on one CPU.  The produced view is
     /// always bit-identical to [`ColumnarLog::build`].
     pub fn build_auto(log: &ExecutionLog, kind: ExecutionKind) -> Self {
-        let records: Vec<&ExecutionRecord> = log.of_kind(kind).collect();
+        let positions = positions_of(log.records(), kind, 0);
         let catalog = log.catalog(kind);
-        let work = records.len().saturating_mul(catalog.len());
-        let segments = crate::pool::shared()
-            .map_chunks_gated(&records, work, |chunk| encode_segment(catalog, chunk));
-        ColumnarLog::assemble(
-            kind,
-            catalog,
-            records.into_iter().cloned().collect(),
-            segments,
-        )
+        let work = positions.len().saturating_mul(catalog.len());
+        let segments = crate::pool::shared().map_chunks_gated(&positions, work, |chunk| {
+            encode_segment(catalog, log.records(), chunk)
+        });
+        ColumnarLog::assemble(log, kind, catalog, positions, segments)
     }
 
     /// Encodes the records of `kind` as up to `num_shards` contiguous
@@ -260,40 +274,32 @@ impl ColumnarLog {
     /// [`ColumnarLog::build`] for every shard count (a shard count above the
     /// row count simply yields fewer, smaller segments).
     pub fn build_sharded(log: &ExecutionLog, kind: ExecutionKind, num_shards: usize) -> Self {
-        let records: Vec<&ExecutionRecord> = log.of_kind(kind).collect();
+        let positions = positions_of(log.records(), kind, 0);
         let catalog = log.catalog(kind);
-        let segments = crate::pool::shared()
-            .map_chunks(&records, num_shards, |chunk| encode_segment(catalog, chunk));
-        ColumnarLog::assemble(
-            kind,
-            catalog,
-            records.into_iter().cloned().collect(),
-            segments,
-        )
+        let segments = crate::pool::shared().map_chunks(&positions, num_shards, |chunk| {
+            encode_segment(catalog, log.records(), chunk)
+        });
+        ColumnarLog::assemble(log, kind, catalog, positions, segments)
     }
 
     /// Wraps a flat single-chunk encoding as a base with an empty tail.
     fn from_encoded(
         kind: ExecutionKind,
-        records: Vec<ExecutionRecord>,
+        positions: Vec<usize>,
+        row_index: FxHashMap<String, usize>,
         store: ColumnStore,
         originals: Vec<Vec<Value>>,
         kinds: Vec<FeatureKind>,
     ) -> Self {
-        let row_index = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.id.clone(), i))
-            .collect();
         let tail_store = empty_like(&store);
         ColumnarLog {
             kind,
             base: Arc::new(ViewBase {
                 store,
-                records,
+                positions,
                 row_index,
             }),
-            tail_records: Vec::new(),
+            tail_positions: Vec::new(),
             tail_store,
             originals,
             kinds,
@@ -301,18 +307,21 @@ impl ColumnarLog {
         }
     }
 
-    /// Returns a view extended by `fresh` records in **O(tail)**: only the
-    /// fresh records are encoded (local dictionaries), spliced onto the
-    /// current tail with the global dictionaries extended in place, and the
-    /// base chunk is shared with `self` — not a base cell is copied.  The
-    /// result is bit-identical to rebuilding the view over all rows from
-    /// scratch.
+    /// Returns the view extended by the records of its kind in
+    /// `log.records()[from..]`, in **O(tail)**: only those records are
+    /// encoded (local dictionaries), spliced onto the current tail with the
+    /// global dictionaries extended in place, and the base chunk is shared
+    /// with `self` — not a base cell is copied.  The result is
+    /// bit-identical to rebuilding the view over `log` from scratch.
     ///
-    /// `catalog` must be the same catalog the view was built against: a
-    /// batch that changes the catalog (new feature, kind promotion) changes
-    /// the schema, and the caller must fall back to a full rebuild (the
-    /// service gates this on [`ExecutionLog::rewrite_generation`]).
-    pub fn with_appended(&self, catalog: &FeatureCatalog, fresh: &[&ExecutionRecord]) -> Self {
+    /// `log` must be the view's log with records appended since, and
+    /// `from` the log length the view covers.  The appends must have kept
+    /// the kind's catalog: a batch that changes it (new feature, kind
+    /// promotion) changes the schema, and the caller must fall back to a
+    /// full rebuild (the service gates this on
+    /// [`ExecutionLog::rewrite_generation`]).
+    pub fn with_appended(&self, log: &ExecutionLog, from: usize) -> Self {
+        let catalog = log.catalog(self.kind);
         debug_assert!(
             catalog.defs().iter().map(|def| def.name.as_str()).eq(self
                 .tail_store
@@ -321,10 +330,11 @@ impl ColumnarLog {
                 .map(|a| a.name.as_str())),
             "with_appended called with a catalog that does not match the view schema"
         );
+        let fresh = positions_of(log.records(), self.kind, from);
         if fresh.is_empty() {
             return self.clone();
         }
-        let segment = encode_segment(catalog, fresh);
+        let segment = encode_segment(catalog, log.records(), &fresh);
         let spliced = self.tail_store.splice_tail(&segment.store);
         let mut originals = self.originals.clone();
         for (col, column_locals) in segment.originals.into_iter().enumerate() {
@@ -339,18 +349,19 @@ impl ColumnarLog {
                 }
             }
         }
-        let base_rows = self.base.records.len();
-        let mut tail_records = self.tail_records.clone();
+        let mut tail_positions = self.tail_positions.clone();
         let mut tail_index = self.tail_index.clone();
-        tail_records.reserve(fresh.len());
-        for record in fresh {
-            tail_index.insert(record.id.clone(), base_rows + tail_records.len());
-            tail_records.push((*record).clone());
+        for at in fresh {
+            tail_index.insert(
+                log.records()[at].id.clone(),
+                self.base_rows() + tail_positions.len(),
+            );
+            tail_positions.push(at);
         }
         ColumnarLog {
             kind: self.kind,
             base: Arc::clone(&self.base),
-            tail_records,
+            tail_positions,
             tail_store: spliced.store,
             originals,
             kinds: self.kinds.clone(),
@@ -361,41 +372,52 @@ impl ColumnarLog {
     /// Folds the tail into a fresh base chunk ([`ColumnStore::concat_encoded`]
     /// — a pure cell concatenation, since base and tail already share one
     /// dictionary space) and returns the compacted view with an empty tail.
-    /// A no-op clone when the tail is already empty.
+    /// The positions are concatenated and the id indexes merged, tail
+    /// entries winning.  A no-op clone when the tail is already empty.
     pub fn compacted(&self) -> Self {
-        if self.tail_records.is_empty() {
+        if self.tail_positions.is_empty() {
             return self.clone();
         }
         let store = ColumnStore::concat_encoded(&self.base.store, &self.tail_store);
-        let mut records = self.base.records.clone();
-        records.extend(self.tail_records.iter().cloned());
+        let mut positions = self.base.positions.clone();
+        positions.extend(&self.tail_positions);
+        let mut row_index = self.base.row_index.clone();
+        row_index.extend(self.tail_index.iter().map(|(id, &row)| (id.clone(), row)));
         ColumnarLog::from_encoded(
             self.kind,
-            records,
+            positions,
+            row_index,
             store,
             self.originals.clone(),
             self.kinds.clone(),
         )
     }
 
-    /// Stitches encoded segments and their records into a view by
-    /// dictionary remapping, with the column buffers adopted from the
-    /// segments — a single segment's `Arc` columns are moved, not copied.
-    /// This is the merge behind [`ColumnarLog::build_sharded`] and the one
-    /// path from a loaded snapshot to its views,
+    /// Stitches segments encoding the records at `positions` of `log`
+    /// against `catalog` into a view by dictionary remapping, with the
+    /// column buffers adopted from the segments — a single segment's `Arc`
+    /// columns are moved, not copied.  This is the merge behind
+    /// [`ColumnarLog::build_sharded`] and the one path from a loaded
+    /// snapshot to its views,
     /// [`Snapshot::into_views`](crate::snapshot::Snapshot::into_views): a
     /// service rehydrated via
     /// [`XplainService::open_snapshot`](crate::service::XplainService::open_snapshot)
     /// serves its first query from the stored columns without re-encoding.
     pub(crate) fn assemble(
+        log: &ExecutionLog,
         kind: ExecutionKind,
         catalog: &FeatureCatalog,
-        records: Vec<ExecutionRecord>,
+        positions: Vec<usize>,
         segments: Vec<EncodedSegment>,
     ) -> Self {
         let (store, originals) = merge_segments(segments);
         let kinds = catalog.defs().iter().map(|def| def.kind).collect();
-        ColumnarLog::from_encoded(kind, records, store, originals, kinds)
+        let row_index = positions
+            .iter()
+            .enumerate()
+            .map(|(row, &at)| (log.records()[at].id.clone(), row))
+            .collect();
+        ColumnarLog::from_encoded(kind, positions, row_index, store, originals, kinds)
     }
 
     /// The execution kind this view encodes.
@@ -403,41 +425,36 @@ impl ColumnarLog {
         self.kind
     }
 
-    /// The encoded records (the view's own snapshot), in row order: base
-    /// rows first, then the appended tail.
-    pub fn records(&self) -> impl Iterator<Item = &ExecutionRecord> {
-        self.base.records.iter().chain(&self.tail_records)
-    }
-
-    /// The record at `row`.
+    /// The position in [`ExecutionLog::records`] of the record at `row`:
+    /// rows are the log's records of the view's kind, in log order.
     #[inline]
-    pub fn record(&self, row: usize) -> &ExecutionRecord {
-        let base_rows = self.base.records.len();
+    pub fn position(&self, row: usize) -> usize {
+        let base_rows = self.base_rows();
         if row < base_rows {
-            &self.base.records[row]
+            self.base.positions[row]
         } else {
-            &self.tail_records[row - base_rows]
+            self.tail_positions[row - base_rows]
         }
     }
 
     /// Number of rows (records of the view's kind).
     ///
-    /// Always counted over the records, never over the column stores: a
+    /// Always counted over the positions, never over the column stores: a
     /// view with an empty catalog has zero columns, and a zero-column
     /// [`ColumnStore`] reports zero rows regardless of the record count.
     pub fn num_rows(&self) -> usize {
-        self.base.records.len() + self.tail_records.len()
+        self.base_rows() + self.tail_rows()
     }
 
     /// Rows in the immutable base chunk.
     pub fn base_rows(&self) -> usize {
-        self.base.records.len()
+        self.base.positions.len()
     }
 
     /// Rows in the appended tail (encoded since the last full build or
     /// compaction).
     pub fn tail_rows(&self) -> usize {
-        self.tail_records.len()
+        self.tail_positions.len()
     }
 
     /// Whether this view shares its base chunk with `other` (the delta
@@ -469,7 +486,7 @@ impl ColumnarLog {
     /// The cell at (`row`, `col`).
     #[inline]
     pub fn cell(&self, row: usize, col: usize) -> AttrValue {
-        let base_rows = self.base.records.len();
+        let base_rows = self.base_rows();
         if row < base_rows {
             self.base.store.value(row, col)
         } else {
@@ -735,7 +752,8 @@ mod tests {
         assert_eq!(view.num_rows(), 5);
         assert_eq!(view.kind(), ExecutionKind::Job);
         let script_col = view.column_of("pigscript").unwrap();
-        for (row, record) in view.records().enumerate() {
+        for row in 0..view.num_rows() {
+            let record = &log.records()[view.position(row)];
             let decoded = view.decode(script_col, view.cell(row, script_col));
             assert_eq!(decoded, record.feature("pigscript"));
         }
@@ -757,7 +775,9 @@ mod tests {
         .unwrap();
         let query = BoundQuery::new(q, "job_a", "job_b");
         let compiled = CompiledQuery::compile(&query, &view, config.sim_threshold);
-        let records: Vec<_> = view.records().collect();
+        let records: Vec<_> = (0..view.num_rows())
+            .map(|row| &log.records()[view.position(row)])
+            .collect();
         for i in 0..records.len() {
             for j in 0..records.len() {
                 if i == j {
@@ -784,7 +804,9 @@ mod tests {
         let catalog = log.job_catalog();
         // Every pair feature of every pair: the compiled atom must agree
         // with evaluation over the full pair-feature map.
-        let records: Vec<_> = view.records().collect();
+        let records: Vec<_> = (0..view.num_rows())
+            .map(|row| &log.records()[view.position(row)])
+            .collect();
         for i in 0..records.len() {
             for j in 0..records.len() {
                 if i == j {
@@ -848,7 +870,8 @@ mod tests {
         assert_eq!(view.tail_rows(), 0);
 
         // Append a batch mixing known and brand-new nominal values.
-        let batch = vec![
+        let covered = log.len();
+        for record in [
             ExecutionRecord::job("job_f")
                 .with_feature("inputsize", 2.0e9)
                 .with_feature("pigscript", "filter.pig")
@@ -857,39 +880,38 @@ mod tests {
                 .with_feature("inputsize", 4.0e9)
                 .with_feature("pigscript", "join.pig")
                 .with_feature("duration", 999.0),
-        ];
-        let fresh: Vec<&ExecutionRecord> = batch.iter().collect();
-        let delta = view.with_appended(log.catalog(ExecutionKind::Job), &fresh);
+        ] {
+            log.append(vec![record]);
+        }
+        let delta = view.with_appended(&log, covered);
         assert!(delta.shares_base_with(&view));
         assert_eq!(delta.base_rows(), view.num_rows());
         assert_eq!(delta.tail_rows(), 2);
         assert_eq!(delta.row_of("job_g"), Some(6));
 
-        for record in batch {
-            log.append(vec![record]);
-        }
         let full = ColumnarLog::build(&log, ExecutionKind::Job);
         assert_eq!(delta, full, "delta view diverges from a full rebuild");
 
         // A second delta on top of the first still shares the original base.
-        let more = vec![ExecutionRecord::job("job_h").with_feature("pigscript", "join.pig")];
-        let fresh: Vec<&ExecutionRecord> = more.iter().collect();
-        let stacked = delta.with_appended(log.catalog(ExecutionKind::Job), &fresh);
+        let covered = log.len();
+        log.append(vec![
+            ExecutionRecord::job("job_h").with_feature("pigscript", "join.pig")
+        ]);
+        let stacked = delta.with_appended(&log, covered);
         assert!(stacked.shares_base_with(&view));
         assert_eq!(stacked.tail_rows(), 3);
-        log.append(more);
         assert_eq!(stacked, ColumnarLog::build(&log, ExecutionKind::Job));
     }
 
     #[test]
     fn compacted_folds_the_tail_without_changing_content() {
-        let log = log();
+        let mut log = log();
         let view = ColumnarLog::build(&log, ExecutionKind::Job);
-        let batch = [ExecutionRecord::job("job_f")
+        let covered = log.len();
+        log.append(vec![ExecutionRecord::job("job_f")
             .with_feature("pigscript", "join.pig")
-            .with_feature("duration", 5.0)];
-        let fresh: Vec<&ExecutionRecord> = batch.iter().collect();
-        let delta = view.with_appended(log.catalog(ExecutionKind::Job), &fresh);
+            .with_feature("duration", 5.0)]);
+        let delta = view.with_appended(&log, covered);
         let compacted = delta.compacted();
         assert_eq!(compacted.tail_rows(), 0);
         assert_eq!(compacted.base_rows(), delta.num_rows());
@@ -902,12 +924,14 @@ mod tests {
 
     #[test]
     fn appended_duplicate_ids_shadow_base_rows() {
-        let log = log();
+        let mut log = log();
         let view = ColumnarLog::build(&log, ExecutionKind::Job);
         assert_eq!(view.row_of("job_c"), Some(2));
-        let batch = [ExecutionRecord::job("job_c").with_feature("duration", 123.0)];
-        let fresh: Vec<&ExecutionRecord> = batch.iter().collect();
-        let delta = view.with_appended(log.catalog(ExecutionKind::Job), &fresh);
+        let covered = log.len();
+        log.append(vec![
+            ExecutionRecord::job("job_c").with_feature("duration", 123.0)
+        ]);
+        let delta = view.with_appended(&log, covered);
         assert_eq!(delta.row_of("job_c"), Some(5));
     }
 

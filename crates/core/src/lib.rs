@@ -99,12 +99,12 @@
 //! tier 6 wraps the warm service in a wire protocol so many remote
 //! debugging sessions share one log — each request is admitted against a
 //! concurrent cost budget computed from its compiled-plan statistics
-//! ([`CostEstimate`](service::CostEstimate), no view built, no features
+//! ([`CostEstimate`], no view built, no features
 //! scanned), refunds the estimate/actual difference mid-flight once the
 //! measured related-pair count is known
-//! ([`CostProbe`](service::CostProbe),
+//! ([`CostProbe`],
 //! [`CostEstimate::refined_units`](service::CostEstimate::refined_units)),
-//! and carries a [`CancelToken`](cancel::CancelToken) deadline the
+//! and carries a [`CancelToken`] deadline the
 //! enumeration and clause loops observe at phase boundaries, so a serving
 //! process stays bounded in both memory and per-request latency.
 //!
@@ -115,11 +115,11 @@
 //!    logs without re-scanning them — `hadoop_logs::collect_bundles_sharded`
 //!    parses history/conf/Ganglia bundles this way.  Both are exactly
 //!    equivalent to the serial push-and-rebuild path.
-//! 2. **Encode sharded, once.** [`ColumnarLog`](columnar::ColumnarLog)
-//!    turns the per-kind records into per-feature columns: numeric cells
-//!    inline, nominal cells interned by canonical PXQL text (formatted into
-//!    a reused scratch buffer — no per-cell allocation) with the original
-//!    [`pxql::Value`] retained per id.
+//! 2. **Encode sharded, once.** [`ColumnarLog`] turns the per-kind records
+//!    into per-feature columns: numeric cells inline, nominal cells
+//!    interned by canonical PXQL text (formatted into a reused scratch
+//!    buffer — no per-cell allocation) with the original [`pxql::Value`]
+//!    retained per id.
 //!    [`build_sharded`](columnar::ColumnarLog::build_sharded) splits the
 //!    row space into contiguous segments, encodes each with a **local**
 //!    dictionary as one job of the shared worker pool, and merges the
@@ -129,14 +129,19 @@
 //!    [`build_auto`](columnar::ColumnarLog::build_auto) picks the shard
 //!    count by the pool's size rule (one per pool thread at ≥
 //!    [`pool::MIN_FAN_OUT_WORK`] record-feature cells), and the
-//!    [`XplainService`](service::XplainService) builds its cached
-//!    per-`(generation, kind)` views through it automatically.  The view is
-//!    self-contained and `Arc`-shared, so every query — including the
+//!    [`XplainService`] builds its cached per-`(generation, kind)` views
+//!    through it automatically.  The view indexes the log instead of
+//!    copying it: beside the cells it keeps each row's position in
+//!    [`ExecutionLog::records`], so the log stays the one owner of every
+//!    record.  A view is valid with the log it was built from, or with any
+//!    log that has only been appended to since; the service keeps that
+//!    contract through its generations and rewrite watermarks (step 9).
+//!    Views are `Arc`-shared, so every query — including the
 //!    despite-extension pass and whole concurrent batches — runs with zero
 //!    re-encoding.  Hot lookup maps (dictionary interning, `row_of`,
 //!    `PairCatalog`) use a vendored deterministic [`mlcore::FxHashMap`]
 //!    instead of SipHash.
-//! 3. **Compile the query.** [`CompiledQuery`](columnar::CompiledQuery)
+//! 3. **Compile the query.** [`CompiledQuery`]
 //!    resolves every clause atom to a `(column index, pair-feature group)`
 //!    pair and pre-analyses its constant (`compare` atoms become a 3-entry
 //!    truth table), so classifying one candidate pair is a handful of
@@ -161,7 +166,7 @@
 //! 5. **Reuse the sample and its encoding.** Algorithm 1 draws its
 //!    training set from the query's three clauses alone; the pair of
 //!    interest only filters the candidate predicates.  So each cached view
-//!    of the [`XplainService`](service::XplainService) memoizes the samples
+//!    of the [`XplainService`] memoizes the samples
 //!    drawn over it, keyed by the clauses and the request's effective
 //!    [`ExplainConfig`]: asking one template about another pair skips the
 //!    enumeration, the cap and the balanced sample, and hands the clause
@@ -236,9 +241,11 @@
 //!    for a pre-warmed service) loads segments on concurrent threads,
 //!    stitches them with the same dictionary-remapping merge as the
 //!    sharded encode — bit-identical to encoding from scratch — and
-//!    **moves** the decoded `Arc`-backed column buffers into the views
-//!    (adopting them outright for single-segment snapshots), so peak open
-//!    memory is approximately the final views, not a multiple of them.
+//!    **moves** each shard's records into the log and the decoded
+//!    `Arc`-backed column buffers into the views (adopting them outright
+//!    for single-segment snapshots).  No record is copied, so peak open
+//!    memory is approximately the log plus the views' columns, not a
+//!    multiple of them.
 //!    Incremental re-ingest ([`snapshot::sync`]) fingerprints each shard's
 //!    source and re-encodes only the dirty shards; a changed global
 //!    catalog re-encodes everything from on-disk records, still never
@@ -249,26 +256,29 @@
 //! 9. **Append live, refresh by delta.**
 //!    [`XplainService::append`](service::XplainService::append) extends the
 //!    served log *without* invalidating the cached views: the next query
-//!    splices the fresh records into a small **append-tail segment**
+//!    encodes the kind's records past the length the view covers into a
+//!    small **append-tail segment**
 //!    ([`ColumnarLog::with_appended`](columnar::ColumnarLog::with_appended)
-//!    over [`mlcore::ColumnStore::splice_tail`]) — dictionaries extend in
-//!    place, the base columns stay `Arc`-shared byte for byte, and the
-//!    refresh costs O(tail) instead of O(log).  Per-kind **rewrite
+//!    over [`mlcore::ColumnStore::splice_tail`]) and keeps only their log
+//!    positions — dictionaries extend in place, the base columns and
+//!    positions stay `Arc`-shared byte for byte, and the refresh costs
+//!    O(tail) instead of O(log).  Per-kind **rewrite
 //!    watermarks** ([`ExecutionLog::rewrite_generation`]) keep the shortcut
 //!    sound: an append whose batch changes the catalog, and every
 //!    non-append mutation ([`XplainService::with_log_mut`]), move the
 //!    watermark and force a full rebuild.  Tail lookups win over shadowed
 //!    base rows (duplicate ids behave exactly like a rebuild), queries see
 //!    base and tail as one view, and a tail that outgrows the configurable
-//!    [`CompactionPolicy`](service::CompactionPolicy) folds back into its
-//!    base ([`ColumnarLog::compacted`](columnar::ColumnarLog::compacted),
-//!    [`mlcore::ColumnStore::concat_encoded`]) on the shared worker pool in
-//!    the background.  [`XplainService::checkpoint`](service::XplainService::checkpoint)
+//!    [`CompactionPolicy`] folds back into its base
+//!    ([`ColumnarLog::compacted`](columnar::ColumnarLog::compacted),
+//!    [`mlcore::ColumnStore::concat_encoded`]: cells and positions
+//!    concatenated, id indexes merged, no record touched) on the shared
+//!    worker pool in the background.  [`XplainService::checkpoint`](service::XplainService::checkpoint)
 //!    persists the live tail as one incremental snapshot shard
-//!    ([`snapshot::sync_append`], [`ShardInput::Keep`](snapshot::ShardInput::Keep)
-//!    for the clean prefix) — a checkpoint while serving, no stop-the-world
-//!    re-encode.  [`ViewCacheStats`](service::ViewCacheStats) counts delta
-//!    refreshes vs full rebuilds vs compactions
+//!    ([`snapshot::sync_append`], [`ShardInput::Keep`] for the clean
+//!    prefix) — a checkpoint while serving, no stop-the-world re-encode.
+//!    [`ViewCacheStats`] counts delta refreshes vs full rebuilds vs
+//!    compactions
 //!    ([`XplainService::view_stats`](service::XplainService::view_stats)).
 //! 10. **Recover in layers, cheapest remedy first.** Transient IO errors
 //!     (interrupted, would-block, timed-out) are absorbed *in place*: every
@@ -282,7 +292,7 @@
 //!     every shard fingerprint-verifies independently, damaged segments are
 //!     **quarantined** — renamed aside, never deleted — and the healthy
 //!     shards keep serving as a
-//!     [`PartialSnapshot`](snapshot::PartialSnapshot) while a targeted
+//!     [`PartialSnapshot`] while a targeted
 //!     [`snapshot::sync`] re-encodes *only* the quarantined shards from
 //!     source.  A full re-ingest is the **last resort**, reserved for
 //!     stores salvage cannot read at all: an unusable manifest, or a v1

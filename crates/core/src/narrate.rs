@@ -159,7 +159,7 @@ fn narrate_observation(query: &BoundQuery) -> String {
 }
 
 /// Renders a full explanation in the style of the paper's introduction:
-/// *"even though …, <observation> most likely because …"*.
+/// *"even though …, `<observation>` most likely because …"*.
 pub fn narrate(query: &BoundQuery, explanation: &Explanation) -> String {
     let despite = query.query.despite.conjoin(&explanation.despite);
     let observation = narrate_observation(query);

@@ -152,7 +152,7 @@ impl BoundQuery {
         }
         let record = |id: &str| {
             view.row_of(id)
-                .map(|row| view.record(row))
+                .map(|row| &log.records()[view.position(row)])
                 .ok_or_else(|| CoreError::UnknownExecution(id.to_string()))
         };
         let (left, right) = (record(&self.left_id)?, record(&self.right_id)?);

@@ -11,7 +11,9 @@
 //!   through [`XplainService::with_log_mut`] and bump the log's
 //!   **generation counter**; queries run under the read lock against a
 //!   cached view stamped with the generation it was built at, so a stale
-//!   view can never be observed.
+//!   view can never be observed.  A view holds no records, only their
+//!   positions in the log, so it is only ever read beside the log of its
+//!   own generation.
 //! * The cache is **delta-maintained**: records ingested through
 //!   [`XplainService::append`] keep the cached views alive, and the next
 //!   query splices the fresh records into a small *tail segment*
@@ -58,7 +60,7 @@
 //!
 //! The stateless [`PerfXplain::explain`] / [`PerfXplain::explain_full`] are
 //! thin wrappers over a single-shot pass through this module
-//! ([`XplainService::answer_once`]), so there is exactly one code path.
+//! (`XplainService::answer_once`), so there is exactly one code path.
 
 use crate::cancel::CancelToken;
 use crate::columnar::ColumnarLog;
@@ -1059,7 +1061,9 @@ impl XplainService {
     /// fetched from the cache, delta-refreshed, or built — exactly the
     /// view the next query of this kind runs against.  Used by the
     /// equivalence proptests and the live-ingest benchmark; queries go
-    /// through [`XplainService::explain`].
+    /// through [`XplainService::explain`].  The view indexes the service's
+    /// log, so read its rows' records from a log at the same generation
+    /// ([`XplainService::snapshot`]) or one appended to since.
     pub fn view(&self, kind: ExecutionKind) -> Arc<ColumnarLog> {
         let log = self.read_log();
         self.view_for(&log, kind).0
@@ -1246,11 +1250,7 @@ impl XplainService {
                 if log.rows_of_kind(kind) == prev.num_rows() {
                     (prev, true)
                 } else {
-                    let fresh: Vec<&ExecutionRecord> = log.records()[covered..]
-                        .iter()
-                        .filter(|record| record.kind == kind)
-                        .collect();
-                    let spliced = Arc::new(prev.with_appended(log.catalog(kind), &fresh));
+                    let spliced = Arc::new(prev.with_appended(log, covered));
                     self.stats.delta_refreshes.fetch_add(1, Ordering::Relaxed);
                     (spliced, false)
                 }

@@ -94,7 +94,7 @@
 //! segment decode (`snapshot.segment.decode`), and prove the layering
 //! above actually holds.
 
-use crate::columnar::{encode_segment, ColumnarLog, EncodedSegment};
+use crate::columnar::{encode_segment, positions_of, ColumnarLog, EncodedSegment};
 use crate::error::{CoreError, Result};
 use crate::features::{FeatureCatalog, FeatureKind};
 use crate::record::{infer_catalogs, ExecutionKind, ExecutionLog, ExecutionRecord};
@@ -763,16 +763,10 @@ fn encode_shard_file(
     job_catalog: &FeatureCatalog,
     task_catalog: &FeatureCatalog,
 ) -> (Vec<u8>, ShardSizes) {
-    let jobs: Vec<&ExecutionRecord> = records
-        .iter()
-        .filter(|r| r.kind == ExecutionKind::Job)
-        .collect();
-    let tasks: Vec<&ExecutionRecord> = records
-        .iter()
-        .filter(|r| r.kind == ExecutionKind::Task)
-        .collect();
-    let job_segment = encode_segment(job_catalog, &jobs);
-    let task_segment = encode_segment(task_catalog, &tasks);
+    let jobs = positions_of(records, ExecutionKind::Job, 0);
+    let tasks = positions_of(records, ExecutionKind::Task, 0);
+    let job_segment = encode_segment(job_catalog, records, &jobs);
+    let task_segment = encode_segment(task_catalog, records, &tasks);
     let job_columns = columns_by_name(job_catalog);
     let task_columns = columns_by_name(task_catalog);
 
@@ -1049,13 +1043,13 @@ impl Snapshot {
     }
 
     /// Consumes the snapshot into the reassembled log plus both columnar
-    /// views without re-encoding a cell: the per-shard segments are
-    /// stitched together by the same dictionary-remapping merge as
-    /// [`ColumnarLog::build_sharded`], and moved rather than cloned — the
-    /// `Arc`-backed column buffers decoded off disk are the ones the views
-    /// end up holding (adopted outright for single-segment snapshots), so
-    /// peak memory during a cold open is approximately the final views
-    /// plus the log.
+    /// views without re-encoding a cell or copying a record: each shard's
+    /// records move into the log, and the per-shard segments are stitched
+    /// together over it by the same dictionary-remapping merge as
+    /// [`ColumnarLog::build_sharded`].  The `Arc`-backed column buffers
+    /// decoded off disk are the ones the views end up holding (adopted
+    /// outright for single-segment snapshots), so peak memory during a
+    /// cold open is approximately the log plus the final views' columns.
     ///
     /// The log equals [`Snapshot::to_log`]; the views are bit-identical to
     /// encoding that log from scratch, for any shard count the snapshot was
@@ -1065,38 +1059,22 @@ impl Snapshot {
         let mut shard_logs = Vec::with_capacity(shards.len());
         let mut job_segments = Vec::with_capacity(shards.len());
         let mut task_segments = Vec::with_capacity(shards.len());
-        let mut job_records = Vec::new();
-        let mut task_records = Vec::new();
         for shard in shards {
-            // The one unavoidable record clone: both the log and the views
-            // own their records.  Segments are moved.
             shard_logs.push(ExecutionLog::from_parts(
-                shard.records.clone(),
+                shard.records,
                 shard.job_catalog,
                 shard.task_catalog,
             ));
             job_segments.push(shard.job);
             task_segments.push(shard.task);
-            for record in shard.records {
-                match record.kind {
-                    ExecutionKind::Job => job_records.push(record),
-                    ExecutionKind::Task => task_records.push(record),
-                }
-            }
         }
         let log = ExecutionLog::from_shards(shard_logs);
-        let job = ColumnarLog::assemble(
-            ExecutionKind::Job,
-            &manifest.job_catalog,
-            job_records,
-            job_segments,
-        );
-        let task = ColumnarLog::assemble(
-            ExecutionKind::Task,
-            &manifest.task_catalog,
-            task_records,
-            task_segments,
-        );
+        let view = |kind, segments| {
+            let positions = positions_of(log.records(), kind, 0);
+            ColumnarLog::assemble(&log, kind, manifest.catalog(kind), positions, segments)
+        };
+        let job = view(ExecutionKind::Job, job_segments);
+        let task = view(ExecutionKind::Task, task_segments);
         SnapshotViews { log, job, task }
     }
 }
@@ -1207,12 +1185,6 @@ impl PartialSnapshot {
     /// How many shards verified clean.
     pub fn healthy_shards(&self) -> usize {
         self.healthy.len()
-    }
-
-    /// `true` when every shard verified — the salvage open found nothing
-    /// to quarantine and equals a strict [`open`].
-    pub fn is_complete(&self) -> bool {
-        self.quarantined.is_empty()
     }
 
     /// Rows across the healthy shards only.
@@ -2784,7 +2756,6 @@ mod tests {
         // Strict open refuses; salvage returns everything else.
         assert!(matches!(open(&dir), Err(CoreError::SnapshotCorrupt { .. })));
         let partial = open_salvage(&dir).unwrap();
-        assert!(!partial.is_complete());
         assert_eq!(partial.healthy_shards(), report.manifest.shards.len() - 1);
         assert_eq!(partial.damaged_indices(), vec![1]);
         let damage = &partial.quarantined()[0];

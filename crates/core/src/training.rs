@@ -344,7 +344,7 @@ pub fn collect_related_pairs_in(
 }
 
 /// [`collect_related_pairs_in`] with a cooperative cancellation token,
-/// checked every [`CANCEL_CHECK_ROWS`] left-hand rows (per pool chunk when
+/// checked every `CANCEL_CHECK_ROWS` left-hand rows (per pool chunk when
 /// the scan fans out).  On cancellation the partial result is discarded and
 /// the token's error comes back.
 pub fn collect_related_pairs_cancellable(
@@ -550,12 +550,13 @@ impl<'a> EncodedTraining<'a> {
     /// narration boundary representation).
     pub fn materialise(&self, sim_threshold: f64) -> TrainingSet {
         let catalog = self.log.catalog(self.view.kind());
+        let record = |row| &self.log.records()[self.view.position(row)];
         let mut set = TrainingSet::default();
         for (&(left, right), &label) in self.pairs.iter().zip(self.labels.iter()) {
             set.examples.push(PairExample::build(
                 catalog,
-                self.view.record(left),
-                self.view.record(right),
+                record(left),
+                record(right),
                 sim_threshold,
             ));
             set.labels.push(label);

@@ -139,11 +139,6 @@ impl ByteWriter {
         self.buf.push(value);
     }
 
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, value: u16) {
-        self.buf.extend_from_slice(&value.to_le_bytes());
-    }
-
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, value: u32) {
         self.buf.extend_from_slice(&value.to_le_bytes());
@@ -280,11 +275,6 @@ impl<'a> ByteReader<'a> {
     /// Reads one byte.
     pub fn get_u8(&mut self) -> CodecResult<u8> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> CodecResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u32`.
@@ -576,7 +566,6 @@ mod tests {
     fn primitives_round_trip() {
         let mut w = ByteWriter::new();
         w.put_u8(7);
-        w.put_u16(300);
         w.put_u32(70_000);
         w.put_u64(u64::MAX - 1);
         w.put_f64(-1.5e300);
@@ -585,7 +574,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 300);
         assert_eq!(r.get_u32().unwrap(), 70_000);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_f64().unwrap(), -1.5e300);

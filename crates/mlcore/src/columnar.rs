@@ -4,7 +4,7 @@
 //! layout is one contiguous column per raw feature: each cell is an
 //! [`AttrValue`] (numeric, interned nominal, or missing) and each nominal
 //! column carries the interning dictionary of its
-//! [`Attribute`](crate::dataset::Attribute).  A [`ColumnStore`] is built
+//! [`Attribute`].  A [`ColumnStore`] is built
 //! once per log and then read millions of times without further allocation;
 //! the dataset the split search consumes is encoded straight from these
 //! columns.
@@ -178,11 +178,6 @@ impl ColumnStore {
     /// The cells of column `col`.
     pub fn column(&self, col: usize) -> &[AttrValue] {
         &self.columns[col]
-    }
-
-    /// The shared buffer behind column `col` (an `Arc` clone, no cell copy).
-    pub fn column_data(&self, col: usize) -> ColumnData {
-        self.columns[col].clone()
     }
 
     /// The cell at (`row`, `col`).
@@ -997,13 +992,5 @@ mod tests {
             assert!(reader.is_exhausted());
             assert_eq!(decoded, store);
         }
-    }
-
-    #[test]
-    fn decoded_columns_share_their_buffers_without_copying() {
-        let store = store();
-        let shared = store.column_data(1);
-        // The accessor hands out the same allocation, not a copy.
-        assert!(std::ptr::eq(shared.as_slice(), store.column(1)));
     }
 }

@@ -151,29 +151,21 @@ impl Attribute {
 /// A labeled dataset with a fixed schema.
 ///
 /// Rows are instances; `labels[i]` is `true` for positive instances (in
-/// PerfXplain: pairs that performed *as observed*).  Attribute lookup by
-/// name goes through a precomputed index.
+/// PerfXplain: pairs that performed *as observed*).
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
     attributes: Vec<Attribute>,
     rows: Vec<Vec<AttrValue>>,
     labels: Vec<bool>,
-    name_index: FxHashMap<String, usize>,
 }
 
 impl Dataset {
     /// Creates an empty dataset with the given schema.
     pub fn new(attributes: Vec<Attribute>) -> Self {
-        let name_index = attributes
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.name.clone(), i))
-            .collect();
         Dataset {
             attributes,
             rows: Vec::new(),
             labels: Vec::new(),
-            name_index,
         }
     }
 
@@ -186,11 +178,6 @@ impl Dataset {
     /// loading).
     pub fn attribute_mut(&mut self, index: usize) -> &mut Attribute {
         &mut self.attributes[index]
-    }
-
-    /// Index of the attribute named `name`, if present (O(1)).
-    pub fn attribute_index(&self, name: &str) -> Option<usize> {
-        self.name_index.get(name).copied()
     }
 
     /// Number of attributes.
@@ -247,40 +234,6 @@ impl Dataset {
     /// Number of positive instances.
     pub fn num_positive(&self) -> usize {
         self.labels.iter().filter(|&&l| l).count()
-    }
-
-    /// Fraction of positive instances; 0.0 for an empty dataset.
-    pub fn positive_fraction(&self) -> f64 {
-        if self.labels.is_empty() {
-            0.0
-        } else {
-            self.num_positive() as f64 / self.labels.len() as f64
-        }
-    }
-
-    /// Builds a new dataset containing only the instances whose indices are
-    /// listed in `indices` (schema and dictionaries are shared by clone).
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut out = Dataset::new(self.attributes.clone());
-        for &i in indices {
-            out.push(self.rows[i].clone(), self.labels[i]);
-        }
-        out
-    }
-
-    /// Builds a new dataset keeping only the attributes whose indices are in
-    /// `attr_indices` (in that order).
-    pub fn project(&self, attr_indices: &[usize]) -> Dataset {
-        let attributes = attr_indices
-            .iter()
-            .map(|&a| self.attributes[a].clone())
-            .collect();
-        let mut out = Dataset::new(attributes);
-        for (row, &label) in self.rows.iter().zip(self.labels.iter()) {
-            let projected = attr_indices.iter().map(|&a| row[a]).collect();
-            out.push(projected, label);
-        }
-        out
     }
 
     /// Iterates over `(row, label)` pairs.
@@ -432,24 +385,8 @@ mod tests {
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.num_attributes(), 2);
         assert_eq!(ds.num_positive(), 2);
-        assert!((ds.positive_fraction() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(ds.attribute_index("color"), Some(1));
-        assert_eq!(ds.attribute_index("nope"), None);
         assert_eq!(ds.value(0, 0), AttrValue::Num(1.0));
         assert!(ds.value(2, 0).is_missing());
-    }
-
-    #[test]
-    fn subset_and_project() {
-        let ds = toy();
-        let sub = ds.subset(&[0, 2]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.num_positive(), 2);
-
-        let proj = ds.project(&[1]);
-        assert_eq!(proj.num_attributes(), 1);
-        assert_eq!(proj.attributes()[0].name, "color");
-        assert_eq!(proj.len(), 3);
     }
 
     #[test]
@@ -507,12 +444,5 @@ mod tests {
     fn push_rejects_wrong_width() {
         let mut ds = toy();
         ds.push(vec![AttrValue::Num(1.0)], true);
-    }
-
-    #[test]
-    fn positive_fraction_of_empty_is_zero() {
-        let ds = Dataset::new(vec![Attribute::numeric("x")]);
-        assert_eq!(ds.positive_fraction(), 0.0);
-        assert!(ds.is_empty());
     }
 }

@@ -15,13 +15,13 @@
 //! call compiles away entirely and production builds pay nothing.  With the
 //! feature enabled, a process-global registry scripts each site's behavior:
 //!
-//! * [`script`] — a finite per-site action sequence consumed one trigger at
+//! * `script` — a finite per-site action sequence consumed one trigger at
 //!   a time (`[IoError(Interrupted), Pass, …]` is the classic
 //!   *once-then-succeed* transient fault); when the script runs dry the
 //!   site passes.
-//! * [`always`] — the same action on every trigger (a persistently broken
+//! * `always` — the same action on every trigger (a persistently broken
 //!   disk).
-//! * [`arm_seeded`] — a seeded probabilistic schedule over *every* site:
+//! * `arm_seeded` — a seeded probabilistic schedule over *every* site:
 //!   each site derives its own RNG stream from `hash(seed, site)`, so the
 //!   per-site failure sequence is a pure function of the seed and that
 //!   site's trigger count — deterministic regardless of how threads
@@ -30,9 +30,9 @@
 //! Actions are: return a typed [`Failure`] (an `io::Error` kind or a
 //! corruption marker the site converts to its own error type), `Panic`
 //! (raised inside [`trigger`] — exercises poison recovery), `SleepMs`
-//! (latency injection, slept inside [`trigger`]) and `Pass`.  [`hits`]
+//! (latency injection, slept inside [`trigger`]) and `Pass`.  `hits`
 //! counts every trigger per site, configured or not, so tests can assert a
-//! site is actually wired.  [`disarm_all`] resets the registry between
+//! site is actually wired.  `disarm_all` resets the registry between
 //! tests; suites sharing the process-global registry must serialize on a
 //! lock of their own.
 

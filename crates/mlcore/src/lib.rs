@@ -51,7 +51,7 @@
 //!   persistence, pool and server paths ask [`failpoints::trigger`]
 //!   whether to fail; disabled, the call inlines to `None` and costs
 //!   nothing.
-//! * [`oracle`] (tests only) — the retained naive split finder and Relief,
+//! * `oracle` (tests only) — the retained naive split finder and Relief,
 //!   the equivalence oracles for everything below.
 //!
 //! # Performance
@@ -67,7 +67,7 @@
 //!   ~3·distinct candidates — O(d·n), quadratic on continuous features such
 //!   as runtimes.  The sweep visits candidates in the identical order under
 //!   the identical comparison, so the winning [`SplitCandidate`] is
-//!   bit-identical (proptested against [`oracle`]).  The sweep is two
+//!   bit-identical (proptested against `oracle`).  The sweep is two
 //!   steps: a [`SplitSummary`] scores every candidate independently of
 //!   the applicability filter of PerfXplain's greedy loop, and a replay
 //!   offers the candidates the filter admits.  A summary kept for many
@@ -82,7 +82,7 @@
 //!   sampled instances fan out over the shared [`pool`] once the scan
 //!   reaches [`pool::MIN_FAN_OUT_WORK`] cells, with weight updates applied
 //!   in sample order so the weights are bit-identical to the row-at-a-time
-//!   scan (also proptested against [`oracle`]).
+//!   scan (also proptested against `oracle`).
 //! * **NaN is missing.**  A NaN feature cell used to panic the split
 //!   search's sort (and with it the whole query service); NaN now behaves
 //!   exactly like [`AttrValue::Missing`] in candidate generation, the

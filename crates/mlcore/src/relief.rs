@@ -20,7 +20,7 @@
 //! `f64`/`u32` loop with the attribute kind and normalisation span resolved
 //! once — no per-cell enum dispatch — and the per-instance distances
 //! accumulate in attribute order, so every sum is bit-identical to the
-//! row-at-a-time scan it replaced ([`crate::oracle::relief_weights`], the
+//! row-at-a-time scan it replaced (`oracle::relief_weights`, the
 //! retained test oracle).  The `m` sampled instances are independent, so on
 //! multi-core machines they fan out over the shared worker pool
 //! ([`WorkerPool::map_chunks_gated`](crate::pool::WorkerPool::map_chunks_gated))
@@ -313,18 +313,6 @@ pub fn relief_weights(data: &Dataset, config: ReliefConfig) -> Vec<f64> {
     weights
 }
 
-/// Ranks attribute indices by decreasing Relief weight.
-pub fn rank_attributes(data: &Dataset, config: ReliefConfig) -> Vec<usize> {
-    let weights = relief_weights(data, config);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&a, &b| {
-        weights[b]
-            .partial_cmp(&weights[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,8 +349,6 @@ mod tests {
         let weights = relief_weights(&ds, ReliefConfig::default());
         assert!(weights[0] > weights[1], "weights: {weights:?}");
         assert!(weights[0] > weights[2], "weights: {weights:?}");
-        let ranking = rank_attributes(&ds, ReliefConfig::default());
-        assert_eq!(ranking[0], 0);
     }
 
     #[test]

@@ -26,15 +26,6 @@ impl BalanceStats {
     pub fn total(&self) -> usize {
         self.positive + self.negative
     }
-
-    /// Fraction of positive examples (0.5 means perfectly balanced).
-    pub fn positive_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.positive as f64 / self.total() as f64
-        }
-    }
 }
 
 /// Draws a balanced sample over `labels` (where `true` = performed as
@@ -113,7 +104,7 @@ mod tests {
         let (_, stats) = balanced_sample(&labels, 2_000, 7);
         let total = stats.total() as f64;
         assert!((total - 2_000.0).abs() < 300.0, "total = {total}");
-        assert!((stats.positive_fraction() - 0.5).abs() < 0.1);
+        assert!((stats.positive as f64 / total - 0.5).abs() < 0.1);
     }
 
     #[test]
@@ -146,6 +137,5 @@ mod tests {
         let (selected, stats) = balanced_sample(&[], 100, 0);
         assert!(selected.is_empty());
         assert_eq!(stats.total(), 0);
-        assert_eq!(stats.positive_fraction(), 0.0);
     }
 }

@@ -34,7 +34,7 @@
 //! ascending order) and applies the same better-than comparison, so the
 //! winning [`SplitCandidate`] — gain, counts and tie-breaks included — is
 //! bit-identical.  The retained naive implementation
-//! ([`crate::oracle`], compiled for tests only) is the proptest oracle for
+//! (`oracle`, compiled for tests only) is the proptest oracle for
 //! that equivalence.
 //!
 //! # Summary and replay
@@ -128,31 +128,6 @@ impl TestAtom {
     /// Evaluates the test on row `i` of `data`.
     pub fn matches_row(&self, data: &Dataset, i: usize) -> bool {
         self.matches_value(data.value(i, self.attribute))
-    }
-
-    /// Renders the test against a dataset schema (resolving nominal values).
-    pub fn display<'a>(&'a self, data: &'a Dataset) -> TestAtomDisplay<'a> {
-        TestAtomDisplay { atom: self, data }
-    }
-}
-
-/// Helper for rendering a [`TestAtom`] with resolved attribute and value
-/// names.
-pub struct TestAtomDisplay<'a> {
-    atom: &'a TestAtom,
-    data: &'a Dataset,
-}
-
-impl fmt::Display for TestAtomDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let attr = &self.data.attributes()[self.atom.attribute];
-        write!(f, "{} {} ", attr.name, self.atom.op)?;
-        match self.atom.constant {
-            TestConstant::Num(v) => write!(f, "{v}"),
-            TestConstant::Nom(id) => {
-                write!(f, "{}", attr.dictionary.resolve(id).unwrap_or("<unknown>"))
-            }
-        }
     }
 }
 
@@ -934,14 +909,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn display_renders_names() {
-        let ds = nominal_dataset();
-        let idx = all_indices(&ds);
-        let split = best_split_for_attribute(&ds, &idx, 0).unwrap();
-        let text = format!("{}", split.atom.display(&ds));
-        assert!(text.starts_with("color = "));
     }
 }

@@ -26,16 +26,6 @@ pub fn stddev(values: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Population standard deviation (n denominator); 0.0 for an empty slice.
-pub fn stddev_population(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64;
-    var.sqrt()
-}
-
 /// Replaces every value with its percentile rank in `[0, 1]` among the input
 /// values (mid-rank for ties).  A single value maps to 1.0; an empty input
 /// yields an empty output.
@@ -65,12 +55,6 @@ pub fn percentile_ranks(values: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Mean and sample standard deviation in one pass over repeated experiment
-/// runs; convenience for the evaluation harness.
-pub fn mean_and_stddev(values: &[f64]) -> (f64, f64) {
-    (mean(values), stddev(values))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,7 +65,6 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert_eq!(stddev(&[5.0]), 0.0);
         assert!((stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.138089935).abs() < 1e-6);
-        assert!((stddev_population(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -115,12 +98,5 @@ mod tests {
         let best_p = p_ranks.iter().cloned().fold(f64::MIN, f64::max);
         let best_g = g_ranks.iter().cloned().fold(f64::MIN, f64::max);
         assert!((best_p - best_g).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_and_stddev_pair() {
-        let (m, s) = mean_and_stddev(&[1.0, 2.0, 3.0]);
-        assert_eq!(m, 2.0);
-        assert!((s - 1.0).abs() < 1e-12);
     }
 }

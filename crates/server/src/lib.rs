@@ -48,7 +48,7 @@
 //! work) and `cost_units` — the admission charge *refined* down to the
 //! measured work: queries are admitted on the candidate-space upper bound,
 //! then refund the estimate/actual difference to the budget mid-flight
-//! once the view is built ([`ChargeHandle`](scheduler::ChargeHandle)).  A
+//! once the view is built ([`ChargeHandle`]).  A
 //! memoized sample reports the related-pair count it was drawn from, so
 //! `related_pairs` and `cost_units` do not depend on `sample_reused`.
 //!

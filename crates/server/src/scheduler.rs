@@ -1,11 +1,13 @@
 //! Cost-based admission control in front of the worker pool.
 //!
 //! Every request arrives with a [`QueryCost`] (from the compiled plan's
-//! statistics, [`XplainService::estimate_cost`]) and is either **admitted**
-//! — its cost charged against the configured concurrent budget and its job
-//! handed to the bounded [`WorkerPool`] — **queued** in a bounded FIFO when
-//! the budget is exhausted, or **rejected** with a typed [`Rejection`] that
-//! the protocol layer turns into a `429`-style response.  The invariants:
+//! statistics,
+//! [`XplainService::estimate_cost`](perfxplain_core::XplainService::estimate_cost))
+//! and is either **admitted** — its cost charged against the configured
+//! concurrent budget and its job handed to the bounded [`WorkerPool`] —
+//! **queued** in a bounded FIFO when the budget is exhausted, or
+//! **rejected** with a typed [`Rejection`] that the protocol layer turns
+//! into a `429`-style response.  The invariants:
 //!
 //! * the summed cost of in-flight jobs never exceeds
 //!   [`SchedulerConfig::budget`] (a single job costing more than the whole

@@ -263,11 +263,10 @@ fn oversized_cost_requests_are_rejected_outright() {
 
 #[test]
 fn hog_connection_cannot_starve_other_sessions() {
-    // The hog pipelines a backlog of slow requests but may only run one at
-    // a time; the victim's single fast request must pass the backlog.  Each
-    // hog request asks for its own sample size, so none of them can reuse
-    // another's memoized sample: every one enumerates.
-    let (handle, _service) = serve(
+    // The hog pipelines a backlog but may only run one request at a time,
+    // and its first one stays parked; the victim's single request must
+    // pass the whole backlog.
+    let (handle, _service, gate) = serve_gated(
         1200,
         SchedulerConfig {
             budget: QueryCost(u64::MAX / 2),
@@ -275,25 +274,23 @@ fn hog_connection_cannot_starve_other_sessions() {
             max_inflight_per_session: 1,
             max_pending_per_session: 16,
         },
+        0,
     );
     let mut hog = connect(&handle);
     const HOG_BACKLOG: u64 = 4;
     for i in 0..HOG_BACKLOG {
-        hog.send(&request(i, SLOW_SAMPLE + i)).expect("send");
+        hog.send(&request(i, SLOW_SAMPLE)).expect("send");
     }
-    std::thread::sleep(Duration::from_millis(100));
+    gate.wait_until_parked();
 
     let mut victim = connect(&handle);
     let response = victim.call(&request(100, FAST_SAMPLE)).expect("response");
     assert!(response.is_ok(), "victim starved: {response:?}");
-    // The victim finished while the hog's serialized backlog was still
-    // draining — the hog cannot have been answered in full yet.
-    let answered_now = handle.stats().answered;
-    assert!(
-        answered_now < 1 + HOG_BACKLOG,
-        "hog finished its whole backlog ({answered_now} answered) before the victim"
-    );
+    // The victim is the only request answered: the hog's first request is
+    // parked and the rest of its backlog waits behind it.
+    assert_eq!(handle.stats().answered, 1);
 
+    gate.release();
     for _ in 0..HOG_BACKLOG {
         let response = hog.recv().expect("hog response");
         assert!(response.is_ok(), "hog request failed: {response:?}");
