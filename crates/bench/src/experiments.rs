@@ -627,9 +627,8 @@ mod tests {
     #[test]
     fn despite_relevance_produces_well_formed_series() {
         // The improvement itself (Table 3 / Figure 4(a)) only materialises
-        // on properly sized logs — that is verified by the reproduce run in
-        // EXPERIMENTS.md; on the tiny test log we check the structure and
-        // metric bounds.
+        // on properly sized logs — `reproduce table3` prints it; on the
+        // tiny test log we check the structure and metric bounds.
         let ctx = quick_ctx();
         let result = despite_relevance(&ctx, &ctx.job_query);
         assert_eq!(result.series.len(), ctx.widths.len());

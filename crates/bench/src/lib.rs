@@ -1,28 +1,28 @@
 //! The benchmark and reproduction harness.
 //!
 //! Every table and figure of the paper's evaluation (Section 6) has a
-//! corresponding experiment function here and a Criterion bench target in
-//! `benches/`; the `reproduce` binary prints the regenerated tables/series:
+//! corresponding experiment function here, and the `reproduce` binary
+//! prints the regenerated tables and series
+//! (`cargo run --release -p perfxplain-bench --bin reproduce -- <experiment>`):
 //!
-//! | paper artefact | experiment | bench target |
+//! | paper artefact | experiment | `reproduce` experiment |
 //! |---|---|---|
-//! | Table 2 (parameter grid) | [`experiments::table2_summary`] | `table2_workload` |
-//! | Table 3 (despite-clause relevance before/after) | [`experiments::despite_relevance`] | `table3_relevance` |
-//! | Figure 3(a) precision vs width, WhyLastTaskFaster | [`experiments::precision_vs_width`] | `fig3_precision` |
-//! | Figure 3(b) precision vs width, WhySlowerDespiteSameNumInstances | [`experiments::precision_vs_width`] | `fig3_precision` |
-//! | Figure 3(c) different-job log | [`experiments::different_job_log`] | `fig3c_different_job` |
-//! | Figure 3(d) precision vs log size | [`experiments::log_size_sweep`] | `fig3d_log_size` |
-//! | Figure 4(a) relevance of generated despite clauses | [`experiments::despite_relevance`] | `fig4a_despite` |
-//! | Figure 4(b) precision/generality trade-off | [`experiments::precision_vs_width`] | `fig4b_tradeoff` |
-//! | Figure 4(c) feature levels | [`experiments::feature_levels`] | `fig4c_feature_levels` |
+//! | Table 2 (parameter grid) | [`experiments::table2_summary`] | `table2` |
+//! | Table 3 (despite-clause relevance before/after) | [`experiments::despite_relevance`] | `table3` |
+//! | Figure 3(a) precision vs width, WhyLastTaskFaster | [`experiments::precision_vs_width`] | `fig3a` |
+//! | Figure 3(b) precision vs width, WhySlowerDespiteSameNumInstances | [`experiments::precision_vs_width`] | `fig3b` |
+//! | Figure 3(c) different-job log | [`experiments::different_job_log`] | `fig3c` |
+//! | Figure 3(d) precision vs log size | [`experiments::log_size_sweep`] | `fig3d` |
+//! | Figure 4(a) relevance of generated despite clauses | [`experiments::despite_relevance`] | `fig4a` |
+//! | Figure 4(b) precision/generality trade-off | [`experiments::precision_vs_width`] | `fig4b` |
+//! | Figure 4(c) feature levels | [`experiments::feature_levels`] | `fig4c` |
 //! | design-choice ablations (beyond the paper) | [`experiments::ablations`] | `ablations` |
-//! | substrate micro-benchmarks | — | `substrate` |
 //!
-//! Absolute numbers differ from the paper (its substrate was EC2, ours is a
-//! simulator), but the comparisons the paper draws — which technique wins,
-//! how precision reacts to width, log size and feature level, how much a
-//! generated despite clause lifts relevance — are reproduced and recorded in
-//! `EXPERIMENTS.md`.
+//! `reproduce all` runs every experiment in turn.  Absolute numbers differ
+//! from the paper (its substrate was EC2, ours is a simulator), but the
+//! comparisons the paper draws — which technique wins, how precision
+//! reacts to width, log size and feature level, how much a generated
+//! despite clause lifts relevance — are what `reproduce` prints.
 
 pub mod context;
 pub mod experiments;

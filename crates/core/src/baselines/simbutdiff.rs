@@ -14,7 +14,7 @@ use crate::explanation::Explanation;
 use crate::pairs::{PairCatalog, PairExample, PairFeatureGroup};
 use crate::query::BoundQuery;
 use crate::record::ExecutionLog;
-use crate::training::{collect_related_pairs, TrainingSet};
+use crate::training::{prepare_training_set, TrainingSet};
 use pxql::{Atom, Predicate, Value};
 
 /// The SimButDiff explanation generator.
@@ -140,9 +140,7 @@ impl SimButDiff {
         // Algorithm 2 line 1: the training examples related to the query.
         // The balanced sample keeps the what-if fractions meaningful while
         // bounding the cost on large logs.
-        let (records, related) = collect_related_pairs(log, query, &self.config);
-        let set =
-            crate::training::build_training_set(log, query, &records, &related, &self.config)?;
+        let set = prepare_training_set(log, query, &self.config)?;
 
         let scores = self.what_if_scores(&poi, &set, &is_same_features);
         let atoms: Vec<Atom> = scores

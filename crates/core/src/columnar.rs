@@ -30,51 +30,58 @@ use crate::features::{FeatureCatalog, FeatureKind};
 use crate::pairs::{compare_index, parse_pair_feature, PairFeatureGroup, COMPARE_VALUES};
 use crate::query::{BoundQuery, PairLabel};
 use crate::record::{ExecutionKind, ExecutionLog, ExecutionRecord};
-use mlcore::{AttrValue, Attribute, ColumnStore, FxHashMap, NominalDictionary};
+use mlcore::{AttrValue, Attribute, ColumnStore, NominalDictionary};
 use pxql::{Op, Predicate, Value};
 use std::sync::Arc;
 
 /// The columnar encoded view of the records of one execution kind.
 ///
-/// The view **indexes the log, it does not copy it**: the
-/// [`ExecutionLog`] stays the only owner of its records, and the view keeps
-/// each row's position in [`ExecutionLog::records`]
-/// ([`ColumnarLog::position`]) beside the encoded cells.  A view is valid
-/// with the log it was built from, or with any log that has only been
-/// appended to since (a clone at the same generation included), because
-/// appends never move a record.  Any other mutation invalidates it.
-/// [`XplainService`](crate::service::XplainService) keeps that contract
-/// with its per-generation cache and the log's rewrite watermarks
+/// A view holds only what only it can: the encoded cells, each row's
+/// position in [`ExecutionLog::records`] ([`ColumnarLog::position`]), the
+/// original [`Value`] behind every interned id, and each column's catalog
+/// kind.  The [`ExecutionLog`] stays the only owner of its records and
+/// keeps the one id index: [`ColumnarLog::row_of`] looks the id's position
+/// up in the log, then binary-searches the view's ascending positions.  A
+/// view is valid with the log it was built from, or with any log that has
+/// only been appended to since (a clone at the same generation included),
+/// because appends never move a record.  Any other mutation invalidates
+/// it.  [`XplainService`](crate::service::XplainService) keeps that
+/// contract with its per-generation cache and the log's rewrite watermarks
 /// ([`ExecutionLog::rewrite_generation`]), so it can share one immutable
 /// view behind an `Arc` among many concurrent queries.
 ///
-/// Large logs are encoded **sharded** ([`ColumnarLog::build_sharded`]): the
-/// row space is split into contiguous segments, each segment is encoded
-/// independently (local dictionaries) as one job of the shared worker pool,
-/// and the segments are merged by dictionary remapping
-/// ([`ColumnStore::merge_segments`]) into a view bit-identical to the
-/// single-shot encode.
+/// One merge ([`ColumnStore::merge_segments`]: the first segment's
+/// dictionaries are the global prefix, later segments are interned onto
+/// them and remapped) builds, refreshes and folds a view:
 ///
-/// # Base and tail
+/// * **Build.** Large logs are encoded **sharded**
+///   ([`ColumnarLog::build_sharded`]): the row space is split into
+///   contiguous segments, each encoded independently (local dictionaries)
+///   as one job of the shared worker pool, and the merge yields a view
+///   bit-identical to the single-shot encode.
+/// * **Refresh.** A view is stored in two chunks: an immutable **base**
+///   behind an `Arc` (everything encoded by the last full build or
+///   compaction) and a small **tail** holding rows appended since.
+///   [`ColumnarLog::with_appended`] encodes only the fresh records, merges
+///   them onto the current tail (dictionaries extend in place, base ids
+///   never move) and *shares* the base chunk with its predecessor — the
+///   delta-maintenance path
+///   [`XplainService`](crate::service::XplainService) refreshes cached
+///   views through.
+/// * **Fold.** [`ColumnarLog::compacted`] merges the base and the tail
+///   into a fresh base.  The tail is already encoded against the base's
+///   dictionaries extended, so its remap is the identity and no original
+///   changes.
 ///
-/// A view is stored in two chunks: an immutable **base** behind an `Arc`
-/// (everything encoded by the last full build or compaction) and a small
-/// **tail** holding rows appended since.  [`ColumnarLog::with_appended`]
-/// produces an updated view in O(tail): it encodes only the fresh records,
-/// splices them onto the tail via [`ColumnStore::splice_tail`] (dictionaries
-/// extend in place, base ids never move) and *shares* the base chunk with
-/// its predecessor — the delta-maintenance path
-/// [`XplainService`](crate::service::XplainService) refreshes cached views
-/// through.  [`ColumnarLog::compacted`] folds an oversized tail back into a
-/// fresh base without re-interning a single value.  Both are bit-identical
-/// to a from-scratch build (proptested in `tests/properties.rs`).
+/// All three are bit-identical to a from-scratch build (proptested in
+/// `tests/properties.rs`).
 #[derive(Debug, Clone)]
 pub struct ColumnarLog {
     kind: ExecutionKind,
     /// The immutable base chunk, shared across delta generations.
     base: Arc<ViewBase>,
     /// Log positions of the rows appended since the base was built, in row
-    /// order.
+    /// order (ascending, and above every base position).
     tail_positions: Vec<usize>,
     /// The tail's cells, encoded against the **global** dictionaries (the
     /// base dictionaries extended in place — base ids are a prefix).  The
@@ -86,28 +93,22 @@ pub struct ColumnarLog {
     originals: Vec<Vec<Value>>,
     /// Catalog kind per column.
     kinds: Vec<FeatureKind>,
-    /// Record id → absolute row index, for tail rows only (consult before
-    /// the base index so duplicate ids keep last-wins semantics).
-    tail_index: FxHashMap<String, usize>,
 }
 
-/// The immutable base chunk of a [`ColumnarLog`]: the encoded columns,
-/// the log positions of the records they encode, and the id → row index
-/// over them.  Shared via `Arc` so a delta refresh never copies a base
-/// cell.
+/// The immutable base chunk of a [`ColumnarLog`]: the encoded columns and
+/// the log positions (ascending) of the records they encode.  Shared via
+/// `Arc` so a delta refresh never copies a base cell.
 #[derive(Debug)]
 struct ViewBase {
     store: ColumnStore,
     positions: Vec<usize>,
-    row_index: FxHashMap<String, usize>,
 }
 
 impl PartialEq for ColumnarLog {
     fn eq(&self, other: &Self) -> bool {
         // Logical-content equality, independent of the base/tail split: a
         // flat build and a delta-maintained view with the same rows,
-        // positions, dictionaries and ids compare equal.  The row indexes
-        // are derived from the positions' records.
+        // positions, dictionaries and ids compare equal.
         if self.kind != other.kind
             || self.kinds != other.kinds
             || self.originals != other.originals
@@ -201,40 +202,39 @@ pub(crate) fn encode_segment(
     }
 }
 
-/// Merges independently encoded segments into the global store + originals.
-/// The merged dictionaries assign ids in first-occurrence order over the
-/// concatenated rows, so the result is bit-identical to a single-pass
-/// encode; the original `Value` kept per global id is the one seen at that
-/// first occurrence, exactly as the single-pass encode keeps it.
-fn merge_segments(mut segments: Vec<EncodedSegment>) -> (ColumnStore, Vec<Vec<Value>>) {
-    // A single segment is already merged: its remap is the identity.
-    if segments.len() == 1 {
-        let segment = segments.pop().expect("length checked above");
-        return (segment.store, segment.originals);
-    }
-    let mut segment_originals = Vec::with_capacity(segments.len());
+/// Merges segments and their originals ([`ColumnStore::merge_segments`]):
+/// segment 0's originals are the global prefix, and each later segment
+/// contributes the originals of the values it introduced.  For a build the
+/// original kept per global id is the one seen at its first occurrence,
+/// exactly as the single-pass encode keeps it; for a refresh segment 0 is
+/// the view's tail with the view's originals.
+fn merge(segments: Vec<EncodedSegment>) -> EncodedSegment {
     let mut stores = Vec::with_capacity(segments.len());
+    let mut locals = Vec::with_capacity(segments.len());
     for segment in segments {
         stores.push(segment.store);
-        segment_originals.push(segment.originals);
+        locals.push(segment.originals);
     }
     let merged = ColumnStore::merge_segments(stores);
-    let mut originals: Vec<Vec<Value>> = vec![Vec::new(); merged.store.num_columns()];
-    for (locals, remap) in segment_originals.into_iter().zip(&merged.remaps) {
-        for (col, column_locals) in locals.into_iter().enumerate() {
+    let mut locals = locals.into_iter();
+    let mut originals = locals.next().expect("merge_segments checked the count");
+    for (segment, remap) in locals.zip(&merged.remaps[1..]) {
+        for ((global, column_locals), remap) in originals.iter_mut().zip(segment).zip(remap) {
             // Local ids were assigned in intern order, so the global ids a
             // segment introduces appear in ascending order here: a value is
             // new globally exactly when its global id equals the current
             // originals length.
-            for (local, value) in column_locals.into_iter().enumerate() {
-                let global = remap[col][local] as usize;
-                if global == originals[col].len() {
-                    originals[col].push(value);
+            for (value, &id) in column_locals.into_iter().zip(remap) {
+                if id as usize == global.len() {
+                    global.push(value);
                 }
             }
         }
     }
-    (merged.store, originals)
+    EncodedSegment {
+        store: merged.store,
+        originals,
+    }
 }
 
 /// A zero-row store carrying `store`'s schema and dictionaries — the empty
@@ -265,7 +265,7 @@ impl ColumnarLog {
         let segments = crate::pool::shared().map_chunks_gated(&positions, work, |chunk| {
             encode_segment(catalog, log.records(), chunk)
         });
-        ColumnarLog::assemble(log, kind, catalog, positions, segments)
+        ColumnarLog::assemble(kind, catalog, positions, segments)
     }
 
     /// Encodes the records of `kind` as up to `num_shards` contiguous
@@ -279,14 +279,13 @@ impl ColumnarLog {
         let segments = crate::pool::shared().map_chunks(&positions, num_shards, |chunk| {
             encode_segment(catalog, log.records(), chunk)
         });
-        ColumnarLog::assemble(log, kind, catalog, positions, segments)
+        ColumnarLog::assemble(kind, catalog, positions, segments)
     }
 
     /// Wraps a flat single-chunk encoding as a base with an empty tail.
     fn from_encoded(
         kind: ExecutionKind,
         positions: Vec<usize>,
-        row_index: FxHashMap<String, usize>,
         store: ColumnStore,
         originals: Vec<Vec<Value>>,
         kinds: Vec<FeatureKind>,
@@ -294,24 +293,19 @@ impl ColumnarLog {
         let tail_store = empty_like(&store);
         ColumnarLog {
             kind,
-            base: Arc::new(ViewBase {
-                store,
-                positions,
-                row_index,
-            }),
+            base: Arc::new(ViewBase { store, positions }),
             tail_positions: Vec::new(),
             tail_store,
             originals,
             kinds,
-            tail_index: FxHashMap::default(),
         }
     }
 
     /// Returns the view extended by the records of its kind in
     /// `log.records()[from..]`, in **O(tail)**: only those records are
-    /// encoded (local dictionaries), spliced onto the current tail with the
-    /// global dictionaries extended in place, and the base chunk is shared
-    /// with `self` — not a base cell is copied.  The result is
+    /// encoded (local dictionaries) and merged onto the current tail with
+    /// the global dictionaries extended in place, and the base chunk is
+    /// shared with `self` — not a base cell is copied.  The result is
     /// bit-identical to rebuilding the view over `log` from scratch.
     ///
     /// `log` must be the view's log with records appended since, and
@@ -334,69 +328,63 @@ impl ColumnarLog {
         if fresh.is_empty() {
             return self.clone();
         }
-        let segment = encode_segment(catalog, log.records(), &fresh);
-        let spliced = self.tail_store.splice_tail(&segment.store);
-        let mut originals = self.originals.clone();
-        for (col, column_locals) in segment.originals.into_iter().enumerate() {
-            // Local ids were interned in first-occurrence order, so the
-            // global ids this batch introduces appear here in ascending
-            // order: a value is new globally exactly when its global id
-            // equals the current originals length.
-            for (local, value) in column_locals.into_iter().enumerate() {
-                let global = spliced.remaps[col][local] as usize;
-                if global == originals[col].len() {
-                    originals[col].push(value);
-                }
-            }
-        }
+        let tail = EncodedSegment {
+            store: self.tail_store.clone(),
+            originals: self.originals.clone(),
+        };
+        let merged = merge(vec![tail, encode_segment(catalog, log.records(), &fresh)]);
         let mut tail_positions = self.tail_positions.clone();
-        let mut tail_index = self.tail_index.clone();
-        for at in fresh {
-            tail_index.insert(
-                log.records()[at].id.clone(),
-                self.base_rows() + tail_positions.len(),
-            );
-            tail_positions.push(at);
-        }
+        tail_positions.extend(fresh);
         ColumnarLog {
             kind: self.kind,
             base: Arc::clone(&self.base),
             tail_positions,
-            tail_store: spliced.store,
-            originals,
+            tail_store: merged.store,
+            originals: merged.originals,
             kinds: self.kinds.clone(),
-            tail_index,
         }
     }
 
-    /// Folds the tail into a fresh base chunk ([`ColumnStore::concat_encoded`]
-    /// — a pure cell concatenation, since base and tail already share one
-    /// dictionary space) and returns the compacted view with an empty tail.
-    /// The positions are concatenated and the id indexes merged, tail
-    /// entries winning.  A no-op clone when the tail is already empty.
+    /// Folds the tail into a fresh base chunk and returns the compacted
+    /// view with an empty tail: the base and the tail are merged
+    /// ([`ColumnStore::merge_segments`]) and their positions concatenated.
+    /// The tail is encoded against the base's dictionaries extended in
+    /// place, so its remap is the identity and the originals stay as they
+    /// are.  A no-op clone when the tail is already empty.
+    ///
+    /// # Panics
+    /// Panics when the base's dictionaries are not a prefix of the tail's.
     pub fn compacted(&self) -> Self {
         if self.tail_positions.is_empty() {
             return self.clone();
         }
-        let store = ColumnStore::concat_encoded(&self.base.store, &self.tail_store);
+        let merged =
+            ColumnStore::merge_segments(vec![self.base.store.clone(), self.tail_store.clone()]);
+        for (col, remap) in merged.remaps[1].iter().enumerate() {
+            assert!(
+                remap
+                    .iter()
+                    .enumerate()
+                    .all(|(id, &global)| global as usize == id),
+                "base dictionary is not a prefix of the tail's on {}",
+                self.tail_store.attribute(col).name
+            );
+        }
         let mut positions = self.base.positions.clone();
         positions.extend(&self.tail_positions);
-        let mut row_index = self.base.row_index.clone();
-        row_index.extend(self.tail_index.iter().map(|(id, &row)| (id.clone(), row)));
         ColumnarLog::from_encoded(
             self.kind,
             positions,
-            row_index,
-            store,
+            merged.store,
             self.originals.clone(),
             self.kinds.clone(),
         )
     }
 
-    /// Stitches segments encoding the records at `positions` of `log`
-    /// against `catalog` into a view by dictionary remapping, with the
-    /// column buffers adopted from the segments — a single segment's `Arc`
-    /// columns are moved, not copied.  This is the merge behind
+    /// Stitches segments encoding the records at `positions` against
+    /// `catalog` into a view by dictionary remapping, with the column
+    /// buffers adopted from the segments — a single segment's `Arc` columns
+    /// are moved, not copied.  This is the merge behind
     /// [`ColumnarLog::build_sharded`] and the one path from a loaded
     /// snapshot to its views,
     /// [`Snapshot::into_views`](crate::snapshot::Snapshot::into_views): a
@@ -404,20 +392,14 @@ impl ColumnarLog {
     /// [`XplainService::open_snapshot`](crate::service::XplainService::open_snapshot)
     /// serves its first query from the stored columns without re-encoding.
     pub(crate) fn assemble(
-        log: &ExecutionLog,
         kind: ExecutionKind,
         catalog: &FeatureCatalog,
         positions: Vec<usize>,
         segments: Vec<EncodedSegment>,
     ) -> Self {
-        let (store, originals) = merge_segments(segments);
+        let merged = merge(segments);
         let kinds = catalog.defs().iter().map(|def| def.kind).collect();
-        let row_index = positions
-            .iter()
-            .enumerate()
-            .map(|(row, &at)| (log.records()[at].id.clone(), row))
-            .collect();
-        ColumnarLog::from_encoded(kind, positions, row_index, store, originals, kinds)
+        ColumnarLog::from_encoded(kind, positions, merged.store, merged.originals, kinds)
     }
 
     /// The execution kind this view encodes.
@@ -463,14 +445,21 @@ impl ColumnarLog {
         Arc::ptr_eq(&self.base, &other.base)
     }
 
-    /// Row index of the record with the given id.
-    pub fn row_of(&self, id: &str) -> Option<usize> {
-        // Tail first: an appended record with a duplicate id shadows the
-        // base row, preserving the flat build's last-wins semantics.
-        self.tail_index
-            .get(id)
-            .or_else(|| self.base.row_index.get(id))
-            .copied()
+    /// Row of the record with the given id: the record
+    /// [`ExecutionLog::get`] finds, through the log's id index, then a
+    /// binary search of the view's ascending positions.  `None` when no
+    /// record has the id, when the last one is of the other kind, or when
+    /// the view does not cover it yet.  `log` is the log the view indexes.
+    pub fn row_of(&self, log: &ExecutionLog, id: &str) -> Option<usize> {
+        let at = log.position_of(id)?;
+        match self.base.positions.binary_search(&at) {
+            Ok(row) => Some(row),
+            Err(_) => self
+                .tail_positions
+                .binary_search(&at)
+                .ok()
+                .map(|row| self.base_rows() + row),
+        }
     }
 
     /// Column index of a raw feature.
@@ -757,8 +746,8 @@ mod tests {
             let decoded = view.decode(script_col, view.cell(row, script_col));
             assert_eq!(decoded, record.feature("pigscript"));
         }
-        assert_eq!(view.row_of("job_c"), Some(2));
-        assert_eq!(view.row_of("job_zz"), None);
+        assert_eq!(view.row_of(&log, "job_c"), Some(2));
+        assert_eq!(view.row_of(&log, "job_zz"), None);
         assert_eq!(view.column_of("nope"), None);
     }
 
@@ -845,7 +834,7 @@ mod tests {
         for shards in [1, 2, 3, 4, 5, 64] {
             let sharded = ColumnarLog::build_sharded(&log, ExecutionKind::Job, shards);
             assert_eq!(sharded, single, "{shards} shards diverge");
-            assert_eq!(sharded.row_of("job_c"), single.row_of("job_c"));
+            assert_eq!(sharded.row_of(&log, "job_c"), single.row_of(&log, "job_c"));
         }
         assert_eq!(ColumnarLog::build_auto(&log, ExecutionKind::Job), single);
     }
@@ -887,7 +876,7 @@ mod tests {
         assert!(delta.shares_base_with(&view));
         assert_eq!(delta.base_rows(), view.num_rows());
         assert_eq!(delta.tail_rows(), 2);
-        assert_eq!(delta.row_of("job_g"), Some(6));
+        assert_eq!(delta.row_of(&log, "job_g"), Some(6));
 
         let full = ColumnarLog::build(&log, ExecutionKind::Job);
         assert_eq!(delta, full, "delta view diverges from a full rebuild");
@@ -926,13 +915,45 @@ mod tests {
     fn appended_duplicate_ids_shadow_base_rows() {
         let mut log = log();
         let view = ColumnarLog::build(&log, ExecutionKind::Job);
-        assert_eq!(view.row_of("job_c"), Some(2));
+        assert_eq!(view.row_of(&log, "job_c"), Some(2));
         let covered = log.len();
         log.append(vec![
             ExecutionRecord::job("job_c").with_feature("duration", 123.0)
         ]);
         let delta = view.with_appended(&log, covered);
-        assert_eq!(delta.row_of("job_c"), Some(5));
+        assert_eq!(delta.row_of(&log, "job_c"), Some(5));
+    }
+
+    /// A tail whose dictionary is not the base's extended in place cannot
+    /// be folded: its remap onto the base would not be the identity, and
+    /// the kept originals would no longer match the ids.
+    #[test]
+    #[should_panic(expected = "not a prefix")]
+    fn concat_encoded_rejects_diverged_dictionaries() {
+        let mut log = ExecutionLog::new();
+        for (id, script) in [
+            ("job_a", "a"),
+            ("job_b", "b"),
+            ("job_c", "b"),
+            ("job_d", "a"),
+        ] {
+            log.push(ExecutionRecord::job(id).with_feature("pigscript", script));
+        }
+        log.rebuild_catalogs();
+        let catalog = log.job_catalog();
+        // The base interns "a", "b"; the tail, encoded on its own, "b", "a".
+        let front = encode_segment(catalog, log.records(), &[0, 1]);
+        let back = encode_segment(catalog, log.records(), &[2, 3]);
+        let mut view = ColumnarLog::from_encoded(
+            ExecutionKind::Job,
+            vec![0, 1],
+            front.store,
+            front.originals,
+            vec![FeatureKind::Nominal],
+        );
+        view.tail_positions = vec![2, 3];
+        view.tail_store = back.store;
+        view.compacted();
     }
 
     /// Shards whose nominal dictionaries are disjoint (every script name is

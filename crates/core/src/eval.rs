@@ -14,6 +14,7 @@
 //! benchmark crate.
 
 use crate::baselines::{RuleOfThumb, SimButDiff};
+use crate::columnar::ColumnarLog;
 use crate::config::ExplainConfig;
 use crate::error::Result;
 use crate::explain::PerfXplain;
@@ -21,12 +22,13 @@ use crate::explanation::Explanation;
 use crate::metrics::{self, ExplanationQuality};
 use crate::query::BoundQuery;
 use crate::record::{ExecutionKind, ExecutionLog};
-use crate::training::{collect_related_pairs, RelatedPair, TrainingSet};
+use crate::training::{collect_related_pairs_in, EncodedTraining, TrainingSet};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The three explanation-generation techniques compared in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -137,30 +139,10 @@ pub fn related_pairs_for_evaluation(
     query: &BoundQuery,
     config: &ExplainConfig,
 ) -> TrainingSet {
-    let (records, related) = collect_related_pairs(log, query, config);
-    materialise(log, query, &records, &related, config)
-}
-
-fn materialise(
-    log: &ExecutionLog,
-    query: &BoundQuery,
-    records: &[&crate::record::ExecutionRecord],
-    related: &[RelatedPair],
-    config: &ExplainConfig,
-) -> TrainingSet {
-    let catalog = log.catalog(query.kind);
-    let mut set = TrainingSet::default();
-    for pair in related {
-        set.examples.push(crate::pairs::PairExample::build(
-            catalog,
-            records[pair.left],
-            records[pair.right],
-            config.sim_threshold,
-        ));
-        set.labels
-            .push(pair.label == crate::query::PairLabel::Observed);
-    }
-    set
+    let view = Arc::new(ColumnarLog::build_auto(log, query.kind));
+    let related = collect_related_pairs_in(&view, query, log, config);
+    EncodedTraining::of_related(log, view, related.iter(), related.len())
+        .materialise(config.sim_threshold)
 }
 
 /// Result of evaluating one explanation on a test log.

@@ -130,15 +130,19 @@
 //!    count by the pool's size rule (one per pool thread at ≥
 //!    [`pool::MIN_FAN_OUT_WORK`] record-feature cells), and the
 //!    [`XplainService`] builds its cached per-`(generation, kind)` views
-//!    through it automatically.  The view indexes the log instead of
-//!    copying it: beside the cells it keeps each row's position in
-//!    [`ExecutionLog::records`], so the log stays the one owner of every
-//!    record.  A view is valid with the log it was built from, or with any
-//!    log that has only been appended to since; the service keeps that
-//!    contract through its generations and rewrite watermarks (step 9).
-//!    Views are `Arc`-shared, so every query — including the
-//!    despite-extension pass and whole concurrent batches — runs with zero
-//!    re-encoding.  Hot lookup maps (dictionary interning, `row_of`,
+//!    through it automatically.  A view holds only what only it can: the
+//!    encoded cells, each row's position in [`ExecutionLog::records`], the
+//!    originals and the column kinds.  The log stays the one owner of every
+//!    record and keeps the one id index (id → last position, a std
+//!    `HashMap` because ids arrive over the wire): [`ExecutionLog::get`] is
+//!    one lookup, and a view's `row_of` looks the id's position up there,
+//!    then binary-searches its ascending positions.  A view is valid with
+//!    the log it was built from, or with any log that has only been
+//!    appended to since; the service keeps that contract through its
+//!    generations and rewrite watermarks (step 9).  Views are `Arc`-shared,
+//!    so every query — including the despite-extension pass and whole
+//!    concurrent batches — runs with zero re-encoding.  Hot lookup maps
+//!    over internal keys (dictionary interning, column names,
 //!    `PairCatalog`) use a vendored deterministic [`mlcore::FxHashMap`]
 //!    instead of SipHash.
 //! 3. **Compile the query.** [`CompiledQuery`]
@@ -148,7 +152,7 @@
 //!    integer/float comparisons — no allocation, no string hashing, no
 //!    `BTreeMap`.
 //! 4. **Stream the enumeration, on the pool.**
-//!    `collect_related_pairs` never materialises the candidate space:
+//!    [`collect_related_pairs_in`] never materialises the candidate space:
 //!    blocking groups and the deterministic cap (a stateless per-ordinal
 //!    hash, so enumeration order and parallelism cannot change the outcome)
 //!    are applied while streaming, and memory stays proportional to the
@@ -179,8 +183,8 @@
 //!    The memo lives exactly as long as its log generation; it holds at
 //!    most 2^18 sampled pairs and 32 MiB of datasets per view, and sheds
 //!    datasets apart from samples.  The stateless paths run the same
-//!    routines and store nothing.  The served path also finds the pair of
-//!    interest through the view's row index instead of a scan of the log.
+//!    routines and store nothing.  Every path finds the pair of interest
+//!    through the log's id index.
 //! 6. **Encode the sample directly.**
 //!    [`DatasetBridge::encode_from_view`](bridge::DatasetBridge::encode_from_view)
 //!    derives the pair features of the sampled training pairs straight from
@@ -258,22 +262,24 @@
 //!    served log *without* invalidating the cached views: the next query
 //!    encodes the kind's records past the length the view covers into a
 //!    small **append-tail segment**
-//!    ([`ColumnarLog::with_appended`](columnar::ColumnarLog::with_appended)
-//!    over [`mlcore::ColumnStore::splice_tail`]) and keeps only their log
-//!    positions — dictionaries extend in place, the base columns and
-//!    positions stay `Arc`-shared byte for byte, and the refresh costs
-//!    O(tail) instead of O(log).  Per-kind **rewrite
+//!    ([`ColumnarLog::with_appended`](columnar::ColumnarLog::with_appended):
+//!    the current tail and the fresh segment go through the same
+//!    [`mlcore::ColumnStore::merge_segments`] as a build) and keeps only
+//!    their log positions — dictionaries extend in place, the base columns
+//!    and positions stay `Arc`-shared byte for byte, and the refresh costs
+//!    O(tail) cells instead of O(log).  Per-kind **rewrite
 //!    watermarks** ([`ExecutionLog::rewrite_generation`]) keep the shortcut
 //!    sound: an append whose batch changes the catalog, and every
 //!    non-append mutation ([`XplainService::with_log_mut`]), move the
-//!    watermark and force a full rebuild.  Tail lookups win over shadowed
-//!    base rows (duplicate ids behave exactly like a rebuild), queries see
-//!    base and tail as one view, and a tail that outgrows the configurable
-//!    [`CompactionPolicy`] folds back into its base
-//!    ([`ColumnarLog::compacted`](columnar::ColumnarLog::compacted),
-//!    [`mlcore::ColumnStore::concat_encoded`]: cells and positions
-//!    concatenated, id indexes merged, no record touched) on the shared
-//!    worker pool in the background.  [`XplainService::checkpoint`](service::XplainService::checkpoint)
+//!    watermark and force a full rebuild.  An id resolves through the log's
+//!    index to its last record, so a re-ingested id finds its tail row
+//!    exactly as a rebuild would; queries see base and tail as one view,
+//!    and a tail that outgrows the configurable [`CompactionPolicy`] folds
+//!    back into its base
+//!    ([`ColumnarLog::compacted`](columnar::ColumnarLog::compacted): the
+//!    base and the tail through the same merge, whose remap of the tail
+//!    must be the identity; positions concatenated, originals kept, no
+//!    record touched) on the shared worker pool in the background.  [`XplainService::checkpoint`](service::XplainService::checkpoint)
 //!    persists the live tail as one incremental snapshot shard
 //!    ([`snapshot::sync_append`], [`ShardInput::Keep`] for the clean
 //!    prefix) — a checkpoint while serving, no stop-the-world re-encode.
@@ -349,7 +355,11 @@
 //! catalog-changing), non-append mutations, tail compactions and queries,
 //! the view the service serves is bit-identical to a from-scratch
 //! `build_sharded` of the log at that moment, and the answers match a
-//! stateless engine's.
+//! stateless engine's.  Build, refresh and fold are one merge, so those
+//! equivalences hold for all three through one routine.  The log's id
+//! index names the last record of every id after every constructor and
+//! mutation, and a view of either kind resolves an id to that record's
+//! row, or to none when the record is of the other kind.
 //! `tests/properties.rs` proves all of these on randomized logs, queries
 //! and shard counts, and `tests/snapshot_store.rs` pins the corruption
 //! taxonomy (truncation, fingerprint mismatch, version skew → typed

@@ -1,6 +1,5 @@
 //! Binding PXQL queries to an execution log and classifying pairs.
 
-use crate::columnar::ColumnarLog;
 use crate::error::{CoreError, Result};
 use crate::pairs::{compute_selected_pair_features, PairExample};
 use crate::record::{ExecutionKind, ExecutionLog};
@@ -118,50 +117,14 @@ impl BoundQuery {
     }
 
     /// Verifies the semantic preconditions of Definition 1: the pair of
-    /// interest satisfies `des` and `obs` but not `exp`.
+    /// interest satisfies `des` and `obs` but not `exp`.  Both executions
+    /// are found through the log's id index.
     pub fn verify_preconditions(
         &self,
         log: &ExecutionLog,
         sim_threshold: f64,
     ) -> Result<PairExample> {
-        self.check_preconditions(self.pair_of_interest(log, sim_threshold)?)
-    }
-
-    /// [`BoundQuery::verify_preconditions`] with the pair of interest found
-    /// through `view`'s row index instead of a scan of the log.  `view`
-    /// must encode the query's kind at `log`'s generation.  The index is
-    /// last-wins like [`ExecutionLog::get`], but it only sees records of
-    /// the view's kind, while `get` would find a later record of the other
-    /// kind that reuses the id.  So the index is used only when the log
-    /// holds no record of the other kind; otherwise this is exactly
-    /// [`BoundQuery::verify_preconditions`].  Either way the result equals
-    /// it.
-    pub(crate) fn verify_preconditions_in(
-        &self,
-        log: &ExecutionLog,
-        view: &ColumnarLog,
-        sim_threshold: f64,
-    ) -> Result<PairExample> {
-        debug_assert_eq!(view.kind(), self.kind);
-        let other = match self.kind {
-            ExecutionKind::Job => ExecutionKind::Task,
-            ExecutionKind::Task => ExecutionKind::Job,
-        };
-        if log.rows_of_kind(other) != 0 {
-            return self.verify_preconditions(log, sim_threshold);
-        }
-        let record = |id: &str| {
-            view.row_of(id)
-                .map(|row| &log.records()[view.position(row)])
-                .ok_or_else(|| CoreError::UnknownExecution(id.to_string()))
-        };
-        let (left, right) = (record(&self.left_id)?, record(&self.right_id)?);
-        let pair = PairExample::build(log.catalog(self.kind), left, right, sim_threshold);
-        self.check_preconditions(pair)
-    }
-
-    /// Checks Definition 1's clauses against the pair of interest.
-    fn check_preconditions(&self, pair: PairExample) -> Result<PairExample> {
+        let pair = self.pair_of_interest(log, sim_threshold)?;
         if !self.query.despite.eval(&pair) {
             return Err(CoreError::QueryPreconditionViolated(format!(
                 "the pair of interest does not satisfy the DESPITE clause ({})",
@@ -227,6 +190,7 @@ pub fn excluded_raw_features(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::ColumnarLog;
     use crate::pairs::DEFAULT_SIM_THRESHOLD;
     use crate::record::ExecutionRecord;
     use pxql::parse_query;
@@ -282,19 +246,22 @@ mod tests {
         ));
     }
 
-    /// On a job-only log the view's row index resolves the pair of interest
-    /// exactly as the log scan does: a found pair, an unknown id, and an id
-    /// re-ingested with a new duration (the later record wins both ways).
+    /// On a job-only log the one precondition check resolves the pair of
+    /// interest through the log's id index, and the view finds the same
+    /// records: a found pair, an unknown id, and an id re-ingested with a
+    /// new duration (the later record wins).
     #[test]
     fn the_view_index_check_equals_the_log_scan_on_a_one_kind_log() {
         let mut log = log();
         let check = |log: &ExecutionLog, left: &str, right: &str| {
             let bound = BoundQuery::new(query(), left, right);
             let view = ColumnarLog::build(log, ExecutionKind::Job);
-            let scanned = bound.verify_preconditions(log, DEFAULT_SIM_THRESHOLD);
-            let indexed = bound.verify_preconditions_in(log, &view, DEFAULT_SIM_THRESHOLD);
-            assert_eq!(indexed, scanned, "{left} vs {right}");
-            indexed
+            for id in [left, right] {
+                let scanned = log.records().iter().rposition(|r| r.id == id);
+                let row = view.row_of(log, id);
+                assert_eq!(row.map(|row| view.position(row)), scanned, "{id}");
+            }
+            bound.verify_preconditions(log, DEFAULT_SIM_THRESHOLD)
         };
         assert!(check(&log, "job_big", "job_small").is_ok());
         assert!(matches!(
@@ -312,9 +279,9 @@ mod tests {
         ));
     }
 
-    /// A later task reusing a job's id shadows the job for `get`, which the
-    /// job view's index cannot see; with records of both kinds the check
-    /// falls back to the scan, so both report the kind mismatch.
+    /// A later task reusing a job's id shadows the job: the log's one id
+    /// index resolves the id to the task, so the precondition check reports
+    /// the kind mismatch and the job view does not find the id either.
     #[test]
     fn a_task_reusing_a_job_id_is_a_kind_mismatch_on_both_paths() {
         let mut log = log();
@@ -323,16 +290,12 @@ mod tests {
         ]);
         let bound = BoundQuery::new(query(), "job_big", "job_small");
         let view = ColumnarLog::build(&log, ExecutionKind::Job);
-        assert!(view.row_of("job_small").is_some());
-        for result in [
-            bound.verify_preconditions(&log, DEFAULT_SIM_THRESHOLD),
-            bound.verify_preconditions_in(&log, &view, DEFAULT_SIM_THRESHOLD),
-        ] {
-            assert!(
-                matches!(result, Err(CoreError::KindMismatch { .. })),
-                "{result:?}"
-            );
-        }
+        assert!(view.row_of(&log, "job_small").is_none());
+        let result = bound.verify_preconditions(&log, DEFAULT_SIM_THRESHOLD);
+        assert!(
+            matches!(result, Err(CoreError::KindMismatch { .. })),
+            "{result:?}"
+        );
     }
 
     #[test]

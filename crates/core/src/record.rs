@@ -10,7 +10,7 @@ use crate::error::{CoreError, Result};
 use crate::features::{FeatureCatalog, DURATION_FEATURE};
 use pxql::{FeatureSource, SubjectKind, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Whether a record describes a job or a task execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -121,6 +121,17 @@ impl FeatureSource for ExecutionRecord {
 /// up to date by encoding only the appended tail iff
 /// `g >= rewrite_generation(kind)`; otherwise the world changed under it
 /// and only a full rebuild is sound.
+///
+/// The log also keeps the one **id index** of its records: each id maps to
+/// the position of the last record carrying it, so [`ExecutionLog::get`]
+/// and [`ExecutionLog::require`] are one hash lookup and a columnar view
+/// resolves an id through it ([`ColumnarLog::row_of`]).  Every constructor
+/// and mutation maintains it; a log assembled from parts (a JSON load, a
+/// snapshot open, [`ExecutionLog::from_shards`]) builds it once, sized for
+/// every record.  It is a std `HashMap`, not an Fx one, because ids arrive
+/// over the wire.
+///
+/// [`ColumnarLog::row_of`]: crate::columnar::ColumnarLog::row_of
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionLog {
     job_catalog: FeatureCatalog,
@@ -134,14 +145,9 @@ pub struct ExecutionLog {
     /// job/task append storms from scanning (or re-encoding) the kind that
     /// did not change.
     kind_rows: [usize; 2],
-}
-
-fn count_kind_rows(records: &[ExecutionRecord]) -> [usize; 2] {
-    let mut rows = [0usize; 2];
-    for record in records {
-        rows[kind_index(record.kind)] += 1;
-    }
-    rows
+    /// Record id → position of the last record with that id.  Boxed keys
+    /// take 16 bytes per table slot where a `String` takes 24.
+    ids: HashMap<Box<str>, usize>,
 }
 
 /// Infers the job and the task catalog of `records`, one pass per kind.
@@ -195,15 +201,14 @@ impl Deserialize for ExecutionLog {
         let entries = content
             .as_map()
             .ok_or_else(|| serde::DeError::expected("map", "ExecutionLog"))?;
-        Ok(ExecutionLog {
+        let mut log = ExecutionLog {
             job_catalog: Deserialize::deserialize(serde::Content::field(entries, "job_catalog"))?,
             task_catalog: Deserialize::deserialize(serde::Content::field(entries, "task_catalog"))?,
             records: Deserialize::deserialize(serde::Content::field(entries, "records"))?,
-            generation: 0,
-            rewrite: [0, 0],
-            kind_rows: [0, 0],
-        }
-        .with_recounted_kind_rows())
+            ..ExecutionLog::default()
+        };
+        log.index_from(0);
+        Ok(log)
     }
 }
 
@@ -237,9 +242,16 @@ impl ExecutionLog {
         self.kind_rows[kind_index(kind)]
     }
 
-    fn with_recounted_kind_rows(mut self) -> ExecutionLog {
-        self.kind_rows = count_kind_rows(&self.records);
-        self
+    /// Counts the records from position `from` on per kind and enters
+    /// their ids in the id index: the bookkeeping every path that adds
+    /// records runs once they are in place.  Catalogs, generation and
+    /// watermarks are the caller's.
+    fn index_from(&mut self, from: usize) {
+        self.ids.reserve(self.records.len() - from);
+        for (at, record) in self.records.iter().enumerate().skip(from) {
+            self.kind_rows[kind_index(record.kind)] += 1;
+            self.ids.insert(record.id.as_str().into(), at);
+        }
     }
 
     /// Marks the current generation as a rewrite for both kinds (the
@@ -250,8 +262,8 @@ impl ExecutionLog {
 
     /// Adds a record.
     pub fn push(&mut self, record: ExecutionRecord) {
-        self.kind_rows[kind_index(record.kind)] += 1;
         self.records.push(record);
+        self.index_from(self.records.len() - 1);
         self.generation += 1;
         // `push` does not maintain the catalogs, so cached views of the
         // record's kind cannot trust the schema until `rebuild_catalogs`;
@@ -293,37 +305,42 @@ impl ExecutionLog {
                 self.rewrite[kind_index(kind)] = self.generation;
             }
         }
-        for record in &records {
-            self.kind_rows[kind_index(record.kind)] += 1;
-        }
+        let from = self.records.len();
         self.records.extend(records);
+        self.index_from(from);
         self.generation
     }
 
     /// Adds every record of `other` to this log.
     pub fn extend(&mut self, other: ExecutionLog) {
+        let from = self.records.len();
         self.records.extend(other.records);
+        self.index_from(from);
         self.rebuild_catalogs();
     }
 
-    /// Crate-internal: assembles a shard log from parts whose catalogs are
-    /// already known (the snapshot store persists per-shard catalogs, so
-    /// reopening a shard must not pay a re-inference scan).  The caller
-    /// guarantees the catalogs reflect the records.
+    /// Crate-internal: assembles one log from shards given as records plus
+    /// the job and task catalogs already known for them (the snapshot store
+    /// persists per-shard catalogs, so reopening must not pay a
+    /// re-inference scan).  Records are concatenated in shard order and the
+    /// catalogs merged, and the id index is built once, sized for every
+    /// record.  The caller guarantees each shard's catalogs reflect its
+    /// records.
     pub(crate) fn from_parts(
-        records: Vec<ExecutionRecord>,
-        job_catalog: FeatureCatalog,
-        task_catalog: FeatureCatalog,
+        shards: Vec<(Vec<ExecutionRecord>, FeatureCatalog, FeatureCatalog)>,
     ) -> ExecutionLog {
-        ExecutionLog {
-            job_catalog,
-            task_catalog,
-            records,
-            generation: 1,
-            rewrite: [1, 1],
-            kind_rows: [0, 0],
+        let mut out = ExecutionLog::new();
+        out.records
+            .reserve(shards.iter().map(|(records, _, _)| records.len()).sum());
+        for (records, job_catalog, task_catalog) in shards {
+            out.job_catalog.merge(&job_catalog);
+            out.task_catalog.merge(&task_catalog);
+            out.records.extend(records);
         }
-        .with_recounted_kind_rows()
+        out.index_from(0);
+        out.generation = 1;
+        out.rewrite = [1, 1];
+        out
     }
 
     /// Assembles one log from independently ingested shards: records are
@@ -336,20 +353,12 @@ impl ExecutionLog {
     /// `rebuild_catalogs` or any collector); stale shard catalogs propagate
     /// into the merged log.
     pub fn from_shards(shards: Vec<ExecutionLog>) -> ExecutionLog {
-        let mut out = ExecutionLog::new();
-        out.records
-            .reserve(shards.iter().map(|shard| shard.records.len()).sum());
-        for shard in shards {
-            out.job_catalog.merge(&shard.job_catalog);
-            out.task_catalog.merge(&shard.task_catalog);
-            for (slot, rows) in shard.kind_rows.iter().enumerate() {
-                out.kind_rows[slot] += rows;
-            }
-            out.records.extend(shard.records);
-        }
-        out.generation = 1;
-        out.rewrite = [1, 1];
-        out
+        ExecutionLog::from_parts(
+            shards
+                .into_iter()
+                .map(|shard| (shard.records, shard.job_catalog, shard.task_catalog))
+                .collect(),
+        )
     }
 
     /// Ingests record batches in parallel: this log's records and the
@@ -375,21 +384,19 @@ impl ExecutionLog {
         };
         self.job_catalog = job_catalog;
         self.task_catalog = task_catalog;
+        let from = self.records.len();
         self.records.reserve(batches.iter().map(Vec::len).sum());
-        for record in batches.into_iter().flatten() {
-            self.kind_rows[kind_index(record.kind)] += 1;
-            self.records.push(record);
-        }
+        self.records.extend(batches.into_iter().flatten());
+        self.index_from(from);
         self.generation += 1;
         self.mark_rewrite();
     }
 
-    /// Recomputes the job and task feature catalogs (and the per-kind row
-    /// counts) from the stored records.  Call after bulk loading records.
+    /// Recomputes the job and task feature catalogs from the stored
+    /// records.  Call after bulk loading records.
     pub fn rebuild_catalogs(&mut self) {
         self.generation += 1;
         self.mark_rewrite();
-        self.kind_rows = count_kind_rows(&self.records);
         (self.job_catalog, self.task_catalog) = infer_catalogs(&self.records);
     }
 
@@ -453,12 +460,19 @@ impl ExecutionLog {
         })
     }
 
-    /// Looks up a record by identifier.  When several records share the id
-    /// (a re-ingested execution), the **last** one wins — the record a
-    /// columnar view's `row_of` resolves the id to, so a query's
-    /// precondition check and its explanation read the same record.
+    /// Looks up a record by identifier through the id index, one hash
+    /// lookup.  When several records share the id (a re-ingested
+    /// execution), the **last** one wins, whatever its kind.  A columnar
+    /// view resolves an id to the same record, so a query's precondition
+    /// check and its explanation read the same record.
     pub fn get(&self, id: &str) -> Option<&ExecutionRecord> {
-        self.records.iter().rev().find(|r| r.id == id)
+        self.position_of(id).map(|at| &self.records[at])
+    }
+
+    /// The position in [`ExecutionLog::records`] of the last record with
+    /// the given id.
+    pub(crate) fn position_of(&self, id: &str) -> Option<usize> {
+        self.ids.get(id).copied()
     }
 
     /// Looks up a record by identifier, failing with a descriptive error.

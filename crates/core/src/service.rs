@@ -11,12 +11,14 @@
 //!   through [`XplainService::with_log_mut`] and bump the log's
 //!   **generation counter**; queries run under the read lock against a
 //!   cached view stamped with the generation it was built at, so a stale
-//!   view can never be observed.  A view holds no records, only their
-//!   positions in the log, so it is only ever read beside the log of its
-//!   own generation.
+//!   view can never be observed.  A view holds no records and no id map,
+//!   only the encoded cells and each row's position in the log, so it is
+//!   only ever read beside the log of its own generation; the log keeps the
+//!   one id index, through which every request finds its pair of interest
+//!   ([`BoundQuery::verify_preconditions`]).
 //! * The cache is **delta-maintained**: records ingested through
 //!   [`XplainService::append`] keep the cached views alive, and the next
-//!   query splices the fresh records into a small *tail segment*
+//!   query merges the fresh records into a small *tail segment*
 //!   ([`ColumnarLog::with_appended`]) that shares the unchanged base
 //!   buffers by `Arc` — refresh cost is O(tail), not O(log).  Non-append
 //!   mutations ([`XplainService::with_log_mut`],
@@ -334,8 +336,9 @@ pub struct CompactionPolicy {
 }
 
 impl Default for CompactionPolicy {
-    /// Defaults to the sharded-build threshold: a tail that large would
-    /// have been worth a parallel re-encode anyway.
+    /// Folds a tail once it reaches 8192 rows.  The number is a fixed
+    /// default tied to no other setting; `tail_limit` trades how often the
+    /// background fold runs against how long a tail queries scan.
     fn default() -> Self {
         CompactionPolicy { tail_limit: 8192 }
     }
@@ -1071,8 +1074,7 @@ impl XplainService {
 
     /// Answers one query.  The columnar view for the log's current
     /// generation is fetched from the cache or lazily built, and the pair
-    /// of interest is resolved through its row index instead of a scan of
-    /// the log; everything else — binding, training, clause generation,
+    /// of interest is resolved through the log's id index; everything else — binding, training, clause generation,
     /// optional despite extension, narration and assessment — happens
     /// through the same code path as the stateless API, with the training
     /// set drawn through the view's sample memo.
@@ -1095,7 +1097,7 @@ impl XplainService {
             None => &self.engine,
         };
         request.cancel.check()?;
-        bound.verify_preconditions_in(&log, &view, engine.config().sim_threshold)?;
+        bound.verify_preconditions(&log, engine.config().sim_threshold)?;
         answer(
             engine,
             &log,

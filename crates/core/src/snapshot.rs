@@ -664,16 +664,6 @@ impl SnapshotShard {
             ExecutionKind::Task => &self.task_catalog,
         }
     }
-
-    /// Builds the shard's [`ExecutionLog`] (records + stored catalogs, no
-    /// re-inference).
-    fn to_shard_log(&self) -> ExecutionLog {
-        ExecutionLog::from_parts(
-            self.records.clone(),
-            self.job_catalog.clone(),
-            self.task_catalog.clone(),
-        )
-    }
 }
 
 /// Per-block byte accounting of one encoded shard file (block length
@@ -1034,10 +1024,16 @@ impl Snapshot {
     /// catalogs merged **in manifest order** ([`ExecutionLog::from_shards`]),
     /// which equals a serial ingest of the same records.
     pub fn to_log(&self) -> ExecutionLog {
-        ExecutionLog::from_shards(
+        ExecutionLog::from_parts(
             self.shards
                 .iter()
-                .map(SnapshotShard::to_shard_log)
+                .map(|shard| {
+                    (
+                        shard.records.clone(),
+                        shard.job_catalog.clone(),
+                        shard.task_catalog.clone(),
+                    )
+                })
                 .collect(),
         )
     }
@@ -1056,22 +1052,18 @@ impl Snapshot {
     /// written with (proptested in `tests/properties.rs`).
     pub fn into_views(self) -> SnapshotViews {
         let Snapshot { manifest, shards } = self;
-        let mut shard_logs = Vec::with_capacity(shards.len());
+        let mut parts = Vec::with_capacity(shards.len());
         let mut job_segments = Vec::with_capacity(shards.len());
         let mut task_segments = Vec::with_capacity(shards.len());
         for shard in shards {
-            shard_logs.push(ExecutionLog::from_parts(
-                shard.records,
-                shard.job_catalog,
-                shard.task_catalog,
-            ));
+            parts.push((shard.records, shard.job_catalog, shard.task_catalog));
             job_segments.push(shard.job);
             task_segments.push(shard.task);
         }
-        let log = ExecutionLog::from_shards(shard_logs);
+        let log = ExecutionLog::from_parts(parts);
         let view = |kind, segments| {
             let positions = positions_of(log.records(), kind, 0);
-            ColumnarLog::assemble(&log, kind, manifest.catalog(kind), positions, segments)
+            ColumnarLog::assemble(kind, manifest.catalog(kind), positions, segments)
         };
         let job = view(ExecutionKind::Job, job_segments);
         let task = view(ExecutionKind::Task, task_segments);

@@ -62,7 +62,7 @@ use crate::error::{CoreError, Result};
 use crate::features::FeatureKind;
 use crate::pairs::{parse_pair_feature, PairExample, PairFeatureGroup};
 use crate::query::{BoundQuery, PairLabel};
-use crate::record::{ExecutionLog, ExecutionRecord};
+use crate::record::ExecutionLog;
 use mlcore::{balanced_sample, AttrValue, NominalDictionary};
 use pxql::{Op, Predicate, Value};
 use rand::rngs::StdRng;
@@ -394,25 +394,6 @@ pub fn collect_related_pairs_cancellable(
     Ok(related)
 }
 
-/// Enumerates and classifies the pairs of the log that are related to the
-/// query.  Returns the per-kind record list alongside the related pairs so
-/// that callers can materialise features later.
-///
-/// This encodes a fresh columnar view of the log; callers that already hold
-/// a [`ColumnarLog`] should use [`collect_related_pairs_in`] to avoid the
-/// re-encoding.
-pub fn collect_related_pairs<'a>(
-    log: &'a ExecutionLog,
-    query: &BoundQuery,
-    config: &ExplainConfig,
-) -> (Vec<&'a ExecutionRecord>, Vec<RelatedPair>) {
-    let view = ColumnarLog::build_auto(log, query.kind);
-    let related = collect_related_pairs_in(&view, query, log, config);
-    // The view encodes `of_kind` records in iteration order, so the borrowed
-    // record list aligns with the pair indices.
-    (log.of_kind(query.kind).collect(), related)
-}
-
 /// Draws the class-balanced (or ablation uniform) sample over the related
 /// pairs, returning the selected indices into `related`.
 fn sample_related(related: &[RelatedPair], config: &ExplainConfig) -> Result<Vec<usize>> {
@@ -443,45 +424,14 @@ fn sample_related(related: &[RelatedPair], config: &ExplainConfig) -> Result<Vec
     Ok(selected)
 }
 
-/// Draws the balanced sample of Section 4.3 and materialises the full pair
-/// features of the selected pairs.
-pub fn build_training_set(
-    log: &ExecutionLog,
-    query: &BoundQuery,
-    records: &[&ExecutionRecord],
-    related: &[RelatedPair],
-    config: &ExplainConfig,
-) -> Result<TrainingSet> {
-    let selected = sample_related(related, config)?;
-    let catalog = log.catalog(query.kind);
-    let mut set = TrainingSet::default();
-    for index in selected {
-        let pair = &related[index];
-        set.examples.push(PairExample::build(
-            catalog,
-            records[pair.left],
-            records[pair.right],
-            config.sim_threshold,
-        ));
-        set.labels.push(pair.label == PairLabel::Observed);
-    }
-    if set.num_observed() == 0 || set.num_expected() == 0 {
-        return Err(CoreError::NotEnoughTrainingPairs {
-            observed: set.num_observed(),
-            expected: set.num_expected(),
-        });
-    }
-    Ok(set)
-}
-
-/// Convenience: enumerate, classify, sample and materialise in one call.
+/// Convenience: enumerate, classify, sample and materialise in one call
+/// ([`prepare_encoded_training`], then [`EncodedTraining::materialise`]).
 pub fn prepare_training_set(
     log: &ExecutionLog,
     query: &BoundQuery,
     config: &ExplainConfig,
 ) -> Result<TrainingSet> {
-    let (records, related) = collect_related_pairs(log, query, config);
-    build_training_set(log, query, &records, &related, config)
+    Ok(prepare_encoded_training(log, query, config)?.materialise(config.sim_threshold))
 }
 
 /// A sampled training set kept in encoded (row index) form: the columnar
@@ -510,6 +460,29 @@ pub struct EncodedTraining<'a> {
 }
 
 impl<'a> EncodedTraining<'a> {
+    /// The training set of `pairs` of `view`, drawn from `log` out of
+    /// `related_pairs` related pairs, in the order given.
+    pub(crate) fn of_related<'p>(
+        log: &'a ExecutionLog,
+        view: Arc<ColumnarLog>,
+        pairs: impl ExactSizeIterator<Item = &'p RelatedPair>,
+        related_pairs: usize,
+    ) -> Self {
+        let mut rows = Vec::with_capacity(pairs.len());
+        let mut labels = Vec::with_capacity(pairs.len());
+        for pair in pairs {
+            rows.push((pair.left, pair.right));
+            labels.push(pair.label == PairLabel::Observed);
+        }
+        EncodedTraining {
+            log,
+            view,
+            pairs: rows.into(),
+            labels: labels.into(),
+            related_pairs,
+        }
+    }
+
     /// Number of sampled pairs.
     pub fn len(&self) -> usize {
         self.pairs.len()
@@ -541,13 +514,16 @@ impl<'a> EncodedTraining<'a> {
     /// generation.
     pub fn poi_rows(&self, query: &BoundQuery) -> Option<(usize, usize)> {
         Some((
-            self.view.row_of(&query.left_id)?,
-            self.view.row_of(&query.right_id)?,
+            self.view.row_of(self.log, &query.left_id)?,
+            self.view.row_of(self.log, &query.right_id)?,
         ))
     }
 
     /// Materialises the sampled pairs as [`PairExample`]s (the API /
-    /// narration boundary representation).
+    /// narration boundary representation).  The one routine that builds
+    /// pair examples from drawn pairs: [`prepare_training_set`], the
+    /// SimButDiff baseline and the evaluation's related pairs all go
+    /// through it.
     pub fn materialise(&self, sim_threshold: f64) -> TrainingSet {
         let catalog = self.log.catalog(self.view.kind());
         let record = |row| &self.log.records()[self.view.position(row)];
@@ -601,29 +577,21 @@ pub fn prepare_encoded_training_cancellable<'a>(
     cancel: &CancelToken,
 ) -> Result<EncodedTraining<'a>> {
     let related = collect_related_pairs_cancellable(&view, query, log, config, cancel)?;
-    let related_pairs = related.len();
     let selected = sample_related(&related, config)?;
-    let mut pairs = Vec::with_capacity(selected.len());
-    let mut labels = Vec::with_capacity(selected.len());
-    for index in selected {
-        let pair = &related[index];
-        pairs.push((pair.left, pair.right));
-        labels.push(pair.label == PairLabel::Observed);
-    }
-    let observed = labels.iter().filter(|&&l| l).count();
-    if observed == 0 || observed == labels.len() {
-        return Err(CoreError::NotEnoughTrainingPairs {
-            observed,
-            expected: labels.len() - observed,
-        });
-    }
-    Ok(EncodedTraining {
+    let training = EncodedTraining::of_related(
         log,
         view,
-        pairs: pairs.into(),
-        labels: labels.into(),
-        related_pairs,
-    })
+        selected.iter().map(|&index| &related[index]),
+        related.len(),
+    );
+    let observed = training.num_observed();
+    if observed == 0 || observed == training.len() {
+        return Err(CoreError::NotEnoughTrainingPairs {
+            observed,
+            expected: training.len() - observed,
+        });
+    }
+    Ok(training)
 }
 
 /// Most sampled pairs one [`SampleMemo`] holds, about 4.5 MB of rows and
@@ -903,11 +871,25 @@ mod tests {
         BoundQuery::new(q, "job_0", "job_1")
     }
 
+    /// The related pairs of `query` over a built view of `log`, with the
+    /// records the view's rows index.
+    fn related_pairs<'a>(
+        log: &'a ExecutionLog,
+        query: &BoundQuery,
+        config: &ExplainConfig,
+    ) -> (Vec<&'a ExecutionRecord>, Vec<RelatedPair>) {
+        let view = ColumnarLog::build(log, query.kind);
+        let records = (0..view.num_rows())
+            .map(|row| &log.records()[view.position(row)])
+            .collect();
+        (records, collect_related_pairs_in(&view, query, log, config))
+    }
+
     #[test]
     fn related_pairs_have_both_labels() {
         let log = synthetic_log();
         let config = ExplainConfig::default();
-        let (records, related) = collect_related_pairs(&log, &query(), &config);
+        let (records, related) = related_pairs(&log, &query(), &config);
         assert_eq!(records.len(), 30);
         assert!(!related.is_empty());
         assert!(related.iter().any(|p| p.label == PairLabel::Observed));
@@ -941,7 +923,7 @@ mod tests {
             max_candidate_pairs: 50,
             ..ExplainConfig::default()
         };
-        let (_, related) = collect_related_pairs(&log, &query(), &config);
+        let (_, related) = related_pairs(&log, &query(), &config);
         // 30 jobs -> 870 ordered pairs before capping; far fewer after.
         assert!(related.len() <= 60, "related = {}", related.len());
     }
@@ -958,7 +940,7 @@ mod tests {
         let bound = BoundQuery::new(q, "job_0", "job_5");
         assert_eq!(blocking_feature(&bound, &log), Some("pigscript"));
         let config = ExplainConfig::default();
-        let (records, related) = collect_related_pairs(&log, &bound, &config);
+        let (records, related) = related_pairs(&log, &bound, &config);
         for pair in &related {
             assert_eq!(
                 records[pair.left].feature("pigscript"),
@@ -1023,7 +1005,7 @@ mod tests {
         let mut log = ExecutionLog::new();
         log.push(ExecutionRecord::job("only").with_feature("duration", 1.0));
         log.rebuild_catalogs();
-        let (_, related) = collect_related_pairs(&log, &query(), &ExplainConfig::default());
+        let (_, related) = related_pairs(&log, &query(), &ExplainConfig::default());
         assert!(related.is_empty());
     }
 

@@ -18,7 +18,10 @@
 //! dictionary id onto a merged global dictionary.  Because each local
 //! dictionary interns values in first-occurrence order and segments are
 //! merged in row order, the merged store is **bit-identical** to encoding
-//! all rows in one pass: same ids, same cells, same dictionary order.
+//! all rows in one pass: same ids, same cells, same dictionary order.  The
+//! same merge extends a store by a freshly encoded tail (the first
+//! segment's dictionaries are kept as the global prefix, so no existing id
+//! moves) and folds a tail back into its base.
 
 use crate::codec::{
     bits_needed, decode_f64_stream, encode_f64_stream, ByteReader, ByteWriter, CodecError,
@@ -81,28 +84,16 @@ impl PartialEq for ColumnStore {
     }
 }
 
-/// The result of merging per-shard segment stores: the global store plus the
+/// The result of [`ColumnStore::merge_segments`]: the merged store plus the
 /// per-segment, per-column dictionary remap tables
-/// (`remaps[segment][column][local_id]` = global id) so callers can remap
-/// any side data they keyed by local ids.
+/// (`remaps[segment][column][local_id]` = global id; segment 0's is the
+/// identity) so callers can remap any side data they keyed by local ids.
 #[derive(Debug, Clone)]
 pub struct MergedStore {
     /// The merged global store.
     pub store: ColumnStore,
     /// `remaps[segment][column][local_id]` = global dictionary id.
     pub remaps: Vec<Vec<Vec<u32>>>,
-}
-
-/// The result of splicing a tail segment onto a base store: the combined
-/// store plus the tail's per-column dictionary remap tables
-/// (`remaps[column][local_id]` = global id) so callers can remap side data
-/// keyed by the tail's local ids.
-#[derive(Debug, Clone)]
-pub struct SplicedStore {
-    /// The combined store (base rows first, then the remapped tail rows).
-    pub store: ColumnStore,
-    /// `remaps[column][local_id]` = global dictionary id.
-    pub remaps: Vec<Vec<u32>>,
 }
 
 impl ColumnStore {
@@ -186,33 +177,49 @@ impl ColumnStore {
         self.columns[col][row]
     }
 
-    /// Merges independently encoded segment stores into one global store.
+    /// Merges segment stores into one store over one dictionary space.
     ///
     /// Every segment must share the schema of the first (same attribute
-    /// names and kinds, in the same order); dictionaries are local to each
-    /// segment.  The merged store concatenates the segments' rows in order
-    /// and rebuilds one global dictionary per attribute by interning each
-    /// segment's dictionary values in segment order — which is exactly
-    /// first-occurrence order over the concatenated rows, so the result is
-    /// bit-identical to a single-pass encoding.
+    /// names and kinds, in the same order).  Segment 0's dictionaries
+    /// become the global prefix and its cells are copied as they are; each
+    /// later segment's dictionary values are interned onto the global
+    /// dictionaries in segment order and its cells remapped.  No id of
+    /// segment 0 moves, and each later segment's new values get ids in its
+    /// own intern order.  Three shapes share this merge:
+    ///
+    /// * **Build.** Segments encoded independently from empty dictionaries
+    ///   (one per shard, in row order) merge into a store bit-identical to
+    ///   encoding all rows in one pass: interning each local dictionary in
+    ///   segment order is exactly first-occurrence order over the
+    ///   concatenated rows.
+    /// * **Refresh.** A view's tail (its dictionaries are the view's
+    ///   global ones) followed by freshly encoded records extends the
+    ///   dictionaries in place.
+    /// * **Fold.** A base followed by a tail encoded against the base's
+    ///   dictionaries extended: the tail's remap is the identity, which the
+    ///   caller can check.
+    ///
+    /// A single segment is returned as it is, its `Arc`-shared columns and
+    /// dictionaries adopted outright (the zero-copy path of a snapshot
+    /// persisted as one shard per kind).  Otherwise the segments are
+    /// consumed one at a time, so each one's buffers are freed as soon as
+    /// its rows are copied: peak memory is the merged columns plus one
+    /// segment.
     ///
     /// # Panics
     /// Panics when `segments` is empty or the schemas disagree.
     pub fn merge_segments(mut segments: Vec<ColumnStore>) -> MergedStore {
         assert!(!segments.is_empty(), "merge_segments needs >= 1 segment");
-
-        // A single segment already *is* the merged store: adopt its
-        // `Arc`-shared columns and dictionaries outright (the remap is the
-        // identity) instead of copying every cell.  This is the zero-copy
-        // fast path of the snapshot open: a snapshot persisted as one shard
-        // per kind hands its decoded buffers straight to the view.
-        if segments.len() == 1 {
-            let store = segments.pop().expect("length checked above");
-            let remaps = vec![store
+        let identity = |store: &ColumnStore| -> Vec<Vec<u32>> {
+            store
                 .attributes
                 .iter()
                 .map(|a| (0..a.dictionary.len() as u32).collect())
-                .collect()];
+                .collect()
+        };
+        if segments.len() == 1 {
+            let store = segments.pop().expect("length checked above");
+            let remaps = vec![identity(&store)];
             return MergedStore { store, remaps };
         }
 
@@ -233,158 +240,45 @@ impl ColumnStore {
             }
         }
 
-        // Global attributes: the shared schema with fresh dictionaries.
-        // Note that even numeric attributes can carry dictionary entries
-        // (mixed-type columns intern their non-numeric cells), so every
-        // attribute's dictionary is merged, not just the nominal ones.
-        let mut attributes: Vec<Attribute> = segments[0]
-            .attributes
-            .iter()
-            .map(|a| Attribute {
-                name: a.name.clone(),
-                kind: a.kind,
-                dictionary: Default::default(),
-            })
-            .collect();
-        let mut remaps: Vec<Vec<Vec<u32>>> = Vec::with_capacity(segments.len());
-        for segment in &segments {
-            let mut segment_remap = Vec::with_capacity(num_columns);
-            for (col, attribute) in segment.attributes.iter().enumerate() {
-                let global = &mut attributes[col].dictionary;
-                let remap: Vec<u32> = attribute
-                    .dictionary
-                    .iter()
-                    .map(|(_, value)| global.intern(value))
-                    .collect();
-                segment_remap.push(remap);
-            }
-            remaps.push(segment_remap);
-        }
-
-        // Concatenate cells, consuming segments one at a time so each
-        // segment's buffers are freed as soon as its rows are copied: peak
-        // memory is the merged columns plus one segment, not 2× the total.
         let rows: usize = segments.iter().map(|s| s.rows).sum();
         let mut columns: Vec<Vec<AttrValue>> =
             (0..num_columns).map(|_| Vec::with_capacity(rows)).collect();
-        for (segment, segment_remap) in segments.into_iter().zip(&remaps) {
-            for (col, column) in segment.columns.iter().enumerate() {
-                let remap = &segment_remap[col];
-                columns[col].extend(column.iter().map(|cell| match cell {
+        let mut segments = segments.into_iter();
+        let head = segments.next().expect("length checked above");
+        let mut remaps = Vec::with_capacity(segments.len() + 1);
+        remaps.push(identity(&head));
+        for (merged, column) in columns.iter_mut().zip(&head.columns) {
+            merged.extend_from_slice(column);
+        }
+        // Even numeric attributes can carry dictionary entries (mixed-type
+        // columns intern their non-numeric cells), so every attribute's
+        // dictionary is merged, not just the nominal ones.
+        let mut attributes = head.attributes;
+        for segment in segments {
+            let remap: Vec<Vec<u32>> = attributes
+                .iter_mut()
+                .zip(&segment.attributes)
+                .map(|(global, local)| {
+                    local
+                        .dictionary
+                        .iter()
+                        .map(|(_, value)| global.dictionary.intern(value))
+                        .collect()
+                })
+                .collect();
+            for ((merged, column), remap) in columns.iter_mut().zip(&segment.columns).zip(&remap) {
+                merged.extend(column.iter().map(|cell| match cell {
                     AttrValue::Nom(id) => AttrValue::Nom(remap[*id as usize]),
                     other => *other,
                 }));
             }
+            remaps.push(remap);
         }
 
         MergedStore {
             store: ColumnStore::from_columns(attributes, columns),
             remaps,
         }
-    }
-
-    /// Splices a freshly encoded tail segment onto this store's dictionary
-    /// space: the result carries this store's dictionaries **extended in
-    /// place** with the tail's values (first-occurrence order preserved, so
-    /// existing ids never move) and the tail's cells remapped onto those
-    /// extended dictionaries.  This is the delta-maintenance primitive: the
-    /// base store's columns and ids stay valid untouched, and only the
-    /// O(tail) cells plus the O(new values) dictionary entries are produced.
-    ///
-    /// The spliced store's rows are this store's rows followed by the
-    /// tail's rows; because the tail's local dictionaries intern in
-    /// first-occurrence order and are appended after every base value, the
-    /// result is bit-identical to encoding all rows in one pass.
-    ///
-    /// # Panics
-    /// Panics when the tail's schema (attribute names and kinds, in order)
-    /// differs from this store's.
-    pub fn splice_tail(&self, tail: &ColumnStore) -> SplicedStore {
-        assert_eq!(
-            tail.num_columns(),
-            self.num_columns(),
-            "tail schema width mismatch"
-        );
-        for (base, this) in self.attributes.iter().zip(&tail.attributes) {
-            assert_eq!(base.name, this.name, "tail attribute name mismatch");
-            assert_eq!(
-                base.kind, this.kind,
-                "tail attribute kind mismatch on {}",
-                base.name
-            );
-        }
-        let mut attributes = self.attributes.clone();
-        let mut remaps: Vec<Vec<u32>> = Vec::with_capacity(self.num_columns());
-        for (col, attribute) in tail.attributes.iter().enumerate() {
-            let global = &mut attributes[col].dictionary;
-            remaps.push(
-                attribute
-                    .dictionary
-                    .iter()
-                    .map(|(_, value)| global.intern(value))
-                    .collect(),
-            );
-        }
-        let columns: Vec<Vec<AttrValue>> = (0..self.num_columns())
-            .map(|col| {
-                let remap = &remaps[col];
-                let mut cells = Vec::with_capacity(self.rows + tail.rows);
-                cells.extend_from_slice(&self.columns[col]);
-                cells.extend(tail.columns[col].iter().map(|cell| match cell {
-                    AttrValue::Nom(id) => AttrValue::Nom(remap[*id as usize]),
-                    other => *other,
-                }));
-                cells
-            })
-            .collect();
-        SplicedStore {
-            store: ColumnStore::from_columns(attributes, columns),
-            remaps,
-        }
-    }
-
-    /// Concatenates two stores whose cells are already encoded against one
-    /// shared dictionary space: `front`'s dictionaries must be a prefix of
-    /// `back`'s (the invariant [`ColumnStore::splice_tail`] maintains), and
-    /// the result adopts `back`'s attributes — the full dictionaries —
-    /// with the cell streams concatenated verbatim.  This is the tail
-    /// compaction step: fold an oversized tail into the base without
-    /// re-interning a single value.
-    ///
-    /// # Panics
-    /// Panics when the schemas disagree or `front`'s dictionaries are not a
-    /// prefix of `back`'s.
-    pub fn concat_encoded(front: &ColumnStore, back: &ColumnStore) -> ColumnStore {
-        assert_eq!(
-            front.num_columns(),
-            back.num_columns(),
-            "concat schema width mismatch"
-        );
-        for (a, b) in front.attributes.iter().zip(&back.attributes) {
-            assert_eq!(a.name, b.name, "concat attribute name mismatch");
-            assert_eq!(
-                a.kind, b.kind,
-                "concat attribute kind mismatch on {}",
-                a.name
-            );
-            assert!(
-                a.dictionary.len() <= b.dictionary.len()
-                    && a.dictionary
-                        .iter()
-                        .all(|(id, value)| b.dictionary.resolve(id) == Some(value)),
-                "front dictionary is not a prefix of back's on {}",
-                a.name
-            );
-        }
-        let columns: Vec<Vec<AttrValue>> = (0..front.num_columns())
-            .map(|col| {
-                let mut cells = Vec::with_capacity(front.rows + back.rows);
-                cells.extend_from_slice(&front.columns[col]);
-                cells.extend_from_slice(&back.columns[col]);
-                cells
-            })
-            .collect();
-        ColumnStore::from_columns(back.attributes.clone(), columns)
     }
 
     /// Appends the store's binary encoding (the compressed v2 column
@@ -714,7 +608,30 @@ mod tests {
             ]);
             assert_eq!(merged.store, single, "split at {split} diverges");
             assert_eq!(merged.remaps.len(), 2);
+            // The refresh shape: the first segment already carries the
+            // global dictionaries (a view's tail, here with no rows of its
+            // own), so the fresh records extend them in place.
+            let tail = ColumnStore::merge_segments(vec![
+                empty_with_dictionaries_of(&nominal_segment(&all[..split])),
+                nominal_segment(&all[split..]),
+            ])
+            .store;
+            // The fold shape: the base followed by that tail, whose remap
+            // is the identity.
+            let folded =
+                ColumnStore::merge_segments(vec![nominal_segment(&all[..split]), tail.clone()]);
+            assert_eq!(folded.store, single, "fold at {split} diverges");
+            let identity: Vec<u32> = (0..tail.attribute(0).dictionary.len() as u32).collect();
+            assert_eq!(folded.remaps[1][0], identity, "fold at {split} remaps");
         }
+    }
+
+    /// A zero-row store carrying `store`'s schema and dictionaries.
+    fn empty_with_dictionaries_of(store: &ColumnStore) -> ColumnStore {
+        ColumnStore::from_columns(
+            store.attributes().to_vec(),
+            vec![vec![]; store.num_columns()],
+        )
     }
 
     #[test]
@@ -740,16 +657,18 @@ mod tests {
         assert_eq!(merged.store, store);
     }
 
+    /// The refresh shape: a tail merged onto a store extends its
+    /// dictionaries in place.
     #[test]
     fn splice_tail_extends_dictionaries_in_place() {
         // Base interns "b", "a"; the tail's local dictionary ("a", "c")
         // must remap onto {b:0, a:1, c:2} without moving base ids.
         let base = nominal_segment(&["b", "a", "b"]);
         let tail = nominal_segment(&["a", "c", "a"]);
-        let spliced = base.splice_tail(&tail);
+        let spliced = ColumnStore::merge_segments(vec![base, tail]);
         let single = nominal_segment(&["b", "a", "b", "a", "c", "a"]);
         assert_eq!(spliced.store, single);
-        assert_eq!(spliced.remaps[0], vec![1, 2]);
+        assert_eq!(spliced.remaps[1][0], vec![1, 2]);
         // Base ids are untouched: "b" is still 0, "a" still 1.
         let dictionary = &spliced.store.attribute(0).dictionary;
         assert_eq!(dictionary.resolve(0), Some("b"));
@@ -764,38 +683,32 @@ mod tests {
             ColumnStore::from_columns(vec![attribute], vec![vec![]])
         };
         let tail = nominal_segment(&["x", "y", "x"]);
-        let spliced = empty.splice_tail(&tail);
+        let spliced = ColumnStore::merge_segments(vec![empty, tail.clone()]);
         assert_eq!(spliced.store, tail);
-        assert_eq!(spliced.remaps[0], vec![0, 1]);
+        assert_eq!(spliced.remaps[1][0], vec![0, 1]);
     }
 
     #[test]
-    #[should_panic(expected = "tail attribute name mismatch")]
+    #[should_panic(expected = "segment attribute name mismatch")]
     fn splice_tail_rejects_mismatched_schemas() {
         let base = ColumnStore::from_columns(vec![Attribute::numeric("a")], vec![vec![]]);
         let tail = ColumnStore::from_columns(vec![Attribute::numeric("b")], vec![vec![]]);
-        base.splice_tail(&tail);
+        ColumnStore::merge_segments(vec![base, tail]);
     }
 
+    /// The fold shape: a tail encoded against the base's dictionaries
+    /// concatenates onto the base unchanged.
     #[test]
     fn concat_encoded_folds_a_spliced_tail_into_the_base() {
         let base = nominal_segment(&["b", "a"]);
         let tail = {
-            // Encode the tail against the base's dictionary space via
-            // splice onto an empty store carrying the base dictionaries.
+            // Encode the tail against the base's dictionary space via a
+            // merge onto an empty store carrying the base dictionaries.
             let empty = ColumnStore::from_columns(base.attributes().to_vec(), vec![vec![]]);
-            empty.splice_tail(&nominal_segment(&["a", "c"])).store
+            ColumnStore::merge_segments(vec![empty, nominal_segment(&["a", "c"])]).store
         };
-        let folded = ColumnStore::concat_encoded(&base, &tail);
+        let folded = ColumnStore::merge_segments(vec![base, tail]).store;
         assert_eq!(folded, nominal_segment(&["b", "a", "a", "c"]));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a prefix")]
-    fn concat_encoded_rejects_diverged_dictionaries() {
-        let front = nominal_segment(&["a", "b"]);
-        let back = nominal_segment(&["b", "a"]);
-        ColumnStore::concat_encoded(&front, &back);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The std `HashMap` defaults to SipHash-1-3, whose per-lookup cost (key
 //! scheduling plus 8 rounds over the data) dominates the short-string
 //! lookups the encode path performs millions of times: dictionary interning,
-//! `ColumnStore::column_index`, `ColumnarLog::row_of` and `PairCatalog`
-//! name resolution.  [`FxHasher`] follows the Rust compiler's FxHash design
+//! `ColumnStore::column_index` and `PairCatalog` name resolution.  [`FxHasher`] follows the Rust compiler's FxHash design
 //! (Firefox heritage): one add and one multiply per 8-byte chunk, fully
 //! deterministic across processes — which the training pipeline requires
 //! anyway, since capping decisions and shard merges must not depend on a
@@ -18,7 +17,9 @@
 //! the low bits the hash table indexes with carry full entropy.
 //!
 //! Not DoS-resistant: use only for maps keyed by trusted, internally
-//! generated data (feature names, record ids), never for untrusted input.
+//! generated data (feature names, interned values), never for untrusted
+//! input.  Record ids arrive over the wire, so the execution log's id index
+//! is a std `HashMap`.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -16,9 +16,9 @@
 //!   contiguous column snapshots ([`Dataset::column_cells`]) for
 //!   attribute-major consumers.
 //! * [`hash`] — a vendored FxHash-style hasher ([`FxHashMap`]) for the hot
-//!   lookup maps (dictionary interning, column/row indexes, the nominal
-//!   candidate dedup of the split search); deterministic and several times
-//!   cheaper per short-key lookup than std's SipHash.
+//!   lookup maps over internal keys (dictionary interning, column indexes,
+//!   the nominal candidate dedup of the split search); deterministic and
+//!   several times cheaper per short-key lookup than std's SipHash.
 //! * [`codec`] — length-prefixed little-endian binary encoding primitives
 //!   ([`ByteWriter`] / [`ByteReader`]) plus the bit-level compression
 //!   layer: LSB-first bit-packing ([`ByteWriter::put_packed`]), presence
@@ -109,7 +109,9 @@
 //!   land in [`columnar::ColumnData`] (`Arc<[AttrValue]>`) buffers, which
 //!   `ColumnStore::merge_segments` adopts without copying when a single
 //!   segment is merged — the snapshot open path hands the decoded buffers
-//!   straight to the query views.
+//!   straight to the query views.  That one merge also extends a store by
+//!   a freshly encoded tail and folds a tail back into its base: the first
+//!   segment's dictionaries are kept as the global prefix.
 
 pub mod codec;
 pub mod columnar;

@@ -528,9 +528,8 @@ proptest! {
         let config = uncapped_config();
         for query in query_pool() {
             let bound = BoundQuery::new(query, "job_0", "job_1");
-            let (_, related) = perfxplain_core::training::collect_related_pairs(
-                &log, &bound, &config,
-            );
+            let view = ColumnarLog::build_auto(&log, bound.kind);
+            let related = perfxplain_core::collect_related_pairs_in(&view, &bound, &log, &config);
             let mut streaming: Vec<(usize, usize, PairLabel)> = related
                 .iter()
                 .map(|p| (p.left, p.right, p.label))
@@ -569,8 +568,8 @@ proptest! {
 
             let by_maps = DatasetBridge::build(&set, &poi, &catalog, &excluded);
             let poi_rows = (
-                encoded.view.row_of(&bound.left_id).unwrap(),
-                encoded.view.row_of(&bound.right_id).unwrap(),
+                encoded.view.row_of(&log, &bound.left_id).unwrap(),
+                encoded.view.row_of(&log, &bound.right_id).unwrap(),
             );
             let by_view = DatasetBridge::encode_from_view(
                 &encoded, poi_rows, &catalog, &excluded, config.sim_threshold,
@@ -2010,6 +2009,131 @@ proptest! {
                     row, col, got, want
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The log's id index
+// ---------------------------------------------------------------------------
+
+/// Ids the index test draws from: every id is reused, within a kind and
+/// across kinds.
+const INDEX_IDS: [&str; 5] = ["x0", "x1", "x2", "x3", "x4"];
+
+/// One record for the index test: a job or a task (whose parent is another
+/// pool id) with an id from [`INDEX_IDS`].  Every record carries the same
+/// features, so an append never changes a catalog.
+fn index_record(draw: u64) -> ExecutionRecord {
+    let id = INDEX_IDS[(draw % 5) as usize];
+    let record = if (draw >> 8).is_multiple_of(2) {
+        ExecutionRecord::job(id)
+    } else {
+        ExecutionRecord::task(id, INDEX_IDS[((draw >> 16) % 5) as usize])
+    };
+    record
+        .with_feature("duration", ((draw >> 24) % 1000) as f64)
+        .with_feature("script", ["a.pig", "b.pig"][((draw >> 40) % 2) as usize])
+}
+
+/// Checks the log's id index and both kinds' views against a scan: `get`
+/// returns the last record with the id, and `row_of` the view row at that
+/// record's position, or `None` when the record is of the other kind.
+/// `delta` holds views refreshed through the append tail, checked the
+/// same way.
+fn check_id_index(
+    log: &ExecutionLog,
+    delta: &[ColumnarLog],
+    step: usize,
+) -> Result<(), TestCaseError> {
+    use perfxplain::ExecutionKind;
+    for id in INDEX_IDS.iter().chain(&["unknown"]) {
+        let scanned = log.records().iter().rposition(|r| r.id == *id);
+        let found = match (log.get(id), scanned) {
+            (None, None) => true,
+            (Some(record), Some(at)) => std::ptr::eq(record, &log.records()[at]),
+            _ => false,
+        };
+        prop_assert!(found, "get({}) at step {} is not the last record", id, step);
+        let fresh =
+            [ExecutionKind::Job, ExecutionKind::Task].map(|kind| ColumnarLog::build(log, kind));
+        for view in fresh.iter().chain(delta) {
+            let expected = scanned
+                .filter(|&at| log.records()[at].kind == view.kind())
+                .and_then(|at| (0..view.num_rows()).find(|&row| view.position(row) == at));
+            prop_assert_eq!(
+                view.row_of(log, id),
+                expected,
+                "row_of({}) in the {} view at step {}",
+                id,
+                view.kind().as_str(),
+                step
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The log's one id index equals a scan after every mutation and
+    /// constructor a log can go through: `push`, `append`, `extend`,
+    /// `extend_parallel`, `from_shards`, `restrict_to_jobs` and a JSON round
+    /// trip.  Views built fresh, and views refreshed through the append
+    /// tail, resolve ids through it to the same record.
+    #[test]
+    fn the_log_id_index_equals_a_scan_after_every_mutation(seed in 0u64..1_000_000) {
+        use perfxplain::ExecutionKind;
+        let mut state = seed;
+        let mut draw = move || {
+            state = state.wrapping_add(1);
+            splitmix(state.wrapping_mul(0x2545_F491_4F6C_DD1D))
+        };
+        let mut log = ExecutionLog::new();
+        for step in 0..16 {
+            let batch = |draw: &mut dyn FnMut() -> u64| -> Vec<ExecutionRecord> {
+                let len = draw() % 4;
+                (0..len).map(|_| index_record(draw())).collect()
+            };
+            let shard = |records: Vec<ExecutionRecord>| {
+                let mut shard = ExecutionLog::new();
+                for record in records {
+                    shard.push(record);
+                }
+                shard.rebuild_catalogs();
+                shard
+            };
+            let views = [ExecutionKind::Job, ExecutionKind::Task].map(|kind| ColumnarLog::build(&log, kind));
+            let (covered, generation) = (log.len(), log.generation());
+            let mut delta = Vec::new();
+            match draw() % 7 {
+                0 => log.push(index_record(draw())),
+                1 => {
+                    log.append(batch(&mut draw));
+                    for view in &views {
+                        if log.rewrite_generation(view.kind()) <= generation {
+                            delta.push(view.with_appended(&log, covered));
+                        }
+                    }
+                }
+                2 => log.extend(shard(batch(&mut draw))),
+                3 => {
+                    let batches = (0..draw() % 3).map(|_| batch(&mut draw)).collect();
+                    log.extend_parallel(batches);
+                }
+                4 => {
+                    let other = shard(batch(&mut draw));
+                    log = ExecutionLog::from_shards(vec![log, other]);
+                }
+                5 => {
+                    let keep: Vec<&str> =
+                        INDEX_IDS.iter().copied().filter(|_| draw() % 3 != 0).collect();
+                    log = log.restrict_to_jobs(&keep);
+                }
+                _ => log = ExecutionLog::from_json(&log.to_json().unwrap()).unwrap(),
+            }
+            check_id_index(&log, &delta, step)?;
         }
     }
 }
