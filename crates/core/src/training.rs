@@ -107,13 +107,13 @@ impl TrainingSet {
     }
 }
 
-/// A related candidate pair before materialisation: indices into the record
-/// list plus its label.
+/// A related candidate pair before materialisation: rows of the columnar
+/// view (the kind's records in log order) plus its label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelatedPair {
-    /// Index of the first execution in the per-kind record list.
+    /// Row of the first execution in the view.
     pub left: usize,
-    /// Index of the second execution.
+    /// Row of the second execution.
     pub right: usize,
     /// Observed or expected.
     pub label: PairLabel,

@@ -247,13 +247,17 @@ impl ColumnStore {
         let head = segments.next().expect("length checked above");
         let mut remaps = Vec::with_capacity(segments.len() + 1);
         remaps.push(identity(&head));
-        for (merged, column) in columns.iter_mut().zip(&head.columns) {
-            merged.extend_from_slice(column);
-        }
         // Even numeric attributes can carry dictionary entries (mixed-type
         // columns intern their non-numeric cells), so every attribute's
         // dictionary is merged, not just the nominal ones.
-        let mut attributes = head.attributes;
+        let ColumnStore {
+            mut attributes,
+            columns: head_columns,
+            ..
+        } = head;
+        for (merged, column) in columns.iter_mut().zip(head_columns) {
+            merged.extend_from_slice(&column);
+        }
         for segment in segments {
             let remap: Vec<Vec<u32>> = attributes
                 .iter_mut()
