@@ -22,7 +22,7 @@ use crate::features::{FeatureKind, DURATION_FEATURE};
 use crate::pairs::is_same_name;
 use crate::query::BoundQuery;
 use crate::record::ExecutionLog;
-use mlcore::{relief_weights, AttrValue, Attribute, Dataset, ReliefConfig};
+use mlcore::{relief_weights, AttrValue, Attribute, ColumnBuilder, Dataset, ReliefConfig};
 use pxql::{Atom, Predicate, Value};
 
 /// The RuleOfThumb explanation generator.
@@ -72,33 +72,31 @@ impl RuleOfThumb {
 
         // One attribute per raw feature except the duration itself.
         let feature_names: Vec<&str> = catalog.names().filter(|n| *n != DURATION_FEATURE).collect();
-        let attributes: Vec<Attribute> = feature_names
+        let mut attributes: Vec<Attribute> = feature_names
             .iter()
             .map(|name| match catalog.kind(name) {
                 Some(FeatureKind::Numeric) => Attribute::numeric(*name),
                 _ => Attribute::nominal(*name),
             })
             .collect();
-        let mut dataset = Dataset::new(attributes);
-        for record in &records {
-            let row: Vec<AttrValue> = feature_names
-                .iter()
-                .enumerate()
-                .map(|(i, name)| match record.feature(name) {
-                    Value::Num(v) => AttrValue::Num(v),
-                    Value::Null => AttrValue::Missing,
-                    other => {
-                        let id = dataset
-                            .attribute_mut(i)
-                            .dictionary
-                            .intern(&other.to_string());
-                        AttrValue::Nom(id)
-                    }
-                })
-                .collect();
-            let label = record.duration().map(|d| d > median).unwrap_or(false);
-            dataset.push(row, label);
-        }
+        let columns = (feature_names.iter().zip(&mut attributes))
+            .map(|(name, attribute)| {
+                let mut column = ColumnBuilder::with_capacity(records.len());
+                for record in &records {
+                    column.push(match record.feature(name) {
+                        Value::Num(v) => AttrValue::Num(v),
+                        Value::Null => AttrValue::Missing,
+                        other => AttrValue::Nom(attribute.dictionary.intern(&other.to_string())),
+                    });
+                }
+                column.finish()
+            })
+            .collect();
+        let labels = records
+            .iter()
+            .map(|record| record.duration().map(|d| d > median).unwrap_or(false))
+            .collect();
+        let dataset = Dataset::from_columns(attributes, columns, labels);
 
         let weights = relief_weights(
             &dataset,

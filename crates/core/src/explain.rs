@@ -455,7 +455,7 @@ impl PerfXplain {
             // satisfy it.
             let (_, winner) = &candidates[best_index];
             let atom = bridge.atom_to_pxql(&winner.atom);
-            current.retain(|&row| winner.atom.matches_row(dataset, row));
+            winner.atom.retain_matching(dataset, &mut current);
             atoms.push(atom);
         }
 

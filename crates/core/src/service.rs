@@ -47,10 +47,16 @@
 //!   a replaced entry is freed after the cache lock is released.  Two
 //!   bounds apply per view.  Samples: an LRU of at most 2^18 sampled pairs
 //!   (about 4.5 MB); a larger sample is not stored.  Datasets: at most
-//!   32 MiB, summaries included; over it the least recently used entries
-//!   lose their datasets but keep their samples, and their next hit
-//!   featurizes again.  A larger dataset and every error are not stored.
-//!   The stateless paths run the same code and store nothing.
+//!   32 MiB, summaries included.  A dataset is column-major, with 4- or
+//!   8-byte cells and nothing stored for a pair feature no sampled pair
+//!   holds, so a 2,000-pair paper-grid job dataset takes about 1 MB and
+//!   the bound holds every template the paper's grid is asked about.  Over
+//!   it the least recently used entries lose their datasets but keep their
+//!   samples, and their next hit featurizes again.  A larger dataset and
+//!   every error are not stored.  [`XplainService::view_stats`] gauges the
+//!   datasets held, their bytes and every store
+//!   ([`ViewCacheStats::memo_dataset_stores`]).  The stateless paths run
+//!   the same code and store nothing.
 //! * One [`QueryRequest`] carries everything a query needs — the PXQL text
 //!   (or an already-parsed/bound query), the pair of interest, per-query
 //!   config overrides, and the despite-extension / narration / assessment
@@ -360,6 +366,18 @@ pub struct ViewCacheStats {
     pub compactions: u64,
     /// Unix timestamp (ms) of the last completed compaction; `0` if none.
     pub last_compaction_unix_ms: u64,
+    /// Encoded split-search datasets held beside memoized samples, summed
+    /// over the cached views' memos (a gauge).
+    pub memo_datasets: u64,
+    /// Heap bytes of those datasets, summaries included (a gauge).  Each
+    /// view's memo sheds its datasets back to 32 MiB whenever it is read or
+    /// stored into; summaries built since may exceed it until then.
+    pub memo_dataset_bytes: u64,
+    /// Datasets stored into the cached views' memos since those views
+    /// were cached (a counter): a request that featurized a memoized
+    /// sample again, because its dataset was shed or never stored, adds
+    /// one.
+    pub memo_dataset_stores: u64,
 }
 
 /// What [`XplainService::append`] did.
@@ -1034,24 +1052,26 @@ impl XplainService {
         folded
     }
 
-    /// A snapshot of the delta-maintenance counters and the cached views'
-    /// base/tail row split.
+    /// A snapshot of the delta-maintenance counters, the cached views'
+    /// base/tail row split and their memos' dataset gauges.
     pub fn view_stats(&self) -> ViewCacheStats {
         let cache = self.views.read().expect("view cache lock poisoned");
-        let (base_rows, tail_rows) = cache.values().fold((0u64, 0u64), |(b, t), entry| {
-            (
-                b + entry.view.base_rows() as u64,
-                t + entry.view.tail_rows() as u64,
-            )
-        });
-        ViewCacheStats {
-            base_rows,
-            tail_rows,
+        let mut stats = ViewCacheStats {
             delta_refreshes: self.stats.delta_refreshes.load(Ordering::Relaxed),
             full_rebuilds: self.stats.full_rebuilds.load(Ordering::Relaxed),
             compactions: self.stats.compactions.load(Ordering::Relaxed),
             last_compaction_unix_ms: self.stats.last_compaction_unix_ms.load(Ordering::Relaxed),
+            ..ViewCacheStats::default()
+        };
+        for entry in cache.values() {
+            let memo = entry.samples.dataset_gauges();
+            stats.base_rows += entry.view.base_rows() as u64;
+            stats.tail_rows += entry.view.tail_rows() as u64;
+            stats.memo_datasets += memo.datasets;
+            stats.memo_dataset_bytes += memo.bytes;
+            stats.memo_dataset_stores += memo.stores;
         }
+        stats
     }
 
     /// Number of cached columnar views (at most one per execution kind once
@@ -1456,6 +1476,62 @@ mod tests {
             assert_eq!(first.explanation, fresh);
             assert!(service.explain(&request).unwrap().sample_reused);
         }
+    }
+
+    /// `view_stats` gauges the cached view's memo: a template asked about
+    /// two pairs stores its dataset once, and under a bound that holds one
+    /// template's dataset, not two, a template whose dataset was shed
+    /// stores it again on its next hit, and only then.
+    #[test]
+    fn view_stats_gauge_the_memo_datasets() {
+        let service = XplainService::new(block_size_log(40));
+        let ask = |request: &QueryRequest| service.explain(request).unwrap();
+        let gauges = || {
+            let stats = service.view_stats();
+            (
+                stats.memo_datasets,
+                stats.memo_dataset_bytes,
+                stats.memo_dataset_stores,
+            )
+        };
+        assert_eq!(gauges(), (0, 0, 0));
+        ask(&request());
+        let (datasets, bytes, stores) = gauges();
+        assert_eq!((datasets, stores), (1, 1));
+        assert!(bytes > 0);
+        assert!(ask(&QueryRequest::text(QUERY).with_pair("job_16", "job_2")).sample_reused);
+        assert_eq!(gauges().2, 1);
+
+        // Two more templates (the same clauses under other seeds), each
+        // dataset's size once its first request built its summaries.
+        let seeded = |seed| request().with_config(ExplainConfig::default().with_seed(seed));
+        let size = |seed| {
+            let before = gauges().1;
+            ask(&seeded(seed));
+            gauges().1 - before
+        };
+        let sizes = [(size(1), 1), (size(2), 2)];
+        let (bound, large) = sizes.into_iter().max().unwrap();
+        let small = 3 - large;
+        let memo = Arc::new(SampleMemo::with_dataset_bound(bound as usize));
+        service
+            .views
+            .write()
+            .unwrap()
+            .get_mut(&ExecutionKind::Job)
+            .unwrap()
+            .samples = memo;
+        ask(&seeded(large));
+        assert_eq!(gauges().2, 1);
+        // The small template's dataset sheds the large one's.
+        ask(&seeded(small));
+        assert_eq!((gauges().0, gauges().2), (1, 2));
+        let again = ask(&seeded(large));
+        assert!(again.sample_reused);
+        assert_eq!(gauges().2, 3);
+        ask(&seeded(large));
+        assert_eq!(gauges().2, 3);
+        assert!(gauges().1 <= bound);
     }
 
     #[test]

@@ -69,6 +69,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A class-balanced, fully materialised set of training pairs.
@@ -599,9 +600,13 @@ pub fn prepare_encoded_training_cancellable<'a>(
 const MEMO_MAX_PAIRS: usize = 1 << 18;
 
 /// Most bytes of encoded datasets ([`SharedDataset::bytes`], summaries
-/// included) one [`SampleMemo`] holds.  A blocked-log dataset takes about
-/// 1 MB, a paper-grid one 5–6 MB, so the bound keeps each kind's base
-/// template and a few despite-extended ones.  A larger dataset is not
+/// included) one [`SampleMemo`] holds.  The datasets are column-major with
+/// 4- or 8-byte cells and nothing stored for a column no sampled pair
+/// holds: a 2,000-pair paper-grid dataset takes about 1 MB for the job
+/// query and 1.7 MB for the task query, summaries included (pxbench's
+/// `paper_mix`, seed 301: 25 job datasets in 23.0 MB, 12 task datasets in
+/// 20.2 MB).  So the bound holds every template the paper's grid is asked
+/// about, base and despite-extended alike.  A larger dataset is not
 /// stored.
 const MEMO_MAX_DATASET_BYTES: usize = 32 << 20;
 
@@ -621,6 +626,8 @@ pub(crate) struct SampleMemo {
     entries: Mutex<Vec<MemoEntry>>,
     /// [`MEMO_MAX_DATASET_BYTES`]; the tests shrink it.
     dataset_bound: usize,
+    /// Datasets stored since the memo was created.
+    dataset_stores: AtomicU64,
 }
 
 impl Default for SampleMemo {
@@ -628,8 +635,21 @@ impl Default for SampleMemo {
         SampleMemo {
             entries: Mutex::default(),
             dataset_bound: MEMO_MAX_DATASET_BYTES,
+            dataset_stores: AtomicU64::new(0),
         }
     }
+}
+
+/// What a [`SampleMemo`] holds of encoded datasets, read by
+/// [`SampleMemo::dataset_gauges`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DatasetGauges {
+    /// Datasets held.
+    pub(crate) datasets: u64,
+    /// Their [`SharedDataset::bytes`], summed.
+    pub(crate) bytes: u64,
+    /// Datasets stored since the memo was created.
+    pub(crate) stores: u64,
 }
 
 /// One memoized sample with its key: the three clauses and the whole
@@ -688,6 +708,26 @@ fn shed_datasets(entries: &mut [MemoEntry], bound: usize) -> Vec<Arc<SharedDatas
 }
 
 impl SampleMemo {
+    /// The datasets held now, their bytes, and how many were stored.
+    pub(crate) fn dataset_gauges(&self) -> DatasetGauges {
+        let entries = self.entries.lock().expect("sample memo lock poisoned");
+        let held = entries.iter().filter_map(|e| e.dataset.as_ref());
+        DatasetGauges {
+            datasets: held.clone().count() as u64,
+            bytes: held.map(|d| d.bytes() as u64).sum(),
+            stores: self.dataset_stores.load(Ordering::Relaxed),
+        }
+    }
+
+    /// An empty memo holding at most `bound` bytes of datasets.
+    #[cfg(test)]
+    pub(crate) fn with_dataset_bound(bound: usize) -> Self {
+        SampleMemo {
+            dataset_bound: bound,
+            ..SampleMemo::default()
+        }
+    }
+
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.entries
@@ -772,6 +812,7 @@ impl SampleMemo {
             return;
         }
         entry.dataset = Some(Arc::clone(dataset));
+        self.dataset_stores.fetch_add(1, Ordering::Relaxed);
         let dropped = shed_datasets(&mut entries, self.dataset_bound);
         drop(entries);
         drop(dropped);
@@ -1137,6 +1178,43 @@ mod tests {
         small.store_dataset(&query(), &seeded(3), &drawn[3].1);
         let (_, dataset) = small.get(&query(), &seeded(3)).expect("sample kept");
         assert!(dataset.is_none());
+    }
+
+    /// The gauges count the datasets held, their bytes and every store: a
+    /// template's dataset is stored once however often it is offered, and
+    /// a dataset shed under the bound is stored again after its next hit.
+    #[test]
+    fn the_memo_gauges_count_held_datasets_and_every_store() {
+        let log = synthetic_log();
+        let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
+        let seeded = |seed: u64| ExplainConfig::default().with_seed(seed);
+        let drawn: Vec<_> = (0..2)
+            .map(|seed| shared_dataset(&log, &view, &seeded(seed)))
+            .collect();
+        let bytes: Vec<u64> = drawn.iter().map(|(_, d)| d.bytes() as u64).collect();
+        // Room for either dataset, not both.
+        let memo = SampleMemo::with_dataset_bound(*bytes.iter().max().unwrap() as usize);
+        let gauges = |datasets, bytes, stores| DatasetGauges {
+            datasets,
+            bytes,
+            stores,
+        };
+        assert_eq!(memo.dataset_gauges(), gauges(0, 0, 0));
+        for (seed, (training, _)) in drawn.iter().enumerate() {
+            memo.insert(&query(), &seeded(seed as u64), training);
+        }
+        for _ in 0..2 {
+            memo.store_dataset(&query(), &seeded(0), &drawn[0].1);
+        }
+        assert_eq!(memo.dataset_gauges(), gauges(1, bytes[0], 1));
+        // Seed 1's dataset sheds seed 0's, the least recently used.
+        memo.store_dataset(&query(), &seeded(1), &drawn[1].1);
+        assert_eq!(memo.dataset_gauges(), gauges(1, bytes[1], 2));
+        // Seed 0's next hit finds no dataset, and stores it again.
+        let (_, dataset) = memo.get(&query(), &seeded(0)).expect("sample kept");
+        assert!(dataset.is_none());
+        memo.store_dataset(&query(), &seeded(0), &drawn[0].1);
+        assert_eq!(memo.dataset_gauges(), gauges(1, bytes[0], 3));
     }
 
     /// A hit whose dataset was shed featurizes from the memoized sample

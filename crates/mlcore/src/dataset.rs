@@ -1,10 +1,28 @@
-//! A small, self-contained dataset abstraction.
+//! The labeled dataset the split search and Relief share.
 //!
 //! PerfXplain training examples are pairs of job (or task) executions encoded
 //! as a fixed-width vector of mixed numeric/nominal features with missing
 //! values, plus a binary label: did the pair perform *as observed* (positive)
-//! or *as expected* (negative).  This module provides that representation in
-//! a form the split search and Relief can share.
+//! or *as expected* (negative).
+//!
+//! # Column-major storage
+//!
+//! Every reader scans one attribute over many instances: a split summary
+//! sorts or counts one attribute, Relief adds up one attribute's distances,
+//! the clause loop keeps the rows one test admits.  So a [`Dataset`] stores
+//! one typed column per attribute, not one row per instance, and each
+//! column ([`ColumnCells`]) takes the narrowest shape that holds its cells:
+//!
+//! * nominal `u32` ids, with [`NO_NOMINAL`] for missing (4 bytes a cell);
+//! * numeric `f64`, with NaN for missing (8 bytes a cell);
+//! * raw [`AttrValue`]s, only for a column that mixes both (16 bytes);
+//! * nothing at all, for a column with no present cell.
+//!
+//! A [`ColumnBuilder`] picks the shape as the cells arrive, widening it when
+//! a cell does not fit.  NaN is missing to every trainer, and it is also the
+//! storage rule: a NaN cell is stored as missing in every shape and reads
+//! back as [`AttrValue::Missing`], and so does the reserved id
+//! [`NO_NOMINAL`].
 
 use crate::hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -148,14 +166,154 @@ impl Attribute {
     }
 }
 
-/// A labeled dataset with a fixed schema.
+/// Sentinel id marking a missing cell in [`ColumnCells::Nominal`].  The id
+/// is reserved: a cell holding it reads back as [`AttrValue::Missing`].
+pub const NO_NOMINAL: u32 = u32::MAX;
+
+/// One attribute's cells, stored in the narrowest shape that holds them
+/// (see the module docs).  Every shape reads a missing cell back as
+/// [`AttrValue::Missing`] through [`ColumnCells::get`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub enum ColumnCells {
+    /// No cell is present: the column stores nothing.
+    #[default]
+    Absent,
+    /// Every present cell is numeric; missing is encoded as NaN.
+    Numeric(Vec<f64>),
+    /// Every present cell is nominal; missing is encoded as
+    /// [`NO_NOMINAL`].
+    Nominal(Vec<u32>),
+    /// Numeric and nominal cells side by side (schema drift, e.g. a
+    /// catalog-numeric feature that some record carries as a string).  In a
+    /// [`Dataset`], no cell is NaN or [`NO_NOMINAL`]: those are stored as
+    /// [`AttrValue::Missing`].
+    Mixed(Vec<AttrValue>),
+}
+
+impl ColumnCells {
+    /// Cell `i`.  An absent column reads every index as missing.
+    pub fn get(&self, i: usize) -> AttrValue {
+        match self {
+            ColumnCells::Absent => AttrValue::Missing,
+            ColumnCells::Numeric(cells) => match cells[i] {
+                v if v.is_nan() => AttrValue::Missing,
+                v => AttrValue::Num(v),
+            },
+            ColumnCells::Nominal(cells) => match cells[i] {
+                NO_NOMINAL => AttrValue::Missing,
+                id => AttrValue::Nom(id),
+            },
+            ColumnCells::Mixed(cells) => cells[i],
+        }
+    }
+
+    /// The number of cells, or `None` for an absent column, which stores
+    /// none.
+    fn stored_len(&self) -> Option<usize> {
+        match self {
+            ColumnCells::Absent => None,
+            ColumnCells::Numeric(cells) => Some(cells.len()),
+            ColumnCells::Nominal(cells) => Some(cells.len()),
+            ColumnCells::Mixed(cells) => Some(cells.len()),
+        }
+    }
+
+    /// Bytes the cells take on the heap, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        match self {
+            ColumnCells::Absent => 0,
+            ColumnCells::Numeric(cells) => cells.capacity() * size_of::<f64>(),
+            ColumnCells::Nominal(cells) => cells.capacity() * size_of::<u32>(),
+            ColumnCells::Mixed(cells) => cells.capacity() * size_of::<AttrValue>(),
+        }
+    }
+
+    /// Appends `cell` as cell `len`, widening the shape first when the
+    /// cell does not fit it.  `capacity` sizes a widened column.
+    fn push(&mut self, len: usize, capacity: usize, cell: AttrValue) {
+        match (&mut *self, normalized(cell)) {
+            (ColumnCells::Absent, AttrValue::Missing) => {}
+            (ColumnCells::Numeric(cells), AttrValue::Missing) => cells.push(f64::NAN),
+            (ColumnCells::Numeric(cells), AttrValue::Num(v)) => cells.push(v),
+            (ColumnCells::Nominal(cells), AttrValue::Missing) => cells.push(NO_NOMINAL),
+            (ColumnCells::Nominal(cells), AttrValue::Nom(id)) => cells.push(id),
+            (ColumnCells::Mixed(cells), cell) => cells.push(cell),
+            (_, cell) => {
+                let capacity = capacity.max(len + 1);
+                *self = match (std::mem::take(self), cell) {
+                    (ColumnCells::Absent, AttrValue::Num(_)) => {
+                        let mut cells = Vec::with_capacity(capacity);
+                        cells.resize(len, f64::NAN);
+                        ColumnCells::Numeric(cells)
+                    }
+                    (ColumnCells::Absent, _) => {
+                        let mut cells = Vec::with_capacity(capacity);
+                        cells.resize(len, NO_NOMINAL);
+                        ColumnCells::Nominal(cells)
+                    }
+                    (old, _) => {
+                        let mut cells = Vec::with_capacity(capacity);
+                        cells.extend((0..len).map(|i| old.get(i)));
+                        ColumnCells::Mixed(cells)
+                    }
+                };
+                self.push(len, capacity, cell);
+            }
+        }
+    }
+}
+
+/// `cell` with NaN and the reserved [`NO_NOMINAL`] id read as missing.
+fn normalized(cell: AttrValue) -> AttrValue {
+    match cell {
+        AttrValue::Num(v) if v.is_nan() => AttrValue::Missing,
+        AttrValue::Nom(NO_NOMINAL) => AttrValue::Missing,
+        cell => cell,
+    }
+}
+
+/// Collects one attribute's cells in instance order into a
+/// [`ColumnCells`] of the narrowest shape: absent until a cell is
+/// present, numeric or nominal after that, mixed once both kinds are.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnBuilder {
+    cells: ColumnCells,
+    len: usize,
+    capacity: usize,
+}
+
+impl ColumnBuilder {
+    /// A builder whose column, once it holds a present cell, has room for
+    /// `capacity` cells.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ColumnBuilder {
+            capacity,
+            ..ColumnBuilder::default()
+        }
+    }
+
+    /// Appends the next instance's cell.
+    pub fn push(&mut self, cell: AttrValue) {
+        self.cells.push(self.len, self.capacity, cell);
+        self.len += 1;
+    }
+
+    /// The finished column.
+    pub fn finish(self) -> ColumnCells {
+        self.cells
+    }
+}
+
+/// A labeled dataset with a fixed schema, stored column by column (see the
+/// module docs).
 ///
-/// Rows are instances; `labels[i]` is `true` for positive instances (in
-/// PerfXplain: pairs that performed *as observed*).
+/// Instances are numbered `0..len()`; `labels[i]` is `true` for positive
+/// instances (in PerfXplain: pairs that performed *as observed*).
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
     attributes: Vec<Attribute>,
-    rows: Vec<Vec<AttrValue>>,
+    columns: Vec<ColumnCells>,
     labels: Vec<bool>,
 }
 
@@ -163,9 +321,50 @@ impl Dataset {
     /// Creates an empty dataset with the given schema.
     pub fn new(attributes: Vec<Attribute>) -> Self {
         Dataset {
+            columns: vec![ColumnCells::Absent; attributes.len()],
             attributes,
-            rows: Vec::new(),
             labels: Vec::new(),
+        }
+    }
+
+    /// A dataset of already built columns, one per attribute, each holding
+    /// one cell per label (or absent).  A mixed column's NaN and
+    /// [`NO_NOMINAL`] cells are stored as missing.
+    ///
+    /// # Panics
+    /// Panics if the column count does not match the schema, or a column's
+    /// length does not match the labels.
+    pub fn from_columns(
+        attributes: Vec<Attribute>,
+        mut columns: Vec<ColumnCells>,
+        labels: Vec<bool>,
+    ) -> Self {
+        assert_eq!(
+            columns.len(),
+            attributes.len(),
+            "{} columns do not match schema width {}",
+            columns.len(),
+            attributes.len()
+        );
+        for (attribute, column) in attributes.iter().zip(&mut columns) {
+            let len = column.stored_len().unwrap_or(labels.len());
+            assert_eq!(
+                len,
+                labels.len(),
+                "column {} holds {len} cells for {} labels",
+                attribute.name,
+                labels.len()
+            );
+            if let ColumnCells::Mixed(cells) = column {
+                for cell in cells {
+                    *cell = normalized(*cell);
+                }
+            }
+        }
+        Dataset {
+            attributes,
+            columns,
+            labels,
         }
     }
 
@@ -187,15 +386,17 @@ impl Dataset {
 
     /// Number of instances.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.labels.len()
     }
 
     /// Whether the dataset has no instances.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.labels.is_empty()
     }
 
-    /// Appends an instance.
+    /// Appends an instance, each cell to its attribute's column.  Builders
+    /// that know every instance up front fill whole columns instead
+    /// ([`ColumnBuilder`], [`Dataset::from_columns`]).
     ///
     /// # Panics
     /// Panics if the row width does not match the schema.
@@ -207,13 +408,11 @@ impl Dataset {
             row.len(),
             self.attributes.len()
         );
-        self.rows.push(row);
+        let len = self.labels.len();
+        for (column, cell) in self.columns.iter_mut().zip(row) {
+            column.push(len, 0, cell);
+        }
         self.labels.push(label);
-    }
-
-    /// The `i`-th instance.
-    pub fn row(&self, i: usize) -> &[AttrValue] {
-        &self.rows[i]
     }
 
     /// The `i`-th label.
@@ -226,9 +425,18 @@ impl Dataset {
         &self.labels
     }
 
-    /// Value of attribute `attr` for instance `i`.
+    /// Attribute `attr`'s column.
+    pub fn column(&self, attr: usize) -> &ColumnCells {
+        &self.columns[attr]
+    }
+
+    /// Value of attribute `attr` for instance `i`; NaN reads as missing.
+    ///
+    /// # Panics
+    /// Panics if `i` is not an instance.
     pub fn value(&self, i: usize, attr: usize) -> AttrValue {
-        self.rows[i][attr]
+        assert!(i < self.len(), "instance {i} of {}", self.len());
+        self.columns[attr].get(i)
     }
 
     /// Number of positive instances.
@@ -236,120 +444,39 @@ impl Dataset {
         self.labels.iter().filter(|&&l| l).count()
     }
 
-    /// Iterates over `(row, label)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&[AttrValue], bool)> {
-        self.rows
-            .iter()
-            .map(Vec::as_slice)
-            .zip(self.labels.iter().copied())
+    /// Bytes the cells and labels take on the heap, by capacity (the
+    /// attributes' dictionaries are not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.labels.capacity() * std::mem::size_of::<bool>()
+            + self.columns.capacity() * std::mem::size_of::<ColumnCells>()
+            + self
+                .columns
+                .iter()
+                .map(ColumnCells::heap_bytes)
+                .sum::<usize>()
     }
 
     /// Per-attribute observed numeric range `(min, max)`, ignoring missing
-    /// values and NaN (which the trainers treat as missing — a single NaN
-    /// cell must not poison the range every Relief `diff` normalises by).
-    /// Returns `None` when no numeric value was observed.
+    /// values (NaN included: a single NaN cell must not poison the range
+    /// every Relief `diff` normalises by).  Returns `None` when no numeric
+    /// value was observed.
     pub fn numeric_range(&self, attr: usize) -> Option<(f64, f64)> {
-        let mut range: Option<(f64, f64)> = None;
-        for row in &self.rows {
-            if let AttrValue::Num(v) = row[attr] {
-                if v.is_nan() {
-                    continue;
-                }
-                range = Some(match range {
-                    None => (v, v),
-                    Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                });
+        let widen = |range: Option<(f64, f64)>, v: f64| {
+            Some(match range {
+                None => (v, v),
+                Some((lo, hi)) => (lo.min(v), hi.max(v)),
+            })
+        };
+        match &self.columns[attr] {
+            ColumnCells::Numeric(cells) => cells
+                .iter()
+                .filter(|v| !v.is_nan())
+                .fold(None, |range, &v| widen(range, v)),
+            ColumnCells::Mixed(cells) => {
+                cells.iter().filter_map(AttrValue::as_num).fold(None, widen)
             }
+            ColumnCells::Absent | ColumnCells::Nominal(_) => None,
         }
-        range
-    }
-
-    /// Materialises attribute `attr` as a contiguous, typed column — the
-    /// attribute-major form the columnar Relief scans without per-cell enum
-    /// dispatch.  Rows are stored row-major, so this is one O(n) gather per
-    /// attribute, paid once per training run.
-    pub fn column_cells(&self, attr: usize) -> ColumnCells {
-        let mut has_num = false;
-        let mut has_nom = false;
-        for row in &self.rows {
-            match row[attr] {
-                // NaN is treated as missing throughout the trainers.
-                AttrValue::Num(v) => has_num |= !v.is_nan(),
-                // An interned id colliding with the missing sentinel would
-                // corrupt the nominal encoding; fall back to raw cells.
-                AttrValue::Nom(id) => {
-                    if id == NO_NOMINAL {
-                        return ColumnCells::Mixed(self.rows.iter().map(|r| r[attr]).collect());
-                    }
-                    has_nom = true;
-                }
-                AttrValue::Missing => {}
-            }
-        }
-        match (has_num, has_nom) {
-            (true, true) => ColumnCells::Mixed(self.rows.iter().map(|r| r[attr]).collect()),
-            (false, true) => ColumnCells::Nominal(
-                self.rows
-                    .iter()
-                    .map(|r| r[attr].as_nom().unwrap_or(NO_NOMINAL))
-                    .collect(),
-            ),
-            // A column with no nominal cells (numeric, all-missing or
-            // empty) packs densest as f64 with NaN for missing.
-            _ => ColumnCells::Numeric(
-                self.rows
-                    .iter()
-                    .map(|r| r[attr].as_num().unwrap_or(f64::NAN))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-/// Sentinel id marking a missing cell in [`ColumnCells::Nominal`].
-pub const NO_NOMINAL: u32 = u32::MAX;
-
-/// A contiguous, typed snapshot of one attribute's cells
-/// ([`Dataset::column_cells`]).
-///
-/// Homogeneous columns — the overwhelmingly common case — come back as flat
-/// `f64`/`u32` vectors so per-cell consumers (the Relief distance kernels)
-/// can run tight, dispatch-free loops; a column mixing numeric and nominal
-/// cells (schema drift, e.g. a catalog-numeric feature that some record
-/// carries as a string) falls back to the raw cells.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ColumnCells {
-    /// Every non-missing cell is numeric; missing (and NaN, which the
-    /// trainers treat as missing) is encoded as NaN.
-    Numeric(Vec<f64>),
-    /// Every non-missing cell is nominal; missing is encoded as
-    /// [`NO_NOMINAL`].
-    Nominal(Vec<u32>),
-    /// Mixed numeric/nominal cells, kept as-is.
-    Mixed(Vec<AttrValue>),
-}
-
-impl Serialize for Dataset {
-    fn serialize(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("attributes".to_string(), self.attributes.serialize()),
-            ("rows".to_string(), self.rows.serialize()),
-            ("labels".to_string(), self.labels.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for Dataset {
-    fn deserialize(content: &serde::Content) -> Result<Self, serde::DeError> {
-        let entries = content
-            .as_map()
-            .ok_or_else(|| serde::DeError::expected("map", "Dataset"))?;
-        let attributes: Vec<Attribute> =
-            Deserialize::deserialize(serde::Content::field(entries, "attributes"))?;
-        let mut dataset = Dataset::new(attributes);
-        dataset.rows = Deserialize::deserialize(serde::Content::field(entries, "rows"))?;
-        dataset.labels = Deserialize::deserialize(serde::Content::field(entries, "labels"))?;
-        Ok(dataset)
     }
 }
 
@@ -413,7 +540,7 @@ mod tests {
     fn column_cells_pick_typed_representations() {
         let ds = toy();
         // Numeric column: missing encoded as NaN.
-        match ds.column_cells(0) {
+        match ds.column(0) {
             ColumnCells::Numeric(cells) => {
                 assert_eq!(cells.len(), 3);
                 assert_eq!(cells[0], 1.0);
@@ -422,21 +549,107 @@ mod tests {
             other => panic!("expected a numeric column, got {other:?}"),
         }
         // Nominal column: ids verbatim.
-        match ds.column_cells(1) {
-            ColumnCells::Nominal(cells) => assert_eq!(cells, vec![0, 1, 0]),
+        match ds.column(1) {
+            ColumnCells::Nominal(cells) => assert_eq!(cells, &vec![0, 1, 0]),
             other => panic!("expected a nominal column, got {other:?}"),
         }
-        // A NaN cell does not force a numeric column to Mixed.
+        // A NaN cell does not force a numeric column to Mixed, and reads
+        // back as missing.
         let mut with_nan = Dataset::new(vec![Attribute::numeric("x")]);
         with_nan.push(vec![AttrValue::Num(f64::NAN)], true);
         with_nan.push(vec![AttrValue::Num(2.0)], false);
-        assert!(matches!(with_nan.column_cells(0), ColumnCells::Numeric(_)));
-        // Mixed numeric/nominal cells fall back to raw cells.
+        assert!(matches!(with_nan.column(0), ColumnCells::Numeric(_)));
+        assert_eq!(with_nan.value(0, 0), AttrValue::Missing);
+        assert_eq!(with_nan.value(1, 0), AttrValue::Num(2.0));
+        // Mixed numeric/nominal cells fall back to raw cells, the ones
+        // before the widening included.
         let mut mixed = Dataset::new(vec![Attribute::nominal("x")]);
         let id = mixed.attribute_mut(0).dictionary.intern("a");
+        mixed.push(vec![AttrValue::Missing], false);
         mixed.push(vec![AttrValue::Nom(id)], true);
         mixed.push(vec![AttrValue::Num(2.0)], false);
-        assert!(matches!(mixed.column_cells(0), ColumnCells::Mixed(_)));
+        mixed.push(vec![AttrValue::Num(f64::NAN)], false);
+        assert_eq!(
+            mixed.column(0),
+            &ColumnCells::Mixed(vec![
+                AttrValue::Missing,
+                AttrValue::Nom(id),
+                AttrValue::Num(2.0),
+                AttrValue::Missing,
+            ])
+        );
+        // No present cell, NaN and the reserved id included: absent.
+        let mut absent = Dataset::new(vec![Attribute::nominal("x")]);
+        for cell in [
+            AttrValue::Missing,
+            AttrValue::Num(f64::NAN),
+            AttrValue::Nom(NO_NOMINAL),
+        ] {
+            absent.push(vec![cell], true);
+        }
+        assert_eq!(absent.column(0), &ColumnCells::Absent);
+        assert!((0..3).all(|i| absent.value(i, 0).is_missing()));
+    }
+
+    /// Each shape charges its cells' bytes: nothing for an absent column,
+    /// 4 a row for a nominal one, 8 for a numeric one, 16 for a mixed one,
+    /// plus one per label and the column's own header.
+    #[test]
+    fn heap_bytes_charge_each_shape_its_cells() {
+        let rows = 100;
+        let shaped = |cell: &dyn Fn(usize) -> AttrValue| {
+            let mut column = ColumnBuilder::with_capacity(rows);
+            (0..rows).for_each(|i| column.push(cell(i)));
+            let labels = (0..rows).map(|i| i % 2 == 0).collect();
+            Dataset::from_columns(vec![Attribute::numeric("x")], vec![column.finish()], labels)
+        };
+        let cells = |ds: &Dataset| ds.heap_bytes() - rows - std::mem::size_of::<ColumnCells>();
+
+        let absent = shaped(&|i| {
+            if i % 2 == 0 {
+                AttrValue::Missing
+            } else {
+                AttrValue::Num(f64::NAN)
+            }
+        });
+        assert_eq!(absent.column(0), &ColumnCells::Absent);
+        assert_eq!(cells(&absent), 0);
+
+        let nominal = shaped(&|i| match i % 3 {
+            0 => AttrValue::Missing,
+            _ => AttrValue::Nom(i as u32 % 5),
+        });
+        assert!(matches!(nominal.column(0), ColumnCells::Nominal(_)));
+        assert_eq!(cells(&nominal), 4 * rows);
+
+        // The first present cell arrives late: the cells before it are
+        // filled as missing, NaN reads back as missing.
+        let numeric = shaped(&|i| match i {
+            0..=9 => AttrValue::Missing,
+            10 => AttrValue::Num(f64::NAN),
+            _ => AttrValue::Num(i as f64),
+        });
+        assert!(matches!(numeric.column(0), ColumnCells::Numeric(_)));
+        assert_eq!(cells(&numeric), 8 * rows);
+        assert!((0..=10).all(|i| numeric.value(i, 0).is_missing()));
+        assert_eq!(numeric.value(11, 0), AttrValue::Num(11.0));
+
+        let mixed = shaped(&|i| match i % 2 {
+            0 => AttrValue::Nom(1),
+            _ => AttrValue::Num(i as f64),
+        });
+        assert!(matches!(mixed.column(0), ColumnCells::Mixed(_)));
+        assert_eq!(cells(&mixed), 16 * rows);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds 2 cells for 3 labels")]
+    fn from_columns_rejects_a_short_column() {
+        Dataset::from_columns(
+            vec![Attribute::numeric("x")],
+            vec![ColumnCells::Numeric(vec![1.0, 2.0])],
+            vec![true, false, true],
+        );
     }
 
     #[test]

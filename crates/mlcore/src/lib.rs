@@ -12,13 +12,14 @@
 //! dependencies:
 //!
 //! * [`dataset`] — a small dataset abstraction over mixed numeric/nominal
-//!   attributes with missing values and binary labels, with typed
-//!   contiguous column snapshots ([`Dataset::column_cells`]) for
-//!   attribute-major consumers.
+//!   attributes with missing values and binary labels, stored column-major:
+//!   one typed column per attribute ([`Dataset::column`], a
+//!   [`ColumnCells`] of `u32` ids, `f64`s, raw cells, or nothing for a
+//!   column with no present cell), which every trainer scans in place.
 //! * [`hash`] — a vendored FxHash-style hasher ([`FxHashMap`]) for the hot
-//!   lookup maps over internal keys (dictionary interning, column indexes,
-//!   the nominal candidate dedup of the split search); deterministic and
-//!   several times cheaper per short-key lookup than std's SipHash.
+//!   lookup maps over internal keys (dictionary interning, column indexes);
+//!   deterministic and several times cheaper per short-key lookup than
+//!   std's SipHash.
 //! * [`codec`] — length-prefixed little-endian binary encoding primitives
 //!   ([`ByteWriter`] / [`ByteReader`]) plus the bit-level compression
 //!   layer: LSB-first bit-packing ([`ByteWriter::put_packed`]), presence
@@ -71,22 +72,28 @@
 //!   steps: a [`SplitSummary`] scores every candidate independently of
 //!   the applicability filter of PerfXplain's greedy loop, and a replay
 //!   offers the candidates the filter admits.  A summary kept for many
-//!   filters makes each later search a replay: no sort, no gain.
-//!   Nominal candidates dedup through an [`FxHashMap`] (first-seen order
-//!   preserved) instead of a linear scan, and equality candidates that
-//!   duplicate an adjacent mid-point's partition are suppressed outright.
+//!   filters makes each later search a replay: no sort, no gain.  Every
+//!   summary reads the attribute's typed column in place.  Nominal
+//!   candidates count into a dense array indexed by id (first-seen order
+//!   preserved) instead of a linear scan or a hash map, and equality
+//!   candidates that duplicate an adjacent mid-point's partition are
+//!   suppressed outright.
 //! * **Relief is columnar and parallel** ([`relief`]).  Distance scans run
-//!   attribute-major over typed contiguous columns
-//!   ([`dataset::ColumnCells`]) with the kind and normalisation span
-//!   resolved once per column — no per-cell enum dispatch — and the `m`
-//!   sampled instances fan out over the shared [`pool`] once the scan
-//!   reaches [`pool::MIN_FAN_OUT_WORK`] cells, with weight updates applied
-//!   in sample order so the weights are bit-identical to the row-at-a-time
-//!   scan (also proptested against `oracle`).
+//!   attribute-major over the dataset's own typed columns
+//!   ([`dataset::ColumnCells`], borrowed, never gathered) with the kind
+//!   and normalisation span resolved once per column — no per-cell enum
+//!   dispatch — and the `m` sampled instances fan out over the shared
+//!   [`pool`] once the scan reaches [`pool::MIN_FAN_OUT_WORK`] cells, with
+//!   weight updates applied in sample order so the weights are
+//!   bit-identical to the row-at-a-time scan (also proptested against
+//!   `oracle`).
 //! * **NaN is missing.**  A NaN feature cell used to panic the split
 //!   search's sort (and with it the whole query service); NaN now behaves
 //!   exactly like [`AttrValue::Missing`] in candidate generation, the
-//!   sweep, [`Dataset::numeric_range`] and the Relief `diff`.
+//!   sweep, [`Dataset::numeric_range`] and the Relief `diff`.  It is also
+//!   the storage rule: a [`Dataset`] stores a NaN cell as missing (NaN in
+//!   a numeric column is the missing marker) and reads it back as
+//!   [`AttrValue::Missing`].
 //! * **Column segments compress on disk and share in memory.**  The v2
 //!   segment format written by [`ColumnStore::encode_binary`] lays each
 //!   column out as
@@ -134,7 +141,8 @@ pub use codec::{
 };
 pub use columnar::{ColumnData, ColumnStore, MergedStore};
 pub use dataset::{
-    AttrKind, AttrValue, Attribute, ColumnCells, Dataset, NominalDictionary, NO_NOMINAL,
+    AttrKind, AttrValue, Attribute, ColumnBuilder, ColumnCells, Dataset, NominalDictionary,
+    NO_NOMINAL,
 };
 pub use entropy::{binary_entropy, entropy_of_counts, information_gain};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -15,10 +15,12 @@
 //!
 //! # Columnar, parallel scan
 //!
-//! The distance scans run **attribute-major** over contiguous typed column
-//! slices ([`Dataset::column_cells`]): per attribute the kernel is a flat
-//! `f64`/`u32` loop with the attribute kind and normalisation span resolved
-//! once — no per-cell enum dispatch — and the per-instance distances
+//! The distance scans run **attribute-major** over the dataset's own typed
+//! columns ([`Dataset::column`]), borrowed, not gathered: per attribute the
+//! kernel is a flat `f64`/`u32` loop with the attribute kind and
+//! normalisation span resolved once — no per-cell enum dispatch; an absent
+//! column adds the missing-value difference to every distance — and the
+//! per-instance distances
 //! accumulate in attribute order, so every sum is bit-identical to the
 //! row-at-a-time scan it replaced (`oracle::relief_weights`, the
 //! retained test oracle).  The `m` sampled instances are independent, so on
@@ -53,19 +55,13 @@ impl Default for ReliefConfig {
     }
 }
 
-/// NaN cells are missing values to the trainers.
-fn normalize(value: AttrValue) -> AttrValue {
-    match value {
-        AttrValue::Num(x) if x.is_nan() => AttrValue::Missing,
-        other => other,
-    }
-}
-
-/// Per-attribute difference in `[0, 1]`.  Shared by the mixed-column
-/// fallback here and by the naive oracle, so the two implementations can
-/// only diverge in structure, never in cell arithmetic.
+/// Per-attribute difference in `[0, 1]` of two cells read from a
+/// [`Dataset`], where a NaN cell reads as missing.  Shared by the weight
+/// updates and the mixed-column fallback here and by the naive oracle, so
+/// the two implementations can only diverge in structure, never in cell
+/// arithmetic.
 pub(crate) fn diff(kind: AttrKind, a: AttrValue, b: AttrValue, range: Option<(f64, f64)>) -> f64 {
-    match (normalize(a), normalize(b)) {
+    match (a, b) {
         (AttrValue::Missing, _) | (_, AttrValue::Missing) => 0.5,
         (AttrValue::Num(x), AttrValue::Num(y)) => match kind {
             AttrKind::Numeric => {
@@ -105,6 +101,11 @@ fn accumulate_column(
     i: usize,
 ) {
     match column {
+        ColumnCells::Absent => {
+            for d in dist.iter_mut() {
+                *d += 0.5;
+            }
+        }
         ColumnCells::Numeric(cells) => {
             let vi = cells[i];
             if vi.is_nan() {
@@ -168,58 +169,24 @@ fn accumulate_column(
     }
 }
 
-/// The scalar form of [`accumulate_column`], used for the weight updates of
-/// the selected neighbours.
-fn column_diff(
-    column: &ColumnCells,
-    kind: AttrKind,
-    range: Option<(f64, f64)>,
-    i: usize,
-    j: usize,
-) -> f64 {
-    match column {
-        ColumnCells::Numeric(cells) => diff(kind, num_cell(cells[i]), num_cell(cells[j]), range),
-        ColumnCells::Nominal(cells) => diff(kind, nom_cell(cells[i]), nom_cell(cells[j]), range),
-        ColumnCells::Mixed(cells) => diff(kind, cells[i], cells[j], range),
-    }
-}
-
-fn num_cell(v: f64) -> AttrValue {
-    if v.is_nan() {
-        AttrValue::Missing
-    } else {
-        AttrValue::Num(v)
-    }
-}
-
-fn nom_cell(id: u32) -> AttrValue {
-    if id == NO_NOMINAL {
-        AttrValue::Missing
-    } else {
-        AttrValue::Nom(id)
-    }
-}
-
 /// Finds the nearest hit and miss of instance `i` over the typed columns.
 /// `dist` is the caller's scratch buffer, reused across instances.
 /// Distances accumulate attribute-major in schema order, so every per-pair
 /// sum is bit-identical to the row-at-a-time scan; the selection keeps the
 /// first strict minimum per class, also exactly as before.
-#[allow(clippy::too_many_arguments)]
 fn nearest_hit_miss(
-    columns: &[ColumnCells],
+    data: &Dataset,
     kinds: &[AttrKind],
     spans: &[f64],
     ranges: &[Option<(f64, f64)>],
-    labels: &[bool],
     dist: &mut Vec<f64>,
     i: usize,
 ) -> Option<(usize, usize)> {
-    let n = labels.len();
+    let labels = data.labels();
     dist.clear();
-    dist.resize(n, 0.0);
-    for (a, column) in columns.iter().enumerate() {
-        accumulate_column(dist, column, kinds[a], spans[a], ranges[a], i);
+    dist.resize(labels.len(), 0.0);
+    for (a, &kind) in kinds.iter().enumerate() {
+        accumulate_column(dist, data.column(a), kind, spans[a], ranges[a], i);
     }
 
     let mut nearest_hit: Option<(usize, f64)> = None;
@@ -264,16 +231,13 @@ pub fn relief_weights(data: &Dataset, config: ReliefConfig) -> Vec<f64> {
         return weights;
     }
 
-    // Resolved once per run: ranges/spans, attribute kinds, and the typed
-    // contiguous columns the kernels scan.
+    // Resolved once per run: ranges/spans and attribute kinds.
     let ranges: Vec<Option<(f64, f64)>> = (0..k).map(|a| data.numeric_range(a)).collect();
     let spans: Vec<f64> = ranges
         .iter()
         .map(|r| r.map_or(0.0, |(lo, hi)| hi - lo))
         .collect();
     let kinds: Vec<AttrKind> = data.attributes().iter().map(|a| a.kind).collect();
-    let columns: Vec<ColumnCells> = (0..k).map(|a| data.column_cells(a)).collect();
-    let labels = data.labels();
 
     let mut order: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -287,7 +251,7 @@ pub fn relief_weights(data: &Dataset, config: ReliefConfig) -> Vec<f64> {
         let mut dist: Vec<f64> = Vec::new();
         chunk
             .iter()
-            .map(|&i| nearest_hit_miss(&columns, &kinds, &spans, &ranges, labels, &mut dist, i))
+            .map(|&i| nearest_hit_miss(data, &kinds, &spans, &ranges, &mut dist, i))
             .collect()
     };
     let neighbours: Vec<Option<(usize, usize)>> = crate::pool::shared()
@@ -305,8 +269,9 @@ pub fn relief_weights(data: &Dataset, config: ReliefConfig) -> Vec<f64> {
             continue;
         };
         for (a, weight) in weights.iter_mut().enumerate() {
-            let d_hit = column_diff(&columns[a], kinds[a], ranges[a], i, hit);
-            let d_miss = column_diff(&columns[a], kinds[a], ranges[a], i, miss);
+            let column = data.column(a);
+            let d_hit = diff(kinds[a], column.get(i), column.get(hit), ranges[a]);
+            let d_miss = diff(kinds[a], column.get(i), column.get(miss), ranges[a]);
             *weight += (d_miss - d_hit) / m as f64;
         }
     }

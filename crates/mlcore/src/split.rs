@@ -60,9 +60,8 @@
 //! ([`SplitSummary::best_applicable_to`]) and one comparison per candidate
 //! on a numeric one, with no sort and no gain computed.
 
-use crate::dataset::{AttrKind, AttrValue, Dataset};
+use crate::dataset::{AttrKind, AttrValue, ColumnCells, Dataset, NO_NOMINAL};
 use crate::entropy::{CellCounts, GainScorer};
-use crate::hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -109,25 +108,48 @@ pub struct TestAtom {
 
 impl TestAtom {
     /// Evaluates the test on a single value of the attribute.
-    /// Missing values never satisfy a test.
+    /// Missing values never satisfy a test.  Type mismatches (e.g. a
+    /// numeric test against a nominal value) never match either; they
+    /// indicate schema drift, not an error.
     pub fn matches_value(&self, value: AttrValue) -> bool {
-        match (self.op, self.constant, value) {
-            (_, _, AttrValue::Missing) => false,
-            (TestOp::Eq, TestConstant::Num(c), AttrValue::Num(v)) => {
-                (v - c).abs() <= f64::EPSILON * c.abs().max(1.0)
-            }
-            (TestOp::Le, TestConstant::Num(c), AttrValue::Num(v)) => v <= c,
-            (TestOp::Gt, TestConstant::Num(c), AttrValue::Num(v)) => v > c,
-            (TestOp::Eq, TestConstant::Nom(c), AttrValue::Nom(v)) => v == c,
-            // Type mismatches (e.g. numeric test against a nominal value)
-            // never match; they indicate schema drift, not an error.
+        match value {
+            AttrValue::Missing => false,
+            AttrValue::Num(v) => self.matches_num(v),
+            AttrValue::Nom(id) => self.matches_nom(id),
+        }
+    }
+
+    /// The test on a numeric cell; NaN, like a missing cell, matches
+    /// nothing.
+    fn matches_num(&self, v: f64) -> bool {
+        match (self.op, self.constant) {
+            (TestOp::Eq, TestConstant::Num(c)) => (v - c).abs() <= f64::EPSILON * c.abs().max(1.0),
+            (TestOp::Le, TestConstant::Num(c)) => v <= c,
+            (TestOp::Gt, TestConstant::Num(c)) => v > c,
             _ => false,
         }
+    }
+
+    /// The test on a nominal cell; the missing id [`NO_NOMINAL`] matches
+    /// nothing.
+    fn matches_nom(&self, id: u32) -> bool {
+        self.op == TestOp::Eq && self.constant == TestConstant::Nom(id) && id != NO_NOMINAL
     }
 
     /// Evaluates the test on row `i` of `data`.
     pub fn matches_row(&self, data: &Dataset, i: usize) -> bool {
         self.matches_value(data.value(i, self.attribute))
+    }
+
+    /// Keeps the rows of `rows` that satisfy the test, in order: one scan
+    /// of the attribute's typed column.
+    pub fn retain_matching(&self, data: &Dataset, rows: &mut Vec<usize>) {
+        match data.column(self.attribute) {
+            ColumnCells::Absent => rows.clear(),
+            ColumnCells::Numeric(cells) => rows.retain(|&i| self.matches_num(cells[i])),
+            ColumnCells::Nominal(ids) => rows.retain(|&i| self.matches_nom(ids[i])),
+            ColumnCells::Mixed(cells) => rows.retain(|&i| self.matches_value(cells[i])),
+        }
     }
 }
 
@@ -258,8 +280,9 @@ enum Candidates {
     Nominal {
         /// In first-seen order.
         values: Vec<NominalValue>,
-        /// Each id's index in `values`.
-        position: FxHashMap<u32, usize>,
+        /// Indexed by id: the id's index in `values`, [`UNSEEN`] where the
+        /// id holds no row.  As long as the largest id seen.
+        position: Vec<u32>,
     },
 }
 
@@ -339,7 +362,8 @@ impl SplitSummary {
     pub fn best_applicable_to(&self, value: AttrValue) -> Option<SplitCandidate> {
         match (&self.candidates, value) {
             (Candidates::Nominal { values, position }, AttrValue::Nom(id)) => {
-                let v = values[*position.get(&id)?];
+                let at = *position.get(id as usize)?;
+                let v = *values.get(at as usize)?;
                 let mut best = RunningBest::new(self.total);
                 best.offer(self.atom(TestOp::Eq, TestConstant::Nom(id)), v.eq);
                 best.best
@@ -378,7 +402,7 @@ impl SplitSummary {
             }
             Candidates::Nominal { values, position } => {
                 values.capacity() * size_of::<NominalValue>()
-                    + position.capacity() * (size_of::<(u32, usize)>() + 1)
+                    + position.capacity() * size_of::<u32>()
             }
         }
     }
@@ -392,23 +416,33 @@ impl SplitSummary {
     }
 }
 
+/// The class counts of the instances listed in `indices`.
+fn class_counts(labels: &[bool], indices: &[usize]) -> CellCounts {
+    let mut total = CellCounts::default();
+    for &i in indices {
+        total.record(labels[i]);
+    }
+    total
+}
+
 /// The numeric summary: sort the present values once, then score every
 /// threshold and equality candidate in O(1) from prefix counts.
 fn summarize_numeric(data: &Dataset, indices: &[usize], attribute: usize) -> SplitSummary {
-    // One pass: class counts over every instance (missing, NaN and
-    // type-mismatched cells satisfy no numeric test — they are permanent
-    // "outside" members) plus the present `(value, label)` pairs.
-    let mut total = CellCounts::default();
-    let mut values: Vec<(f64, bool)> = Vec::with_capacity(indices.len());
-    for &i in indices {
-        let label = data.label(i);
-        total.record(label);
-        if let AttrValue::Num(v) = data.value(i, attribute) {
-            if !v.is_nan() {
-                values.push((v, label));
-            }
-        }
-    }
+    // Class counts over every instance (missing, NaN and type-mismatched
+    // cells satisfy no numeric test — they are permanent "outside"
+    // members), then the present `(value, label)` pairs from the typed
+    // column.
+    let labels = data.labels();
+    let total = class_counts(labels, indices);
+    let mut values: Vec<(f64, bool)> = match data.column(attribute) {
+        ColumnCells::Numeric(cells) => indices.iter().map(|&i| (cells[i], labels[i])).collect(),
+        ColumnCells::Mixed(cells) => indices
+            .iter()
+            .filter_map(|&i| Some((cells[i].as_num()?, labels[i])))
+            .collect(),
+        ColumnCells::Absent | ColumnCells::Nominal(_) => Vec::new(),
+    };
+    values.retain(|(v, _)| !v.is_nan());
     // The single sort.  Stable, so values comparing equal (-0.0 vs 0.0)
     // keep index order and the distinct list retains the first-seen
     // representative — the same constant the naive sort+dedup kept.
@@ -536,28 +570,51 @@ fn summarize_numeric(data: &Dataset, indices: &[usize], attribute: usize) -> Spl
     }
 }
 
-/// The nominal summary: one counting pass (FxHash-deduplicated, first-seen
-/// candidate order preserved), then O(1) scoring per distinct value.
+/// The position of an id no summarized row holds.
+const UNSEEN: u32 = u32::MAX;
+
+/// The nominal summary: one counting pass into a dense array indexed by id
+/// (first-seen candidate order preserved), then O(1) scoring per distinct
+/// value.  The array grows to the largest id the rows hold, so ids should
+/// be dictionary ids, as every [`AttrValue::Nom`] is.
 fn summarize_nominal(data: &Dataset, indices: &[usize], attribute: usize) -> SplitSummary {
-    let mut total = CellCounts::default();
+    let labels = data.labels();
+    let total = class_counts(labels, indices);
     let mut values: Vec<NominalValue> = Vec::new();
-    let mut position: FxHashMap<u32, usize> = FxHashMap::default();
-    for &i in indices {
-        let label = data.label(i);
-        total.record(label);
-        if let AttrValue::Nom(id) = data.value(i, attribute) {
-            let at = *position.entry(id).or_insert_with(|| {
-                values.push(NominalValue {
-                    id,
-                    eq: Scored {
-                        inside: CellCounts::default(),
-                        gain: 0.0,
-                    },
-                });
-                values.len() - 1
-            });
-            values[at].eq.inside.record(label);
+    let mut position: Vec<u32> = Vec::new();
+    let mut record = |id: u32, label: bool| {
+        let slot = id as usize;
+        if slot >= position.len() {
+            position.resize(slot + 1, UNSEEN);
         }
+        if position[slot] == UNSEEN {
+            position[slot] = values.len() as u32;
+            values.push(NominalValue {
+                id,
+                eq: Scored {
+                    inside: CellCounts::default(),
+                    gain: 0.0,
+                },
+            });
+        }
+        values[position[slot] as usize].eq.inside.record(label);
+    };
+    match data.column(attribute) {
+        ColumnCells::Nominal(ids) => {
+            for &i in indices {
+                if ids[i] != NO_NOMINAL {
+                    record(ids[i], labels[i]);
+                }
+            }
+        }
+        ColumnCells::Mixed(cells) => {
+            for &i in indices {
+                if let AttrValue::Nom(id) = cells[i] {
+                    record(id, labels[i]);
+                }
+            }
+        }
+        ColumnCells::Absent | ColumnCells::Numeric(_) => {}
     }
     let scorer = GainScorer::new(total);
     for v in &mut values {

@@ -67,9 +67,13 @@
 //! The response carries `uptime_ms`, the served log `generation`, the
 //! `admitted` / `shed` / `expired` / `cancelled` counters, the current
 //! `queue_depth`, `budget_in_use` / `budget_total` in cost units, the
-//! cumulative `refunded_units`, and the live-view delta stats
+//! cumulative `refunded_units`, the live-view delta stats
 //! (`base_rows` / `tail_rows` / `delta_refreshes` / `full_rebuilds` /
-//! `compactions` / `last_compaction_unix_ms`).
+//! `compactions` / `last_compaction_unix_ms`), and the cached views' memo
+//! gauges: `memo_datasets` and `memo_dataset_bytes` (the encoded datasets
+//! held now) and `memo_dataset_stores` (datasets stored since the views
+//! were cached; it stops growing once every asked template's dataset
+//! stays resident).
 //!
 //! Error responses (`status: "error"`) carry an HTTP-style `code`, a
 //! machine-readable `error` kind and a human-readable `message`:

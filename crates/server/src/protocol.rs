@@ -131,6 +131,14 @@ pub struct WireResponse {
     /// Unix timestamp (ms) of the last compaction; 0 if none (status probe
     /// only).
     pub last_compaction_unix_ms: Option<u64>,
+    /// Encoded datasets held beside the cached views' memoized samples
+    /// (status probe only).
+    pub memo_datasets: Option<u64>,
+    /// Heap bytes of those datasets (status probe only).
+    pub memo_dataset_bytes: Option<u64>,
+    /// Datasets stored into the cached views' memos since those views were
+    /// cached (status probe only).
+    pub memo_dataset_stores: Option<u64>,
     /// Append-journal size in bytes, header included (status probe only;
     /// absent while no journal is enabled).
     pub journal_bytes: Option<u64>,

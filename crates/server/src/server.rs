@@ -607,6 +607,9 @@ fn handle_frame(
                 full_rebuilds: Some(views.full_rebuilds),
                 compactions: Some(views.compactions),
                 last_compaction_unix_ms: Some(views.last_compaction_unix_ms),
+                memo_datasets: Some(views.memo_datasets),
+                memo_dataset_bytes: Some(views.memo_dataset_bytes),
+                memo_dataset_stores: Some(views.memo_dataset_stores),
                 journal_bytes: journal.map(|j| j.bytes),
                 journal_frames_appended: journal.map(|j| j.frames_appended),
                 journal_frames_replayed: journal.map(|j| j.frames_replayed),

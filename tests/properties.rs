@@ -587,8 +587,13 @@ proptest! {
             prop_assert_eq!(a.len(), b.len());
             prop_assert_eq!(a.labels(), b.labels());
             prop_assert_eq!(a.attributes(), b.attributes());
-            for row in 0..a.len() {
-                prop_assert_eq!(a.row(row), b.row(row), "row {} diverges", row);
+            for attr in 0..a.num_attributes() {
+                for row in 0..a.len() {
+                    prop_assert_eq!(
+                        a.value(row, attr), b.value(row, attr),
+                        "row {} diverges on {}", row, a.attributes()[attr].name
+                    );
+                }
             }
         }
     }
@@ -1127,8 +1132,13 @@ proptest! {
                 }
                 prop_assert_eq!(a.len(), b.len());
                 prop_assert_eq!(a.labels(), b.labels());
-                for row in 0..a.len() {
-                    prop_assert_eq!(a.row(row), b.row(row), "row {} diverges", row);
+                for attr in 0..a.num_attributes() {
+                    for row in 0..a.len() {
+                        prop_assert_eq!(
+                            a.value(row, attr), b.value(row, attr),
+                            "row {} diverges on {}", row, a.attributes()[attr].name
+                        );
+                    }
                 }
                 for (attr, attribute) in a.attributes().iter().enumerate() {
                     for id in 0..attribute.dictionary.len() as u32 {
@@ -1371,8 +1381,12 @@ fn splitmix(mut z: u64) -> u64 {
 /// cells, NaN, ±infinity, schema-drift cells, heavy value ties, and values
 /// within the equality tolerance of each other (negative zero, adjacent
 /// representable doubles, sub-epsilon magnitudes) — everything that makes
-/// the sweep's prefix/band bookkeeping earn its keep.  Returns the dataset
-/// plus a derived pair-of-interest row for applicability filters.
+/// the sweep's prefix/band bookkeeping earn its keep.  A seeded share of
+/// the columns has no present cell (only `Missing` and NaN), and another
+/// holds a single id (a single value in a numeric column) beside missing
+/// cells: the absent and constant shapes of the column-major storage.
+/// Returns the dataset plus a derived pair-of-interest row for
+/// applicability filters, drawn from every cell the columns could hold.
 fn build_split_dataset(
     schema_seed: u64,
     num_attrs: usize,
@@ -1429,9 +1443,21 @@ fn build_split_dataset(
             }
         }
     };
+    let shape = |a: usize| (schema_seed >> (32 + 2 * a)) & 3;
+    let single = (schema_seed >> 48) as usize;
+    let shaped = |h: u64, a: usize| -> AttrValue {
+        match shape(a) {
+            0 if h & 1 == 0 => AttrValue::Missing,
+            0 => AttrValue::Num(f64::NAN),
+            1 if h.is_multiple_of(3) => AttrValue::Missing,
+            1 if numeric(a) => AttrValue::Num(pool[single % pool.len()]),
+            1 => AttrValue::Nom(single as u32 % 4),
+            _ => cell(h, numeric(a)),
+        }
+    };
     for &seed in row_seeds {
         let row: Vec<AttrValue> = (0..num_attrs)
-            .map(|a| cell(splitmix(seed.wrapping_add(a as u64)), numeric(a)))
+            .map(|a| shaped(splitmix(seed.wrapping_add(a as u64)), a))
             .collect();
         dataset.push(row, splitmix(seed ^ 0xAB) & 1 == 0);
     }

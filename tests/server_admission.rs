@@ -480,6 +480,10 @@ fn appends_over_the_wire_refresh_views_by_delta() {
     assert_eq!(status.delta_refreshes, Some(0));
     // The estimate/actual difference came back to the budget mid-flight.
     assert_eq!(status.refunded_units, Some(admitted_units - charged));
+    // The query's encoded dataset is held beside its memoized sample.
+    assert_eq!(status.memo_datasets, Some(1));
+    assert_eq!(status.memo_dataset_stores, Some(1));
+    assert!(status.memo_dataset_bytes.expect("gauge reported") > 0);
 
     // Append a batch over the wire: acknowledged inline with the new
     // generation, no view work yet.
@@ -511,6 +515,9 @@ fn appends_over_the_wire_refresh_views_by_delta() {
     assert_eq!(status.tail_rows, Some(6));
     assert_eq!(status.delta_refreshes, Some(1));
     assert_eq!(status.full_rebuilds, Some(1));
+    // The refreshed view's generation started a memo of its own.
+    assert_eq!(status.memo_datasets, Some(1));
+    assert_eq!(status.memo_dataset_stores, Some(1));
 
     // Malformed batches are typed protocol errors, not dead connections.
     let bad = WireRequest {
