@@ -32,12 +32,14 @@
 //!   reuse both the cached view and the memoized training sample, so it
 //!   times featurize and the clause loop alone.
 //! * `serve` — spawns the PXQL network front-end on loopback and drives it
-//!   with concurrent connections through the open-loop load driver: every
-//!   sized-to-fit request must be answered, the explanation served over the
-//!   wire must match the in-process [`XplainService`] atom for atom, a
-//!   request sized beyond the whole admission budget must shed with a
-//!   typed 429, and a malformed frame must get a typed 400 without killing
-//!   the connection.
+//!   with concurrent connections through the load driver (closed loop per
+//!   connection): every sized-to-fit request must be answered, the
+//!   explanation served over the wire must match the in-process
+//!   [`XplainService`] atom for atom, a request sized beyond the whole
+//!   admission budget must shed with a typed 429, and a malformed frame
+//!   must get a typed 400 without killing the connection.  Every answered
+//!   request asks one template, so the `status` frame must then report one
+//!   memo entry, stored once.
 //! * `live-ingest` — serves a 100k-record blocked log and drives an
 //!   append-while-querying loop: every batch must refresh the cached view
 //!   through the O(tail) delta splice (never a full rebuild), queries must
@@ -66,7 +68,7 @@ use perfxplain_core::{
     FsyncPolicy, QueryRequest, XplainService,
 };
 use perfxplain_server::{
-    default_request, run_load, spawn, Client, QueryCost, SchedulerConfig, ServerConfig,
+    default_request, run_load, spawn, Client, QueryCost, SchedulerConfig, ServerConfig, WireRequest,
 };
 use std::collections::BTreeSet;
 use std::io::{BufRead, Read, Write};
@@ -415,7 +417,7 @@ fn serve() {
         "connection died after a bad frame: {again:?}"
     );
 
-    // The concurrent open-loop drive completes all-ok.
+    // The concurrent drive, closed loop per connection, completes all-ok.
     let report = run_load(&addr, CONNECTIONS, REQUESTS_PER_CONNECTION, |c, s| {
         let mut request = default_request("job_2", "job_0");
         request.id = Some((c * REQUESTS_PER_CONNECTION + s) as u64);
@@ -427,6 +429,21 @@ fn serve() {
         "the sized-to-fit drive shed or failed requests: {report:?}"
     );
     assert_eq!(report.transport_errors, 0, "{report:?}");
+
+    // The in-process request and every wire request asked one template
+    // (the oversized one was shed before it ran), so the view's memo holds
+    // one entry, stored once, however the connections raced.
+    let status = client
+        .call(&WireRequest {
+            target: Some("status".to_string()),
+            ..WireRequest::default()
+        })
+        .expect("status answered");
+    assert_eq!(
+        (status.memo_datasets, status.memo_dataset_stores),
+        (Some(1), Some(1)),
+        "one template must hold one memo entry: {status:?}"
+    );
 
     let stats = handle.stats();
     println!(

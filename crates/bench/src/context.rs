@@ -51,15 +51,8 @@ impl ExperimentContext {
         }
     }
 
-    /// The configuration used by the paper's figures (the `Small` preset —
-    /// comparable coverage to the full grid — with ten repetitions, as in
-    /// the paper's 2-fold × 10 methodology).
-    pub fn paper_scale(seed: u64) -> Self {
-        ExperimentContext::prepare(LogPreset::Small, seed, 10)
-    }
-
-    /// A deliberately small context used by the Criterion benches and smoke
-    /// tests: tiny log, three repetitions, smaller training samples.
+    /// A deliberately small context used by the unit tests: tiny log, three
+    /// repetitions, smaller training samples.
     pub fn quick(seed: u64) -> Self {
         let mut ctx = ExperimentContext::prepare(LogPreset::Tiny, seed, 3);
         ctx.config = ctx.config.with_sample_size(400);

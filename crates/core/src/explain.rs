@@ -62,9 +62,9 @@ impl PerfXplain {
     }
 
     /// The split-search bridge of a training set for the query's pair of
-    /// interest.  The sample's encoded dataset is `cached` when the memo
-    /// held one; otherwise it is encoded straight from the view (one pass,
-    /// no pair-feature maps) and, with a memo, stored beside the sample.
+    /// interest.  The sample's encoded dataset is `cached` on a memo hit;
+    /// otherwise it is encoded straight from the view (one pass, no
+    /// pair-feature maps) and, with a memo, inserted with the sample.
     /// Either way only the pair's row is encoded per request.
     fn bridge_for(
         &self,
@@ -83,7 +83,7 @@ impl PerfXplain {
                 self.config.sim_threshold,
             ));
             if let Some(memo) = memo {
-                memo.store_dataset(query, &self.config, &shared);
+                memo.insert(query, &self.config, training, &shared);
             }
             shared
         });
@@ -153,11 +153,7 @@ impl PerfXplain {
         cancel: &CancelToken,
         cost_probe: Option<&crate::service::CostProbe>,
     ) -> Result<(Explanation, BoundQuery, EncodedTraining<'a>, bool)> {
-        let Drawn {
-            training,
-            reused: mut sample_reused,
-            dataset,
-        } = prepare_encoded_training_memoized(
+        let Drawn { training, dataset } = prepare_encoded_training_memoized(
             log,
             view.clone(),
             query,
@@ -168,6 +164,7 @@ impl PerfXplain {
         if let Some(probe) = cost_probe {
             probe.fire(training.related_pairs as u64);
         }
+        let mut sample_reused = dataset.is_some();
 
         // Relevance of the empty extension over the sample: the fraction of
         // pairs that performed as expected.  Below the threshold the
@@ -190,7 +187,6 @@ impl PerfXplain {
                 .with_despite(query.query.despite.conjoin(&extension));
             let Drawn {
                 training: extended_training,
-                reused,
                 dataset,
             } = prepare_encoded_training_memoized(
                 log,
@@ -200,7 +196,7 @@ impl PerfXplain {
                 cancel,
                 memo,
             )?;
-            sample_reused &= reused;
+            sample_reused &= dataset.is_some();
             let extended_bridge = self.bridge_for(&extended_training, dataset, &extended, memo);
             let because = self.generate_clause_cancellable(
                 &extended_bridge,

@@ -176,14 +176,15 @@
 //!    enumeration, the cap and the balanced sample, and hands the clause
 //!    loop the same pairs, labels and related-pair count
 //!    ([`QueryOutcome::sample_reused`](service::QueryOutcome::sample_reused))
-//!    without copying them.  Beside each sample the memo keeps its
-//!    encoded split-search dataset (step 6) with the first clause
-//!    iteration's per-attribute summaries (step 7), so such a request
-//!    encodes only the pair of interest's row and replays the summaries.
-//!    The memo lives exactly as long as its log generation; it holds at
-//!    most 2^18 sampled pairs and 32 MiB of datasets per view, and sheds
-//!    datasets apart from samples.  The stateless paths run the same
-//!    routines and store nothing.  Every path finds the pair of interest
+//!    without copying them.  An entry is stored once its first request has
+//!    featurized it: the sample with its encoded split-search dataset
+//!    (step 6) and the first clause iteration's per-attribute summaries
+//!    (step 7), so a hit encodes only the pair of interest's row and
+//!    replays the summaries.  The memo lives exactly as long as its log
+//!    generation; it holds at most 32 MiB of entries per view, datasets
+//!    and samples together, and evicts whole entries, least recently used
+//!    first.  The stateless paths run the same routines and store
+//!    nothing.  Every path finds the pair of interest
 //!    through the log's id index.
 //! 6. **Encode the sample directly.**
 //!    [`DatasetBridge::encode_from_view`](bridge::DatasetBridge::encode_from_view)

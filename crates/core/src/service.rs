@@ -33,28 +33,26 @@
 //!   predicates.  So one template asked about many pairs enumerates once.
 //!   The key is the three clauses plus the request's effective
 //!   [`ExplainConfig`], compared with `==`; the value is the sampled
-//!   `(left, right)` rows, their labels and the related-pair count, and,
-//!   once a request has featurized it, the sample's encoded split-search
-//!   dataset with the first clause iteration's per-attribute summaries.
-//!   A hit shares the rows and labels without copying them and skips
-//!   enumeration, the cap and the balanced sample
-//!   ([`QueryOutcome::sample_reused`]); when the dataset is held too, it
-//!   encodes only the pair of interest's row and replays the summaries
-//!   instead of sorting and scoring every attribute.  The memo lives
-//!   exactly as long as its generation's cache entry: an append installs
-//!   a new entry with an empty memo, `with_log_mut` and `replace_log`
-//!   clear the cache, and a tail fold keeps it (same rows, same order);
-//!   a replaced entry is freed after the cache lock is released.  Two
-//!   bounds apply per view.  Samples: an LRU of at most 2^18 sampled pairs
-//!   (about 4.5 MB); a larger sample is not stored.  Datasets: at most
-//!   32 MiB, summaries included.  A dataset is column-major, with 4- or
-//!   8-byte cells and nothing stored for a pair feature no sampled pair
-//!   holds, so a 2,000-pair paper-grid job dataset takes about 1 MB and
-//!   the bound holds every template the paper's grid is asked about.  Over
-//!   it the least recently used entries lose their datasets but keep their
-//!   samples, and their next hit featurizes again.  A larger dataset and
-//!   every error are not stored.  [`XplainService::view_stats`] gauges the
-//!   datasets held, their bytes and every store
+//!   `(left, right)` rows, their labels and the related-pair count, with
+//!   the sample's encoded split-search dataset and the first clause
+//!   iteration's per-attribute summaries.  A miss enumerates, featurizes
+//!   and inserts the entry.  A hit shares the rows, labels and dataset
+//!   without copying them: it skips enumeration, the cap and the balanced
+//!   sample ([`QueryOutcome::sample_reused`]), encodes only the pair of
+//!   interest's row and replays the summaries instead of sorting and
+//!   scoring every attribute.  The memo lives exactly as long as its
+//!   generation's cache entry: an append installs a new entry with an
+//!   empty memo, `with_log_mut` and `replace_log` clear the cache, and a
+//!   tail fold keeps it (same rows, same order); a replaced entry is freed
+//!   after the cache lock is released.  One bound applies per view:
+//!   32 MiB of datasets, summaries included, and samples.  A dataset is
+//!   column-major, with 4- or 8-byte cells and nothing stored for a pair
+//!   feature no sampled pair holds, so a 2,000-pair paper-grid job entry
+//!   takes about 1 MB and the bound holds every template the paper's grid
+//!   is asked about.  Over it whole entries go, least recently used first,
+//!   and their next request draws again.  A larger entry and every error
+//!   are not stored.  [`XplainService::view_stats`] gauges the entries
+//!   held, their bytes and every store
 //!   ([`ViewCacheStats::memo_dataset_stores`]).  The stateless paths run
 //!   the same code and store nothing.
 //! * One [`QueryRequest`] carries everything a query needs — the PXQL text
@@ -276,7 +274,8 @@ pub struct QueryOutcome {
     /// Whether the training set came from the cached view's sample memo:
     /// `true` when the request ran no pair enumeration, because an equal
     /// query template and configuration was answered earlier at this
-    /// generation.  Always `false` on the stateless path.
+    /// generation and the memo still holds it.  Always `false` on the
+    /// stateless path.
     pub sample_reused: bool,
     /// How many related pairs the final training set was enumerated from —
     /// the query's *actual* dominant cost, versus the candidate-space upper
@@ -366,16 +365,16 @@ pub struct ViewCacheStats {
     pub compactions: u64,
     /// Unix timestamp (ms) of the last completed compaction; `0` if none.
     pub last_compaction_unix_ms: u64,
-    /// Encoded split-search datasets held beside memoized samples, summed
-    /// over the cached views' memos (a gauge).
+    /// Memo entries (a sample with its encoded split-search dataset) held,
+    /// summed over the cached views' memos (a gauge).
     pub memo_datasets: u64,
-    /// Heap bytes of those datasets, summaries included (a gauge).  Each
-    /// view's memo sheds its datasets back to 32 MiB whenever it is read or
-    /// stored into; summaries built since may exceed it until then.
+    /// Heap bytes of those entries, summaries and samples included (a
+    /// gauge).  Each view's memo evicts back to 32 MiB whenever it is read
+    /// or stored into; summaries built since may exceed it until then.
     pub memo_dataset_bytes: u64,
-    /// Datasets stored into the cached views' memos since those views
-    /// were cached (a counter): a request that featurized a memoized
-    /// sample again, because its dataset was shed or never stored, adds
+    /// Entries stored into the cached views' memos since those views were
+    /// cached (a counter): every request that featurized a template the
+    /// memo did not hold, because it was never asked or was evicted, adds
     /// one.
     pub memo_dataset_stores: u64,
 }
@@ -736,7 +735,7 @@ impl XplainService {
         };
         let report = with_journal_rotation(&mut journal, dir, || match incremental_from {
             Some(rows) => {
-                crate::snapshot::sync_append(dir, log.records()[rows..].to_vec(), log.generation())
+                crate::snapshot::sync_append(dir, &log.records()[rows..], log.generation())
             }
             None => crate::snapshot::persist(&log, dir, crate::shard::hardware_threads()),
         })?;
@@ -1053,7 +1052,7 @@ impl XplainService {
     }
 
     /// A snapshot of the delta-maintenance counters, the cached views'
-    /// base/tail row split and their memos' dataset gauges.
+    /// base/tail row split and their memos' gauges.
     pub fn view_stats(&self) -> ViewCacheStats {
         let cache = self.views.read().expect("view cache lock poisoned");
         let mut stats = ViewCacheStats {
@@ -1064,10 +1063,10 @@ impl XplainService {
             ..ViewCacheStats::default()
         };
         for entry in cache.values() {
-            let memo = entry.samples.dataset_gauges();
+            let memo = entry.samples.gauges();
             stats.base_rows += entry.view.base_rows() as u64;
             stats.tail_rows += entry.view.tail_rows() as u64;
-            stats.memo_datasets += memo.datasets;
+            stats.memo_datasets += memo.entries;
             stats.memo_dataset_bytes += memo.bytes;
             stats.memo_dataset_stores += memo.stores;
         }
@@ -1479,9 +1478,9 @@ mod tests {
     }
 
     /// `view_stats` gauges the cached view's memo: a template asked about
-    /// two pairs stores its dataset once, and under a bound that holds one
-    /// template's dataset, not two, a template whose dataset was shed
-    /// stores it again on its next hit, and only then.
+    /// two pairs is stored once, and under a bound that holds one
+    /// template's entry, not two, an evicted template draws and stores
+    /// again on its next request, and only then.
     #[test]
     fn view_stats_gauge_the_memo_datasets() {
         let service = XplainService::new(block_size_log(40));
@@ -1503,7 +1502,7 @@ mod tests {
         assert_eq!(gauges().2, 1);
 
         // Two more templates (the same clauses under other seeds), each
-        // dataset's size once its first request built its summaries.
+        // entry's size once its first request built its summaries.
         let seeded = |seed| request().with_config(ExplainConfig::default().with_seed(seed));
         let size = |seed| {
             let before = gauges().1;
@@ -1513,7 +1512,7 @@ mod tests {
         let sizes = [(size(1), 1), (size(2), 2)];
         let (bound, large) = sizes.into_iter().max().unwrap();
         let small = 3 - large;
-        let memo = Arc::new(SampleMemo::with_dataset_bound(bound as usize));
+        let memo = Arc::new(SampleMemo::with_bound(bound as usize));
         service
             .views
             .write()
@@ -1523,13 +1522,13 @@ mod tests {
             .samples = memo;
         ask(&seeded(large));
         assert_eq!(gauges().2, 1);
-        // The small template's dataset sheds the large one's.
+        // The small template's entry evicts the large one's.
         ask(&seeded(small));
         assert_eq!((gauges().0, gauges().2), (1, 2));
         let again = ask(&seeded(large));
-        assert!(again.sample_reused);
+        assert!(!again.sample_reused);
         assert_eq!(gauges().2, 3);
-        ask(&seeded(large));
+        assert!(ask(&seeded(large)).sample_reused);
         assert_eq!(gauges().2, 3);
         assert!(gauges().1 <= bound);
     }
@@ -1710,7 +1709,7 @@ mod tests {
             .expect_err("the deadline fires before the enumeration ends");
         assert_eq!(err, CoreError::DeadlineExceeded);
         let cache = service.views.read().expect("view cache lock poisoned");
-        assert!(cache[&ExecutionKind::Job].samples.is_empty());
+        assert_eq!(cache[&ExecutionKind::Job].samples.gauges().entries, 0);
     }
 
     #[test]

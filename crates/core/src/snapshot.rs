@@ -1371,12 +1371,7 @@ pub fn persist(log: &ExecutionLog, dir: &Path, num_shards: usize) -> Result<Sync
     let chunk_size = records.len().div_ceil(num_shards.max(1)).max(1);
     let shards = records
         .chunks(chunk_size)
-        .map(|chunk| {
-            ShardInput::Fresh(RecordShard {
-                records: chunk.to_vec(),
-                source_fingerprint: None,
-            })
-        })
+        .map(|chunk| ShardRef::Fresh(chunk, None))
         .collect();
     commit(dir, None, shards, log.generation(), AtomicU64::new(0))
 }
@@ -1386,7 +1381,10 @@ pub fn persist(log: &ExecutionLog, dir: &Path, num_shards: usize) -> Result<Sync
 /// re-ingests).  Overwrites whatever snapshot was in `dir`; this is also
 /// the recovery path when [`open`] or [`sync`] report corruption.
 pub fn persist_shards(dir: &Path, shards: Vec<RecordShard>) -> Result<SyncReport> {
-    let inputs = shards.into_iter().map(ShardInput::Fresh).collect();
+    let inputs = shards
+        .iter()
+        .map(|shard| ShardRef::Fresh(&shard.records, shard.source_fingerprint))
+        .collect();
     commit(dir, None, inputs, 1, AtomicU64::new(0))
 }
 
@@ -1447,6 +1445,28 @@ pub enum ShardInput {
     Keep,
 }
 
+/// A [`ShardInput`] as [`commit`] reads it: a fresh shard's records (with
+/// their source fingerprint) are borrowed, so a persist or checkpoint
+/// encodes straight from the log's own records.
+#[derive(Clone, Copy)]
+enum ShardRef<'a> {
+    Fresh(&'a [ExecutionRecord], Option<u64>),
+    Unchanged(u64),
+    Keep,
+}
+
+impl<'a> From<&'a ShardInput> for ShardRef<'a> {
+    fn from(input: &'a ShardInput) -> Self {
+        match input {
+            ShardInput::Fresh(shard) => ShardRef::Fresh(&shard.records, shard.source_fingerprint),
+            ShardInput::Unchanged { source_fingerprint } => {
+                ShardRef::Unchanged(*source_fingerprint)
+            }
+            ShardInput::Keep => ShardRef::Keep,
+        }
+    }
+}
+
 /// Incrementally re-ingests into an existing snapshot: shards marked
 /// [`ShardInput::Unchanged`] keep their on-disk segments (verified by
 /// fingerprint bookkeeping — the reused entries carry their recorded
@@ -1477,16 +1497,13 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
 /// An empty tail degenerates to a keep-everything sync: the stored
 /// segments are fingerprint-verified and the manifest rewritten, nothing
 /// re-encoded.
-pub fn sync_append(dir: &Path, tail: Vec<ExecutionRecord>, generation: u64) -> Result<SyncReport> {
+pub fn sync_append(dir: &Path, tail: &[ExecutionRecord], generation: u64) -> Result<SyncReport> {
     // One manifest read serves both the shard count and the commit.
     let retries = AtomicU64::new(0);
     let old = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let mut inputs: Vec<ShardInput> = (0..old.shards.len()).map(|_| ShardInput::Keep).collect();
+    let mut inputs = vec![ShardRef::Keep; old.shards.len()];
     if !tail.is_empty() {
-        inputs.push(ShardInput::Fresh(RecordShard {
-            records: tail,
-            source_fingerprint: None,
-        }));
+        inputs.push(ShardRef::Fresh(tail, None));
     }
     commit(dir, Some(&old), inputs, generation, retries)
 }
@@ -1499,13 +1516,14 @@ fn sync_at_generation(dir: &Path, inputs: Vec<ShardInput>, generation: u64) -> R
     if inputs.is_empty() {
         return persist_shards(dir, Vec::new());
     }
+    let inputs = inputs.iter().map(ShardRef::from).collect();
     commit(dir, Some(&old), inputs, generation, retries)
 }
 
 /// The one commit routine behind [`persist`], [`persist_shards`], [`sync`]
 /// and [`sync_append`].  `old` is the committed manifest the inputs refer
 /// to by position, or `None` for a full write, where every input is
-/// [`ShardInput::Fresh`] and the directory is created first.
+/// fresh and the directory is created first.
 ///
 /// Validates every reuse claim, merges the shard catalogs in input order,
 /// verifies every reused segment through the loader (decoding its records
@@ -1515,27 +1533,24 @@ fn sync_at_generation(dir: &Path, inputs: Vec<ShardInput>, generation: u64) -> R
 fn commit(
     dir: &Path,
     old: Option<&SnapshotManifest>,
-    mut inputs: Vec<ShardInput>,
+    mut inputs: Vec<ShardRef<'_>>,
     generation: u64,
     retries: AtomicU64,
 ) -> Result<SyncReport> {
     let pool = crate::pool::shared();
     // A zero-shard manifest would be unreadable (`load` rejects it).
     if inputs.is_empty() {
-        inputs.push(ShardInput::Fresh(RecordShard {
-            records: Vec::new(),
-            source_fingerprint: None,
-        }));
+        inputs.push(ShardRef::Fresh(&[], None));
     }
     let old_shards = old.map_or(&[][..], |old| old.shards.as_slice());
 
     // Validate every reuse claim against the manifest before doing work.
     let manifest_path = || dir.join(MANIFEST_FILE).display().to_string();
     for (i, input) in inputs.iter().enumerate() {
-        match input {
-            ShardInput::Unchanged { source_fingerprint } => {
+        match *input {
+            ShardRef::Unchanged(source_fingerprint) => {
                 let recorded = old_shards.get(i).and_then(|e| e.source_fingerprint);
-                if recorded != Some(*source_fingerprint) {
+                if recorded != Some(source_fingerprint) {
                     return Err(CoreError::SnapshotCorrupt {
                         path: manifest_path(),
                         message: format!(
@@ -1545,7 +1560,7 @@ fn commit(
                     });
                 }
             }
-            ShardInput::Keep if old_shards.get(i).is_none() => {
+            ShardRef::Keep if old_shards.get(i).is_none() => {
                 return Err(CoreError::SnapshotCorrupt {
                     path: manifest_path(),
                     message: format!(
@@ -1564,9 +1579,9 @@ fn commit(
         .map_chunks(&inputs, pool.threads(), |chunk| {
             chunk
                 .iter()
-                .map(|input| match input {
-                    ShardInput::Fresh(shard) => Some(infer_catalogs(&shard.records)),
-                    ShardInput::Unchanged { .. } | ShardInput::Keep => None,
+                .map(|input| match *input {
+                    ShardRef::Fresh(records, _) => Some(infer_catalogs(records)),
+                    ShardRef::Unchanged(_) | ShardRef::Keep => None,
                 })
                 .collect::<Vec<_>>()
         })
@@ -1600,7 +1615,7 @@ fn commit(
     let mut reloaded: Vec<Option<Vec<ExecutionRecord>>> = inputs.iter().map(|_| None).collect();
     if let Some(old) = old {
         let reused: Vec<usize> = (0..inputs.len())
-            .filter(|&i| !matches!(inputs[i], ShardInput::Fresh(_)))
+            .filter(|&i| !matches!(inputs[i], ShardRef::Fresh(..)))
             .collect();
         let loaded = load_shards(dir, old, &reused, true, &retries, |entry, bytes| {
             if catalog_changed {
@@ -1621,9 +1636,9 @@ fn commit(
         .iter()
         .zip(&reloaded)
         .enumerate()
-        .filter_map(|(i, (input, reloaded))| match input {
-            ShardInput::Fresh(shard) => Some((i, shard.records.as_slice())),
-            ShardInput::Unchanged { .. } | ShardInput::Keep => {
+        .filter_map(|(i, (input, reloaded))| match *input {
+            ShardRef::Fresh(records, _) => Some((i, records)),
+            ShardRef::Unchanged(_) | ShardRef::Keep => {
                 reloaded.as_deref().map(|records| (i, records))
             }
         })
@@ -1657,11 +1672,13 @@ fn commit(
             entries.push(old_shards[i].clone());
             continue;
         };
-        let (rows, source_fingerprint) = match input {
-            ShardInput::Fresh(shard) => (shard.records.len() as u64, shard.source_fingerprint),
+        let (rows, source_fingerprint) = match *input {
+            ShardRef::Fresh(records, source_fingerprint) => {
+                (records.len() as u64, source_fingerprint)
+            }
             // Re-encoded after a schema move: the same records (the loader
             // checked their count) from the same source.
-            ShardInput::Unchanged { .. } | ShardInput::Keep => {
+            ShardRef::Unchanged(_) | ShardRef::Keep => {
                 (old_shards[i].rows, old_shards[i].source_fingerprint)
             }
         };
@@ -2460,7 +2477,7 @@ mod tests {
                 .with_feature("duration", 11.0),
         ];
         let before = SnapshotManifest::load(&dir).unwrap();
-        let report = sync_append(&dir, tail.clone(), 12).unwrap();
+        let report = sync_append(&dir, &tail, 12).unwrap();
         assert_eq!(report.manifest.generation, 12);
         assert_eq!(report.shards_encoded, 1);
         assert_eq!(report.shards_reused, base_shards);
@@ -2479,7 +2496,7 @@ mod tests {
         assert_eq!(open(&dir).unwrap().to_log(), expected);
 
         // An empty tail is a keep-everything no-op sync.
-        let idle = sync_append(&dir, Vec::new(), 12).unwrap();
+        let idle = sync_append(&dir, &[], 12).unwrap();
         assert_eq!(idle.shards_encoded, 0);
         assert_eq!(idle.shards_reused, base_shards + 1);
 
@@ -2490,7 +2507,7 @@ mod tests {
             .with_feature("pigscript", "script_9.pig")
             .with_feature("brand_new_knob", 3.0)
             .with_feature("duration", 5.0)];
-        let report = sync_append(&dir, oddball.clone(), 13).unwrap();
+        let report = sync_append(&dir, &oddball, 13).unwrap();
         assert!(report.catalog_changed);
         assert_eq!(report.shards_reused, 0);
         assert_eq!(report.shards_encoded, base_shards + 2);

@@ -46,13 +46,13 @@
 //! where a candidate predicate must hold for it.  So one template asked
 //! about many pairs needs one training set, and one encoding of it.  A
 //! cached view of [`XplainService`](crate::service::XplainService) keeps a
-//! `SampleMemo` of the samples drawn over it, and the served path fetches
-//! its training set through `prepare_encoded_training_memoized`: a hit
-//! hands back the same pairs, labels and related-pair count a fresh
+//! `SampleMemo` of the templates answered over it, and the served path
+//! fetches its training set through `prepare_encoded_training_memoized`: a
+//! hit hands back the same pairs, labels and related-pair count a fresh
 //! enumeration would, without enumerating or copying, together with the
-//! sample's encoded dataset (`SharedDataset`) once a request has stored
-//! it.  The stateless paths pass no memo: they always enumerate and
-//! featurize, and store nothing.
+//! sample's encoded dataset (`SharedDataset`), stored with the sample by
+//! the request that first featurized it.  The stateless paths pass no
+//! memo: they always enumerate and featurize, and store nothing.
 
 use crate::bridge::SharedDataset;
 use crate::cancel::CancelToken;
@@ -595,64 +595,56 @@ pub fn prepare_encoded_training_cancellable<'a>(
     Ok(training)
 }
 
-/// Most sampled pairs one [`SampleMemo`] holds, about 4.5 MB of rows and
-/// labels.  A larger sample is not stored.
-const MEMO_MAX_PAIRS: usize = 1 << 18;
+/// Most bytes one [`SampleMemo`] holds: every entry's encoded dataset
+/// ([`SharedDataset::bytes`], summaries included) plus its sampled rows and
+/// labels.  The datasets are column-major with 4- or 8-byte cells and
+/// nothing stored for a column no sampled pair holds: a 2,000-pair
+/// paper-grid dataset takes about 1 MB for the job query and 1.7 MB for
+/// the task query, summaries included, and its sample about 34 KB
+/// (pxbench's `paper_mix`, seed 301: 25 job entries in 23.7 MB, 12 task
+/// entries in 20.5 MB).  So the bound holds every template the paper's
+/// grid is asked about, base and despite-extended alike.  A larger entry is
+/// not stored.
+const MEMO_MAX_BYTES: usize = 32 << 20;
 
-/// Most bytes of encoded datasets ([`SharedDataset::bytes`], summaries
-/// included) one [`SampleMemo`] holds.  The datasets are column-major with
-/// 4- or 8-byte cells and nothing stored for a column no sampled pair
-/// holds: a 2,000-pair paper-grid dataset takes about 1 MB for the job
-/// query and 1.7 MB for the task query, summaries included (pxbench's
-/// `paper_mix`, seed 301: 25 job datasets in 23.0 MB, 12 task datasets in
-/// 20.2 MB).  So the bound holds every template the paper's grid is asked
-/// about, base and despite-extended alike.  A larger dataset is not
-/// stored.
-const MEMO_MAX_DATASET_BYTES: usize = 32 << 20;
-
-/// The training sets drawn over one cached view, least recently used
-/// first.  Every entry was drawn at the view's one log generation, so the
-/// memo lives exactly as long as that generation's cache entry.
-///
-/// An entry also keeps the sample's encoded dataset once a request has
-/// featurized it, so later requests under the key encode only their pair
-/// of interest.  Samples and datasets have separate bounds: over
-/// [`MEMO_MAX_PAIRS`] sampled pairs whole entries go, least recently used
-/// first; over [`MEMO_MAX_DATASET_BYTES`] only datasets go, in the same
-/// order, and their entries keep the samples.  The next hit on such an
-/// entry featurizes from the sample again and stores the result.
+/// The templates answered over one cached view, least recently used first:
+/// each entry is a drawn sample with its encoded dataset, stored once a
+/// request has featurized it, so later requests under the key encode only
+/// their pair of interest.  Every entry was drawn at the view's one log
+/// generation, so the memo lives exactly as long as that generation's
+/// cache entry.  Over [`MEMO_MAX_BYTES`] whole entries go, least recently
+/// used first.
 #[derive(Debug)]
 pub(crate) struct SampleMemo {
     entries: Mutex<Vec<MemoEntry>>,
-    /// [`MEMO_MAX_DATASET_BYTES`]; the tests shrink it.
-    dataset_bound: usize,
-    /// Datasets stored since the memo was created.
-    dataset_stores: AtomicU64,
+    /// [`MEMO_MAX_BYTES`]; the tests shrink it.
+    bound: usize,
+    /// Entries stored since the memo was created.
+    stores: AtomicU64,
 }
 
 impl Default for SampleMemo {
     fn default() -> Self {
         SampleMemo {
             entries: Mutex::default(),
-            dataset_bound: MEMO_MAX_DATASET_BYTES,
-            dataset_stores: AtomicU64::new(0),
+            bound: MEMO_MAX_BYTES,
+            stores: AtomicU64::new(0),
         }
     }
 }
 
-/// What a [`SampleMemo`] holds of encoded datasets, read by
-/// [`SampleMemo::dataset_gauges`].
+/// What a [`SampleMemo`] holds, read by [`SampleMemo::gauges`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct DatasetGauges {
-    /// Datasets held.
-    pub(crate) datasets: u64,
-    /// Their [`SharedDataset::bytes`], summed.
+pub(crate) struct MemoGauges {
+    /// Entries held.
+    pub(crate) entries: u64,
+    /// Their bytes, as charged against the bound.
     pub(crate) bytes: u64,
-    /// Datasets stored since the memo was created.
+    /// Entries stored since the memo was created.
     pub(crate) stores: u64,
 }
 
-/// One memoized sample with its key: the three clauses and the whole
+/// One memoized template with its key: the three clauses and the whole
 /// configuration, compared with `==`.  Equal keys classify every candidate
 /// identically; a `NaN` anywhere in the key only causes a miss.
 #[derive(Debug)]
@@ -662,7 +654,7 @@ struct MemoEntry {
     expected: Predicate,
     config: ExplainConfig,
     sample: Sample,
-    dataset: Option<Arc<SharedDataset>>,
+    dataset: Arc<SharedDataset>,
 }
 
 /// A drawn sample: the `(left, right)` rows, their labels and the related
@@ -681,93 +673,83 @@ impl MemoEntry {
             && self.expected == query.query.expected
             && self.config == *config
     }
+
+    /// The bytes charged against the bound: the dataset as it stands now
+    /// and the sample's rows and labels.
+    fn bytes(&self) -> usize {
+        let sample = &self.sample;
+        self.dataset.bytes()
+            + std::mem::size_of_val(&*sample.pairs)
+            + std::mem::size_of_val(&*sample.labels)
+    }
 }
 
-/// Drops the least recently used entries' datasets until the datasets
-/// left fit in `bound` bytes, returning the dropped ones so the caller
-/// frees them after releasing the lock.
-fn shed_datasets(entries: &mut [MemoEntry], bound: usize) -> Vec<Arc<SharedDataset>> {
+/// Removes the least recently used entries until the rest fit in `bound`
+/// bytes, returning them so the caller frees them after releasing the lock.
+fn evict(entries: &mut Vec<MemoEntry>, bound: usize) -> Vec<MemoEntry> {
     // Each size is read once: a request may be adding summaries to a
     // dataset meanwhile, and its size only grows.
-    let sizes: Vec<usize> = entries
-        .iter()
-        .map(|e| e.dataset.as_ref().map_or(0, |d| d.bytes()))
-        .collect();
+    let sizes: Vec<usize> = entries.iter().map(MemoEntry::bytes).collect();
     let mut held: usize = sizes.iter().sum();
-    let mut dropped = Vec::new();
-    for (entry, size) in entries.iter_mut().zip(sizes) {
-        if held <= bound {
-            break;
-        }
-        if let Some(dataset) = entry.dataset.take() {
-            held -= size;
-            dropped.push(dataset);
-        }
+    let mut over = 0;
+    while held > bound {
+        held -= sizes[over];
+        over += 1;
     }
-    dropped
+    entries.drain(..over).collect()
 }
 
 impl SampleMemo {
-    /// The datasets held now, their bytes, and how many were stored.
-    pub(crate) fn dataset_gauges(&self) -> DatasetGauges {
+    /// The entries held now, their bytes, and how many were stored.
+    pub(crate) fn gauges(&self) -> MemoGauges {
         let entries = self.entries.lock().expect("sample memo lock poisoned");
-        let held = entries.iter().filter_map(|e| e.dataset.as_ref());
-        DatasetGauges {
-            datasets: held.clone().count() as u64,
-            bytes: held.map(|d| d.bytes() as u64).sum(),
-            stores: self.dataset_stores.load(Ordering::Relaxed),
+        MemoGauges {
+            entries: entries.len() as u64,
+            bytes: entries.iter().map(|e| e.bytes() as u64).sum(),
+            stores: self.stores.load(Ordering::Relaxed),
         }
     }
 
-    /// An empty memo holding at most `bound` bytes of datasets.
+    /// An empty memo holding at most `bound` bytes.
     #[cfg(test)]
-    pub(crate) fn with_dataset_bound(bound: usize) -> Self {
+    pub(crate) fn with_bound(bound: usize) -> Self {
         SampleMemo {
-            dataset_bound: bound,
+            bound,
             ..SampleMemo::default()
         }
     }
 
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries
-            .lock()
-            .expect("sample memo lock poisoned")
-            .is_empty()
-    }
-
-    /// The memoized sample for the key, and its dataset when one is held,
-    /// marked most recently used.  Datasets whose summaries grew since the
-    /// last call are shed to the bound first.
+    /// The memoized sample for the key and its dataset, marked most
+    /// recently used.  Entries whose summaries grew since the last call are
+    /// evicted to the bound first.
     fn get(
         &self,
         query: &BoundQuery,
         config: &ExplainConfig,
-    ) -> Option<(Sample, Option<Arc<SharedDataset>>)> {
+    ) -> Option<(Sample, Arc<SharedDataset>)> {
         let mut entries = self.entries.lock().expect("sample memo lock poisoned");
         let at = entries.iter().position(|e| e.matches(query, config))?;
         let entry = entries.remove(at);
+        let found = (entry.sample.clone(), Arc::clone(&entry.dataset));
         entries.push(entry);
-        let dropped = shed_datasets(&mut entries, self.dataset_bound);
-        let entry = entries.last().expect("just pushed");
-        let found = (entry.sample.clone(), entry.dataset.clone());
+        let evicted = evict(&mut entries, self.bound);
         drop(entries);
-        drop(dropped);
+        drop(evicted);
         Some(found)
     }
 
-    /// Stores a freshly drawn sample unless its key is already present (a
-    /// racing miss inserted it first) or it exceeds [`MEMO_MAX_PAIRS`],
-    /// then evicts least recently used entries down to the bound.
-    fn insert(&self, query: &BoundQuery, config: &ExplainConfig, training: &EncodedTraining<'_>) {
-        if training.len() > MEMO_MAX_PAIRS {
-            return;
-        }
-        let mut entries = self.entries.lock().expect("sample memo lock poisoned");
-        if entries.iter().any(|e| e.matches(query, config)) {
-            return;
-        }
-        entries.push(MemoEntry {
+    /// Stores a freshly drawn sample with `dataset`, its encoding, unless
+    /// the key is already present (a racing miss inserted it first) or the
+    /// entry alone exceeds the bound; then evicts least recently used
+    /// entries down to the bound.
+    pub(crate) fn insert(
+        &self,
+        query: &BoundQuery,
+        config: &ExplainConfig,
+        training: &EncodedTraining<'_>,
+        dataset: &Arc<SharedDataset>,
+    ) {
+        let entry = MemoEntry {
             despite: query.query.despite.clone(),
             observed: query.query.observed.clone(),
             expected: query.query.expected.clone(),
@@ -777,63 +759,37 @@ impl SampleMemo {
                 labels: training.labels.clone(),
                 related_pairs: training.related_pairs,
             },
-            dataset: None,
-        });
-        let mut held: usize = entries.iter().map(|e| e.sample.pairs.len()).sum();
-        let mut evicted = Vec::new();
-        while held > MEMO_MAX_PAIRS {
-            let entry = entries.remove(0);
-            held -= entry.sample.pairs.len();
-            evicted.push(entry);
-        }
-        drop(entries);
-        drop(evicted);
-    }
-
-    /// Keeps `dataset`, encoded from the key's memoized sample, beside it,
-    /// unless the entry is gone, already holds one (a racing request
-    /// stored it first), or the dataset alone exceeds
-    /// [`MEMO_MAX_DATASET_BYTES`]; then sheds least recently used datasets
-    /// down to the bound.
-    pub(crate) fn store_dataset(
-        &self,
-        query: &BoundQuery,
-        config: &ExplainConfig,
-        dataset: &Arc<SharedDataset>,
-    ) {
-        if dataset.bytes() > self.dataset_bound {
+            dataset: Arc::clone(dataset),
+        };
+        if entry.bytes() > self.bound {
             return;
         }
         let mut entries = self.entries.lock().expect("sample memo lock poisoned");
-        let Some(entry) = entries.iter_mut().find(|e| e.matches(query, config)) else {
-            return;
-        };
-        if entry.dataset.is_some() {
+        if entries.iter().any(|e| e.matches(query, config)) {
             return;
         }
-        entry.dataset = Some(Arc::clone(dataset));
-        self.dataset_stores.fetch_add(1, Ordering::Relaxed);
-        let dropped = shed_datasets(&mut entries, self.dataset_bound);
+        entries.push(entry);
+        self.stores.fetch_add(1, Ordering::Relaxed);
+        let evicted = evict(&mut entries, self.bound);
         drop(entries);
-        drop(dropped);
+        drop(evicted);
     }
 }
 
-/// A training set drawn through [`prepare_encoded_training_memoized`]:
-/// the sample, whether it came from the memo, and the memo's encoded
-/// dataset of it when one was held.
+/// A training set drawn through [`prepare_encoded_training_memoized`],
+/// with the memo's encoded dataset of it on a hit (`None` on a miss).
 #[derive(Debug)]
 pub(crate) struct Drawn<'a> {
     pub(crate) training: EncodedTraining<'a>,
-    pub(crate) reused: bool,
     pub(crate) dataset: Option<Arc<SharedDataset>>,
 }
 
 /// [`prepare_encoded_training_cancellable`] through a view's sample memo.
-/// A hit returns the memoized sample, and its encoded dataset when the
-/// memo holds one, without enumerating or copying; a miss enumerates with
-/// no lock held and stores the sample.  Errors are never stored.  Without
-/// a memo this is exactly [`prepare_encoded_training_cancellable`].
+/// A hit returns the memoized sample and its encoded dataset without
+/// enumerating or copying; a miss enumerates with no lock held and stores
+/// nothing: the caller inserts the sample once it has featurized it
+/// ([`SampleMemo::insert`]).  Without a memo this is exactly
+/// [`prepare_encoded_training_cancellable`].
 ///
 /// The memo must belong to `view`'s cache entry, whose rows the stored
 /// pairs index, and `log` must be the generation that entry was built at.
@@ -845,15 +801,7 @@ pub(crate) fn prepare_encoded_training_memoized<'a>(
     cancel: &CancelToken,
     memo: Option<&SampleMemo>,
 ) -> Result<Drawn<'a>> {
-    let fresh = |training| Drawn {
-        training,
-        reused: false,
-        dataset: None,
-    };
-    let Some(memo) = memo else {
-        return prepare_encoded_training_cancellable(log, view, query, config, cancel).map(fresh);
-    };
-    if let Some((sample, dataset)) = memo.get(query, config) {
+    if let Some((sample, dataset)) = memo.and_then(|memo| memo.get(query, config)) {
         cancel.check()?;
         let training = EncodedTraining {
             log,
@@ -864,13 +812,14 @@ pub(crate) fn prepare_encoded_training_memoized<'a>(
         };
         return Ok(Drawn {
             training,
-            reused: true,
-            dataset,
+            dataset: Some(dataset),
         });
     }
     let training = prepare_encoded_training_cancellable(log, view, query, config, cancel)?;
-    memo.insert(query, config, &training);
-    Ok(fresh(training))
+    Ok(Drawn {
+        training,
+        dataset: None,
+    })
 }
 
 #[cfg(test)]
@@ -1050,8 +999,33 @@ mod tests {
         assert!(related.is_empty());
     }
 
-    /// A cancelled enumeration stores nothing; the next draw misses and
-    /// stores, and the one after returns the same sample from the memo.
+    /// The encoded dataset of `training`, a sample of `query()`.
+    fn encode(training: &EncodedTraining<'_>, config: &ExplainConfig) -> Arc<SharedDataset> {
+        let catalog =
+            crate::pairs::PairCatalog::from_raw(training.log().catalog(ExecutionKind::Job));
+        let excluded = crate::query::excluded_raw_features(&query(), config);
+        Arc::new(SharedDataset::from_view(training, &catalog, &excluded, 0.1))
+    }
+
+    /// `query()`'s sample under `config` and its encoded dataset.
+    fn shared_dataset<'a>(
+        log: &'a ExecutionLog,
+        view: &Arc<ColumnarLog>,
+        config: &ExplainConfig,
+    ) -> (EncodedTraining<'a>, Arc<SharedDataset>) {
+        let training = prepare_encoded_training_in(log, view.clone(), &query(), config).unwrap();
+        let dataset = encode(&training, config);
+        (training, dataset)
+    }
+
+    /// The bytes an entry of `training` and `dataset` is charged.
+    fn entry_bytes(training: &EncodedTraining<'_>, dataset: &SharedDataset) -> usize {
+        dataset.bytes() + training.len() * std::mem::size_of::<(usize, usize)>() + training.len()
+    }
+
+    /// A draw stores nothing, cancelled or not.  Once the drawn sample is
+    /// inserted with its dataset, the next draw is a hit with the same
+    /// rows, labels and related-pair count, and the same dataset.
     #[test]
     fn the_memo_stores_drawn_samples_and_never_errors() {
         let log = synthetic_log();
@@ -1071,12 +1045,15 @@ mod tests {
         let cancelled = CancelToken::new();
         cancelled.cancel();
         assert_eq!(draw(&cancelled).unwrap_err(), CoreError::Cancelled);
-        assert!(memo.is_empty());
+        assert_eq!(memo.gauges(), MemoGauges::default());
 
         let fresh = draw(&CancelToken::never()).unwrap();
-        assert!(!fresh.reused);
+        assert!(fresh.dataset.is_none());
+        assert_eq!(memo.gauges(), MemoGauges::default());
+        let dataset = encode(&fresh.training, &config);
+        memo.insert(&query(), &config, &fresh.training, &dataset);
         let memoized = draw(&CancelToken::never()).unwrap();
-        assert!(memoized.reused);
+        assert!(Arc::ptr_eq(&memoized.dataset.expect("a hit"), &dataset));
         let (fresh, memoized) = (fresh.training, memoized.training);
         assert_eq!(memoized.pairs, fresh.pairs);
         assert_eq!(memoized.labels, fresh.labels);
@@ -1085,104 +1062,68 @@ mod tests {
         assert_eq!(draw(&cancelled).unwrap_err(), CoreError::Cancelled);
     }
 
-    /// The memo holds at most `MEMO_MAX_PAIRS` sampled pairs, evicting the
-    /// least recently used sample first, and never stores a larger one.
+    /// Over the bound whole entries go, least recently used first, and
+    /// touching an entry protects it.  A dataset that grows summaries
+    /// after it is stored counts on the next read.  An entry larger than
+    /// the bound is not stored.
     #[test]
-    fn the_memo_is_an_lru_bounded_by_sampled_pairs() {
-        let log = synthetic_log();
-        let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
-        let sample = |pairs: usize| EncodedTraining {
-            log: &log,
-            view: view.clone(),
-            pairs: vec![(0, 1); pairs].into(),
-            labels: vec![true; pairs].into(),
-            related_pairs: pairs,
-        };
-        let seeded = |seed: u64| ExplainConfig::default().with_seed(seed);
-        let memo = SampleMemo::default();
-        let quarter = MEMO_MAX_PAIRS / 4;
-        for seed in 0..4 {
-            memo.insert(&query(), &seeded(seed), &sample(quarter));
-        }
-        // Full, not over: every sample is held.  Touching seed 0 makes
-        // seed 1 the least recently used.
-        assert!((0..4).all(|seed| memo.get(&query(), &seeded(seed)).is_some()));
-        assert!(memo.get(&query(), &seeded(0)).is_some());
-        memo.insert(&query(), &seeded(4), &sample(quarter));
-        assert!(memo.get(&query(), &seeded(1)).is_none());
-        for seed in [0, 2, 3, 4] {
-            assert!(memo.get(&query(), &seeded(seed)).is_some(), "seed {seed}");
-        }
-        memo.insert(&query(), &seeded(5), &sample(MEMO_MAX_PAIRS + 1));
-        assert!(memo.get(&query(), &seeded(5)).is_none());
-        assert!(memo.get(&query(), &seeded(4)).is_some());
-    }
-
-    /// The encoded dataset of `query`'s sample under `config`.
-    fn shared_dataset<'a>(
-        log: &'a ExecutionLog,
-        view: &Arc<ColumnarLog>,
-        config: &ExplainConfig,
-    ) -> (EncodedTraining<'a>, Arc<SharedDataset>) {
-        let training = prepare_encoded_training_in(log, view.clone(), &query(), config).unwrap();
-        let catalog = crate::pairs::PairCatalog::from_raw(log.catalog(ExecutionKind::Job));
-        let excluded = crate::query::excluded_raw_features(&query(), config);
-        let dataset = SharedDataset::from_view(&training, &catalog, &excluded, 0.1);
-        (training, Arc::new(dataset))
-    }
-
-    /// Over the dataset bound, datasets go least recently used first and
-    /// their samples stay; a dataset larger than the bound is not stored.
-    #[test]
-    fn the_memo_sheds_least_recently_used_datasets_and_keeps_their_samples() {
+    fn the_memo_is_an_lru_bounded_by_bytes() {
         let log = synthetic_log();
         let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
         let seeded = |seed: u64| ExplainConfig::default().with_seed(seed);
         let drawn: Vec<_> = (0..4)
             .map(|seed| shared_dataset(&log, &view, &seeded(seed)))
             .collect();
-        let largest = drawn.iter().map(|(_, d)| d.bytes()).max().unwrap();
-        let smallest = drawn.iter().map(|(_, d)| d.bytes()).min().unwrap();
-        // Room for two datasets of any size, never three.
+        let sizes: Vec<usize> = drawn.iter().map(|(t, d)| entry_bytes(t, d)).collect();
+        let largest = *sizes.iter().max().unwrap();
+        let smallest = *sizes.iter().min().unwrap();
+        // Room for two entries of any size, never three.
         assert!(
             3 * smallest > 2 * largest,
-            "datasets differ too much in size"
+            "entries differ too much in size"
         );
-        let memo = SampleMemo {
-            dataset_bound: 2 * largest,
-            ..SampleMemo::default()
+        let memo = SampleMemo::with_bound(2 * largest);
+        let held = |seed: u64| memo.get(&query(), &seeded(seed)).is_some();
+        let insert = |seed: usize| {
+            let (training, dataset) = &drawn[seed];
+            memo.insert(&query(), &seeded(seed as u64), training, dataset);
         };
-        let has_dataset = |seed: u64| {
-            let (_, dataset) = memo.get(&query(), &seeded(seed)).expect("sample kept");
-            dataset.is_some()
-        };
-        for (seed, (training, dataset)) in drawn.iter().enumerate().take(3) {
-            memo.insert(&query(), &seeded(seed as u64), training);
-            memo.store_dataset(&query(), &seeded(seed as u64), dataset);
+        for seed in 0..3 {
+            insert(seed);
         }
-        // Seed 0's dataset, the least recently used, went; its sample did
-        // not.  Touching seed 1, then seed 0 (a hit that featurizes again
-        // and stores), leaves seed 2's dataset the least recently used.
-        assert!(has_dataset(1));
-        assert!(!has_dataset(0));
-        memo.store_dataset(&query(), &seeded(0), &drawn[0].1);
-        assert!(has_dataset(1));
-        assert!(has_dataset(0));
-        assert!(!has_dataset(2));
-        // A dataset larger than the bound is not stored.
-        let small = SampleMemo {
-            dataset_bound: smallest - 1,
-            ..SampleMemo::default()
-        };
-        small.insert(&query(), &seeded(3), &drawn[3].0);
-        small.store_dataset(&query(), &seeded(3), &drawn[3].1);
-        let (_, dataset) = small.get(&query(), &seeded(3)).expect("sample kept");
-        assert!(dataset.is_none());
+        // Seed 0, the least recently used, went.  Touching seed 1 makes
+        // seed 2 the least recently used, so inserting seed 0 again
+        // evicts seed 2.
+        assert!(!held(0));
+        assert!(held(1));
+        insert(0);
+        assert!(held(1));
+        assert!(held(0));
+        assert!(!held(2));
+        // Seed 1's summaries grow its entry past the room left beside
+        // seed 0's: reading seed 1 evicts seed 0, the least recently used.
+        let (training, dataset) = &drawn[1];
+        let poi = training.poi_rows(&query()).unwrap();
+        let bridge = crate::bridge::DatasetBridge::for_pair(dataset.clone(), &view, poi, 0.1);
+        for attr in 0..bridge.num_attributes() {
+            bridge.summary(attr);
+        }
+        assert!(sizes[0] + entry_bytes(training, dataset) > 2 * largest);
+        assert!(held(1));
+        assert_eq!(memo.gauges().entries, 1);
+        assert!(!held(0));
+        // An entry larger than the bound is not stored.
+        let small = SampleMemo::with_bound(smallest - 1);
+        let (training, dataset) = &drawn[3];
+        small.insert(&query(), &seeded(3), training, dataset);
+        assert!(small.get(&query(), &seeded(3)).is_none());
+        assert_eq!(small.gauges(), MemoGauges::default());
     }
 
-    /// The gauges count the datasets held, their bytes and every store: a
-    /// template's dataset is stored once however often it is offered, and
-    /// a dataset shed under the bound is stored again after its next hit.
+    /// The gauges count the entries held, their bytes (datasets and
+    /// samples) and every store: a template is stored once however often
+    /// it is inserted, and an evicted template is stored again by the
+    /// insert after its next draw.
     #[test]
     fn the_memo_gauges_count_held_datasets_and_every_store() {
         let log = synthetic_log();
@@ -1191,89 +1132,84 @@ mod tests {
         let drawn: Vec<_> = (0..2)
             .map(|seed| shared_dataset(&log, &view, &seeded(seed)))
             .collect();
-        let bytes: Vec<u64> = drawn.iter().map(|(_, d)| d.bytes() as u64).collect();
-        // Room for either dataset, not both.
-        let memo = SampleMemo::with_dataset_bound(*bytes.iter().max().unwrap() as usize);
-        let gauges = |datasets, bytes, stores| DatasetGauges {
-            datasets,
+        let bytes: Vec<u64> = drawn
+            .iter()
+            .map(|(t, d)| entry_bytes(t, d) as u64)
+            .collect();
+        // Room for either entry, not both.
+        let memo = SampleMemo::with_bound(*bytes.iter().max().unwrap() as usize);
+        let insert = |seed: usize| {
+            let (training, dataset) = &drawn[seed];
+            memo.insert(&query(), &seeded(seed as u64), training, dataset);
+        };
+        let gauges = |entries, bytes, stores| MemoGauges {
+            entries,
             bytes,
             stores,
         };
-        assert_eq!(memo.dataset_gauges(), gauges(0, 0, 0));
-        for (seed, (training, _)) in drawn.iter().enumerate() {
-            memo.insert(&query(), &seeded(seed as u64), training);
-        }
+        assert_eq!(memo.gauges(), gauges(0, 0, 0));
         for _ in 0..2 {
-            memo.store_dataset(&query(), &seeded(0), &drawn[0].1);
+            insert(0);
         }
-        assert_eq!(memo.dataset_gauges(), gauges(1, bytes[0], 1));
-        // Seed 1's dataset sheds seed 0's, the least recently used.
-        memo.store_dataset(&query(), &seeded(1), &drawn[1].1);
-        assert_eq!(memo.dataset_gauges(), gauges(1, bytes[1], 2));
-        // Seed 0's next hit finds no dataset, and stores it again.
-        let (_, dataset) = memo.get(&query(), &seeded(0)).expect("sample kept");
-        assert!(dataset.is_none());
-        memo.store_dataset(&query(), &seeded(0), &drawn[0].1);
-        assert_eq!(memo.dataset_gauges(), gauges(1, bytes[0], 3));
+        assert_eq!(memo.gauges(), gauges(1, bytes[0], 1));
+        // Seed 1's entry evicts seed 0's, the least recently used.
+        insert(1);
+        assert_eq!(memo.gauges(), gauges(1, bytes[1], 2));
+        // Seed 0's next draw misses, and its insert stores it again.
+        assert!(memo.get(&query(), &seeded(0)).is_none());
+        insert(0);
+        assert_eq!(memo.gauges(), gauges(1, bytes[0], 3));
     }
 
-    /// A hit whose dataset was shed featurizes from the memoized sample
-    /// again, stores the result, and answers exactly as the stateless
-    /// engine does.
+    /// Under a bound that holds one template, two templates asked in turn
+    /// evict each other: each template's first request of a round draws
+    /// and featurizes again, the rest hit, every answer is exactly the
+    /// stateless engine's, and the entry is held after every request.
     #[test]
-    fn a_hit_whose_dataset_was_shed_featurizes_again_and_answers_the_same() {
+    fn an_evicted_template_draws_again_and_answers_the_same() {
         use crate::explain::PerfXplain;
 
         let log = synthetic_log();
         let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
-        let engine = PerfXplain::new(ExplainConfig::default());
-        let (_, one) = shared_dataset(&log, &view, engine.config());
-        // Room for one template's dataset, not two.
-        let memo = SampleMemo {
-            dataset_bound: one.bytes() * 3 / 2,
-            ..SampleMemo::default()
-        };
-        let pairs = [("job_0", "job_1"), ("job_3", "job_1"), ("job_6", "job_7")];
-        let templates = [query(), {
-            let q = parse_query(
-                "DESPITE inputsize_compare = GT\n\
-                 OBSERVED duration_compare = GT\n\
-                 EXPECTED duration_compare = SIM",
-            )
-            .unwrap();
-            BoundQuery::new(q, "job_0", "job_1")
-        }];
         let never = CancelToken::never();
-        for round in 0..3 {
-            for template in &templates {
-                for (left, right) in pairs {
-                    let bound = BoundQuery::new(template.query.clone(), left, right);
-                    let Ok(_) = bound.verify_preconditions(&log, 0.1) else {
-                        continue;
-                    };
-                    let served = engine.explain_with_training(
-                        &log,
-                        view.clone(),
-                        &bound,
-                        false,
-                        Some(&memo),
-                        &never,
-                        None,
-                    );
-                    let fresh = engine.explain(&log, &bound);
-                    match (served, fresh) {
-                        (Ok((explanation, _, _, reused)), Ok(expected)) => {
-                            assert_eq!(explanation, expected);
-                            assert_eq!(reused, round > 0 || (left, right) != pairs[0]);
-                        }
-                        (Err(a), Err(b)) => assert_eq!(a, b),
-                        other => panic!("served and fresh diverge: {other:?}"),
-                    }
-                    // The dataset is held again after every request.
-                    let (_, dataset) = memo.get(&bound, engine.config()).expect("sample kept");
-                    assert!(dataset.is_some());
+        let serve = |engine: &PerfXplain, bound: &BoundQuery, memo: &SampleMemo| {
+            engine.explain_with_training(&log, view.clone(), bound, false, Some(memo), &never, None)
+        };
+        // Two templates: the same clauses under two seeds.
+        let engines = [0, 1].map(|seed| PerfXplain::new(ExplainConfig::default().with_seed(seed)));
+        let q = parse_query(
+            "DESPITE inputsize_compare = GT\n\
+             OBSERVED duration_compare = GT\n\
+             EXPECTED duration_compare = SIM",
+        )
+        .unwrap();
+        let asked: Vec<BoundQuery> = [("job_0", "job_1"), ("job_3", "job_1"), ("job_6", "job_7")]
+            .into_iter()
+            .map(|(left, right)| BoundQuery::new(q.clone(), left, right))
+            .collect();
+        for bound in &asked {
+            bound.verify_preconditions(&log, 0.1).unwrap();
+        }
+        // Room for either template's entry, all its summaries included,
+        // not both.
+        let sizes = engines.iter().map(|engine| {
+            let alone = SampleMemo::default();
+            for bound in &asked {
+                serve(engine, bound, &alone).unwrap();
+            }
+            alone.gauges().bytes as usize
+        });
+        let memo = SampleMemo::with_bound(sizes.max().unwrap());
+        for _round in 0..3 {
+            for engine in &engines {
+                for (at, bound) in asked.iter().enumerate() {
+                    let (explanation, _, _, reused) = serve(engine, bound, &memo).unwrap();
+                    assert_eq!(explanation, engine.explain(&log, bound).unwrap());
+                    assert_eq!(reused, at > 0);
+                    assert!(memo.get(bound, engine.config()).is_some());
                 }
             }
         }
+        assert_eq!(memo.gauges().stores, 6);
     }
 }

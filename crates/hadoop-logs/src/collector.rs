@@ -337,32 +337,6 @@ pub fn collect_traces(traces: &[JobTrace]) -> Result<ExecutionLog, HistoryParseE
     collect_bundles(&bundles)
 }
 
-/// Sharded [`collect_traces`]: rendering *and* parsing both fan out, one
-/// pool job per shard of traces.  Produces the same log as
-/// [`collect_traces`].
-pub fn collect_traces_sharded(
-    traces: &[JobTrace],
-    num_shards: usize,
-) -> Result<ExecutionLog, HistoryParseError> {
-    if num_shards <= 1 || traces.len() <= 1 {
-        return collect_traces(traces);
-    }
-    let shards: Result<Vec<ExecutionLog>, HistoryParseError> = perfxplain_core::pool::shared()
-        .map_chunks(traces, num_shards, |chunk| {
-            let collector = LogCollector::new();
-            let mut shard = ExecutionLog::new();
-            for trace in chunk {
-                let bundle = JobLogBundle::from_trace(trace);
-                collector.collect_bundle(&bundle, &mut shard)?;
-            }
-            shard.rebuild_catalogs();
-            Ok(shard)
-        })
-        .into_iter()
-        .collect();
-    Ok(ExecutionLog::from_shards(shards?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,7 +493,6 @@ mod tests {
                 serial,
                 "{shards} shards diverge"
             );
-            assert_eq!(collect_traces_sharded(&traces, shards).unwrap(), serial);
         }
     }
 

@@ -31,9 +31,7 @@ pub mod history;
 pub mod parser;
 
 pub use bundle::JobLogBundle;
-pub use collector::{
-    collect_bundles, collect_bundles_sharded, collect_traces, collect_traces_sharded, LogCollector,
-};
+pub use collector::{collect_bundles, collect_bundles_sharded, collect_traces, LogCollector};
 pub use conf::{parse_job_conf, render_job_conf};
 pub use ganglia::{parse_ganglia_csv, render_ganglia_csv, windowed_average};
 pub use history::render_job_history;

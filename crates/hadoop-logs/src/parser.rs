@@ -216,16 +216,6 @@ impl ParsedJob {
     pub fn duration(&self) -> f64 {
         self.finish_time - self.submit_time
     }
-
-    /// The map attempts.
-    pub fn map_attempts(&self) -> impl Iterator<Item = &ParsedTaskAttempt> {
-        self.attempts.iter().filter(|a| a.is_map())
-    }
-
-    /// The reduce attempts.
-    pub fn reduce_attempts(&self) -> impl Iterator<Item = &ParsedTaskAttempt> {
-        self.attempts.iter().filter(|a| !a.is_map())
-    }
 }
 
 /// Parses a history file and folds its events into a [`ParsedJob`].

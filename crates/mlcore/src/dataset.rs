@@ -71,14 +71,6 @@ impl AttrValue {
             _ => None,
         }
     }
-
-    /// Returns the nominal payload, if any.
-    pub fn as_nom(&self) -> Option<u32> {
-        match self {
-            AttrValue::Nom(v) => Some(*v),
-            _ => None,
-        }
-    }
 }
 
 /// Per-attribute dictionary interning nominal string values.  Lookups go

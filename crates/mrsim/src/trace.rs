@@ -126,11 +126,6 @@ impl JobTrace {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
-
-    /// Ganglia samples for one instance, in time order.
-    pub fn ganglia_for_instance(&self, instance: usize) -> impl Iterator<Item = &GangliaSample> {
-        self.ganglia.iter().filter(move |s| s.instance == instance)
-    }
 }
 
 /// Standard Hadoop counter names emitted by the simulator.

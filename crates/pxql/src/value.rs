@@ -52,14 +52,6 @@ impl Value {
         }
     }
 
-    /// Boolean payload, if the value is boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String payload, if the value is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

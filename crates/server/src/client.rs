@@ -2,13 +2,12 @@
 //!
 //! [`Client`] is the one-connection building block (connect, send a
 //! [`WireRequest`], read a [`WireResponse`] per line).  [`run_load`] drives
-//! an open-loop, many-client workload: every connection runs on its own
-//! thread issuing requests back to back, so with `c` connections the
-//! server sees `c` concurrent request streams regardless of how fast it
-//! answers — the arrival rate does not slow down when the server queues,
-//! which is exactly the regime admission control exists for.  The driver
-//! records per-request latency and tallies responses by kind, feeding the
-//! `smoke serve` scenario.
+//! a many-client workload, closed loop per connection: every connection
+//! runs on its own thread and sends its next request once the previous
+//! reply arrives, so with `c` connections the server sees `c` concurrent
+//! request streams, and up to `c` requests queued, whose arrival rate
+//! follows how fast it answers.  The driver records per-request latency
+//! and tallies responses by kind, feeding the `smoke serve` scenario.
 
 use crate::protocol::{WireRequest, WireResponse};
 use std::io::{BufRead, BufReader, Write};

@@ -17,8 +17,8 @@
 //!   typed `429` load shedding when the queue is full.
 //! * [`protocol`] — the line-delimited JSON codec ([`WireRequest`] /
 //!   [`WireResponse`]).
-//! * [`client`] — a blocking client plus the open-loop many-client load
-//!   driver behind the `smoke serve` scenario.
+//! * [`client`] — a blocking client plus the many-client load driver
+//!   (closed loop per connection) behind the `smoke serve` scenario.
 //!
 //! # Protocol reference
 //!
@@ -70,10 +70,10 @@
 //! cumulative `refunded_units`, the live-view delta stats
 //! (`base_rows` / `tail_rows` / `delta_refreshes` / `full_rebuilds` /
 //! `compactions` / `last_compaction_unix_ms`), and the cached views' memo
-//! gauges: `memo_datasets` and `memo_dataset_bytes` (the encoded datasets
-//! held now) and `memo_dataset_stores` (datasets stored since the views
-//! were cached; it stops growing once every asked template's dataset
-//! stays resident).
+//! gauges: `memo_datasets` and `memo_dataset_bytes` (the entries held now,
+//! each a sample with its encoded dataset, and their bytes) and
+//! `memo_dataset_stores` (entries stored since the views were cached; it
+//! stops growing once every asked template stays resident).
 //!
 //! Error responses (`status: "error"`) carry an HTTP-style `code`, a
 //! machine-readable `error` kind and a human-readable `message`:

@@ -131,12 +131,12 @@ pub struct WireResponse {
     /// Unix timestamp (ms) of the last compaction; 0 if none (status probe
     /// only).
     pub last_compaction_unix_ms: Option<u64>,
-    /// Encoded datasets held beside the cached views' memoized samples
-    /// (status probe only).
+    /// Entries (a sample with its encoded dataset) held in the cached
+    /// views' memos (status probe only).
     pub memo_datasets: Option<u64>,
-    /// Heap bytes of those datasets (status probe only).
+    /// Heap bytes of those entries, samples included (status probe only).
     pub memo_dataset_bytes: Option<u64>,
-    /// Datasets stored into the cached views' memos since those views were
+    /// Entries stored into the cached views' memos since those views were
     /// cached (status probe only).
     pub memo_dataset_stores: Option<u64>,
     /// Append-journal size in bytes, header included (status probe only;

@@ -94,9 +94,10 @@
 //! perfxplain load --addr HOST:PORT --left ID --right ID
 //!                 [--connections N] [--requests N] [--query FILE.pxql]
 //!                 [--query-text "..."] [--timeout-ms MS]
-//!     Drive an open-loop workload against a running server: N concurrent
-//!     connections each issuing back-to-back requests for the given pair,
-//!     reporting qps, p50/p99 latency and how much load was shed.
+//!     Drive a workload against a running server, closed loop per
+//!     connection: N concurrent connections each sending its next request
+//!     for the given pair once the previous reply arrives, reporting qps,
+//!     p50/p99 latency and how much load was shed.
 //! ```
 //!
 //! The query file contains a PXQL query; if its `WHERE` clause uses `?`
@@ -1232,7 +1233,8 @@ fn cmd_append(args: &Args) {
     );
 }
 
-/// Drives an open-loop many-client workload against a running server.
+/// Drives a many-client workload, closed loop per connection, against a
+/// running server.
 fn cmd_load(args: &Args) {
     use perfxplain::server::{run_load, WireRequest};
 

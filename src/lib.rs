@@ -100,9 +100,9 @@
 //!   manifest, version skew).  [`snapshot::verify`] (CLI `perfxplain
 //!   snapshot verify`) checks every fingerprint read-only.
 //! * **Warm service cache** — every later query `Arc`-shares the cached
-//!   view per (log generation, kind); pair enumeration fans out over
-//!   threads by default on large views (the `parallel` / `serial` crate
-//!   features force it on / off), with bit-identical results either way.
+//!   view per (log generation, kind); pair enumeration fans out over the
+//!   shared worker pool on large views when more than one CPU is
+//!   available, with bit-identical results either way.
 //! * **Live appends** — new executions stream into a *serving* process
 //!   without ever paying a re-encode.
 //!   [`XplainService::append`](perfxplain_core::XplainService::append)
@@ -210,8 +210,7 @@ pub mod prelude {
         XplainService,
     };
     pub use hadoop_logs::{
-        collect_bundles, collect_bundles_sharded, collect_traces, collect_traces_sharded,
-        JobLogBundle, LogCollector,
+        collect_bundles, collect_bundles_sharded, collect_traces, JobLogBundle, LogCollector,
     };
     pub use mrsim::{Cluster, ClusterSpec, JobSpec, PigScript};
     pub use pxql::{parse_predicate, parse_query, Predicate, Value};

@@ -480,7 +480,8 @@ fn appends_over_the_wire_refresh_views_by_delta() {
     assert_eq!(status.delta_refreshes, Some(0));
     // The estimate/actual difference came back to the budget mid-flight.
     assert_eq!(status.refunded_units, Some(admitted_units - charged));
-    // The query's encoded dataset is held beside its memoized sample.
+    // The query's template is one memo entry, its sample and encoded
+    // dataset together, stored once.
     assert_eq!(status.memo_datasets, Some(1));
     assert_eq!(status.memo_dataset_stores, Some(1));
     assert!(status.memo_dataset_bytes.expect("gauge reported") > 0);
