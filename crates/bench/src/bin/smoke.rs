@@ -14,7 +14,8 @@
 //! lists the names.
 //!
 //! * `ingest` — ingests a synthetic 100k-record log through the sharded
-//!   path (parallel batch inference, then the sharded columnar encode,
+//!   path (shard logs built as jobs of the shared worker pool and merged
+//!   by `ExecutionLog::from_shards`, then the sharded columnar encode,
 //!   checked bit-identical to the single-shot build) and answers one
 //!   blocked query.  Encode-path complexity regressions overshoot the
 //!   ceiling by orders of magnitude at n = 100k.
@@ -186,17 +187,20 @@ impl Drop for ChildServer {
 /// `ingest`: sharded ingest and encode of the blocked log, then one query.
 fn ingest() {
     let shards = shards();
-    let batches = blocked_log(N, GROUP_SIZE, 1)
-        .records()
-        .chunks(N.div_ceil(shards))
-        .map(<[_]>::to_vec)
-        .collect();
+    let source = blocked_log(N, GROUP_SIZE, 1);
 
     let started = Instant::now();
-    // Per-batch catalogs inferred on the shared worker pool.
-    let mut log = ExecutionLog::new();
-    log.extend_parallel(batches);
+    // One shard log per pool job, merged in shard order, as the sharded
+    // bundle collector does.
+    let shard_logs =
+        perfxplain_core::pool::shared().map_chunks(source.records(), shards, |chunk| {
+            let mut shard = ExecutionLog::new();
+            shard.append(chunk.to_vec());
+            shard
+        });
+    let log = ExecutionLog::from_shards(shard_logs);
     let ingested = started.elapsed();
+    drop(source);
     assert_eq!(log.len(), N, "ingest lost records");
 
     let sharded = ColumnarLog::build_sharded(&log, ExecutionKind::Job, shards);

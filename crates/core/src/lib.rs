@@ -108,13 +108,12 @@
 //! enumeration and clause loops observe at phase boundaries, so a serving
 //! process stays bounded in both memory and per-request latency.
 //!
-//! 1. **Ingest sharded.** [`ExecutionLog::extend_parallel`] ingests record
-//!    batches as jobs of the shared worker pool (catalogs inferred per
-//!    group of batches, merged by [`FeatureCatalog::merge`]), and
-//!    [`ExecutionLog::from_shards`] assembles independently collected shard
-//!    logs without re-scanning them — `hadoop_logs::collect_bundles_sharded`
-//!    parses history/conf/Ganglia bundles this way.  Both are exactly
-//!    equivalent to the serial push-and-rebuild path.
+//! 1. **Ingest sharded.** `hadoop_logs::collect_bundles_sharded` parses
+//!    history/conf/Ganglia bundles into one shard log per job of the shared
+//!    worker pool, and [`ExecutionLog::from_shards`] assembles them without
+//!    re-scanning them (shard catalogs merged by
+//!    [`FeatureCatalog::merge`]), exactly equivalent to the serial
+//!    push-and-rebuild path.
 //! 2. **Encode sharded, once.** [`ColumnarLog`] turns the per-kind records
 //!    into per-feature columns: numeric cells inline, nominal cells
 //!    interned by canonical PXQL text (formatted into a reused scratch
@@ -305,7 +304,10 @@
 //!     shards keep serving as a
 //!     [`PartialSnapshot`] while a targeted
 //!     [`snapshot::sync`] re-encodes *only* the quarantined shards from
-//!     source.  A full re-ingest is the **last resort**, reserved for
+//!     source.  A salvage that quarantined nothing equals a strict open,
+//!     checkpoint lineage included; after a quarantine the served log no
+//!     longer lines up with the manifest, so it has no lineage until a
+//!     checkpoint rewrites the store in full.  A full re-ingest is the **last resort**, reserved for
 //!     stores salvage cannot read at all: an unusable manifest, or a v1
 //!     store reporting [`CoreError::SnapshotVersionSkew`].
 //!     [`snapshot::verify`] audits every fingerprint read-only (CLI
@@ -321,20 +323,27 @@
 //!     [`FsyncPolicy`] (`Always` / `EveryN` /
 //!     `OnCheckpoint`), and [`AppendOutcome::durable`](service::AppendOutcome)
 //!     — surfaced on the wire as the append response's `durable` flag —
-//!     says whether *this* ack survives a crash.  On open (strict or
-//!     salvage) the journal is replayed after the manifest: frames record
-//!     the log position they were acked at, so already-checkpointed frames
-//!     skip, a torn or bit-rotted tail **truncates at the last valid
+//!     says whether *this* ack survives a crash.  On open the journal is
+//!     replayed after the manifest by one routine,
+//!     [`JournalReplay::apply`](snapshot::JournalReplay::apply), which both
+//!     service opens (strict and salvage) and the CLI's `snapshot open`
+//!     call: frames record the log position they were acked at, so
+//!     already-checkpointed frames skip and a positional gap stops the
+//!     replay; a torn or bit-rotted tail **truncates at the last valid
 //!     frame** (typed, never a panic, never a count-sized allocation), and
-//!     the replayed batches splice through the same
+//!     the service splices the replayed batches through the same
 //!     [`with_appended`](columnar::ColumnarLog::with_appended) delta path
 //!     as live appends — the restarted service answers its first query
-//!     warm, tail already in the views.  [`XplainService::checkpoint`] and
-//!     [`XplainService::persist`](service::XplainService::persist) rotate
-//!     the journal atomically (fresh journal staged before the manifest
-//!     rename, reset only after the commit), so journal bytes only ever
-//!     describe the tail beyond the snapshot.  [`verify_journal`]
-//!     audits frame checksums read-only alongside [`snapshot::verify`],
+//!     warm, tail already in the views.  The service keeps the journal and
+//!     its **checkpoint lineage** (the directory the log was last opened
+//!     from or written to, with only appends since: the rows its manifest
+//!     covers and the frames replayed at open) in one value behind one
+//!     mutex, taken before the log.  [`XplainService::checkpoint`] and
+//!     [`XplainService::persist`](service::XplainService::persist) run one
+//!     write routine that rotates the journal atomically (fresh journal
+//!     staged before the manifest rename, reset only after the commit), so
+//!     journal bytes only ever describe the tail beyond the snapshot.
+//!     [`verify_journal`] audits frame checksums read-only alongside [`snapshot::verify`],
 //!     [`JournalStats`] (bytes, frames appended /
 //!     replayed / truncated, fsyncs, last rotation generation) feeds the
 //!     server's `status` probe.  The journal's write / fsync / replay

@@ -151,13 +151,10 @@ pub struct ExecutionLog {
 }
 
 /// Infers the job and the task catalog of `records`, one pass per kind.
-pub(crate) fn infer_catalogs<'a>(
-    records: impl IntoIterator<Item = &'a ExecutionRecord> + Clone,
-) -> (FeatureCatalog, FeatureCatalog) {
+pub(crate) fn infer_catalogs(records: &[ExecutionRecord]) -> (FeatureCatalog, FeatureCatalog) {
     let of_kind = |kind: ExecutionKind| {
         records
-            .clone()
-            .into_iter()
+            .iter()
             .filter(move |r| r.kind == kind)
             .map(|r| &r.features)
     };
@@ -359,37 +356,6 @@ impl ExecutionLog {
                 .map(|shard| (shard.records, shard.job_catalog, shard.task_catalog))
                 .collect(),
         )
-    }
-
-    /// Ingests record batches in parallel: this log's records and the
-    /// batches are split into one contiguous group per thread of the shared
-    /// worker pool ([`crate::pool::shared`]), each group's catalogs are
-    /// inferred as one pool job, and the group catalogs are merged in
-    /// order.  Equivalent to extending with the concatenated batches and
-    /// rebuilding the catalogs.
-    pub fn extend_parallel(&mut self, batches: Vec<Vec<ExecutionRecord>>) {
-        let (job_catalog, task_catalog) = {
-            let parts: Vec<&[ExecutionRecord]> = std::iter::once(self.records.as_slice())
-                .chain(batches.iter().map(Vec::as_slice))
-                .collect();
-            let pool = crate::pool::shared();
-            let mut merged = (FeatureCatalog::new(), FeatureCatalog::new());
-            for group in pool.map_chunks(&parts, pool.threads(), |group| {
-                infer_catalogs(group.iter().flat_map(|part| part.iter()))
-            }) {
-                merged.0.merge(&group.0);
-                merged.1.merge(&group.1);
-            }
-            merged
-        };
-        self.job_catalog = job_catalog;
-        self.task_catalog = task_catalog;
-        let from = self.records.len();
-        self.records.reserve(batches.iter().map(Vec::len).sum());
-        self.records.extend(batches.into_iter().flatten());
-        self.index_from(from);
-        self.generation += 1;
-        self.mark_rewrite();
     }
 
     /// Recomputes the job and task feature catalogs from the stored
@@ -639,9 +605,7 @@ mod tests {
         log.extend(extra);
         assert_eq!(log.rows_of_kind(ExecutionKind::Job), 3);
 
-        log.extend_parallel(vec![vec![
-            ExecutionRecord::task("task_3_m_0", "job_3").with_feature(DURATION_FEATURE, 2.0)
-        ]]);
+        log.push(ExecutionRecord::task("task_3_m_0", "job_3").with_feature(DURATION_FEATURE, 2.0));
         assert_eq!(log.rows_of_kind(ExecutionKind::Task), 3);
 
         let merged = ExecutionLog::from_shards(vec![log.clone(), sample_log()]);
@@ -802,28 +766,5 @@ mod tests {
             Some(FeatureKind::Numeric)
         );
         assert!(merged.generation() > 0);
-    }
-
-    #[test]
-    fn extend_parallel_equals_extend() {
-        let batches = shard_batches();
-        let mut serial = sample_log();
-        let mut bulk = ExecutionLog::new();
-        for record in batches.iter().flatten() {
-            bulk.push(record.clone());
-        }
-        serial.extend(bulk);
-
-        let mut parallel = sample_log();
-        let generation_before = parallel.generation();
-        parallel.extend_parallel(batches);
-        assert_eq!(parallel, serial);
-        assert!(parallel.generation() > generation_before);
-
-        // Empty batch lists are a no-op on the records but still recompute
-        // the catalogs (mirroring `extend` with an empty log).
-        let before = parallel.clone();
-        parallel.extend_parallel(Vec::new());
-        assert_eq!(parallel, before);
     }
 }

@@ -55,6 +55,21 @@
 //!   held, their bytes and every store
 //!   ([`ViewCacheStats::memo_dataset_stores`]).  The stateless paths run
 //!   the same code and store nothing.
+//! * Where the log is stored is **one value behind one mutex**: the
+//!   write-ahead append journal ([`XplainService::enable_journal`]) and the
+//!   *checkpoint lineage*, the snapshot directory the log was last opened
+//!   from or written to while every mutation since has been an append,
+//!   with the rows its manifest covers and the journal frames replayed at
+//!   open.  Both opens ([`XplainService::open_snapshot`],
+//!   [`XplainService::open_snapshot_salvage`]) run one open routine that
+//!   replays the journal through
+//!   [`JournalReplay::apply`](crate::snapshot::JournalReplay::apply);
+//!   [`XplainService::persist`] and [`XplainService::checkpoint`] run one
+//!   write routine that rotates a journal living in the written directory
+//!   and moves the lineage there; [`XplainService::with_log_mut`] and
+//!   [`XplainService::replace_log`] drop the journal and the lineage
+//!   together.  The mutex is taken before the log, so journal frames and
+//!   in-memory appends land in the same order.
 //! * One [`QueryRequest`] carries everything a query needs — the PXQL text
 //!   (or an already-parsed/bound query), the pair of interest, per-query
 //!   config overrides, and the despite-extension / narration / assessment
@@ -439,65 +454,50 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Where the served log was last checkpointed, and how many records the
-/// checkpoint covers.  Present only while *every* mutation since has been
-/// an append — [`XplainService::with_log_mut`] / `replace_log` clear it —
-/// so [`XplainService::checkpoint`] can persist just `records[rows..]` as
-/// an incremental shard instead of re-encoding the world.
-#[derive(Debug, Clone)]
-struct CheckpointState {
-    dir: std::path::PathBuf,
-    rows: usize,
+/// Everything the service knows about where its log is stored: the append
+/// journal and the checkpoint lineage, one value behind one mutex.  Both
+/// are dropped together by every non-append mutation
+/// ([`XplainService::with_log_mut`], [`XplainService::replace_log`]):
+/// journal frames and incremental shards record log positions, and an
+/// arbitrary rewrite invalidates them.  The journal file stays on disk: its
+/// frames still describe acked history against the old manifest, which is
+/// what a crash before the next checkpoint needs.
+#[derive(Debug, Default)]
+struct Persistence {
+    /// The write-ahead append journal, when enabled
+    /// ([`XplainService::enable_journal`]).  It keeps protecting its own
+    /// directory when the log is persisted elsewhere.
+    journal: Option<crate::snapshot::Journal>,
+    lineage: Option<Lineage>,
 }
 
-/// What a journal replay left behind, kept so a later
-/// [`XplainService::enable_journal`] for the same directory can *resume*
-/// the journal (cursor after the last valid frame, replay counters seeded)
-/// instead of resetting it — a reset would discard replayed frames that no
-/// checkpoint has absorbed yet.
+/// The snapshot directory the served log was last opened from or written
+/// to, present only while every mutation since has been an append.
 #[derive(Debug)]
-struct JournalSeed {
+struct Lineage {
     dir: std::path::PathBuf,
-    replay: crate::snapshot::JournalReplay,
-    frames_applied: u64,
-    /// Log length once the replay finished: journal frames cover exactly
-    /// `records[..rows_covered]` beyond the manifest.
-    rows_covered: usize,
+    /// Rows `dir`'s manifest covers: a checkpoint into `dir` writes
+    /// `records[rows..]` as one incremental shard, and a journal created
+    /// for `dir` starts its frames there.
+    rows: usize,
+    /// The journal frames replayed when the service was opened from `dir`,
+    /// kept until a journal resumes after them or a write into `dir`
+    /// covers them: resetting the journal instead would discard acked
+    /// frames no checkpoint has absorbed yet.
+    replayed: Option<Replayed>,
 }
 
-/// Wraps a snapshot write into `dir` with the journal rotation protocol
-/// when the service journals into that directory: flush and stage the next
-/// journal generation **before** the manifest commits (a crash in between
-/// still finds the old journal covering the old manifest's tail), swap it
-/// in only after.  A failed write aborts the staged rotation and leaves
-/// the old journal authoritative.  A failed *swap* after the manifest
-/// committed deactivates journaling: the commit already unlinked the old
-/// `journal.bin`, so a handle stuck on the old inode would keep acking
-/// durability recovery could never find.
-fn with_journal_rotation(
-    journal: &mut Option<crate::snapshot::Journal>,
-    dir: &std::path::Path,
-    write: impl FnOnce() -> Result<crate::snapshot::SyncReport>,
-) -> Result<crate::snapshot::SyncReport> {
-    if !matches!(journal.as_ref(), Some(j) if j.dir() == dir) {
-        return write();
-    }
-    let j = journal.as_mut().expect("matched Some above");
-    j.sync()?;
-    j.begin_rotation()?;
-    match write() {
-        Ok(report) => {
-            if let Err(err) = j.commit_rotation(report.manifest.generation) {
-                *journal = None;
-                return Err(err);
-            }
-            Ok(report)
-        }
-        Err(err) => {
-            j.abort_rotation();
-            Err(err)
-        }
-    }
+/// What the open's journal replay left behind, for
+/// [`crate::snapshot::Journal::resume`].
+#[derive(Debug)]
+struct Replayed {
+    /// The read pass, its batches already moved into the log.
+    read: crate::snapshot::JournalReplay,
+    /// Frames the opened log covers, skipped ones included.
+    frames: u64,
+    /// Log length after the replay: the frames cover
+    /// `records[lineage.rows..rows]`.
+    rows: usize,
 }
 
 /// A long-lived, thread-safe PerfXplain query service.
@@ -537,8 +537,14 @@ fn with_journal_rotation(
 /// assert!(second.view_reused && second.sample_reused);
 /// assert_eq!(first.explanation, second.explanation);
 /// ```
+///
+/// Lock order: `persistence`, then `log`, then `views`.  Every path that
+/// touches the journal or the lineage takes `persistence` first, so
+/// journal frames and in-memory appends land in the same order; an append
+/// takes exactly one mutex before the log.
 #[derive(Debug)]
 pub struct XplainService {
+    persistence: Mutex<Persistence>,
     log: RwLock<ExecutionLog>,
     /// At most one live columnar view per execution kind, stamped with the
     /// log generation it reflects.  `Arc`d so background compaction jobs
@@ -546,15 +552,6 @@ pub struct XplainService {
     views: Arc<RwLock<HashMap<ExecutionKind, CachedView>>>,
     stats: Arc<DeltaStats>,
     compaction: CompactionPolicy,
-    checkpoint: Mutex<Option<CheckpointState>>,
-    /// The write-ahead append journal, when enabled
-    /// ([`XplainService::enable_journal`]).  Locked **before** the log on
-    /// every path that touches both, so journal frames and in-memory
-    /// appends land in the same order.  Deactivated (set to `None`) by
-    /// non-append mutations: journal frames record log positions, and an
-    /// arbitrary rewrite invalidates them.
-    journal: Mutex<Option<crate::snapshot::Journal>>,
-    journal_seed: Mutex<Option<JournalSeed>>,
     engine: PerfXplain,
 }
 
@@ -567,13 +564,11 @@ impl XplainService {
     /// Creates a service over the log with an explicit configuration.
     pub fn with_config(log: ExecutionLog, config: ExplainConfig) -> Self {
         XplainService {
+            persistence: Mutex::default(),
             log: RwLock::new(log),
             views: Arc::new(RwLock::new(HashMap::new())),
             stats: Arc::new(DeltaStats::default()),
             compaction: CompactionPolicy::default(),
-            checkpoint: Mutex::new(None),
-            journal: Mutex::new(None),
-            journal_seed: Mutex::new(None),
             engine: PerfXplain::new(config),
         }
     }
@@ -599,21 +594,18 @@ impl XplainService {
     /// instead of cloning them — the service starts **warm** at a peak
     /// memory of roughly the final views, and its first query hits the
     /// cache instead of paying a JSON parse and a full re-encode.
+    ///
+    /// The append journal's acked batches that the last checkpoint missed
+    /// are replayed over the manifest
+    /// ([`JournalReplay::apply`](crate::snapshot::JournalReplay::apply))
+    /// and spliced into the cached views, so the restart resumes with the
+    /// tail already served and warm.  The directory becomes the service's
+    /// checkpoint lineage: a later [`XplainService::checkpoint`] into it
+    /// writes only what was appended, and
+    /// [`XplainService::enable_journal`] resumes its journal after the
+    /// replayed frames.
     pub fn open_snapshot_with_config(dir: &std::path::Path, config: ExplainConfig) -> Result<Self> {
-        let snapshot = crate::snapshot::open(dir)?;
-        let service = Self::from_snapshot(snapshot, config);
-        // The directory we just opened *is* a checkpoint of the served log:
-        // future `checkpoint` calls only need to persist appended records.
-        let rows = service.with_log(|log| log.len());
-        *service.checkpoint.lock().expect("checkpoint lock poisoned") = Some(CheckpointState {
-            dir: dir.to_path_buf(),
-            rows,
-        });
-        // Replay the append journal over the manifest: acknowledged batches
-        // the last checkpoint missed splice back in through the delta path,
-        // so the restart resumes with the tail already served and warm.
-        service.replay_journal(dir)?;
-        Ok(service)
+        Self::open(dir, crate::snapshot::open(dir)?, true, config)
     }
 
     /// Rehydrates a service from a snapshot directory **leniently**
@@ -625,7 +617,14 @@ impl XplainService {
     /// only the damaged shards fresh) — or escalate to a full re-ingest if
     /// the source is gone.  The report is empty when the store was fully
     /// healthy, in which case the result equals
-    /// [`XplainService::open_snapshot_with_config`].
+    /// [`XplainService::open_snapshot_with_config`], checkpoint lineage
+    /// included.  After a quarantine the log's positions no longer match
+    /// the manifest's, so the service has no lineage: the journal replay
+    /// stops at the first positional gap, [`XplainService::enable_journal`]
+    /// fails with
+    /// [`CoreError::JournalNotAnchored`](crate::CoreError::JournalNotAnchored)
+    /// and the next [`XplainService::checkpoint`] rewrites the store in
+    /// full.
     ///
     /// Fails only when the manifest itself is unusable or *no* shard
     /// survived — an all-damaged store has nothing to serve.
@@ -645,14 +644,7 @@ impl XplainService {
                 message: format!("no healthy shards to salvage (first damage: {first})"),
             });
         }
-        let service = Self::from_snapshot(partial.into_snapshot(), config);
-        // Replay the journal over whatever survived.  Frames record
-        // absolute log positions, so when quarantined shards punched holes
-        // in the row space the positions no longer line up and the replay
-        // conservatively stops at the first gap — salvage never splices
-        // records against the wrong base.  A fully healthy store replays
-        // exactly like the strict path.
-        service.replay_journal(dir)?;
+        let service = Self::open(dir, partial.into_snapshot(), damage.is_empty(), config)?;
         Ok((service, damage))
     }
 
@@ -664,56 +656,71 @@ impl XplainService {
         Self::open_snapshot_salvage_with_config(dir, ExplainConfig::default())
     }
 
-    /// Builds a warm service from an already-loaded snapshot (strict or
-    /// salvaged): views pre-cached, decoded column buffers moved in.
-    fn from_snapshot(snapshot: crate::snapshot::Snapshot, config: ExplainConfig) -> Self {
-        let crate::snapshot::SnapshotViews { log, job, task } = snapshot.into_views();
-        let mut views = HashMap::new();
-        for view in [job, task] {
-            if view.num_rows() > 0 {
-                views.insert(
-                    view.kind(),
-                    CachedView {
-                        view: Arc::new(view),
-                        generation: log.generation(),
-                        rows_covered: log.len(),
-                        samples: Arc::default(),
-                    },
-                );
-            }
+    /// The open routine behind the strict and the salvage open: consumes
+    /// the loaded snapshot into the log and the pre-cached views, replays
+    /// `dir`'s journal over it, refreshes the cached views by delta, and
+    /// anchors the lineage in `dir` when the log is the manifest's whole
+    /// row space (`anchored`).
+    fn open(
+        dir: &std::path::Path,
+        snapshot: crate::snapshot::Snapshot,
+        anchored: bool,
+        config: ExplainConfig,
+    ) -> Result<Self> {
+        let crate::snapshot::SnapshotViews { mut log, job, task } = snapshot.into_views();
+        let (generation, rows) = (log.generation(), log.len());
+        let mut read = crate::snapshot::read_journal(dir)?;
+        let frames = read.apply(&mut log);
+        // A replayed batch that changed a kind's schema leaves that kind's
+        // view beyond delta repair; it stays lazy rather than charging a
+        // full build to the open.
+        let views: HashMap<ExecutionKind, CachedView> = [job, task]
+            .into_iter()
+            .filter(|view| view.num_rows() > 0 && generation >= log.rewrite_generation(view.kind()))
+            .map(|view| {
+                let cached = CachedView {
+                    view: Arc::new(view),
+                    generation,
+                    rows_covered: rows,
+                    samples: Arc::default(),
+                };
+                (cached.view.kind(), cached)
+            })
+            .collect();
+        let lineage = anchored.then(|| Lineage {
+            dir: dir.to_path_buf(),
+            rows,
+            replayed: Some(Replayed {
+                read,
+                frames,
+                rows: log.len(),
+            }),
+        });
+        let kinds: Vec<ExecutionKind> = views.keys().copied().collect();
+        let service = XplainService::with_config(log, config);
+        *service.views.write().expect("view cache lock poisoned") = views;
+        service
+            .persistence
+            .lock()
+            .expect("persistence lock poisoned")
+            .lineage = lineage;
+        // Splice the replayed tail into the pre-cached views now, off the
+        // query path.
+        let log = service.read_log();
+        for kind in kinds {
+            service.view_for(&log, kind);
         }
-        XplainService {
-            log: RwLock::new(log),
-            views: Arc::new(RwLock::new(views)),
-            stats: Arc::new(DeltaStats::default()),
-            compaction: CompactionPolicy::default(),
-            checkpoint: Mutex::new(None),
-            journal: Mutex::new(None),
-            journal_seed: Mutex::new(None),
-            engine: PerfXplain::new(config),
-        }
+        drop(log);
+        Ok(service)
     }
 
     /// Persists the served log as a segmented snapshot
     /// ([`crate::snapshot::persist`]), one segment per hardware thread, so
     /// the next cold start can [`XplainService::open_snapshot`] instead of
-    /// re-parsing JSON.  Runs under the read lock; concurrent queries keep
-    /// being served.
+    /// re-parsing JSON.  `dir` becomes the checkpoint lineage.  Runs under
+    /// the read lock; concurrent queries keep being served.
     pub fn persist(&self, dir: &std::path::Path) -> Result<crate::snapshot::SyncReport> {
-        let mut journal = self.journal.lock().expect("journal lock poisoned");
-        let log = self.read_log();
-        let report = with_journal_rotation(&mut journal, dir, || {
-            crate::snapshot::persist(&log, dir, crate::shard::hardware_threads())
-        })?;
-        *self.checkpoint.lock().expect("checkpoint lock poisoned") = Some(CheckpointState {
-            dir: dir.to_path_buf(),
-            rows: log.len(),
-        });
-        *self
-            .journal_seed
-            .lock()
-            .expect("journal seed lock poisoned") = None;
-        Ok(report)
+        self.write_snapshot(dir, false)
     }
 
     /// Persists the served log into `dir` **incrementally when possible**:
@@ -726,27 +733,63 @@ impl XplainService {
     /// back to a full [`XplainService::persist`].  Runs under the read
     /// lock; concurrent queries keep being served.
     pub fn checkpoint(&self, dir: &std::path::Path) -> Result<crate::snapshot::SyncReport> {
-        let mut journal = self.journal.lock().expect("journal lock poisoned");
+        self.write_snapshot(dir, true)
+    }
+
+    /// The write routine behind [`XplainService::persist`] and
+    /// [`XplainService::checkpoint`] (`incremental`).  When the journal
+    /// lives in `dir` it runs the rotation protocol: flush and stage the
+    /// next journal generation **before** the manifest commits (a crash in
+    /// between still finds the old journal covering the old manifest's
+    /// tail), swap it in only after.  A failed write aborts the staged
+    /// rotation and leaves the old journal authoritative.  Once the
+    /// manifest committed, `dir` is the lineage, covering the whole log.  A
+    /// failed *swap* then deactivates journaling: the commit already
+    /// unlinked the old `journal.bin`, so a handle stuck on the old inode
+    /// would keep acking durability recovery could never find.
+    fn write_snapshot(
+        &self,
+        dir: &std::path::Path,
+        incremental: bool,
+    ) -> Result<crate::snapshot::SyncReport> {
+        let mut state = self.persistence.lock().expect("persistence lock poisoned");
         let log = self.read_log();
-        let mut state = self.checkpoint.lock().expect("checkpoint lock poisoned");
-        let incremental_from = match &*state {
-            Some(s) if s.dir == dir && s.rows <= log.len() => Some(s.rows),
+        let Persistence { journal, lineage } = &mut *state;
+        let from = match lineage {
+            Some(l) if incremental && l.dir == dir && l.rows <= log.len() => Some(l.rows),
             _ => None,
         };
-        let report = with_journal_rotation(&mut journal, dir, || match incremental_from {
+        let mut rotating = journal.as_mut().filter(|j| j.dir() == dir);
+        if let Some(j) = rotating.as_mut() {
+            j.sync()?;
+            j.begin_rotation()?;
+        }
+        let written = match from {
             Some(rows) => {
                 crate::snapshot::sync_append(dir, &log.records()[rows..], log.generation())
             }
             None => crate::snapshot::persist(&log, dir, crate::shard::hardware_threads()),
-        })?;
-        *state = Some(CheckpointState {
+        };
+        let report = match written {
+            Ok(report) => report,
+            Err(err) => {
+                if let Some(j) = rotating {
+                    j.abort_rotation();
+                }
+                return Err(err);
+            }
+        };
+        *lineage = Some(Lineage {
             dir: dir.to_path_buf(),
             rows: log.len(),
+            replayed: None,
         });
-        *self
-            .journal_seed
-            .lock()
-            .expect("journal seed lock poisoned") = None;
+        if let Some(j) = rotating {
+            if let Err(err) = j.commit_rotation(report.manifest.generation) {
+                *journal = None;
+                return Err(err);
+            }
+        }
         Ok(report)
     }
 
@@ -779,23 +822,17 @@ impl XplainService {
     /// belong to generations at or below the pre-closure one, so nothing
     /// can survive an ordinary mutation — and a closure that swaps in a
     /// *different* log whose counter happens to collide with a cached key
-    /// must not resurrect a stale view either.
+    /// must not resurrect a stale view either.  It also deactivates the
+    /// append journal and drops the checkpoint lineage, so the next
+    /// [`XplainService::checkpoint`] is a full persist.
     pub fn with_log_mut<R>(&self, f: impl FnOnce(&mut ExecutionLog) -> R) -> R {
-        // Journal frames record log positions; an arbitrary rewrite
-        // invalidates them, so journaling deactivates (the file stays on
-        // disk — its frames still describe acked history against the old
-        // manifest, which is what a crash before the next checkpoint needs).
-        let mut journal = self.journal.lock().expect("journal lock poisoned");
-        *journal = None;
-        *self
-            .journal_seed
-            .lock()
-            .expect("journal seed lock poisoned") = None;
+        // Held until the mutation is done, so no write can record a
+        // lineage for the log `f` is rewriting.
+        let mut state = self.persistence.lock().expect("persistence lock poisoned");
+        *state = Persistence::default();
         let mut log = self.log.write().expect("log lock poisoned");
         let result = f(&mut log);
         let stale = self.take_views();
-        // Arbitrary mutation invalidates the append-only checkpoint lineage.
-        *self.checkpoint.lock().expect("checkpoint lock poisoned") = None;
         drop(log);
         drop(stale);
         result
@@ -809,18 +846,14 @@ impl XplainService {
 
     /// Replaces the served log wholesale, dropping every cached view (the
     /// new log's generation counter is unrelated to the old one's).  Like
-    /// [`XplainService::with_log_mut`] this deactivates the append journal.
+    /// [`XplainService::with_log_mut`] this deactivates the append journal
+    /// and drops the checkpoint lineage.
     pub fn replace_log(&self, log: ExecutionLog) {
-        let mut journal = self.journal.lock().expect("journal lock poisoned");
-        *journal = None;
-        *self
-            .journal_seed
-            .lock()
-            .expect("journal seed lock poisoned") = None;
+        let mut state = self.persistence.lock().expect("persistence lock poisoned");
+        *state = Persistence::default();
         let mut guard = self.log.write().expect("log lock poisoned");
         let replaced = std::mem::replace(&mut *guard, log);
         let stale = self.take_views();
-        *self.checkpoint.lock().expect("checkpoint lock poisoned") = None;
         drop(guard);
         drop((replaced, stale));
     }
@@ -837,8 +870,8 @@ impl XplainService {
     /// nothing may be acknowledged.  [`AppendOutcome::durable`] reports
     /// whether the frame was fsynced under the journal's policy.
     pub fn append(&self, records: Vec<ExecutionRecord>) -> Result<AppendOutcome> {
-        let mut journal = self.journal.lock().expect("journal lock poisoned");
-        let durable = match journal.as_mut() {
+        let mut state = self.persistence.lock().expect("persistence lock poisoned");
+        let durable = match state.journal.as_mut() {
             Some(j) => {
                 let start_rows = self.read_log().len() as u64;
                 match j.append_batch(start_rows, &records) {
@@ -850,7 +883,7 @@ impl XplainService {
                         // and any later frame would be shadowed by it on
                         // replay — stop journaling rather than desync.
                         if j.is_broken() {
-                            *journal = None;
+                            state.journal = None;
                         }
                         return Err(err);
                     }
@@ -858,14 +891,6 @@ impl XplainService {
             }
             None => false,
         };
-        Ok(self.append_in_memory(records, durable))
-    }
-
-    /// The in-memory half of an append: extend the log and retain only the
-    /// cached views whose kind saw no schema change.  Callers hold the
-    /// journal mutex (or know no journal exists), so journal frames and
-    /// log positions stay in lockstep.
-    fn append_in_memory(&self, records: Vec<ExecutionRecord>, durable: bool) -> AppendOutcome {
         let appended = records.len();
         let mut log = self.log.write().expect("log lock poisoned");
         let generation = log.append(records);
@@ -879,12 +904,13 @@ impl XplainService {
             .extract_if(|kind, entry| entry.generation < log.rewrite_generation(*kind))
             .collect();
         drop(log);
+        drop(state);
         drop(stale);
-        AppendOutcome {
+        Ok(AppendOutcome {
             generation,
             appended,
             durable,
-        }
+        })
     }
 
     /// Enables the write-ahead append journal in `dir`: every subsequent
@@ -896,58 +922,43 @@ impl XplainService {
     /// record positions relative to that directory's manifest, so an
     /// unanchored enable fails with
     /// [`CoreError::JournalNotAnchored`](crate::CoreError::JournalNotAnchored).
+    /// A salvage open that quarantined a shard leaves no lineage; one
+    /// [`XplainService::checkpoint`] into `dir` establishes it.
     ///
-    /// When the service was just opened from `dir` and replayed its
-    /// journal, the journal **resumes** after the last valid frame instead
-    /// of resetting, so replayed-but-not-yet-checkpointed frames keep
-    /// covering their records.  Records appended between the checkpoint and
-    /// this call are caught up into the journal immediately.
+    /// When the service was opened from `dir` and nothing was written into
+    /// `dir` since, the journal **resumes** after the frames the open
+    /// replayed instead of resetting, so replayed-but-not-yet-checkpointed
+    /// frames keep covering their records.  Records appended since the
+    /// journal's coverage ends are caught up into it immediately.
     pub fn enable_journal(
         &self,
         dir: &std::path::Path,
         policy: crate::snapshot::FsyncPolicy,
     ) -> Result<()> {
-        let mut journal = self.journal.lock().expect("journal lock poisoned");
-        let checkpoint_rows = {
-            let state = self.checkpoint.lock().expect("checkpoint lock poisoned");
-            match &*state {
-                Some(s) if s.dir == dir => s.rows,
-                _ => {
-                    return Err(crate::error::CoreError::JournalNotAnchored {
-                        path: dir.display().to_string(),
-                    })
-                }
-            }
+        let mut state = self.persistence.lock().expect("persistence lock poisoned");
+        let Some(lineage) = state.lineage.as_mut().filter(|l| l.dir == dir) else {
+            return Err(crate::error::CoreError::JournalNotAnchored {
+                path: dir.display().to_string(),
+            });
         };
-        let mut seed = self
-            .journal_seed
-            .lock()
-            .expect("journal seed lock poisoned");
-        let (mut new, covered) = match seed.take() {
-            Some(s) if s.dir == dir => {
-                let journal =
-                    crate::snapshot::Journal::resume(dir, policy, &s.replay, s.frames_applied)?;
-                (journal, s.rows_covered)
-            }
-            other => {
-                *seed = other;
-                (
-                    crate::snapshot::Journal::create(dir, policy)?,
-                    checkpoint_rows,
-                )
-            }
+        let (mut journal, covered) = match &lineage.replayed {
+            Some(r) => (
+                crate::snapshot::Journal::resume(dir, policy, &r.read, r.frames)?,
+                r.rows,
+            ),
+            None => (crate::snapshot::Journal::create(dir, policy)?, lineage.rows),
         };
-        drop(seed);
         // Catch up: records acked since the journal's coverage ends (e.g.
         // appended before this call) get one bridging frame, so a crash
         // from here on loses nothing the policy promised.
         {
             let log = self.read_log();
             if log.len() > covered {
-                new.append_batch(covered as u64, &log.records()[covered..])?;
+                journal.append_batch(covered as u64, &log.records()[covered..])?;
             }
         }
-        *journal = Some(new);
+        lineage.replayed = None;
+        state.journal = Some(journal);
         Ok(())
     }
 
@@ -956,7 +967,8 @@ impl XplainService {
     /// to [`FsyncPolicy::EveryN`](crate::snapshot::FsyncPolicy) and
     /// [`FsyncPolicy::OnCheckpoint`](crate::snapshot::FsyncPolicy).
     pub fn sync_journal(&self) -> Result<()> {
-        match self.journal.lock().expect("journal lock poisoned").as_mut() {
+        let mut state = self.persistence.lock().expect("persistence lock poisoned");
+        match state.journal.as_mut() {
             Some(journal) => journal.sync(),
             None => Ok(()),
         }
@@ -965,65 +977,8 @@ impl XplainService {
     /// Journal health counters for the status probe, `None` while no
     /// journal is enabled.
     pub fn journal_stats(&self) -> Option<crate::snapshot::JournalStats> {
-        self.journal
-            .lock()
-            .expect("journal lock poisoned")
-            .as_ref()
-            .map(|journal| journal.stats())
-    }
-
-    /// Replays `dir`'s append journal over the just-opened log: acked
-    /// batches the last checkpoint missed splice back in through the
-    /// regular append path (per-kind delta repair included), and the views
-    /// the snapshot pre-cached are refreshed immediately, so the first
-    /// query after a restart serves the replayed tail without a rebuild.
-    /// Frames record absolute log positions — already-covered frames are
-    /// skipped, and a positional gap stops the replay conservatively.
-    fn replay_journal(&self, dir: &std::path::Path) -> Result<u64> {
-        let mut replay = crate::snapshot::read_journal(dir)?;
-        let batches = std::mem::take(&mut replay.batches);
-        let mut covered = self.with_log(|log| log.len());
-        let mut frames_applied = 0u64;
-        for batch in batches {
-            let start = batch.start_rows as usize;
-            let count = batch.records.len();
-            if start.saturating_add(count) <= covered {
-                // Already part of the manifest (a crash landed between the
-                // checkpoint commit and the journal rotation).
-                frames_applied += 1;
-                continue;
-            }
-            if start != covered {
-                break; // positional gap: never splice against the wrong base
-            }
-            self.append_in_memory(batch.records, false);
-            covered += count;
-            frames_applied += 1;
-        }
-        // Refresh the views the snapshot pre-cached so the replayed tail is
-        // spliced now, off the query path.  Kinds without a cached view
-        // stay lazy — warming them here would charge a full build to the
-        // open.
-        let kinds: Vec<ExecutionKind> = {
-            let cache = self.views.read().expect("view cache lock poisoned");
-            cache.keys().copied().collect()
-        };
-        {
-            let log = self.read_log();
-            for kind in kinds {
-                self.view_for(&log, kind);
-            }
-        }
-        *self
-            .journal_seed
-            .lock()
-            .expect("journal seed lock poisoned") = Some(JournalSeed {
-            dir: dir.to_path_buf(),
-            replay,
-            frames_applied,
-            rows_covered: covered,
-        });
-        Ok(frames_applied)
+        let state = self.persistence.lock().expect("persistence lock poisoned");
+        state.journal.as_ref().map(|journal| journal.stats())
     }
 
     /// Synchronously folds every cached view's tail into its base
@@ -2075,6 +2030,103 @@ mod tests {
         reopened.enable_journal(&dir, FsyncPolicy::Always).unwrap();
         let expected = reopened.snapshot();
         drop(reopened);
+        let recovered = XplainService::open_snapshot(&dir).unwrap();
+        assert_eq!(recovered.snapshot(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn persisting_elsewhere_keeps_the_journal_protecting_its_own_directory() {
+        use crate::snapshot::FsyncPolicy;
+        let home = journal_dir("home");
+        let copy = journal_dir("copy");
+        let service = XplainService::new(block_size_log(40));
+        service.persist(&home).unwrap();
+        service.enable_journal(&home, FsyncPolicy::Always).unwrap();
+        service.append(extra_jobs(40, 3)).unwrap();
+
+        // A persist into another directory moves the checkpoint lineage
+        // there, but the journal keeps acking durable into its own.
+        let persisted = service.persist(&copy).unwrap();
+        let outcome = service.append(extra_jobs(43, 4)).unwrap();
+        assert!(outcome.durable);
+        assert_eq!(service.journal_stats().unwrap().frames_appended, 2);
+
+        // The copy's checkpoint is incremental: one tail shard.
+        let report = service.checkpoint(&copy).unwrap();
+        assert_eq!(report.shards_encoded, 1);
+        assert_eq!(report.shards_reused, persisted.manifest.shards.len());
+
+        // Both directories reopen to the served log: the copy from its
+        // manifest, the home from its manifest plus its journal.
+        let expected = service.snapshot();
+        drop(service);
+        for dir in [&home, &copy] {
+            assert_eq!(
+                XplainService::open_snapshot(dir).unwrap().snapshot(),
+                expected
+            );
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_healthy_salvage_open_anchors_and_resumes_the_journal() {
+        use crate::snapshot::FsyncPolicy;
+        let dir = journal_dir("salvage_healthy");
+        let service = XplainService::new(block_size_log(40));
+        service.persist(&dir).unwrap();
+        service.enable_journal(&dir, FsyncPolicy::Always).unwrap();
+        service.append(extra_jobs(40, 6)).unwrap();
+        drop(service);
+
+        // Nothing to quarantine: the salvage open equals a strict open, so
+        // the journal anchors without a checkpoint and resumes after the
+        // replayed frame.
+        let (salvaged, damage) = XplainService::open_snapshot_salvage(&dir).unwrap();
+        assert!(damage.is_empty());
+        salvaged.enable_journal(&dir, FsyncPolicy::Always).unwrap();
+        assert_eq!(salvaged.journal_stats().unwrap().frames_replayed, 1);
+        assert!(salvaged.append(extra_jobs(46, 4)).unwrap().durable);
+        let expected = salvaged.snapshot();
+        drop(salvaged);
+
+        let recovered = XplainService::open_snapshot(&dir).unwrap();
+        assert_eq!(recovered.snapshot(), expected);
+        assert_eq!(recovered.with_log(|log| log.len()), 50);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_salvage_open_reanchors_with_a_full_checkpoint() {
+        use crate::error::CoreError;
+        use crate::snapshot::FsyncPolicy;
+        let dir = journal_dir("salvage_damaged");
+        crate::snapshot::persist(&block_size_log(40), &dir, 2).unwrap();
+        let manifest = crate::snapshot::SnapshotManifest::load(&dir).unwrap();
+        let victim = dir.join(&manifest.shards[1].file);
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&victim, &bytes).unwrap();
+
+        // Quarantined rows break the log's positions against the manifest,
+        // so the salvaged service has no lineage to journal against...
+        let (salvaged, damage) = XplainService::open_snapshot_salvage(&dir).unwrap();
+        assert_eq!(damage.len(), 1);
+        let err = salvaged
+            .enable_journal(&dir, FsyncPolicy::Always)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::JournalNotAnchored { .. }));
+
+        // ... until a checkpoint rewrites the store in full.
+        let report = salvaged.checkpoint(&dir).unwrap();
+        assert_eq!(report.shards_reused, 0);
+        salvaged.enable_journal(&dir, FsyncPolicy::Always).unwrap();
+        assert!(salvaged.append(extra_jobs(40, 5)).unwrap().durable);
+        let expected = salvaged.snapshot();
+        drop(salvaged);
+
         let recovered = XplainService::open_snapshot(&dir).unwrap();
         assert_eq!(recovered.snapshot(), expected);
         let _ = std::fs::remove_dir_all(&dir);

@@ -56,6 +56,12 @@
 //!   equals [`ExecutionLog::from_shards`] over the stored shard catalogs,
 //!   **in manifest order** regardless of how the files are laid out on
 //!   disk.
+//! * **One replay routine**, [`JournalReplay::apply`], decides which
+//!   journal frames apply to a log opened from the store: frames the
+//!   manifest already covers are skipped, a positional gap stops the
+//!   replay, and the rest are appended, their records moved into the log.
+//!   Both service opens and the CLI's `snapshot open` run it over what
+//!   [`read_journal`] recovered.
 //! * **One IO helper** runs every file operation of the store and the
 //!   journal: it fires the operation's named [`mlcore::failpoints`] site
 //!   (`snapshot.manifest.read`, `snapshot.segment.write`, `journal.fsync`,
@@ -1480,7 +1486,14 @@ impl<'a> From<&'a ShardInput> for ShardRef<'a> {
 /// does not match the manifest; the recovery path is a full
 /// [`persist_shards`] with every shard fresh.
 pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
-    sync_at_generation(dir, inputs, 1)
+    let retries = AtomicU64::new(0);
+    let old = SnapshotManifest::load_with_retries(dir, &retries)?;
+    // An emptied source is a full rewrite down to one empty shard.
+    if inputs.is_empty() {
+        return persist_shards(dir, Vec::new());
+    }
+    let inputs = inputs.iter().map(ShardRef::from).collect();
+    commit(dir, Some(&old), inputs, 1, retries)
 }
 
 /// Persists `tail` — the records appended since the snapshot in `dir` was
@@ -1505,18 +1518,6 @@ pub fn sync_append(dir: &Path, tail: &[ExecutionRecord], generation: u64) -> Res
     if !tail.is_empty() {
         inputs.push(ShardRef::Fresh(tail, None));
     }
-    commit(dir, Some(&old), inputs, generation, retries)
-}
-
-/// [`sync`] recording `generation` in the committed manifest.
-fn sync_at_generation(dir: &Path, inputs: Vec<ShardInput>, generation: u64) -> Result<SyncReport> {
-    let retries = AtomicU64::new(0);
-    let old = SnapshotManifest::load_with_retries(dir, &retries)?;
-    // An emptied source is a full rewrite down to one empty shard.
-    if inputs.is_empty() {
-        return persist_shards(dir, Vec::new());
-    }
-    let inputs = inputs.iter().map(ShardRef::from).collect();
     commit(dir, Some(&old), inputs, generation, retries)
 }
 
@@ -1976,10 +1977,8 @@ fn scan_journal(dir: &Path, retries: &AtomicU64) -> Result<Option<JournalScan>> 
 /// **truncates the file at the last valid frame** when the tail is torn or
 /// corrupt (a crash mid-write is the expected way for a journal to end —
 /// it is recovery, not an error).  A missing journal replays nothing.
-///
-/// The caller applies the batches positionally: a batch belongs at
-/// [`JournalBatch::start_rows`], so frames already covered by the manifest
-/// are skipped and replay stays idempotent.
+/// [`JournalReplay::apply`] then applies the batches to the log opened
+/// from the same directory.
 pub fn read_journal(dir: &Path) -> Result<JournalReplay> {
     let retries = AtomicU64::new(0);
     let Some(scan) = scan_journal(dir, &retries)? else {
@@ -2000,6 +1999,36 @@ pub fn read_journal(dir: &Path) -> Result<JournalReplay> {
         frames_truncated,
         io_retries: retries.load(Ordering::Relaxed),
     })
+}
+
+impl JournalReplay {
+    /// Applies the recovered batches to `log`, the log just opened from the
+    /// journal's directory, positionally: a batch belongs at
+    /// [`JournalBatch::start_rows`].  A batch `log` already covers is
+    /// skipped (a crash landed between a checkpoint's manifest commit and
+    /// its journal rotation), so replay stays idempotent; a positional gap
+    /// stops the replay, since splicing records against the wrong base is
+    /// worse than losing them (a salvage that quarantined a shard shifts
+    /// every later position); every other batch is appended, its records
+    /// moved into the log, not cloned.  The batches are consumed.
+    ///
+    /// Returns how many frames `log` now covers, skipped ones included.
+    pub fn apply(&mut self, log: &mut ExecutionLog) -> u64 {
+        let mut frames = 0;
+        for batch in std::mem::take(&mut self.batches) {
+            let start = batch.start_rows as usize;
+            if start.saturating_add(batch.records.len()) <= log.len() {
+                frames += 1;
+                continue;
+            }
+            if start != log.len() {
+                break;
+            }
+            log.append(batch.records);
+            frames += 1;
+        }
+        frames
+    }
 }
 
 /// Read-only journal audit for `snapshot verify`: decodes every frame
@@ -2988,6 +3017,35 @@ mod tests {
             expected_rows += expected.len() as u64;
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn journal_replay_skips_covered_frames_and_stops_at_a_gap() {
+        let mut log = ExecutionLog::new();
+        log.append(journal_batch(0, 3));
+        let frame = |start_rows, tag| JournalBatch {
+            start_rows,
+            records: journal_batch(tag, 2),
+        };
+        let mut replay = JournalReplay {
+            // Covered by the log, then two in place, then a gap: the frame
+            // after the gap would fit the log's length but must not apply.
+            batches: vec![
+                frame(1, 1),
+                frame(3, 2),
+                frame(5, 3),
+                frame(9, 4),
+                frame(7, 5),
+            ],
+            ..JournalReplay::default()
+        };
+        assert_eq!(replay.apply(&mut log), 3);
+        assert!(replay.batches.is_empty());
+        let mut expected = ExecutionLog::new();
+        for tag in [0, 2, 3] {
+            expected.append(journal_batch(tag, if tag == 0 { 3 } else { 2 }));
+        }
+        assert_eq!(log, expected);
     }
 
     #[test]

@@ -102,27 +102,16 @@ const TASK_COUNTERS: &[&str] = &[
     "COMBINE_OUTPUT_RECORDS",
 ];
 
-/// The feature collector.
+/// The feature collector.  A bundle with an empty Ganglia dump (a
+/// deployment without cluster monitoring) yields records without the
+/// monitoring averages.
 #[derive(Debug, Clone, Default)]
-pub struct LogCollector {
-    /// Whether Ganglia averages are collected (on by default; disabling them
-    /// reproduces a deployment without cluster monitoring).
-    pub include_ganglia: bool,
-}
+pub struct LogCollector;
 
 impl LogCollector {
-    /// Creates a collector with the default configuration.
+    /// Creates a collector.
     pub fn new() -> Self {
-        LogCollector {
-            include_ganglia: true,
-        }
-    }
-
-    /// Creates a collector that ignores the Ganglia dumps.
-    pub fn without_ganglia() -> Self {
-        LogCollector {
-            include_ganglia: false,
-        }
+        LogCollector
     }
 
     /// Collects one bundle into job + task records appended to `log`.
@@ -133,11 +122,7 @@ impl LogCollector {
     ) -> Result<(), HistoryParseError> {
         let job = parse_job_history(&bundle.history)?;
         let conf = parse_job_conf(&bundle.conf_xml);
-        let rows = if self.include_ganglia {
-            parse_ganglia_csv(&bundle.ganglia_csv)
-        } else {
-            Vec::new()
-        };
+        let rows = parse_ganglia_csv(&bundle.ganglia_csv);
 
         log.push(self.job_record(&job, &conf, &rows));
         for attempt in &job.attempts {
@@ -192,7 +177,7 @@ impl LogCollector {
             }
         }
 
-        if self.include_ganglia && !rows.is_empty() {
+        if !rows.is_empty() {
             // Average every metric across the tasks of the job (each task
             // contributes the average over its own window on its own host),
             // exactly how the paper percolates monitoring data up to jobs.
@@ -272,7 +257,7 @@ impl LogCollector {
         record.set_feature("iosortfactor", Self::conf_num(conf, keys::IO_SORT_FACTOR));
         record.set_feature("numreducetasks", Self::conf_num(conf, keys::REDUCE_TASKS));
 
-        if self.include_ganglia && !rows.is_empty() {
+        if !rows.is_empty() {
             let averages = windowed_average_or_nearest(
                 rows,
                 &attempt.hostname,
@@ -463,11 +448,12 @@ mod tests {
     #[test]
     fn collector_without_ganglia_omits_averages() {
         let traces = traces();
-        let bundles: Vec<JobLogBundle> = traces.iter().map(JobLogBundle::from_trace).collect();
-        let collector = LogCollector::without_ganglia();
+        let collector = LogCollector::new();
         let mut log = ExecutionLog::new();
-        for bundle in &bundles {
-            collector.collect_bundle(bundle, &mut log).unwrap();
+        for trace in &traces {
+            let mut bundle = JobLogBundle::from_trace(trace);
+            bundle.ganglia_csv = String::new();
+            collector.collect_bundle(&bundle, &mut log).unwrap();
         }
         log.rebuild_catalogs();
         assert!(log.job_catalog().get("avg_cpu_user").is_none());

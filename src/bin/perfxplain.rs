@@ -25,8 +25,8 @@
 //! perfxplain snapshot open --snapshot <dir> [--out log.json]
 //!     Open a snapshot: verify every shard fingerprint, reassemble the log
 //!     and both columnar views from the stored binary columns (no JSON, no
-//!     re-encode), print per-phase timings; optionally write the log back
-//!     out as JSON.
+//!     re-encode), replay the append journal's un-checkpointed tail, print
+//!     per-phase timings; optionally write the log back out as JSON.
 //!
 //! perfxplain snapshot verify --snapshot <dir>
 //!     Fingerprint-check every segment without building any views: print
@@ -575,24 +575,11 @@ fn cmd_snapshot(action: &str, args: &Args) {
 
             // Replay the append journal, if one is present: acked batches
             // the last checkpoint missed belong to the log the user asked
-            // to open.  Frames carry the log position they were acked at,
-            // so already-checkpointed frames skip and a positional gap
-            // stops the replay conservatively — the same contract as the
-            // service's restart path.
-            let replay = snapshot::read_journal(dir).unwrap_or_else(|e| fail(&e.to_string()));
-            let mut replayed_rows = 0usize;
-            for batch in replay.batches {
-                let start = batch.start_rows as usize;
-                let count = batch.records.len();
-                if start.saturating_add(count) <= log.len() {
-                    continue;
-                }
-                if start != log.len() {
-                    break;
-                }
-                log.append(batch.records);
-                replayed_rows += count;
-            }
+            // to open, exactly as a restarted service replays them.
+            let mut replay = snapshot::read_journal(dir).unwrap_or_else(|e| fail(&e.to_string()));
+            let checkpointed_rows = log.len();
+            replay.apply(&mut log);
+            let replayed_rows = log.len() - checkpointed_rows;
 
             println!(
                 "  open    : {:>10}  ({} shard(s), fingerprints verified)",
@@ -1058,9 +1045,10 @@ fn cmd_serve(args: &Args) {
         let dir = checkpoint_dir.as_deref().unwrap_or_else(|| {
             fail("--fsync requires --checkpoint <dir> (the journal lives there)")
         });
-        // The journal needs checkpoint lineage in its directory: a strict
-        // snapshot open from the same dir already has it, a salvage open
-        // or a --log start does not — establish it with one checkpoint.
+        // The journal needs checkpoint lineage in its directory: a snapshot
+        // open from the same dir already has it, a salvage open that
+        // quarantined a shard or a --log start does not — establish it
+        // with one checkpoint.
         if let Err(err) = service.enable_journal(dir, policy) {
             match err {
                 CoreError::JournalNotAnchored { .. } => {

@@ -69,9 +69,8 @@
 //!   source change.  `hadoop_logs::collect_bundles_sharded(&bundles,
 //!   shards)` parses job log bundles as jobs of the shared worker pool
 //!   ([`mlcore::pool::shared`]) and merges the per-shard logs
-//!   ([`ExecutionLog::from_shards`] /
-//!   [`ExecutionLog::extend_parallel`](perfxplain_core::ExecutionLog::extend_parallel))
-//!   into a log identical to a serial ingest; the columnar view encodes
+//!   ([`ExecutionLog::from_shards`]) into a log identical to a serial
+//!   ingest; the columnar view encodes
 //!   per shard with local dictionaries and merges by dictionary remapping
 //!   ([`ColumnarLog::build_sharded`](perfxplain_core::ColumnarLog::build_sharded)),
 //!   bit-identical to the single-shot build, auto-enabled by the

@@ -449,10 +449,20 @@ fn journal_batch(batch: usize, rows: usize) -> Vec<ExecutionRecord> {
             let id = batch * 100 + row;
             let job = ExecutionRecord::job(format!("jl_job_{id}"))
                 .with_feature("inputsize", 1.0e9 + id as f64)
-                .with_feature("blocksize", if id % 2 == 0 { 1024.0 } else { 64.0 })
+                .with_feature(
+                    "blocksize",
+                    if id.is_multiple_of(2) { 1024.0 } else { 64.0 },
+                )
                 .with_feature("duration", 60.0 + id as f64);
             let task = ExecutionRecord::task(format!("jl_task_{id}"), format!("jl_job_{id}"))
-                .with_feature("tasktype", if id % 2 == 0 { "MAP" } else { "REDUCE" })
+                .with_feature(
+                    "tasktype",
+                    if id.is_multiple_of(2) {
+                        "MAP"
+                    } else {
+                        "REDUCE"
+                    },
+                )
                 .with_feature("duration", 6.0 + id as f64);
             [job, task]
         })
@@ -651,6 +661,21 @@ fn failed_rotation_swap_deactivates_journaling_instead_of_lying() {
     let mut expected = journal_base_log();
     expected.append(journal_batch(0, 2));
     assert_eq!(reopened.snapshot(), expected);
+    drop(reopened);
+
+    // The manifest committed, so the lineage moved with it: the next
+    // checkpoint writes only what was appended since, never the committed
+    // rows a second time.
+    let report = service
+        .checkpoint(&dir)
+        .expect("checkpoint after the failed swap");
+    assert_eq!(report.shards_encoded, 1);
+    assert_eq!(
+        XplainService::open_snapshot(&dir)
+            .expect("reopen")
+            .snapshot(),
+        service.snapshot()
+    );
 
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(start.elapsed() < CEILING);

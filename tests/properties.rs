@@ -795,12 +795,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(&ExecutionLog::from_shards(shard_logs), &log);
-
-        let mut parallel = ExecutionLog::new();
-        parallel.extend_parallel(
-            records.chunks(chunk_size).map(<[ExecutionRecord]>::to_vec).collect(),
-        );
-        prop_assert_eq!(&parallel, &log);
     }
 
     /// The encoded end-to-end engine produces explanations identical to the
@@ -2105,8 +2099,7 @@ proptest! {
 
     /// The log's one id index equals a scan after every mutation and
     /// constructor a log can go through: `push`, `append`, `extend`,
-    /// `extend_parallel`, `from_shards`, `restrict_to_jobs` and a JSON round
-    /// trip.  Views built fresh, and views refreshed through the append
+    /// `from_shards`, `restrict_to_jobs` and a JSON round trip.  Views built fresh, and views refreshed through the append
     /// tail, resolve ids through it to the same record.
     #[test]
     fn the_log_id_index_equals_a_scan_after_every_mutation(seed in 0u64..1_000_000) {
@@ -2133,7 +2126,7 @@ proptest! {
             let views = [ExecutionKind::Job, ExecutionKind::Task].map(|kind| ColumnarLog::build(&log, kind));
             let (covered, generation) = (log.len(), log.generation());
             let mut delta = Vec::new();
-            match draw() % 7 {
+            match draw() % 6 {
                 0 => log.push(index_record(draw())),
                 1 => {
                     log.append(batch(&mut draw));
@@ -2145,14 +2138,10 @@ proptest! {
                 }
                 2 => log.extend(shard(batch(&mut draw))),
                 3 => {
-                    let batches = (0..draw() % 3).map(|_| batch(&mut draw)).collect();
-                    log.extend_parallel(batches);
-                }
-                4 => {
                     let other = shard(batch(&mut draw));
                     log = ExecutionLog::from_shards(vec![log, other]);
                 }
-                5 => {
+                4 => {
                     let keep: Vec<&str> =
                         INDEX_IDS.iter().copied().filter(|_| draw() % 3 != 0).collect();
                     log = log.restrict_to_jobs(&keep);

@@ -145,10 +145,9 @@ fn external_threads_share_one_service_and_agree() {
 /// attributes), so on a multi-core host each answer fans out on the shared
 /// pool from inside a batch chunk that holds a read guard, while more batch
 /// chunks than pool threads wait in the queue and a writer keeps queueing
-/// behind those guards: plain appends, and rewrites whose
-/// `extend_parallel` fans out under the write guard.  A waiter that ran
-/// another batch's chunk would take a second guard on the log it already
-/// holds, behind the queued writer or under its own write guard, and
+/// behind those guards: plain appends, and rewrites through
+/// `with_log_mut`.  A waiter that ran another batch's chunk would take a
+/// second guard on the log it already holds, behind the queued writer, and
 /// deadlock.  The threads are detached, so a deadlock fails the bounded
 /// waits below instead of hanging the test.
 #[test]
@@ -195,7 +194,9 @@ fn batches_and_a_writer_finish_together() {
                 if written.is_multiple_of(2) {
                     service.append(vec![record]).expect("append succeeds");
                 } else {
-                    service.with_log_mut(|log| log.extend_parallel(vec![vec![record]]));
+                    let mut batch = ExecutionLog::new();
+                    batch.push(record);
+                    service.with_log_mut(|log| log.extend(batch));
                 }
                 written += 1;
             }

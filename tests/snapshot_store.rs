@@ -653,6 +653,52 @@ fn cli_ingest_reencodes_only_dirty_shards() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `snapshot open` replays the append journal's un-checkpointed tail, so
+/// the log it writes out is the one a service reopening the store serves.
+#[test]
+fn cli_snapshot_open_replays_the_journal_tail() {
+    let dir = test_dir("cli_open_journal");
+    let store = dir.join("store");
+    let service = XplainService::new(block_size_log(40));
+    service.persist(&store).unwrap();
+    service
+        .enable_journal(&store, perfxplain::snapshot::FsyncPolicy::Always)
+        .unwrap();
+    let tail: Vec<ExecutionRecord> = (0..7)
+        .map(|i| {
+            ExecutionRecord::job(format!("job_tail_{i}"))
+                .with_feature("inputsize", 1.0e9 + i as f64)
+                .with_feature("blocksize", 64.0)
+                .with_feature("duration", 20.0 + i as f64)
+        })
+        .collect();
+    service.append(tail[..3].to_vec()).unwrap();
+    service.append(tail[3..].to_vec()).unwrap();
+    drop(service);
+
+    let out = dir.join("open.json");
+    let (store_arg, out_arg) = (store.display().to_string(), out.display().to_string());
+    let (stdout, _) = run_cli(&[
+        "snapshot",
+        "open",
+        "--snapshot",
+        store_arg.as_str(),
+        "--out",
+        out_arg.as_str(),
+    ]);
+    assert!(
+        stdout.contains("7 acked row(s) replayed"),
+        "open stdout:\n{stdout}"
+    );
+    let written = ExecutionLog::from_json(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    assert_eq!(written.len(), block_size_log(40).len() + 7);
+    assert_eq!(
+        written,
+        XplainService::open_snapshot(&store).unwrap().snapshot()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `snapshot verify` reports damage per shard and exits non-zero, without
 /// touching the store (no quarantining — verification is read-only).
 #[test]
