@@ -13,6 +13,10 @@
 //!   answers one query.  The baseline is the full re-encode a non-delta
 //!   cache would pay after every append.
 //!
+//! The bench pins itself to one CPU before anything is timed, as pxbench
+//! does, so its numbers compare from run to run and host to host; the open
+//! probe inherits the pin.
+//!
 //! Each scenario runs one untimed warm-up, then [`TRIALS`] trials.
 //! `BENCH_scale_1m.json` at the workspace root records the median, min and
 //! max of every measurement, with the trial count, the git revision and the
@@ -287,10 +291,48 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Pins the calling thread, and so every thread and child process it starts
+/// afterwards, to the highest-numbered CPU it may run on, with the same
+/// affinity calls as pxbench.  The worker pool and the parallel phases size
+/// themselves from the affinity mask, so the bench then runs as on a
+/// one-core host.  Returns the CPU, or `None` where affinity cannot be set.
+fn pin_to_one_cpu() -> Option<usize> {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+            fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+        }
+        let mut mask = [0u64; 16];
+        let size = std::mem::size_of_val(&mask);
+        // SAFETY: both calls read or write exactly `size` bytes of a buffer
+        // of that size; pid 0 is the calling thread.
+        if unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) } != 0 {
+            return None;
+        }
+        let cpu = (0..size * 8)
+            .rev()
+            .find(|&c| (mask[c / 64] >> (c % 64)) & 1 == 1)?;
+        let mut one = [0u64; 16];
+        one[cpu / 64] = 1 << (cpu % 64);
+        // SAFETY: as above.
+        if unsafe { sched_setaffinity(0, size, one.as_ptr()) } != 0 {
+            return None;
+        }
+        Some(cpu)
+    }
+    #[cfg(not(target_os = "linux"))]
+    None
+}
+
 fn main() {
     if let Ok(dir) = std::env::var(OPEN_PROBE_ENV) {
         run_open_probe(Path::new(&dir));
         return;
+    }
+    match pin_to_one_cpu() {
+        Some(cpu) => println!("pinned to CPU {cpu}"),
+        None => println!("could not pin to one CPU; timing unpinned"),
     }
 
     let cold_open = cold_open();

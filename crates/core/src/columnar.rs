@@ -157,44 +157,49 @@ pub(crate) fn positions_of(
 /// the shared catalog.  Cells are stored by *value* type: numeric values
 /// inline, everything else interned by canonical text, so mixed-type
 /// features keep the exact comparison semantics of the map-based path.
+/// Records are read one at a time, every column's cell of a record before
+/// the next record, so each record's features are fetched from memory once.
 pub(crate) fn encode_segment(
     catalog: &FeatureCatalog,
     records: &[ExecutionRecord],
     positions: &[usize],
 ) -> EncodedSegment {
     use std::fmt::Write as _;
-    let mut attributes = Vec::with_capacity(catalog.len());
-    let mut columns = Vec::with_capacity(catalog.len());
-    let mut originals = Vec::with_capacity(catalog.len());
+    let mut attributes: Vec<Attribute> = catalog
+        .defs()
+        .iter()
+        .map(|def| match def.kind {
+            FeatureKind::Numeric => Attribute::numeric(def.name.clone()),
+            FeatureKind::Nominal => Attribute::nominal(def.name.clone()),
+        })
+        .collect();
+    let mut columns: Vec<Vec<AttrValue>> = catalog
+        .defs()
+        .iter()
+        .map(|_| Vec::with_capacity(positions.len()))
+        .collect();
+    let mut originals: Vec<Vec<Value>> = vec![Vec::new(); catalog.len()];
     // Canonical-text scratch buffer, reused across cells: interning must not
     // cost one heap allocation per record.
     let mut text = String::new();
-    for def in catalog.defs() {
-        let mut attribute = match def.kind {
-            FeatureKind::Numeric => Attribute::numeric(def.name.clone()),
-            FeatureKind::Nominal => Attribute::nominal(def.name.clone()),
-        };
-        let mut column = Vec::with_capacity(positions.len());
-        let mut column_originals: Vec<Value> = Vec::new();
-        for &at in positions {
-            let cell = match records[at].features.get(&def.name) {
+    for &at in positions {
+        let record = &records[at];
+        for (col, def) in catalog.defs().iter().enumerate() {
+            let cell = match record.feature_ref(&def.name) {
                 None | Some(Value::Null) => AttrValue::Missing,
                 Some(Value::Num(v)) => AttrValue::Num(*v),
                 Some(value) => {
                     text.clear();
                     write!(text, "{value}").expect("formatting into a String cannot fail");
-                    let id = attribute.dictionary.intern(&text);
-                    if id as usize == column_originals.len() {
-                        column_originals.push(value.clone());
+                    let id = attributes[col].dictionary.intern(&text);
+                    if id as usize == originals[col].len() {
+                        originals[col].push(value.clone());
                     }
                     AttrValue::Nom(id)
                 }
             };
-            column.push(cell);
+            columns[col].push(cell);
         }
-        attributes.push(attribute);
-        columns.push(column);
-        originals.push(column_originals);
     }
     EncodedSegment {
         store: ColumnStore::from_columns(attributes, columns),

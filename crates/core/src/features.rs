@@ -145,22 +145,32 @@ impl FeatureCatalog {
             .collect();
     }
 
-    /// Infers a catalog from a set of feature maps: a feature observed with
-    /// any numeric value is numeric, otherwise nominal.  Features seen only
-    /// as `Null` default to nominal.
-    pub fn infer<'a>(feature_maps: impl IntoIterator<Item = &'a BTreeMap<String, Value>>) -> Self {
+    /// Infers a catalog from the features of a set of records, each given
+    /// as its `(name, value)` pairs: a feature observed with any numeric
+    /// value is numeric, otherwise nominal.  Features seen only as `Null`
+    /// default to nominal.  A name is copied once, when first seen.
+    pub fn infer<'a, R, N>(records: impl IntoIterator<Item = R>) -> Self
+    where
+        R: IntoIterator<Item = (N, &'a Value)>,
+        N: AsRef<str>,
+    {
         let mut kinds: BTreeMap<String, Option<FeatureKind>> = BTreeMap::new();
-        for map in feature_maps {
-            for (name, value) in map {
-                let entry = kinds.entry(name.clone()).or_insert(None);
-                match value {
-                    Value::Num(_) => *entry = Some(FeatureKind::Numeric),
+        for record in records {
+            for (name, value) in record {
+                let seen = match value {
+                    Value::Num(_) => Some(FeatureKind::Numeric),
                     Value::Str(_) | Value::Bool(_) | Value::Pair(_, _) => {
-                        if entry.is_none() {
-                            *entry = Some(FeatureKind::Nominal);
-                        }
+                        Some(FeatureKind::Nominal)
                     }
-                    Value::Null => {}
+                    Value::Null => None,
+                };
+                match kinds.get_mut(name.as_ref()) {
+                    // Numeric stays numeric; a `Null` changes nothing.
+                    Some(kind) if *kind != Some(FeatureKind::Numeric) => *kind = seen.or(*kind),
+                    Some(_) => {}
+                    None => {
+                        kinds.insert(name.as_ref().to_string(), seen);
+                    }
                 }
             }
         }

@@ -241,8 +241,10 @@
 //!    frame-of-reference/delta coded, a raw fallback that keeps NaN/±inf/
 //!    −0.0 bit-exact), and the records block stores **only** the features
 //!    the columns cannot reproduce bit-exactly (`Null` values,
-//!    canonical-text collisions) — everything else is rebuilt from the
+//!    canonical-text collisions) — everything else is read back from the
 //!    columns on open, which is where the ≥2× on-disk shrink comes from.
+//!    The open builds each record's feature slice once, from its segment
+//!    row plus its exceptions, under one shared name per feature.
 //!    A cold start ([`snapshot::open`] →
 //!    [`Snapshot::into_views`](snapshot::Snapshot::into_views), or
 //!    [`XplainService::open_snapshot`](service::XplainService::open_snapshot)

@@ -484,8 +484,10 @@ mod tests {
     fn missing_raw_values_propagate_as_missing() {
         let catalog = catalog();
         let a = job("job_a", 1.0e9, 8.0, "simple-filter.pig", 100.0);
-        let mut b = job("job_b", 1.0e9, 8.0, "simple-filter.pig", 100.0);
-        b.features.remove("numinstances");
+        let b = ExecutionRecord::job("job_b")
+            .with_feature("inputsize", 1.0e9)
+            .with_feature("pigscript", "simple-filter.pig")
+            .with_feature("duration", 100.0);
         let pair = PairExample::build(&catalog, &a, &b, DEFAULT_SIM_THRESHOLD);
         assert!(pair.feature("numinstances_isSame").is_null());
         assert!(pair.feature("numinstances_compare").is_null());

@@ -10,7 +10,9 @@ use crate::error::{CoreError, Result};
 use crate::features::{FeatureCatalog, DURATION_FEATURE};
 use pxql::{FeatureSource, SubjectKind, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::sync::Arc;
 
 /// Whether a record describes a job or a task execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -41,7 +43,18 @@ impl ExecutionKind {
 }
 
 /// One job or task execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Its features are one boxed slice of `(name, value)` pairs, sorted by
+/// name, each name at most once; only this module knows that layout, the
+/// rest of the workspace reads features through [`ExecutionRecord::feature`]
+/// and [`ExecutionRecord::features`].  A
+/// name is an `Arc<str>`: a record built by hand owns its names, while a
+/// record inside an [`ExecutionLog`] shares each name with every other
+/// record of that log.  Sharing changes memory only: equality, `Debug` and
+/// the JSON form read names by their text, so a logged record prints and
+/// compares like its builder copy.  A feature set to [`Value::Null`] is kept
+/// as such (it serializes as `null`, unlike an absent feature).
+#[derive(Clone, PartialEq)]
 pub struct ExecutionRecord {
     /// Unique identifier (`job_…` or `task_…`).
     pub id: String,
@@ -49,56 +62,221 @@ pub struct ExecutionRecord {
     pub kind: ExecutionKind,
     /// For tasks: the job they belong to.
     pub parent_job: Option<String>,
-    /// Raw feature values (the catalog gives their kinds).
-    pub features: BTreeMap<String, Value>,
+    /// Raw feature values (the catalog gives their kinds), sorted by name.
+    features: Box<[(Arc<str>, Value)]>,
 }
 
 impl ExecutionRecord {
     /// Creates a job record.
     pub fn job(id: impl Into<String>) -> Self {
-        ExecutionRecord {
-            id: id.into(),
-            kind: ExecutionKind::Job,
-            parent_job: None,
-            features: BTreeMap::new(),
-        }
+        ExecutionRecord::from_pairs(id.into(), ExecutionKind::Job, None, Vec::new())
     }
 
     /// Creates a task record belonging to `parent_job`.
     pub fn task(id: impl Into<String>, parent_job: impl Into<String>) -> Self {
+        ExecutionRecord::from_pairs(
+            id.into(),
+            ExecutionKind::Task,
+            Some(parent_job.into()),
+            Vec::new(),
+        )
+    }
+
+    /// Crate-internal: builds a record from its `(name, value)` pairs, the
+    /// one constructor of records created in bulk (a JSON load, a snapshot's
+    /// segments and journal frames).  The pairs may come in any order; of
+    /// two pairs with one name the later wins.  Sorted pairs without a
+    /// repeated name are kept as they are.
+    pub(crate) fn from_pairs(
+        id: String,
+        kind: ExecutionKind,
+        parent_job: Option<String>,
+        mut features: Vec<(Arc<str>, Value)>,
+    ) -> Self {
+        if !features.is_sorted_by(|a, b| a.0 < b.0) {
+            features.sort_by(|a, b| a.0.cmp(&b.0));
+            features.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(&mut later.1, &mut kept.1);
+                }
+                same
+            });
+        }
         ExecutionRecord {
-            id: id.into(),
-            kind: ExecutionKind::Task,
-            parent_job: Some(parent_job.into()),
-            features: BTreeMap::new(),
+            id,
+            kind,
+            parent_job,
+            features: features.into_boxed_slice(),
         }
     }
 
     /// Sets a feature value (builder style).
     pub fn with_feature(mut self, name: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.features.insert(name.into(), value.into());
+        self.set_feature(name, value);
         self
     }
 
     /// Sets a feature value.
     pub fn set_feature(&mut self, name: impl Into<String>, value: impl Into<Value>) {
-        self.features.insert(name.into(), value.into());
+        let name = name.into();
+        let value = value.into();
+        match self.position(&name) {
+            Ok(at) => self.features[at].1 = value,
+            Err(at) => {
+                let mut features = std::mem::take(&mut self.features).into_vec();
+                features.reserve_exact(1);
+                features.insert(at, (Arc::from(name), value));
+                self.features = features.into_boxed_slice();
+            }
+        }
+    }
+
+    /// Where `name` sits in the sorted features, or where it would go.
+    fn position(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.features
+            .binary_search_by(|(held, _)| (**held).cmp(name))
     }
 
     /// Reads a feature value (missing features read as `Null`).
     pub fn feature(&self, name: &str) -> Value {
-        self.features.get(name).cloned().unwrap_or(Value::Null)
+        self.feature_ref(name).cloned().unwrap_or(Value::Null)
+    }
+
+    /// Borrows a feature value (`None` when the record has no such
+    /// feature; `Some(Null)` when it was set to `Null`).
+    pub(crate) fn feature_ref(&self, name: &str) -> Option<&Value> {
+        self.position(name).ok().map(|at| &self.features[at].1)
+    }
+
+    /// Every feature as `(name, value)`, in name order.
+    pub fn features(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> + '_ {
+        self.features.iter().map(|(name, value)| (&**name, value))
     }
 
     /// The execution duration in seconds (the `duration` feature), if set.
     pub fn duration(&self) -> Option<f64> {
-        self.features.get(DURATION_FEATURE).and_then(Value::as_num)
+        self.feature_ref(DURATION_FEATURE).and_then(Value::as_num)
+    }
+
+    /// Reads a record from its serialized form; `name` makes the `Arc` of
+    /// each feature name, so a log can share them while it loads.
+    fn from_content(
+        content: &serde::Content,
+        mut name: impl FnMut(&str) -> Arc<str>,
+    ) -> std::result::Result<Self, serde::DeError> {
+        let entries = content
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("map", "ExecutionRecord"))?;
+        let field = |key| serde::Content::field(entries, key);
+        let id = Deserialize::deserialize(field("id"))?;
+        let kind = Deserialize::deserialize(field("kind"))?;
+        let parent_job = Deserialize::deserialize(field("parent_job"))?;
+        let features = match field("features") {
+            serde::Content::Map(features) => features
+                .iter()
+                .map(|(key, value)| Ok((name(key), Value::deserialize(value)?)))
+                .collect::<std::result::Result<Vec<_>, serde::DeError>>()?,
+            other => {
+                return Err(serde::DeError::new(format!(
+                    "expected object, found {other:?}"
+                )))
+            }
+        };
+        Ok(ExecutionRecord::from_pairs(id, kind, parent_job, features))
     }
 }
 
 impl FeatureSource for ExecutionRecord {
     fn feature(&self, name: &str) -> Option<Value> {
-        self.features.get(name).cloned()
+        self.feature_ref(name).cloned()
+    }
+}
+
+/// Prints the features as a map from name to value.
+struct FeaturesDebug<'a>(&'a [(Arc<str>, Value)]);
+
+impl fmt::Debug for FeaturesDebug<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(name, value)| (name, value)))
+            .finish()
+    }
+}
+
+impl fmt::Debug for ExecutionRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ExecutionRecord")
+            .field("id", &self.id)
+            .field("kind", &self.kind)
+            .field("parent_job", &self.parent_job)
+            .field("features", &FeaturesDebug(&self.features))
+            .finish()
+    }
+}
+
+impl Serialize for ExecutionRecord {
+    fn serialize(&self) -> serde::Content {
+        let features = self
+            .features()
+            .map(|(name, value)| (name.to_string(), value.serialize()))
+            .collect();
+        serde::Content::Map(vec![
+            ("id".to_string(), self.id.serialize()),
+            ("kind".to_string(), self.kind.serialize()),
+            ("parent_job".to_string(), self.parent_job.serialize()),
+            ("features".to_string(), serde::Content::Map(features)),
+        ])
+    }
+}
+
+impl Deserialize for ExecutionRecord {
+    fn deserialize(content: &serde::Content) -> std::result::Result<Self, serde::DeError> {
+        ExecutionRecord::from_content(content, |name| Arc::from(name))
+    }
+}
+
+/// The feature names of a log: one shared `Arc<str>` per distinct name.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FeatureNames(HashSet<Arc<str>>);
+
+impl FeatureNames {
+    /// The shared copy of `name`, entered on first sight.
+    pub(crate) fn share(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(name);
+        self.0.insert(Arc::clone(&shared));
+        shared
+    }
+
+    /// Points every feature name of `records` at its shared copy.
+    /// `previous` is the record before `records[0]`, if any, with its names
+    /// shared already.  Consecutive records mostly carry the same names, so
+    /// the previous record's name at the same position is tried first: a
+    /// pointer test for names shared already, a text test before the hash
+    /// lookup otherwise.
+    fn share_records<'a>(
+        &mut self,
+        mut previous: Option<&'a ExecutionRecord>,
+        records: &'a mut [ExecutionRecord],
+    ) {
+        for record in records {
+            for (at, (name, _)) in record.features.iter_mut().enumerate() {
+                match previous.and_then(|p| p.features.get(at)) {
+                    Some((shared, _)) if Arc::ptr_eq(shared, name) => {}
+                    Some((shared, _)) if **shared == **name => *name = Arc::clone(shared),
+                    _ => match self.0.get(&**name) {
+                        Some(shared) => *name = Arc::clone(shared),
+                        None => {
+                            self.0.insert(Arc::clone(name));
+                        }
+                    },
+                }
+            }
+            previous = Some(record);
+        }
     }
 }
 
@@ -148,6 +326,8 @@ pub struct ExecutionLog {
     /// Record id → position of the last record with that id.  Boxed keys
     /// take 16 bytes per table slot where a `String` takes 24.
     ids: HashMap<Box<str>, usize>,
+    /// The one copy of each feature name its records point at.
+    names: FeatureNames,
 }
 
 /// Infers the job and the task catalog of `records`, one pass per kind.
@@ -156,7 +336,7 @@ pub(crate) fn infer_catalogs(records: &[ExecutionRecord]) -> (FeatureCatalog, Fe
         records
             .iter()
             .filter(move |r| r.kind == kind)
-            .map(|r| &r.features)
+            .map(ExecutionRecord::features)
     };
     (
         FeatureCatalog::infer(of_kind(ExecutionKind::Job)),
@@ -198,10 +378,33 @@ impl Deserialize for ExecutionLog {
         let entries = content
             .as_map()
             .ok_or_else(|| serde::DeError::expected("map", "ExecutionLog"))?;
+        let job_catalog = Deserialize::deserialize(serde::Content::field(entries, "job_catalog"))?;
+        let task_catalog =
+            Deserialize::deserialize(serde::Content::field(entries, "task_catalog"))?;
+        // The records are read here rather than as a `Vec`, so that their
+        // feature names are shared as they are created.
+        let mut names = FeatureNames::default();
+        let records = match serde::Content::field(entries, "records") {
+            serde::Content::Seq(items) => {
+                let mut records = Vec::with_capacity(items.len());
+                for item in items {
+                    records.push(ExecutionRecord::from_content(item, |name| {
+                        names.share(name)
+                    })?);
+                }
+                records
+            }
+            other => {
+                return Err(serde::DeError::new(format!(
+                    "expected array, found {other:?}"
+                )))
+            }
+        };
         let mut log = ExecutionLog {
-            job_catalog: Deserialize::deserialize(serde::Content::field(entries, "job_catalog"))?,
-            task_catalog: Deserialize::deserialize(serde::Content::field(entries, "task_catalog"))?,
-            records: Deserialize::deserialize(serde::Content::field(entries, "records"))?,
+            job_catalog,
+            task_catalog,
+            records,
+            names,
             ..ExecutionLog::default()
         };
         log.index_from(0);
@@ -239,11 +442,14 @@ impl ExecutionLog {
         self.kind_rows[kind_index(kind)]
     }
 
-    /// Counts the records from position `from` on per kind and enters
+    /// Points the feature names of the records from position `from` on at
+    /// the log's shared copies, counts those records per kind and enters
     /// their ids in the id index: the bookkeeping every path that adds
     /// records runs once they are in place.  Catalogs, generation and
     /// watermarks are the caller's.
     fn index_from(&mut self, from: usize) {
+        let (entered, fresh) = self.records.split_at_mut(from);
+        self.names.share_records(entered.last(), fresh);
         self.ids.reserve(self.records.len() - from);
         for (at, record) in self.records.iter().enumerate().skip(from) {
             self.kind_rows[kind_index(record.kind)] += 1;
@@ -285,7 +491,7 @@ impl ExecutionLog {
             let mut fresh = records
                 .iter()
                 .filter(|r| r.kind == kind)
-                .map(|r| &r.features)
+                .map(ExecutionRecord::features)
                 .peekable();
             if fresh.peek().is_none() {
                 continue;
@@ -586,6 +792,124 @@ mod tests {
         let back = ExecutionLog::from_json(&json).unwrap();
         assert_eq!(log, back);
         assert!(ExecutionLog::from_json("{not json").is_err());
+    }
+
+    /// The exact JSON text of a small log: every value shape a feature can
+    /// take (NaN aside, which the JSON writer rejects), a task with its
+    /// parent and a record without features.
+    #[test]
+    fn json_text_is_pinned() {
+        let mut log = ExecutionLog::new();
+        log.push(
+            ExecutionRecord::job("job_1")
+                .with_feature("inputsize", 1024i64)
+                .with_feature("pigscript", "filter.pig")
+                .with_feature("compressed", Value::Bool(true))
+                .with_feature("reducers", Value::Null)
+                .with_feature("scripts", Value::pair(Value::str("a.pig"), Value::Num(2.5)))
+                .with_feature("offset", -0.0),
+        );
+        log.push(
+            ExecutionRecord::task("task_1_m_0", "job_1")
+                .with_feature("tasktype", "MAP")
+                .with_feature(DURATION_FEATURE, 30.25),
+        );
+        log.push(ExecutionRecord::job("job_2"));
+        log.rebuild_catalogs();
+        let expected = r#"{
+  "job_catalog": {
+    "defs": [
+      {
+        "name": "compressed",
+        "kind": "Nominal"
+      },
+      {
+        "name": "inputsize",
+        "kind": "Numeric"
+      },
+      {
+        "name": "offset",
+        "kind": "Numeric"
+      },
+      {
+        "name": "pigscript",
+        "kind": "Nominal"
+      },
+      {
+        "name": "reducers",
+        "kind": "Nominal"
+      },
+      {
+        "name": "scripts",
+        "kind": "Nominal"
+      }
+    ]
+  },
+  "task_catalog": {
+    "defs": [
+      {
+        "name": "duration",
+        "kind": "Numeric"
+      },
+      {
+        "name": "tasktype",
+        "kind": "Nominal"
+      }
+    ]
+  },
+  "records": [
+    {
+      "id": "job_1",
+      "kind": "Job",
+      "parent_job": null,
+      "features": {
+        "compressed": {
+          "Bool": true
+        },
+        "inputsize": {
+          "Num": 1024.0
+        },
+        "offset": {
+          "Num": -0.0
+        },
+        "pigscript": {
+          "Str": "filter.pig"
+        },
+        "reducers": "Null",
+        "scripts": {
+          "Pair": [
+            {
+              "Str": "a.pig"
+            },
+            {
+              "Num": 2.5
+            }
+          ]
+        }
+      }
+    },
+    {
+      "id": "task_1_m_0",
+      "kind": "Task",
+      "parent_job": "job_1",
+      "features": {
+        "duration": {
+          "Num": 30.25
+        },
+        "tasktype": {
+          "Str": "MAP"
+        }
+      }
+    },
+    {
+      "id": "job_2",
+      "kind": "Job",
+      "parent_job": null,
+      "features": {}
+    }
+  ]
+}"#;
+        assert_eq!(log.to_json().unwrap(), expected);
     }
 
     #[test]

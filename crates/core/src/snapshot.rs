@@ -17,11 +17,14 @@
 //! ([`SnapshotManifest::usage`]), the merged global catalogs and the source
 //! log's generation — and, while a service journals its appends, the
 //! **append journal** `journal.bin` ([`Journal`]).  Feature values are
-//! **not** written twice: a record's feature map is rebuilt on open from
-//! the column segments, and only the cells the columns cannot reproduce
-//! bit-exactly (a `Null` value, a canonical-text collision) ride along as
-//! explicit exceptions.  Journal frames use the same record codec with
-//! every feature kept, since there are no columns to rebuild from.
+//! **not** written twice: on open a record's features are built in one
+//! step from its row of the column segments, and only the cells the
+//! columns cannot reproduce bit-exactly (a `Null` value, a canonical-text
+//! collision) ride along as explicit exceptions.  Journal frames use the
+//! same record codec with every feature kept, since there are no columns
+//! to rebuild from.  The records decoded from one segment file, or from
+//! one journal, share one copy of each feature name; the log they enter
+//! shares names across shards.
 //!
 //! Each job of the store has one implementation:
 //!
@@ -103,7 +106,7 @@
 use crate::columnar::{encode_segment, positions_of, ColumnarLog, EncodedSegment};
 use crate::error::{CoreError, Result};
 use crate::features::{FeatureCatalog, FeatureKind};
-use crate::record::{infer_catalogs, ExecutionKind, ExecutionLog, ExecutionRecord};
+use crate::record::{infer_catalogs, ExecutionKind, ExecutionLog, ExecutionRecord, FeatureNames};
 use mlcore::{AttrValue, ByteReader, ByteWriter, CodecError, ColumnStore, FxHashMap, FxHasher};
 use pxql::Value;
 use serde::{Deserialize, Serialize};
@@ -113,6 +116,7 @@ use std::hash::Hasher;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Version of the snapshot format this build reads and writes.
@@ -531,12 +535,11 @@ fn encode_record(
             writer.put_str(parent);
         }
     }
-    let exceptions: Vec<(&String, &Value)> = record
-        .features
-        .iter()
+    let exceptions: Vec<(&str, &Value)> = record
+        .features()
         .filter(|(name, value)| {
             columns.is_none_or(|(segment, columns_by_name, row)| {
-                let col = columns_by_name.get(name.as_str()).copied();
+                let col = columns_by_name.get(name).copied();
                 !column_reconstructs(segment, row, col, value)
             })
         })
@@ -548,11 +551,23 @@ fn encode_record(
     }
 }
 
+/// A record as [`encode_record`] wrote it: its identity and the features
+/// stored with it.
+struct StoredRecord {
+    id: String,
+    kind: ExecutionKind,
+    parent_job: Option<String>,
+    features: Vec<(Arc<str>, Value)>,
+}
+
 /// Reads one record written by [`encode_record`]: its identity and the
 /// features stored with it — every feature of a journal record, only the
-/// exceptions of a segment record, which [`rebuild_record`] completes from
-/// the columns.
-fn decode_record(reader: &mut ByteReader<'_>) -> std::result::Result<ExecutionRecord, CodecError> {
+/// exceptions of a segment record — with each name taken from `names`.
+/// [`rebuild_record`] makes the record.
+fn decode_record(
+    reader: &mut ByteReader<'_>,
+    names: &mut FeatureNames,
+) -> std::result::Result<StoredRecord, CodecError> {
     let id = reader.get_str()?.to_string();
     let kind = match reader.get_u8()? {
         0 => ExecutionKind::Job,
@@ -573,13 +588,12 @@ fn decode_record(reader: &mut ByteReader<'_>) -> std::result::Result<ExecutionRe
         }
     };
     let count = reader.get_u32()? as usize;
-    let mut features = BTreeMap::new();
+    let mut features = Vec::with_capacity(count.min(reader.remaining()));
     for _ in 0..count {
-        let name = reader.get_str()?.to_string();
-        let value = decode_value(reader, 0)?;
-        features.insert(name, value);
+        let name = names.share(reader.get_str()?);
+        features.push((name, decode_value(reader, 0)?));
     }
-    Ok(ExecutionRecord {
+    Ok(StoredRecord {
         id,
         kind,
         parent_job,
@@ -587,26 +601,36 @@ fn decode_record(reader: &mut ByteReader<'_>) -> std::result::Result<ExecutionRe
     })
 }
 
-/// Completes a segment record's feature map: every present cell of its
-/// segment row contributes its feature, unless a stored exception already
-/// holds that feature.
+/// Builds a decoded record in one step.  A journal record (`columns` is
+/// `None`) has every feature stored.  A segment record also takes every
+/// present cell of its row of the column segment, under the column's
+/// shared name (`columns` holds the segment, one name per column and the
+/// row); a stored exception overrides its column's cell.
 fn rebuild_record(
-    mut record: ExecutionRecord,
-    segment: &EncodedSegment,
-    row: usize,
+    stored: StoredRecord,
+    columns: Option<(&EncodedSegment, &[Arc<str>], usize)>,
 ) -> ExecutionRecord {
-    for col in 0..segment.store.num_columns() {
+    let StoredRecord {
+        id,
+        kind,
+        parent_job,
+        features: exceptions,
+    } = stored;
+    let Some((segment, names, row)) = columns else {
+        return ExecutionRecord::from_pairs(id, kind, parent_job, exceptions);
+    };
+    let mut features = Vec::with_capacity(names.len() + exceptions.len());
+    for (col, name) in names.iter().enumerate() {
         let value = match segment.store.value(row, col) {
             AttrValue::Missing => continue,
             AttrValue::Num(v) => Value::Num(v),
             AttrValue::Nom(id) => segment.originals[col][id as usize].clone(),
         };
-        record
-            .features
-            .entry(segment.store.attribute(col).name.clone())
-            .or_insert(value);
+        features.push((Arc::clone(name), value));
     }
-    record
+    // `from_pairs` keeps the later of two pairs with one name.
+    features.extend(exceptions);
+    ExecutionRecord::from_pairs(id, kind, parent_job, features)
 }
 
 fn encode_columns(writer: &mut ByteWriter, segment: &EncodedSegment) {
@@ -710,7 +734,7 @@ fn v1_equivalent_bytes(
             Some(parent) => 5 + parent.len() as u64,
         };
         total += 4;
-        for (name, value) in &record.features {
+        for (name, value) in record.features() {
             total += 4 + name.len() as u64 + v1_value_bytes(value);
         }
     }
@@ -798,7 +822,10 @@ fn encode_shard_file(
 }
 
 /// Decodes a segment file (everything after fingerprint verification).
+/// Its records share one copy of each feature name: a column's name is
+/// taken once, for every cell of the column.
 fn decode_shard_file(bytes: &[u8]) -> std::result::Result<ShardPayload, CodecError> {
+    let mut names = FeatureNames::default();
     let mut reader = ByteReader::new(bytes);
     let magic = reader.take(SEGMENT_MAGIC.len())?;
     if magic != SEGMENT_MAGIC {
@@ -816,12 +843,12 @@ fn decode_shard_file(bytes: &[u8]) -> std::result::Result<ShardPayload, CodecErr
     let count = records_block.get_count()?;
     let mut stored = Vec::with_capacity(count.min(records_block.remaining()));
     for _ in 0..count {
-        stored.push(decode_record(&mut records_block)?);
+        stored.push(decode_record(&mut records_block, &mut names)?);
     }
     let job = decode_columns(&mut reader.get_block()?)?;
     let task = decode_columns(&mut reader.get_block()?)?;
 
-    // The feature maps are rebuilt by walking each record's segment row, so
+    // The records are rebuilt by walking each record's segment row, so
     // the row counts must line up *before* any cell access.  A zero-column
     // store (the records of this kind carry no features at all) cannot know
     // its row count — `ColumnStore::from_columns` derives rows from the
@@ -839,18 +866,28 @@ fn decode_shard_file(bytes: &[u8]) -> std::result::Result<ShardPayload, CodecErr
             )));
         }
     }
+    let column_names = |segment: &EncodedSegment, names: &mut FeatureNames| -> Vec<Arc<str>> {
+        segment
+            .store
+            .attributes()
+            .iter()
+            .map(|attribute| names.share(&attribute.name))
+            .collect()
+    };
+    let job_names = column_names(&job, &mut names);
+    let task_names = column_names(&task, &mut names);
     let mut job_at = 0usize;
     let mut task_at = 0usize;
     let records = stored
         .into_iter()
         .map(|record| {
-            let (segment, at) = match record.kind {
-                ExecutionKind::Job => (&job, &mut job_at),
-                ExecutionKind::Task => (&task, &mut task_at),
+            let (segment, names, at) = match record.kind {
+                ExecutionKind::Job => (&job, &job_names, &mut job_at),
+                ExecutionKind::Task => (&task, &task_names, &mut task_at),
             };
             let row = *at;
             *at += 1;
-            rebuild_record(record, segment, row)
+            rebuild_record(record, Some((segment, names, row)))
         })
         .collect();
     Ok(ShardPayload { records, job, task })
@@ -1891,15 +1928,17 @@ fn encode_journal_frame(start_rows: u64, records: &[ExecutionRecord]) -> Vec<u8>
     writer.into_bytes()
 }
 
+/// Decodes one journal frame, taking every feature name from `names`.
 fn decode_journal_frame(
     reader: &mut ByteReader<'_>,
+    names: &mut FeatureNames,
 ) -> std::result::Result<JournalBatch, CodecError> {
     let mut block = reader.get_checksummed_block()?;
     let start_rows = block.get_u64()?;
     let count = block.get_count()?;
     let mut records = Vec::with_capacity(count.min(block.remaining()));
     for _ in 0..count {
-        records.push(decode_record(&mut block)?);
+        records.push(rebuild_record(decode_record(&mut block, names)?, None));
     }
     if !block.is_exhausted() {
         return Err(CodecError::Invalid(
@@ -1954,8 +1993,10 @@ fn scan_journal(dir: &Path, retries: &AtomicU64) -> Result<Option<JournalScan>> 
         return Ok(Some(scan));
     }
     scan.valid_bytes = JOURNAL_HEADER_BYTES;
+    // The frames' records share one copy of each feature name.
+    let mut names = FeatureNames::default();
     while !reader.is_exhausted() {
-        match decode_journal_frame(&mut reader) {
+        match decode_journal_frame(&mut reader, &mut names) {
             Ok(batch) => {
                 scan.batches.push(batch);
                 scan.valid_bytes = (bytes.len() - reader.remaining()) as u64;
@@ -2750,9 +2791,9 @@ mod tests {
         let reopened = open(&dir).unwrap().to_log();
         for (original, decoded) in log.records().iter().zip(reopened.records()) {
             assert_eq!(original.id, decoded.id);
-            assert_eq!(original.features.len(), decoded.features.len());
-            for (name, value) in &original.features {
-                let got = decoded.features.get(name).unwrap();
+            assert_eq!(original.features().len(), decoded.features().len());
+            for (name, value) in original.features() {
+                let got = decoded.feature_ref(name).unwrap();
                 assert!(
                     values_identical(value, got),
                     "feature '{name}': {value:?} vs {got:?}"

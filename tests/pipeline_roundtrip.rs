@@ -69,8 +69,8 @@ fn filesystem_round_trip_produces_identical_execution_logs() {
         let other = via_disk
             .get(&job.id)
             .expect("job present after disk round trip");
-        assert_eq!(
-            job.features, other.features,
+        assert!(
+            job.features().eq(other.features()),
             "features differ for {}",
             job.id
         );

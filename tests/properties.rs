@@ -2,13 +2,14 @@
 //! and the query language, plus old/new equivalence properties of the
 //! streaming columnar training pipeline.
 
-use perfxplain::pxql::{parse_predicate, parse_query, Atom, Op, Predicate, Value};
+use perfxplain::pxql::{parse_predicate, parse_query, Atom, FeatureSource, Op, Predicate, Value};
 use perfxplain::{
-    compute_pair_features, BoundQuery, ExecutionLog, ExecutionRecord, ExplainConfig,
-    FeatureCatalog, FeatureDef, PairExample, PairLabel,
+    compute_pair_features, BoundQuery, ExecutionKind, ExecutionLog, ExecutionRecord, ExplainConfig,
+    FeatureCatalog, FeatureDef, FeatureKind, FsyncPolicy, PairExample, PairLabel, DURATION_FEATURE,
 };
 use perfxplain_core::columnar::ColumnarLog;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -2150,5 +2151,186 @@ proptest! {
             }
             check_id_index(&log, &delta, step)?;
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Records against a map model
+// ---------------------------------------------------------------------------
+
+/// Feature names of the record model; several share a prefix (`d` < `du`
+/// < `dur` < …), so a name lands before, between and after its prefixes.
+const MODEL_NAMES: [&str; 8] = ["a", "a_b", "d", "du", "dur", "duration", "durations", "z"];
+
+/// Every feature value shape the JSON writer takes (no NaN), with `-0.0`
+/// and values whose canonical texts collide (`true` and `"T"`, `false` and
+/// `"F"`), which a snapshot stores as exceptions.
+fn arb_model_value() -> BoxedStrategy<Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<f64>().prop_map(Value::Num),
+        prop_oneof![Just(-0.0), Just(1.0)].prop_map(Value::Num),
+        prop_oneof![Just("a.pig"), Just("T"), Just("F"), Just("")].prop_map(Value::str),
+        (0usize..3, any::<f64>())
+            .prop_map(|(a, b)| Value::pair(Value::str(format!("p{a}")), Value::Num(b))),
+    ]
+    .boxed()
+}
+
+/// One record: task or job, then `(name, builder style, value)` steps.
+type RecordSpec = (bool, Vec<(usize, bool, Value)>);
+
+fn arb_record_spec() -> impl Strategy<Value = RecordSpec> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(
+            (0usize..MODEL_NAMES.len(), any::<bool>(), arb_model_value()),
+            0..12,
+        ),
+    )
+}
+
+fn model_record(i: usize, task: bool) -> ExecutionRecord {
+    if task {
+        ExecutionRecord::task(format!("task_{i}"), "job_0")
+    } else {
+        ExecutionRecord::job(format!("job_{i}"))
+    }
+}
+
+/// Every read of `record` agrees with the map `model`.
+fn check_against_model(
+    record: &ExecutionRecord,
+    model: &BTreeMap<String, Value>,
+) -> Result<(), TestCaseError> {
+    for name in MODEL_NAMES {
+        let held = model.get(name);
+        prop_assert_eq!(record.feature(name), held.cloned().unwrap_or(Value::Null));
+        prop_assert_eq!(FeatureSource::feature(record, name), held.cloned());
+    }
+    let expected: Vec<(&str, &Value)> = model.iter().map(|(n, v)| (n.as_str(), v)).collect();
+    prop_assert_eq!(record.features().collect::<Vec<_>>(), expected);
+    prop_assert_eq!(record.features().len(), model.len());
+    prop_assert_eq!(
+        record.duration(),
+        model.get(DURATION_FEATURE).and_then(Value::as_num)
+    );
+    Ok(())
+}
+
+/// The catalog a map model implies: numeric once any value is a number,
+/// nominal otherwise.
+fn model_catalog<'a>(models: impl Iterator<Item = &'a BTreeMap<String, Value>>) -> FeatureCatalog {
+    let mut kinds: BTreeMap<&str, FeatureKind> = BTreeMap::new();
+    for model in models {
+        for (name, value) in model {
+            let kind = kinds.entry(name).or_insert(FeatureKind::Nominal);
+            if matches!(value, Value::Num(_)) {
+                *kind = FeatureKind::Numeric;
+            }
+        }
+    }
+    FeatureCatalog::from_defs(
+        kinds
+            .into_iter()
+            .map(|(name, kind)| FeatureDef {
+                name: name.to_string(),
+                kind,
+            })
+            .collect(),
+    )
+}
+
+static MODEL_CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Records built by any sequence of `with_feature` / `set_feature`
+    /// read like a `BTreeMap` given the same steps, whatever the order the
+    /// features were set in.  A record in a log, whose feature names the
+    /// log shares, prints and compares like its builder copy, and comes
+    /// back with the same `Debug` text (so `-0.0` stays `-0.0`) from JSON,
+    /// from a journal frame and from a snapshot's segments.  Catalog
+    /// inference over the records equals the model's.
+    #[test]
+    fn records_read_like_a_map_model(specs in proptest::collection::vec(arb_record_spec(), 1..6)) {
+        use perfxplain::snapshot::{self, Journal};
+        let mut log = ExecutionLog::new();
+        let mut builders = Vec::new();
+        let mut models = Vec::new();
+        for (i, (task, steps)) in specs.iter().enumerate() {
+            let mut record = model_record(i, *task);
+            let mut model = BTreeMap::new();
+            for (name, builder_style, value) in steps {
+                let name = MODEL_NAMES[*name];
+                if *builder_style {
+                    record = record.with_feature(name, value.clone());
+                } else {
+                    record.set_feature(name, value.clone());
+                }
+                model.insert(name.to_string(), value.clone());
+            }
+            check_against_model(&record, &model)?;
+            // The final values, set in descending name order, make an
+            // equal record.
+            let mut reversed = model_record(i, *task);
+            for (name, value) in model.iter().rev() {
+                reversed.set_feature(name.as_str(), value.clone());
+            }
+            prop_assert_eq!(&reversed, &record);
+            log.push(record.clone());
+            builders.push(record);
+            models.push(model);
+        }
+        log.rebuild_catalogs();
+        for ((logged, builder), model) in log.records().iter().zip(&builders).zip(&models) {
+            prop_assert_eq!(format!("{logged:?}"), format!("{builder:?}"));
+            prop_assert_eq!(logged, builder);
+            check_against_model(logged, model)?;
+        }
+
+        for kind in [ExecutionKind::Job, ExecutionKind::Task] {
+            let of_kind = || {
+                builders
+                    .iter()
+                    .zip(&models)
+                    .filter(move |(record, _)| record.kind == kind)
+            };
+            let expected = model_catalog(of_kind().map(|(_, model)| model));
+            prop_assert_eq!(log.catalog(kind), &expected);
+            prop_assert_eq!(
+                &FeatureCatalog::infer(of_kind().map(|(record, _)| record.features())),
+                &expected
+            );
+        }
+        let mut appended = ExecutionLog::new();
+        appended.append(builders.clone());
+        prop_assert_eq!(&appended, &log);
+
+        let text = |records: &[ExecutionRecord]| format!("{records:?}");
+        let parsed = ExecutionLog::from_json(&log.to_json().unwrap()).unwrap();
+        prop_assert_eq!(text(parsed.records()), text(log.records()));
+        prop_assert_eq!(&parsed, &log);
+
+        let case = MODEL_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("px_record_model_{}_{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut journal = Journal::create(&dir, FsyncPolicy::OnCheckpoint).unwrap();
+        journal.append_batch(0, log.records()).unwrap();
+        drop(journal);
+        let replay = snapshot::read_journal(&dir).unwrap();
+        prop_assert_eq!(replay.batches.len(), 1);
+        prop_assert_eq!(text(&replay.batches[0].records), text(log.records()));
+
+        std::fs::remove_dir_all(&dir).unwrap();
+        snapshot::persist(&log, &dir, 2).unwrap();
+        let reopened = snapshot::open(&dir).unwrap().to_log();
+        std::fs::remove_dir_all(&dir).unwrap();
+        prop_assert_eq!(text(reopened.records()), text(log.records()));
+        prop_assert_eq!(&reopened, &log);
     }
 }
