@@ -47,13 +47,13 @@ impl ExecutionKind {
 /// Its features are one boxed slice of `(name, value)` pairs, sorted by
 /// name, each name at most once; only this module knows that layout, the
 /// rest of the workspace reads features through [`ExecutionRecord::feature`]
-/// and [`ExecutionRecord::features`].  A
-/// name is an `Arc<str>`: a record built by hand owns its names, while a
-/// record inside an [`ExecutionLog`] shares each name with every other
-/// record of that log.  Sharing changes memory only: equality, `Debug` and
-/// the JSON form read names by their text, so a logged record prints and
-/// compares like its builder copy.  A feature set to [`Value::Null`] is kept
-/// as such (it serializes as `null`, unlike an absent feature).
+/// and [`ExecutionRecord::features`].  A name is an `Arc<str>`: a record
+/// built by hand owns its names, while a record inside an [`ExecutionLog`]
+/// shares each name with every other record of that log.  Sharing changes
+/// memory only: equality, `Debug` and the JSON form read names by their
+/// text, so a logged record prints and compares like its builder copy.  A
+/// feature set to [`Value::Null`] is kept as such (it serializes as `null`,
+/// unlike an absent feature).
 #[derive(Clone, PartialEq)]
 pub struct ExecutionRecord {
     /// Unique identifier (`job_…` or `task_…`).
