@@ -12,8 +12,8 @@
 use crate::context::ExperimentContext;
 use perfxplain_core::eval::{related_pairs_for_evaluation, split_log};
 use perfxplain_core::{
-    generate_explanation, metrics, Aggregate, BoundQuery, ExecutionLog, ExplainConfig, Explanation,
-    FeatureLevel, PerfXplain, Technique, TrainingSet,
+    generate_explanation, metrics, Aggregate, BoundQuery, EncodedTraining, ExecutionLog,
+    ExplainConfig, Explanation, FeatureLevel, PerfXplain, Technique,
 };
 use pxql::{parse_query, Predicate};
 use workload::QueryBinding;
@@ -106,7 +106,7 @@ pub struct AblationResult {
 type RunMeasurements = Vec<(usize, Option<f64>, Option<f64>)>;
 
 fn evaluate_widths(
-    test_set: &TrainingSet,
+    test_set: &EncodedTraining<'_>,
     explanation: &Explanation,
     widths: &[usize],
 ) -> RunMeasurements {
@@ -143,7 +143,7 @@ fn aggregate_series(widths: &[usize], raw: &[RunMeasurements]) -> Vec<WidthPoint
 fn one_round(
     technique: Technique,
     train: &ExecutionLog,
-    test_set: &TrainingSet,
+    test_set: &EncodedTraining<'_>,
     query: &BoundQuery,
     config: &ExplainConfig,
     widths: &[usize],

@@ -7,14 +7,19 @@
 //! interest on this feature, what fraction performed as expected?  Features
 //! with the highest fractions form the explanation, phrased as
 //! `f_isSame = <the pair of interest's value>`.
+//!
+//! The training pairs are an encoded sample and the pair of interest two
+//! rows of its view: every `isSame` value is read from two cells of one
+//! column, never from a pair-feature map.
 
+use crate::columnar::ColumnarLog;
 use crate::config::ExplainConfig;
 use crate::error::Result;
 use crate::explanation::Explanation;
-use crate::pairs::{PairCatalog, PairExample, PairFeatureGroup};
+use crate::pairs::{parse_pair_feature, PairCatalog, PairFeatureGroup};
 use crate::query::BoundQuery;
 use crate::record::ExecutionLog;
-use crate::training::{prepare_training_set, TrainingSet};
+use crate::training::{prepare_encoded_training, EncodedTraining};
 use pxql::{Atom, Predicate, Value};
 
 /// The SimButDiff explanation generator.
@@ -46,6 +51,14 @@ impl WhatIfScore {
     }
 }
 
+/// The `isSame` value of column `col` for the rows `(left, right)`:
+/// `None` when the column is unknown or either cell is missing.
+fn is_same(view: &ColumnarLog, col: Option<usize>, (left, right): (usize, usize)) -> Option<bool> {
+    let col = col?;
+    let (l, r) = (view.cell(left, col), view.cell(right, col));
+    (!l.is_missing() && !r.is_missing()).then(|| view.cells_equal(l, r))
+}
+
 impl SimButDiff {
     /// Creates the baseline with the given configuration.
     pub fn new(config: ExplainConfig) -> Self {
@@ -65,52 +78,55 @@ impl SimButDiff {
             .collect()
     }
 
-    /// Number of `isSame` features on which two pairs agree (missing values
-    /// on both sides count as agreement, mirroring Algorithm 2's use of the
-    /// reduced representation).
-    fn agreement(poi: &PairExample, other: &PairExample, features: &[String]) -> usize {
-        features
-            .iter()
-            .filter(|f| {
-                let a = poi.feature(f);
-                let b = other.feature(f);
-                if a.is_null() && b.is_null() {
-                    true
-                } else {
-                    a.pxql_eq(&b)
-                }
-            })
-            .count()
-    }
-
-    /// Computes the per-feature what-if scores over the training pairs that
-    /// are similar to the pair of interest.
+    /// Computes the per-feature what-if scores over the sampled pairs of
+    /// `training` that are similar to the pair of interest, the view rows
+    /// `poi`.  A missing `isSame` value agrees only with a missing one
+    /// (Algorithm 2's reduced representation); a name that is no `isSame`
+    /// feature of the view reads as missing.
     pub fn what_if_scores(
         &self,
-        poi: &PairExample,
-        set: &TrainingSet,
+        training: &EncodedTraining<'_>,
+        poi: (usize, usize),
         is_same_features: &[String],
     ) -> Vec<WhatIfScore> {
+        let view = &training.view;
+        let columns: Vec<Option<usize>> = is_same_features
+            .iter()
+            .map(|name| match parse_pair_feature(name) {
+                (raw, PairFeatureGroup::IsSame) => view.column_of(raw),
+                _ => None,
+            })
+            .collect();
+        let values = |pair| -> Vec<Option<bool>> {
+            columns
+                .iter()
+                .map(|&col| is_same(view, col, pair))
+                .collect()
+        };
+        let poi_values = values(poi);
         let threshold =
             (self.config.simbutdiff_similarity * is_same_features.len() as f64).ceil() as usize;
-        let similar: Vec<(&PairExample, bool)> = set
+        let similar: Vec<(Vec<Option<bool>>, bool)> = training
+            .pairs
             .iter()
-            .filter(|(example, _)| Self::agreement(poi, example, is_same_features) >= threshold)
+            .zip(training.labels.iter())
+            .map(|(&pair, &observed)| (values(pair), observed))
+            .filter(|(pair_values, _)| {
+                pair_values
+                    .iter()
+                    .zip(&poi_values)
+                    .filter(|(a, b)| a == b)
+                    .count()
+                    >= threshold
+            })
             .collect();
 
         let mut scores = Vec::with_capacity(is_same_features.len());
-        for feature in is_same_features {
-            let poi_value = poi.feature(feature);
+        for (at, feature) in is_same_features.iter().enumerate() {
             let mut disagreeing = 0usize;
             let mut expected = 0usize;
-            for (example, observed) in &similar {
-                let value = example.feature(feature);
-                let agrees = if poi_value.is_null() && value.is_null() {
-                    true
-                } else {
-                    poi_value.pxql_eq(&value)
-                };
-                if !agrees {
+            for (pair_values, observed) in &similar {
+                if pair_values[at] != poi_values[at] {
                     disagreeing += 1;
                     if !observed {
                         expected += 1;
@@ -134,25 +150,30 @@ impl SimButDiff {
 
     /// Generates the explanation for a query.
     pub fn explain(&self, log: &ExecutionLog, query: &BoundQuery) -> Result<Explanation> {
-        let poi = query.pair_of_interest(log, self.config.sim_threshold)?;
+        log.require(&query.left_id, query.kind)?;
+        log.require(&query.right_id, query.kind)?;
         let is_same_features = self.is_same_features(log, query);
 
         // Algorithm 2 line 1: the training examples related to the query.
         // The balanced sample keeps the what-if fractions meaningful while
         // bounding the cost on large logs.
-        let set = prepare_training_set(log, query, &self.config)?;
+        let training = prepare_encoded_training(log, query, &self.config)?;
+        let poi = training
+            .poi_rows(query)
+            .expect("the pair of interest's records are in the view");
 
-        let scores = self.what_if_scores(&poi, &set, &is_same_features);
+        let scores = self.what_if_scores(&training, poi, &is_same_features);
         let atoms: Vec<Atom> = scores
             .iter()
             .filter(|s| s.disagreeing > 0)
             .take(self.config.width)
             .map(|s| {
-                let value = poi.feature(&s.feature);
+                let (raw, _) = parse_pair_feature(&s.feature);
+                let value = is_same(&training.view, training.view.column_of(raw), poi);
                 Atom {
                     feature: s.feature.clone(),
                     op: pxql::Op::Eq,
-                    constant: if value.is_null() { Value::Null } else { value },
+                    constant: value.map_or(Value::Null, Value::Bool),
                 }
             })
             .collect();
@@ -222,10 +243,10 @@ mod tests {
         let q = query();
         let config = test_config();
         let baseline = SimButDiff::new(config.clone());
-        let poi = q.pair_of_interest(&log, config.sim_threshold).unwrap();
-        let set = crate::training::prepare_training_set(&log, &q, &config).unwrap();
+        let training = prepare_encoded_training(&log, &q, &config).unwrap();
+        let poi = training.poi_rows(&q).unwrap();
         let features = baseline.is_same_features(&log, &q);
-        let scores = baseline.what_if_scores(&poi, &set, &features);
+        let scores = baseline.what_if_scores(&training, poi, &features);
         assert!(!scores.is_empty());
         // Scores are sorted in descending order.
         for window in scores.windows(2) {

@@ -79,15 +79,16 @@
 //! has no view id and so is never cached — builds the same `Value` the map
 //! path would and interns it through `Interner::intern`, the one place ids
 //! and originals are assigned.  The dictionary stays the authority, so the
-//! dataset is identical to [`DatasetBridge::build`]'s over the
-//! materialised training set by construction.
+//! dataset is identical by construction to the one the reference
+//! [`DatasetBridge::build`] encodes from the sampled pairs' feature maps.
 
 use crate::columnar::ColumnarLog;
 use crate::features::FeatureKind;
 use crate::pairs::{
-    compare_index, PairCatalog, PairExample, PairFeatureDef, PairFeatureGroup, COMPARE_VALUES,
+    compare_index, compute_pair_features, PairCatalog, PairExample, PairFeatureDef,
+    PairFeatureGroup, COMPARE_VALUES,
 };
-use crate::training::{EncodedTraining, TrainingSet};
+use crate::training::EncodedTraining;
 use mlcore::{
     AttrKind, AttrValue, Attribute, ColumnBuilder, ColumnCells, Dataset, FxHashMap,
     NominalDictionary, SplitSummary, TestAtom, TestConstant, TestOp,
@@ -125,30 +126,39 @@ pub(crate) struct SharedDataset {
 }
 
 impl DatasetBridge {
-    /// Builds the bridge from a training set.
+    /// The reference featurize: builds every sampled pair's full
+    /// pair-feature map ([`compute_pair_features`] under the sample's
+    /// similarity band) and encodes the maps, then resolves `poi`, the pair
+    /// of interest's map.  The engine never calls it;
+    /// [`DatasetBridge::encode_from_view`] must produce the same bridge,
+    /// which the proptests check against this.
     ///
     /// * `catalog` — the pair features to expose as attributes (already
     ///   restricted to the configured feature level);
     /// * `excluded_raw` — raw features whose derived pair features must not
     ///   appear in explanations (the query's own performance metric plus any
-    ///   user-configured exclusions);
-    /// * `poi` — the pair of interest, resolved against the training pairs'
-    ///   dictionaries so applicability can be checked per candidate test.
+    ///   user-configured exclusions).
     pub fn build(
-        set: &TrainingSet,
+        training: &EncodedTraining<'_>,
         poi: &PairExample,
         catalog: &PairCatalog,
         excluded_raw: &[String],
     ) -> Self {
+        let log = training.log();
+        let raw = log.catalog(training.view.kind());
+        let record = |row| &log.records()[training.view.position(row)];
+        let examples: Vec<_> = (training.pairs.iter())
+            .map(|&(l, r)| compute_pair_features(raw, record(l), record(r), training.sim_threshold))
+            .collect();
         let defs = included_defs(catalog, excluded_raw);
         let mut interner = Interner::new(defs.len());
         let columns = (defs.iter().enumerate())
             .map(|(attr, def)| {
-                let mut column = ColumnBuilder::with_capacity(set.len());
-                for example in &set.examples {
+                let mut column = ColumnBuilder::with_capacity(examples.len());
+                for features in &examples {
                     column.push(encode_value(
                         def.kind,
-                        example.feature(&def.name),
+                        features.get(&def.name).cloned().unwrap_or(Value::Null),
                         |value| interner.intern(attr, value),
                     ));
                 }
@@ -157,35 +167,23 @@ impl DatasetBridge {
             .collect();
         let shared = Arc::new(SharedDataset::new(
             columns,
-            set.labels.clone(),
+            training.labels.to_vec(),
             defs,
             interner,
         ));
-        let mut poi_values = vec![Value::Null; shared.defs.len()];
-        let poi_row = shared
-            .defs
-            .iter()
-            .enumerate()
-            .map(|(attr, def)| {
-                encode_value(def.kind, poi.feature(&def.name), |value| {
-                    shared.resolve(attr, value, &mut poi_values[attr])
-                })
+        Self::with_poi(shared, |shared, attr, def, own| {
+            encode_value(def.kind, poi.feature(&def.name), |value| {
+                shared.resolve(attr, value, own)
             })
-            .collect();
-        DatasetBridge {
-            shared,
-            poi_row,
-            poi_values,
-        }
+        })
     }
 
     /// Builds the bridge straight from an encoded training set: pair
     /// features of the sampled pairs are derived from the columnar view and
-    /// interned into the dataset in a single pass — no intermediate
-    /// `PairExample` maps, and a nominal cell's text is built only the
-    /// first time its encoded key appears (see the module docs).  Produces
-    /// a dataset identical to [`DatasetBridge::build`] over the
-    /// materialised training set.
+    /// interned into the dataset in a single pass — no pair-feature maps,
+    /// and a nominal cell's text is built only the first time its encoded
+    /// key appears (see the module docs).  Produces the bridge the
+    /// reference [`DatasetBridge::build`] does.
     ///
     /// `poi` is the pair of interest as `(left row, right row)` indices into
     /// the view.
@@ -210,17 +208,24 @@ impl DatasetBridge {
         poi: (usize, usize),
         sim_threshold: f64,
     ) -> Self {
-        let mut poi_values = vec![Value::Null; shared.defs.len()];
-        let poi_row = shared
-            .defs
-            .iter()
-            .enumerate()
-            .map(|(attr, def)| {
-                let col = view.column_of(&def.raw);
-                encode_pair_cell(view, def, col, poi, sim_threshold, |_, value| {
-                    shared.resolve(attr, value(), &mut poi_values[attr])
-                })
+        Self::with_poi(shared, |shared, attr, def, own| {
+            let col = view.column_of(&def.raw);
+            encode_pair_cell(view, def, col, poi, sim_threshold, |_, value| {
+                shared.resolve(attr, value(), own)
             })
+        })
+    }
+
+    /// The bridge of `shared` for the pair of interest whose cell of each
+    /// attribute `encode(shared, attr, def, own)` returns, keeping the
+    /// pair's own value behind a nominal cell in `own`.
+    fn with_poi(
+        shared: Arc<SharedDataset>,
+        mut encode: impl FnMut(&SharedDataset, usize, &PairFeatureDef, &mut Value) -> AttrValue,
+    ) -> Self {
+        let mut poi_values = vec![Value::Null; shared.defs.len()];
+        let poi_row = (shared.defs.iter().enumerate())
+            .map(|(attr, def)| encode(&shared, attr, def, &mut poi_values[attr]))
             .collect();
         DatasetBridge {
             shared,
@@ -623,40 +628,42 @@ impl KeyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{FeatureCatalog, FeatureDef};
-    use crate::pairs::{compute_pair_features, PairCatalog};
-    use crate::record::ExecutionRecord;
+    use crate::query::PairLabel;
+    use crate::record::{ExecutionKind, ExecutionLog, ExecutionRecord};
+    use crate::training::RelatedPair;
     use mlcore::{TestAtom, TestConstant, TestOp};
 
     fn setup() -> (DatasetBridge, PairCatalog) {
-        let raw = FeatureCatalog::from_defs(vec![
-            FeatureDef::numeric("inputsize"),
-            FeatureDef::nominal("pigscript"),
-            FeatureDef::numeric("duration"),
-        ]);
-        let catalog = PairCatalog::from_raw(&raw);
-
         let job = |id: &str, size: f64, script: &str, duration: f64| {
             ExecutionRecord::job(id)
                 .with_feature("inputsize", size)
                 .with_feature("pigscript", script)
                 .with_feature("duration", duration)
         };
-        let a = job("a", 2.0e9, "filter.pig", 100.0);
-        let b = job("b", 1.0e9, "group.pig", 100.0);
-        let c = job("c", 2.0e9, "filter.pig", 300.0);
+        let mut log = ExecutionLog::new();
+        log.push(job("a", 2.0e9, "filter.pig", 100.0));
+        log.push(job("b", 1.0e9, "group.pig", 100.0));
+        log.push(job("c", 2.0e9, "filter.pig", 300.0));
+        log.rebuild_catalogs();
+        let catalog = PairCatalog::from_raw(log.job_catalog());
 
-        let mut set = TrainingSet::default();
-        for (left, right, label) in [(&a, &b, true), (&a, &c, false), (&b, &c, true)] {
-            set.examples.push(PairExample {
-                left_id: left.id.clone(),
-                right_id: right.id.clone(),
-                features: compute_pair_features(&raw, left, right, 0.1),
-            });
-            set.labels.push(label);
-        }
-        let poi = set.examples[0].clone();
-        let bridge = DatasetBridge::build(&set, &poi, &catalog, &["duration".to_string()]);
+        let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
+        let pairs: Vec<RelatedPair> = [(0, 1, true), (0, 2, false), (1, 2, true)]
+            .into_iter()
+            .map(|(left, right, observed)| RelatedPair {
+                left,
+                right,
+                label: if observed {
+                    PairLabel::Observed
+                } else {
+                    PairLabel::Expected
+                },
+            })
+            .collect();
+        let training = EncodedTraining::of_related(&log, view, pairs.iter(), pairs.len(), 0.1);
+        let (a, b) = (log.get("a").unwrap(), log.get("b").unwrap());
+        let poi = PairExample::build(log.job_catalog(), a, b, 0.1);
+        let bridge = DatasetBridge::build(&training, &poi, &catalog, &["duration".to_string()]);
         (bridge, catalog)
     }
 

@@ -15,7 +15,9 @@
 //!   columns once — feature names are parsed into `(column index, pair
 //!   feature group)` pairs and constants are pre-analysed — so classifying
 //!   a candidate pair is a handful of integer/float comparisons with **no
-//!   allocation and no string hashing**.
+//!   allocation and no string hashing**.  The quality metrics score an
+//!   explanation over a drawn sample through the same
+//!   [`CompiledPredicate`]s.
 //!
 //! Semantics match the map-based path (`compute_selected_pair_features` +
 //! `BoundQuery::classify`) exactly, with one documented exception: two raw
@@ -533,8 +535,8 @@ impl ColumnarLog {
 /// One pre-resolved atomic predicate over a pair of rows.
 #[derive(Debug, Clone)]
 enum CompiledAtom {
-    /// The atom can never hold (unknown raw feature, inapplicable group, or
-    /// a constant no derived value can equal).
+    /// The atom can never hold (unknown raw feature, inapplicable group, a
+    /// `Null` constant, or a constant no derived value can equal).
     Never,
     /// `f_isSame op constant`.
     IsSame { col: usize, op: Op, constant: Value },
@@ -550,7 +552,9 @@ enum CompiledAtom {
 impl CompiledAtom {
     fn compile(feature: &str, op: Op, constant: &Value, view: &ColumnarLog) -> Self {
         let (raw, group) = parse_pair_feature(feature);
-        let Some(col) = view.column_of(raw) else {
+        // A `Null` constant fails every operator, `!=` included
+        // ([`Op::apply`]).
+        let Some(col) = view.column_of(raw).filter(|_| !constant.is_null()) else {
             return CompiledAtom::Never;
         };
         match group {

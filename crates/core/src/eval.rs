@@ -11,7 +11,9 @@
 //! This module provides the split, out-of-sample metric estimation (on
 //! related pairs of the test log) and a [`Technique`] dispatcher; the
 //! experiment loops that regenerate the paper's figures live in the
-//! benchmark crate.
+//! benchmark crate.  The test log's related pairs stay encoded: every one
+//! of them, unsampled, as rows of one columnar view of the test log, which
+//! [`crate::metrics`] scores without building pair-feature maps.
 
 use crate::baselines::{RuleOfThumb, SimButDiff};
 use crate::columnar::ColumnarLog;
@@ -22,7 +24,7 @@ use crate::explanation::Explanation;
 use crate::metrics::{self, ExplanationQuality};
 use crate::query::BoundQuery;
 use crate::record::{ExecutionKind, ExecutionLog};
-use crate::training::{collect_related_pairs_in, EncodedTraining, TrainingSet};
+use crate::training::{collect_related_pairs_in, EncodedTraining};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use rand::SeedableRng;
@@ -132,17 +134,22 @@ pub fn split_log(
     (train, test)
 }
 
-/// Materialises the related pairs of a log (typically the *test* log) with
-/// their full pair features, without balancing, for metric estimation.
-pub fn related_pairs_for_evaluation(
-    log: &ExecutionLog,
+/// Every related pair of a log (typically the *test* log), unsampled and in
+/// encoded form, for metric estimation.
+pub fn related_pairs_for_evaluation<'a>(
+    log: &'a ExecutionLog,
     query: &BoundQuery,
     config: &ExplainConfig,
-) -> TrainingSet {
+) -> EncodedTraining<'a> {
     let view = Arc::new(ColumnarLog::build_auto(log, query.kind));
     let related = collect_related_pairs_in(&view, query, log, config);
-    EncodedTraining::of_related(log, view, related.iter(), related.len())
-        .materialise(config.sim_threshold)
+    EncodedTraining::of_related(
+        log,
+        view,
+        related.iter(),
+        related.len(),
+        config.sim_threshold,
+    )
 }
 
 /// Result of evaluating one explanation on a test log.

@@ -21,13 +21,13 @@ use crate::columnar::ColumnarLog;
 use crate::config::ExplainConfig;
 use crate::error::Result;
 use crate::explanation::Explanation;
-use crate::pairs::{PairCatalog, PairExample};
+use crate::pairs::PairCatalog;
 use crate::query::BoundQuery;
 use crate::record::ExecutionLog;
 use crate::service::XplainService;
 use crate::training::{
     prepare_encoded_training_in, prepare_encoded_training_memoized, Drawn, EncodedTraining,
-    SampleMemo, TrainingSet,
+    SampleMemo,
 };
 use mlcore::{percentile_ranks, SplitCandidate, SplitSummary};
 use pxql::{Atom, Predicate};
@@ -273,51 +273,6 @@ impl PerfXplain {
             .map(|(explanation, effective, _, _)| (explanation, effective))
     }
 
-    /// Generates the because clause from an already-materialised training
-    /// set (the map-based path; the engine's own entry points encode from
-    /// the columnar view instead).
-    pub fn because_from_training(
-        &self,
-        set: &TrainingSet,
-        poi: &PairExample,
-        log: &ExecutionLog,
-        query: &BoundQuery,
-    ) -> Predicate {
-        self.generate_clause(set, poi, log, query, true, self.config.width)
-    }
-
-    /// Generates a despite-clause extension from an already-materialised
-    /// training set.
-    pub fn despite_from_training(
-        &self,
-        set: &TrainingSet,
-        poi: &PairExample,
-        log: &ExecutionLog,
-        query: &BoundQuery,
-    ) -> Predicate {
-        self.generate_clause(set, poi, log, query, false, self.config.despite_width)
-    }
-
-    /// Map-based clause generation: encodes the training set through
-    /// [`DatasetBridge::build`] and runs the shared greedy loop.
-    fn generate_clause(
-        &self,
-        set: &TrainingSet,
-        poi: &PairExample,
-        log: &ExecutionLog,
-        query: &BoundQuery,
-        target_observed: bool,
-        width: usize,
-    ) -> Predicate {
-        if set.is_empty() || width == 0 {
-            return Predicate::always_true();
-        }
-        let catalog = self.pair_catalog(log, query);
-        let excluded = crate::query::excluded_raw_features(query, &self.config);
-        let bridge = DatasetBridge::build(set, poi, &catalog, &excluded);
-        self.generate_clause_from_bridge(&bridge, target_observed, width)
-    }
-
     /// The greedy clause-growing loop shared by because and despite
     /// generation (lines 5–17 of Algorithm 1).  `target_observed` selects
     /// the class whose probability the clause maximises: `true` for the
@@ -465,7 +420,7 @@ mod tests {
     use crate::metrics;
     use crate::query::BoundQuery;
     use crate::record::ExecutionRecord;
-    use crate::training::prepare_training_set;
+    use crate::training::prepare_encoded_training;
     use pxql::{parse_query, Value};
 
     /// A synthetic log reproducing the motivating scenario: pairs where one
@@ -522,7 +477,7 @@ mod tests {
         let explanation = engine.explain(&log, &query).unwrap();
 
         // The because clause must be applicable to the pair of interest.
-        let poi = query.verify_preconditions(&log, 0.1).unwrap();
+        let poi = query.pair_of_interest(&log, 0.1).unwrap();
         assert!(explanation.is_applicable(&poi));
         assert!(explanation.width() >= 1);
 
@@ -551,7 +506,7 @@ mod tests {
         let engine = PerfXplain::new(config.clone());
         let explanation = engine.explain(&log, &query).unwrap();
 
-        let set = prepare_training_set(&log, &query, &config).unwrap();
+        let set = prepare_encoded_training(&log, &query, &config).unwrap();
         let quality = metrics::assess(&set, &explanation);
         assert!(
             quality.precision.unwrap_or(0.0) > 0.9,
@@ -575,7 +530,7 @@ mod tests {
         let log = block_size_log(40);
         let query = same_duration_query(&log);
         let config = ExplainConfig::default().with_seed(5);
-        let set = prepare_training_set(&log, &query, &config).unwrap();
+        let set = prepare_encoded_training(&log, &query, &config).unwrap();
 
         // Precision of the empty explanation is the base rate P(obs | des).
         let baseline = metrics::precision(&set, &Explanation::default()).unwrap_or(0.0);
@@ -603,7 +558,7 @@ mod tests {
         let config = ExplainConfig::default().with_seed(11);
         let engine = PerfXplain::new(config.clone());
 
-        let set = prepare_training_set(&log, &query, &config).unwrap();
+        let set = prepare_encoded_training(&log, &query, &config).unwrap();
         let baseline = metrics::relevance(&set, &Predicate::always_true()).unwrap_or(0.0);
         let despite = engine.generate_despite(&log, &query).unwrap();
         let improved = metrics::relevance(&set, &despite).unwrap_or(0.0);
@@ -612,7 +567,7 @@ mod tests {
             "relevance did not improve: {baseline} -> {improved}"
         );
         // The generated clause must hold for the pair of interest.
-        let poi = query.verify_preconditions(&log, 0.1).unwrap();
+        let poi = query.pair_of_interest(&log, 0.1).unwrap();
         assert!(despite.eval(&poi));
     }
 
@@ -631,7 +586,7 @@ mod tests {
         // a despite extension must have been generated and folded in.
         assert!(!explanation.despite.is_trivial());
         assert!(extended.query.despite.width() >= explanation.despite.width());
-        let poi = query.verify_preconditions(&log, 0.1).unwrap();
+        let poi = query.pair_of_interest(&log, 0.1).unwrap();
         assert!(explanation.is_applicable(&poi));
     }
 
@@ -712,18 +667,7 @@ mod tests {
             let view = Arc::new(ColumnarLog::build(&log, crate::record::ExecutionKind::Job));
             for text in templates {
                 let template = parse_query(text).unwrap();
-                let Some(bound) = (0..36 * 36)
-                    .map(|k| (seed as usize * 37 + k) % (36 * 36))
-                    .filter(|k| k / 36 != k % 36)
-                    .map(|k| {
-                        BoundQuery::new(
-                            template.clone(),
-                            format!("job_{}", k / 36),
-                            format!("job_{}", k % 36),
-                        )
-                    })
-                    .find(|bound| bound.verify_preconditions(&log, 0.1).is_ok())
-                else {
+                let Some(bound) = pair_of_interest_for(&log, &template, seed) else {
                     continue;
                 };
                 let Ok(training) =
@@ -757,6 +701,88 @@ mod tests {
             }
         }
         assert!(nominal_atoms > 0, "no clause tested a nominal atom");
+    }
+
+    /// The first pair of `log`, searched from an offset fixed by `seed`,
+    /// for which `template`'s preconditions hold.
+    fn pair_of_interest_for(
+        log: &ExecutionLog,
+        template: &pxql::PxqlQuery,
+        seed: u64,
+    ) -> Option<BoundQuery> {
+        let n = log.jobs().count();
+        (0..n * n)
+            .map(|k| (seed as usize * 37 + k) % (n * n))
+            .filter(|k| k / n != k % n)
+            .map(|k| {
+                BoundQuery::new(
+                    template.clone(),
+                    format!("job_{}", k / n),
+                    format!("job_{}", k % n),
+                )
+            })
+            .find(|bound| bound.verify_preconditions(log, 0.1).is_ok())
+    }
+
+    /// Clauses grown from the bridge encoded straight from the view equal
+    /// those grown from the reference bridge over the sampled pairs'
+    /// feature maps ([`DatasetBridge::build`]), because clause and despite
+    /// extension alike, and the engine's entry points return them.  They
+    /// are compared as text: where `Bool(true)` and `"T"` share one view
+    /// id, the view renders a nominal constant as the first of them in its
+    /// column, the maps as the pair's own value.
+    #[test]
+    fn encoded_explanations_match_the_map_based_path() {
+        let templates = [
+            "DESPITE inputsize_compare = GT\n\
+             OBSERVED duration_compare = SIM\n\
+             EXPECTED duration_compare = GT",
+            "DESPITE pigscript_isSame = T\n\
+             OBSERVED duration_compare = GT\n\
+             EXPECTED duration_compare = SIM",
+            "OBSERVED duration_compare = SIM\n\
+             EXPECTED duration_compare = GT",
+        ];
+        let mut compared = 0;
+        for seed in 0..16u64 {
+            let mut config = ExplainConfig::default()
+                .with_seed(seed)
+                .with_sample_size(400);
+            config.max_candidate_pairs = usize::MAX;
+            let engine = PerfXplain::new(config.clone());
+            for log in [nominal_log(seed), block_size_log(24 + seed as usize)] {
+                for text in templates {
+                    let template = parse_query(text).unwrap();
+                    let Some(bound) = pair_of_interest_for(&log, &template, seed) else {
+                        continue;
+                    };
+                    let Ok(training) = prepare_encoded_training(&log, &bound, &config) else {
+                        continue;
+                    };
+                    let poi = bound.pair_of_interest(&log, config.sim_threshold).unwrap();
+                    let catalog = engine.pair_catalog(&log, &bound);
+                    let excluded = crate::query::excluded_raw_features(&bound, &config);
+                    let by_maps = DatasetBridge::build(&training, &poi, &catalog, &excluded);
+                    let by_view = engine.bridge_for(&training, None, &bound, None);
+                    let grow = |bridge: &DatasetBridge, target_observed, width| {
+                        engine
+                            .generate_clause_from_bridge(bridge, target_observed, width)
+                            .to_string()
+                    };
+
+                    let because = grow(&by_maps, true, config.width);
+                    assert_eq!(grow(&by_view, true, config.width), because, "{bound:?}");
+                    let explained = engine.explain(&log, &bound).unwrap();
+                    assert_eq!(explained.because.to_string(), because);
+                    let despite = grow(&by_maps, false, config.despite_width);
+                    assert_eq!(grow(&by_view, false, config.despite_width), despite);
+                    let generated = engine.generate_despite(&log, &bound).unwrap();
+                    assert_eq!(generated.to_string(), despite);
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared >= 16, "only {compared} queries compared");
     }
 
     #[test]

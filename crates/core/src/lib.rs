@@ -191,8 +191,7 @@
 //!    the columns into the split-search [`mlcore::Dataset`], one attribute
 //!    at a time into that attribute's column: `u32` ids, `f64`s, or nothing
 //!    for a pair feature no sampled pair holds, so a 2,000-pair paper-grid
-//!    job dataset takes about 1 MB, not 5.2;
-//!    [`PairExample`] maps exist only at the API/narration boundary.  A
+//!    job dataset takes about 1 MB, not 5.2.  A
 //!    nominal cell is interned from its encoded key — the `isSame` or
 //!    `compare` outcome, the base cell's view dictionary id, or the diff
 //!    cell's ordered id pair — through a per-attribute cache, so its
@@ -201,7 +200,16 @@
 //!    paper log's job query); the dataset dictionary still assigns every
 //!    id.  The sampled rows are interned first; the pair of interest is
 //!    then resolved against the finished dictionaries, and a winning
-//!    nominal constant renders as the pair's own value.
+//!    nominal constant renders as the pair's own value.  The sample has
+//!    one form, [`EncodedTraining`] (view rows, labels and the similarity
+//!    band), and no path builds a pair-feature map from it: the quality
+//!    metrics ([`metrics`]) and the evaluation harness ([`eval`]) evaluate
+//!    PXQL on the same rows through the [`CompiledPredicate`]s that
+//!    classified them, each clause compiled once per sample, and the
+//!    SimButDiff baseline reads `isSame` from the rows' cells.  A
+//!    [`PairExample`] map is built only for one pair of interest
+//!    ([`BoundQuery::pair_of_interest`]: RuleOfThumb and
+//!    [`Explanation::is_applicable`] checks).
 //! 7. **Train in O(n log n).**  The per-feature predicate search of
 //!    Algorithm 1 ([`mlcore::best_split_for_attribute_filtered`]) is a
 //!    single-sort sweep: values sorted once per (node, attribute), every
@@ -280,8 +288,8 @@
 //!    watermark and force a full rebuild.  An id resolves through the log's
 //!    index to its last record, so a re-ingested id finds its tail row
 //!    exactly as a rebuild would; queries see base and tail as one view,
-//!    and a tail that outgrows the configurable [`CompactionPolicy`] folds
-//!    back into its base
+//!    and a tail that outgrows the default [`CompactionPolicy`] folds back
+//!    into its base
 //!    ([`ColumnarLog::compacted`](columnar::ColumnarLog::compacted): the
 //!    base and the tail through the same merge, whose remap of the tail
 //!    must be the identity; positions concatenated, originals kept, no
@@ -358,9 +366,11 @@
 //!     asserts zero acked-durable records lost.
 //!
 //! **Invariants.** The columnar path produces the same related-pair set,
-//! labels, dataset and explanations as the map-based path
-//! (`compute_pair_features` + [`DatasetBridge::build`](bridge::DatasetBridge::build),
-//! both retained as the reference implementation); the sharded
+//! labels, dataset, explanations, quality metrics and SimButDiff scores as
+//! evaluating PXQL over every pair's full feature map would:
+//! `compute_pair_features` with `Predicate::eval` is the reference, and
+//! [`DatasetBridge::build`](bridge::DatasetBridge::build) the reference
+//! featurize over it, kept for the tests to compare against; the sharded
 //! ingest/encode paths produce logs and views bit-identical to their
 //! single-shot counterparts for every shard count; and a persisted
 //! snapshot reopens to the same log and bit-identical views
@@ -468,7 +478,7 @@ pub use snapshot::{
 };
 pub use training::{
     collect_related_pairs_in, prepare_encoded_training, prepare_encoded_training_in,
-    prepare_training_set, EncodedTraining, TrainingSet,
+    EncodedTraining,
 };
 
 // Re-export the query language so that downstream users only need one

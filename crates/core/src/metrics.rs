@@ -12,9 +12,20 @@
 //! Precision and generality correspond to the data-mining notions of
 //! confidence and support of the because clause within the context of the
 //! despite clause.
+//!
+//! The pairs are an [`EncodedTraining`] sample: rows of its columnar view
+//! with their labels.  Each clause is compiled once against the view
+//! ([`CompiledPredicate`], the evaluator that classified the pairs when they
+//! were drawn) and evaluated per pair under the sample's similarity band,
+//! without building a pair-feature map.  Its semantics are
+//! `Predicate::eval`'s over the pairs' full feature maps, with the one
+//! caveat of nominal interning (see the crate docs): two values PXQL
+//! equates across types but whose canonical texts differ (`Bool(true)` and
+//! the string `"true"`) in one nominal column compare unequal.
 
+use crate::columnar::CompiledPredicate;
 use crate::explanation::Explanation;
-use crate::training::TrainingSet;
+use crate::training::EncodedTraining;
 use pxql::Predicate;
 
 /// A conditional probability estimate together with the number of pairs that
@@ -33,69 +44,68 @@ impl MetricEstimate {
     pub fn unwrap_or(&self, default: f64) -> f64 {
         self.value.unwrap_or(default)
     }
+
+    /// `hits` out of `satisfied` pairs.
+    fn of(hits: usize, satisfied: usize) -> Self {
+        MetricEstimate {
+            value: (satisfied > 0).then(|| hits as f64 / satisfied as f64),
+            support: satisfied,
+        }
+    }
 }
 
-/// Estimates `P(target | condition)` over the related pairs of `set`, where
-/// the target is "performed as observed" (`target_observed = true`) or
-/// "performed as expected" (`false`).
+/// The labels of the sampled pairs of `training` that satisfy `condition`.
+fn labels_satisfying<'t>(
+    training: &'t EncodedTraining<'_>,
+    condition: &Predicate,
+) -> impl Iterator<Item = bool> + 't {
+    let compiled = CompiledPredicate::compile(condition, &training.view);
+    training
+        .pairs
+        .iter()
+        .zip(training.labels.iter())
+        .filter(move |&(&(left, right), _)| {
+            compiled.eval(&training.view, left, right, training.sim_threshold)
+        })
+        .map(|(_, &observed)| observed)
+}
+
+/// Estimates `P(target | condition)` over the related pairs of `training`,
+/// where the target is "performed as observed" (`target_observed = true`)
+/// or "performed as expected" (`false`).
 pub fn conditional_probability(
-    set: &TrainingSet,
+    training: &EncodedTraining<'_>,
     condition: &Predicate,
     target_observed: bool,
 ) -> MetricEstimate {
     let mut satisfied = 0usize;
     let mut hits = 0usize;
-    for (example, observed) in set.iter() {
-        if condition.eval(example) {
-            satisfied += 1;
-            if observed == target_observed {
-                hits += 1;
-            }
-        }
+    for observed in labels_satisfying(training, condition) {
+        satisfied += 1;
+        hits += usize::from(observed == target_observed);
     }
-    MetricEstimate {
-        value: if satisfied == 0 {
-            None
-        } else {
-            Some(hits as f64 / satisfied as f64)
-        },
-        support: satisfied,
-    }
+    MetricEstimate::of(hits, satisfied)
 }
 
 /// Relevance of an explanation: `P(exp | des' ∧ des)`.  The user's `des`
-/// clause is already folded into the construction of `set` (only related
-/// pairs are present), so only `des'` needs to be applied here.
-pub fn relevance(set: &TrainingSet, despite_extension: &Predicate) -> MetricEstimate {
-    conditional_probability(set, despite_extension, false)
+/// clause is already folded into the construction of `training` (only
+/// related pairs are present), so only `des'` needs to be applied here.
+pub fn relevance(training: &EncodedTraining<'_>, despite_extension: &Predicate) -> MetricEstimate {
+    conditional_probability(training, despite_extension, false)
 }
 
 /// Precision of an explanation: `P(obs | bec ∧ des' ∧ des)`.
-pub fn precision(set: &TrainingSet, explanation: &Explanation) -> MetricEstimate {
+pub fn precision(training: &EncodedTraining<'_>, explanation: &Explanation) -> MetricEstimate {
     let condition = explanation.despite.conjoin(&explanation.because);
-    conditional_probability(set, &condition, true)
+    conditional_probability(training, &condition, true)
 }
 
 /// Generality of an explanation: `P(bec | des' ∧ des)`.
-pub fn generality(set: &TrainingSet, explanation: &Explanation) -> MetricEstimate {
-    let mut in_context = 0usize;
-    let mut satisfied = 0usize;
-    for (example, _) in set.iter() {
-        if explanation.despite.eval(example) {
-            in_context += 1;
-            if explanation.because.eval(example) {
-                satisfied += 1;
-            }
-        }
-    }
-    MetricEstimate {
-        value: if in_context == 0 {
-            None
-        } else {
-            Some(satisfied as f64 / in_context as f64)
-        },
-        support: in_context,
-    }
+pub fn generality(training: &EncodedTraining<'_>, explanation: &Explanation) -> MetricEstimate {
+    let in_context = labels_satisfying(training, &explanation.despite).count();
+    let condition = explanation.despite.conjoin(&explanation.because);
+    let satisfied = labels_satisfying(training, &condition).count();
+    MetricEstimate::of(satisfied, in_context)
 }
 
 /// All three metrics of an explanation at once.
@@ -110,52 +120,73 @@ pub struct ExplanationQuality {
 }
 
 /// Scores an explanation on a set of related pairs.
-pub fn assess(set: &TrainingSet, explanation: &Explanation) -> ExplanationQuality {
+pub fn assess(training: &EncodedTraining<'_>, explanation: &Explanation) -> ExplanationQuality {
     ExplanationQuality {
-        relevance: relevance(set, &explanation.despite),
-        precision: precision(set, explanation),
-        generality: generality(set, explanation),
+        relevance: relevance(training, &explanation.despite),
+        precision: precision(training, explanation),
+        generality: generality(training, explanation),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairs::PairExample;
-    use pxql::{Atom, Value};
-    use std::collections::BTreeMap;
+    use crate::columnar::ColumnarLog;
+    use crate::query::PairLabel;
+    use crate::record::{ExecutionKind, ExecutionLog, ExecutionRecord};
+    use crate::training::RelatedPair;
+    use pxql::Atom;
+    use std::sync::Arc;
 
-    /// Builds a small hand-crafted training set:
-    /// 6 pairs, 3 observed / 3 expected; `blocksize_isSame = T` holds for
-    /// all observed pairs and one expected pair.
-    fn set() -> TrainingSet {
-        let mut set = TrainingSet::default();
+    /// Six pairs, 3 observed / 3 expected, as twelve jobs: pair `i` is
+    /// rows `2i` and `2i + 1`.  `blocksize_isSame = T` holds for all
+    /// observed pairs and one expected pair, and both jobs of a pair share
+    /// their `numinstances`.
+    fn log() -> ExecutionLog {
         let entries = [
-            (true, true, 150.0),
-            (true, true, 120.0),
-            (true, true, 100.0),
-            (false, true, 150.0),
-            (false, false, 10.0),
-            (false, false, 20.0),
+            (true, 150.0),
+            (true, 120.0),
+            (true, 100.0),
+            (true, 150.0),
+            (false, 10.0),
+            (false, 20.0),
         ];
-        for (i, (observed, same_block, instances)) in entries.into_iter().enumerate() {
-            let features = BTreeMap::from([
-                ("blocksize_isSame".to_string(), Value::Bool(same_block)),
-                ("numinstances".to_string(), Value::Num(instances)),
-            ]);
-            set.examples.push(PairExample {
-                left_id: format!("l{i}"),
-                right_id: format!("r{i}"),
-                features,
-            });
-            set.labels.push(observed);
+        let mut log = ExecutionLog::new();
+        for (i, (same_block, instances)) in entries.into_iter().enumerate() {
+            for (side, blocksize) in [(0, 64.0), (1, if same_block { 64.0 } else { 128.0 })] {
+                log.push(
+                    ExecutionRecord::job(format!("job_{i}_{side}"))
+                        .with_feature("blocksize", blocksize)
+                        .with_feature("numinstances", instances),
+                );
+            }
         }
-        set
+        log.rebuild_catalogs();
+        log
+    }
+
+    /// The six pairs of [`log`] as a sample: the first three performed as
+    /// observed.
+    fn set(log: &ExecutionLog) -> EncodedTraining<'_> {
+        let view = Arc::new(ColumnarLog::build(log, ExecutionKind::Job));
+        let pairs: Vec<RelatedPair> = (0..6)
+            .map(|i| RelatedPair {
+                left: 2 * i,
+                right: 2 * i + 1,
+                label: if i < 3 {
+                    PairLabel::Observed
+                } else {
+                    PairLabel::Expected
+                },
+            })
+            .collect();
+        EncodedTraining::of_related(log, view, pairs.iter(), pairs.len(), 0.1)
     }
 
     #[test]
     fn precision_counts_only_condition_satisfying_pairs() {
-        let set = set();
+        let log = log();
+        let set = set(&log);
         let expl = Explanation::because_only(Predicate::from_atoms(vec![Atom::eq(
             "blocksize_isSame",
             true,
@@ -168,7 +199,8 @@ mod tests {
 
     #[test]
     fn generality_is_support_within_context() {
-        let set = set();
+        let log = log();
+        let set = set(&log);
         let expl = Explanation::new(
             Predicate::from_atoms(vec![Atom::new("numinstances", pxql::Op::Ge, 100i64)]),
             Predicate::from_atoms(vec![Atom::eq("blocksize_isSame", true)]),
@@ -182,7 +214,8 @@ mod tests {
 
     #[test]
     fn relevance_measures_expected_fraction() {
-        let set = set();
+        let log = log();
+        let set = set(&log);
         // Restricting to small clusters makes "expected" behaviour dominant.
         let despite = Predicate::from_atoms(vec![Atom::new("numinstances", pxql::Op::Lt, 100i64)]);
         let r = relevance(&set, &despite);
@@ -196,7 +229,8 @@ mod tests {
 
     #[test]
     fn empty_condition_support_yields_none() {
-        let set = set();
+        let log = log();
+        let set = set(&log);
         let impossible = Predicate::from_atoms(vec![Atom::eq("blocksize_isSame", "MAYBE")]);
         let estimate = conditional_probability(&set, &impossible, true);
         assert_eq!(estimate.support, 0);
@@ -206,7 +240,8 @@ mod tests {
 
     #[test]
     fn assess_bundles_all_metrics() {
-        let set = set();
+        let log = log();
+        let set = set(&log);
         let expl = Explanation::because_only(Predicate::from_atoms(vec![Atom::eq(
             "blocksize_isSame",
             true,

@@ -118,13 +118,18 @@ impl BoundQuery {
 
     /// Verifies the semantic preconditions of Definition 1: the pair of
     /// interest satisfies `des` and `obs` but not `exp`.  Both executions
-    /// are found through the log's id index.
-    pub fn verify_preconditions(
-        &self,
-        log: &ExecutionLog,
-        sim_threshold: f64,
-    ) -> Result<PairExample> {
-        let pair = self.pair_of_interest(log, sim_threshold)?;
+    /// are found through the log's id index, and only the pair features the
+    /// three clauses mention are computed.
+    pub fn verify_preconditions(&self, log: &ExecutionLog, sim_threshold: f64) -> Result<()> {
+        let left = log.require(&self.left_id, self.kind)?;
+        let right = log.require(&self.right_id, self.kind)?;
+        let pair = compute_selected_pair_features(
+            log.catalog(self.kind),
+            left,
+            right,
+            sim_threshold,
+            &self.mentioned_features(),
+        );
         if !self.query.despite.eval(&pair) {
             return Err(CoreError::QueryPreconditionViolated(format!(
                 "the pair of interest does not satisfy the DESPITE clause ({})",
@@ -143,7 +148,7 @@ impl BoundQuery {
                 self.query.expected
             )));
         }
-        Ok(pair)
+        Ok(())
     }
 
     /// Classifies a candidate pair of records from the log, computing only
@@ -226,9 +231,10 @@ mod tests {
     fn binding_and_preconditions() {
         let log = log();
         let bound = BoundQuery::new(query(), "job_big", "job_small");
-        let pair = bound
+        bound
             .verify_preconditions(&log, DEFAULT_SIM_THRESHOLD)
             .unwrap();
+        let pair = bound.pair_of_interest(&log, DEFAULT_SIM_THRESHOLD).unwrap();
         assert_eq!(pair.left_id, "job_big");
 
         // Swapping the pair violates the despite clause.

@@ -343,15 +343,14 @@ impl CostEstimate {
 /// Delta refreshes keep appended records in a small tail
 /// ([`ColumnarLog::tail_rows`]); queries over the tail pay a branch per
 /// row access, so an unboundedly growing tail would slowly erode scan
-/// speed.  Once a refreshed view's tail reaches `tail_limit` rows the
-/// service schedules a background fold ([`ColumnarLog::compacted`]) on the
-/// process-wide worker pool — off the query path; queries keep being
-/// served from the un-compacted view until the fold lands.
+/// speed.  Once a refreshed view's tail reaches the default policy's
+/// `tail_limit` rows the service schedules a background fold
+/// ([`ColumnarLog::compacted`]) on the process-wide worker pool — off the
+/// query path; queries keep being served from the un-compacted view until
+/// the fold lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
     /// Tail size (rows) at which a background compaction is scheduled.
-    /// `usize::MAX` disables background compaction entirely (the
-    /// synchronous [`XplainService::compact_views`] still works).
     pub tail_limit: usize,
 }
 
@@ -551,7 +550,6 @@ pub struct XplainService {
     /// can re-install a folded view after the service borrow ends.
     views: Arc<RwLock<HashMap<ExecutionKind, CachedView>>>,
     stats: Arc<DeltaStats>,
-    compaction: CompactionPolicy,
     engine: PerfXplain,
 }
 
@@ -568,15 +566,8 @@ impl XplainService {
             log: RwLock::new(log),
             views: Arc::new(RwLock::new(HashMap::new())),
             stats: Arc::new(DeltaStats::default()),
-            compaction: CompactionPolicy::default(),
             engine: PerfXplain::new(config),
         }
-    }
-
-    /// Overrides the tail-compaction policy (builder style).
-    pub fn with_compaction_policy(mut self, policy: CompactionPolicy) -> Self {
-        self.compaction = policy;
-        self
     }
 
     /// Rehydrates a service from a snapshot directory with the default
@@ -1270,7 +1261,7 @@ impl XplainService {
         generation: u64,
         view: &Arc<ColumnarLog>,
     ) {
-        if view.tail_rows() < self.compaction.tail_limit {
+        if view.tail_rows() < CompactionPolicy::default().tail_limit {
             return;
         }
         let slot = kind_slot(kind);
@@ -1324,12 +1315,7 @@ fn answer(
     let narration = request.narrate.then(|| narrate(bound, &explanation));
     // Assessment reuses the training set the clause was grown from (the
     // seeded sample over the effective query) instead of re-enumerating.
-    let quality = request.assess.then(|| {
-        assess(
-            &training.materialise(engine.config().sim_threshold),
-            &explanation,
-        )
-    });
+    let quality = request.assess.then(|| assess(&training, &explanation));
     Ok(QueryOutcome {
         explanation,
         query: effective,
@@ -1807,12 +1793,12 @@ mod tests {
 
     #[test]
     fn oversized_tails_are_folded_in_the_background() {
-        let service = XplainService::new(block_size_log(40))
-            .with_compaction_policy(CompactionPolicy { tail_limit: 4 });
+        let appended = CompactionPolicy::default().tail_limit + 8;
+        let service = XplainService::new(block_size_log(40));
         service.explain(&request()).unwrap();
-        service.append(extra_jobs(40, 8)).unwrap();
-        // This refresh splices an 8-row tail — past the limit, so a
-        // background fold is scheduled on the shared pool.
+        service.append(extra_jobs(40, appended)).unwrap();
+        // This refresh splices a tail past the limit, so a background fold
+        // is scheduled on the shared pool.
         service.explain(&request()).unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while service.view_stats().tail_rows > 0 {
@@ -1823,7 +1809,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
         let stats = service.view_stats();
-        assert_eq!(stats.base_rows, 48);
+        assert_eq!(stats.base_rows, 40 + appended as u64);
         assert!(stats.compactions >= 1);
         // Queries keep working over the folded view, and the fold kept the
         // sample the refreshing query memoized.

@@ -53,6 +53,12 @@
 //! sample's encoded dataset (`SharedDataset`), stored with the sample by
 //! the request that first featurized it.  The stateless paths pass no
 //! memo: they always enumerate and featurize, and store nothing.
+//!
+//! A sample has one form, [`EncodedTraining`]: view rows, labels and the
+//! similarity band they were classified under.  The split-search
+//! featurize, the quality metrics ([`crate::metrics`]), SimButDiff and the
+//! evaluation harness ([`crate::eval`]) all read those rows, and none
+//! builds a pair-feature map.
 
 use crate::bridge::SharedDataset;
 use crate::cancel::CancelToken;
@@ -60,7 +66,7 @@ use crate::columnar::{ColumnarLog, CompiledQuery};
 use crate::config::ExplainConfig;
 use crate::error::{CoreError, Result};
 use crate::features::FeatureKind;
-use crate::pairs::{parse_pair_feature, PairExample, PairFeatureGroup};
+use crate::pairs::{parse_pair_feature, PairFeatureGroup};
 use crate::query::{BoundQuery, PairLabel};
 use crate::record::ExecutionLog;
 use mlcore::{balanced_sample, AttrValue, NominalDictionary};
@@ -71,42 +77,6 @@ use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// A class-balanced, fully materialised set of training pairs.
-#[derive(Debug, Clone, Default)]
-pub struct TrainingSet {
-    /// The training pairs with their full pair-feature maps.
-    pub examples: Vec<PairExample>,
-    /// `true` for pairs that performed as observed (positive class).
-    pub labels: Vec<bool>,
-}
-
-impl TrainingSet {
-    /// Number of training pairs.
-    pub fn len(&self) -> usize {
-        self.examples.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.examples.is_empty()
-    }
-
-    /// Number of pairs that performed as observed.
-    pub fn num_observed(&self) -> usize {
-        self.labels.iter().filter(|&&l| l).count()
-    }
-
-    /// Number of pairs that performed as expected.
-    pub fn num_expected(&self) -> usize {
-        self.len() - self.num_observed()
-    }
-
-    /// Iterates over `(example, performed_as_observed)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&PairExample, bool)> {
-        self.examples.iter().zip(self.labels.iter().copied())
-    }
-}
 
 /// A related candidate pair before materialisation: rows of the columnar
 /// view (the kind's records in log order) plus its label.
@@ -425,21 +395,9 @@ fn sample_related(related: &[RelatedPair], config: &ExplainConfig) -> Result<Vec
     Ok(selected)
 }
 
-/// Convenience: enumerate, classify, sample and materialise in one call
-/// ([`prepare_encoded_training`], then [`EncodedTraining::materialise`]).
-pub fn prepare_training_set(
-    log: &ExecutionLog,
-    query: &BoundQuery,
-    config: &ExplainConfig,
-) -> Result<TrainingSet> {
-    Ok(prepare_encoded_training(log, query, config)?.materialise(config.sim_threshold))
-}
-
-/// A sampled training set kept in encoded (row index) form: the columnar
-/// view plus the sampled `(left row, right row)` pairs and their labels.
-/// The explanation engine consumes this directly — pair features of the
-/// sampled pairs are encoded straight into the split-search dataset, and
-/// [`PairExample`]s are only materialised at the API boundary.
+/// A sampled training set in encoded (row index) form: the columnar view
+/// plus the sampled `(left row, right row)` pairs, their labels and the
+/// similarity band they were drawn under (see the module docs).
 ///
 /// The view is held behind an [`Arc`] so that a cached encoding (e.g. one
 /// owned by [`XplainService`](crate::service::XplainService)) can feed many
@@ -458,16 +416,21 @@ pub struct EncodedTraining<'a> {
     /// actual (not estimated) candidate workload, used to refine admission
     /// costs after the fact.
     pub related_pairs: usize,
+    /// The similarity band of the `compare` features the pairs were
+    /// classified under (the drawing configuration's `sim_threshold`).
+    pub sim_threshold: f64,
 }
 
 impl<'a> EncodedTraining<'a> {
     /// The training set of `pairs` of `view`, drawn from `log` out of
-    /// `related_pairs` related pairs, in the order given.
+    /// `related_pairs` related pairs under `sim_threshold`, in the order
+    /// given.
     pub(crate) fn of_related<'p>(
         log: &'a ExecutionLog,
         view: Arc<ColumnarLog>,
         pairs: impl ExactSizeIterator<Item = &'p RelatedPair>,
         related_pairs: usize,
+        sim_threshold: f64,
     ) -> Self {
         let mut rows = Vec::with_capacity(pairs.len());
         let mut labels = Vec::with_capacity(pairs.len());
@@ -481,6 +444,7 @@ impl<'a> EncodedTraining<'a> {
             pairs: rows.into(),
             labels: labels.into(),
             related_pairs,
+            sim_threshold,
         }
     }
 
@@ -520,25 +484,14 @@ impl<'a> EncodedTraining<'a> {
         ))
     }
 
-    /// Materialises the sampled pairs as [`PairExample`]s (the API /
-    /// narration boundary representation).  The one routine that builds
-    /// pair examples from drawn pairs: [`prepare_training_set`], the
-    /// SimButDiff baseline and the evaluation's related pairs all go
-    /// through it.
-    pub fn materialise(&self, sim_threshold: f64) -> TrainingSet {
-        let catalog = self.log.catalog(self.view.kind());
-        let record = |row| &self.log.records()[self.view.position(row)];
-        let mut set = TrainingSet::default();
-        for (&(left, right), &label) in self.pairs.iter().zip(self.labels.iter()) {
-            set.examples.push(PairExample::build(
-                catalog,
-                record(left),
-                record(right),
-                sim_threshold,
-            ));
-            set.labels.push(label);
+    /// The same sample under the similarity band `sim_threshold`: the
+    /// view, rows and labels are shared (`Arc` clones) and no pair-feature
+    /// map is built.
+    pub fn materialise(&self, sim_threshold: f64) -> EncodedTraining<'a> {
+        EncodedTraining {
+            sim_threshold,
+            ..self.clone()
         }
-        set
     }
 }
 
@@ -584,6 +537,7 @@ pub fn prepare_encoded_training_cancellable<'a>(
         view,
         selected.iter().map(|&index| &related[index]),
         related.len(),
+        config.sim_threshold,
     );
     let observed = training.num_observed();
     if observed == 0 || observed == training.len() {
@@ -809,6 +763,7 @@ pub(crate) fn prepare_encoded_training_memoized<'a>(
             pairs: sample.pairs,
             labels: sample.labels,
             related_pairs: sample.related_pairs,
+            sim_threshold: config.sim_threshold,
         };
         return Ok(Drawn {
             training,
@@ -896,14 +851,17 @@ mod tests {
     fn training_set_is_materialised_and_balanced() {
         let log = synthetic_log();
         let config = ExplainConfig::default().with_sample_size(60);
-        let set = prepare_training_set(&log, &query(), &config).unwrap();
+        let set = prepare_encoded_training(&log, &query(), &config).unwrap();
         assert!(!set.is_empty());
         assert!(set.num_observed() > 0);
         assert!(set.num_expected() > 0);
-        // Full pair features are available.
-        assert!(set.examples[0].features.contains_key("blocksize_isSame"));
-        assert!(set.examples[0].features.contains_key("blocksize_compare"));
-        assert_eq!(set.iter().count(), set.len());
+        assert_eq!(set.labels.len(), set.len());
+        assert_eq!(set.sim_threshold, config.sim_threshold);
+        // The same sample under another band shares every row.
+        let rebanded = set.materialise(0.3);
+        assert_eq!(rebanded.sim_threshold, 0.3);
+        assert!(Arc::ptr_eq(&rebanded.pairs, &set.pairs));
+        assert!(Arc::ptr_eq(&rebanded.labels, &set.labels));
     }
 
     #[test]
@@ -951,7 +909,7 @@ mod tests {
             );
         }
         log.rebuild_catalogs();
-        let err = prepare_training_set(&log, &query(), &ExplainConfig::default()).unwrap_err();
+        let err = prepare_encoded_training(&log, &query(), &ExplainConfig::default()).unwrap_err();
         assert!(matches!(err, CoreError::NotEnoughTrainingPairs { .. }));
     }
 

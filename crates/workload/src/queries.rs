@@ -183,11 +183,11 @@ mod tests {
         let binding = why_last_task_faster(&log).expect("the last-task pattern exists");
         assert_eq!(binding.name, "WhyLastTaskFaster");
         // The pair of interest satisfies the query's semantic preconditions.
-        let pair = binding
+        binding
             .bound
             .verify_preconditions(&log, DEFAULT_SIM_THRESHOLD)
             .expect("preconditions hold");
-        assert_ne!(pair.left_id, pair.right_id);
+        assert_ne!(binding.bound.left_id, binding.bound.right_id);
     }
 
     #[test]
@@ -195,13 +195,13 @@ mod tests {
         let log = tiny_log();
         let binding = why_slower_despite_same_num_instances(&log).expect("a slower job exists");
         assert_eq!(binding.name, "WhySlowerDespiteSameNumInstances");
-        let pair = binding
+        binding
             .bound
             .verify_preconditions(&log, DEFAULT_SIM_THRESHOLD)
             .expect("preconditions hold");
         // Both ends are jobs with the same instance count and script.
-        let left = log.get(&pair.left_id).unwrap();
-        let right = log.get(&pair.right_id).unwrap();
+        let left = log.get(&binding.bound.left_id).unwrap();
+        let right = log.get(&binding.bound.right_id).unwrap();
         assert_eq!(left.feature("numinstances"), right.feature("numinstances"));
         assert_eq!(left.feature("pigscript"), right.feature("pigscript"));
         assert!(left.duration().unwrap() > right.duration().unwrap());

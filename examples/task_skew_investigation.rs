@@ -11,7 +11,7 @@
 //! Run with `cargo run --release --example task_skew_investigation`.
 
 use perfxplain::prelude::*;
-use perfxplain::{prepare_training_set, relevance, BoundQuery};
+use perfxplain::{prepare_encoded_training, relevance, BoundQuery};
 use pxql::Predicate;
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
         &binding.bound.left_id,
         &binding.bound.right_id,
     );
-    let related = prepare_training_set(&log, &underspecified, &config).expect("related pairs");
+    let related = prepare_encoded_training(&log, &underspecified, &config).expect("related pairs");
     let relevance_before = relevance(&related, &Predicate::always_true()).unwrap_or(0.0);
 
     let (full, extended_query) = engine

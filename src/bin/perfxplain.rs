@@ -105,7 +105,7 @@
 
 use perfxplain::prelude::*;
 use perfxplain::{
-    assess, generate_explanation, prepare_training_set, BoundQuery, ExecutionLog, QueryRequest,
+    assess, generate_explanation, prepare_encoded_training, BoundQuery, ExecutionLog, QueryRequest,
     XplainService,
 };
 use std::collections::BTreeMap;
@@ -812,8 +812,8 @@ fn cmd_explain(args: &Args) {
             outcome.query.right_id.clone(),
         );
         service.with_log(|log| {
-            let related =
-                prepare_training_set(log, &bound, &config).unwrap_or_else(|e| fail(&e.to_string()));
+            let related = prepare_encoded_training(log, &bound, &config)
+                .unwrap_or_else(|e| fail(&e.to_string()));
             println!("\nbaselines:");
             for technique in [Technique::RuleOfThumb, Technique::SimButDiff] {
                 match generate_explanation(technique, log, &bound, &config) {

@@ -175,14 +175,14 @@
 
 pub use perfxplain_core::{
     assess, compute_pair_features, evaluate_on_log, generality, generate_explanation, narrate,
-    precision, prepare_training_set, relevance, split_log, train_test_round, verify_journal,
-    Aggregate, BoundQuery, CoreError, EvaluationResult, ExecutionKind, ExecutionLog,
-    ExecutionRecord, ExplainConfig, Explanation, ExplanationQuality, FeatureCatalog, FeatureDef,
-    FeatureKind, FeatureLevel, FsyncPolicy, JournalHealth, JournalStats, MetricEstimate,
-    PairCatalog, PairExample, PairFeatureGroup, PairLabel, PartialSnapshot, PerfXplain, QueryInput,
-    QueryOutcome, QueryRequest, RecordShard, RuleOfThumb, ShardDamage, ShardEntry, ShardHealth,
-    ShardInput, SimButDiff, Snapshot, SnapshotManifest, SnapshotShard, SnapshotUsage,
-    SnapshotViews, SyncReport, Technique, TrainingSet, XplainService, DEFAULT_SIM_THRESHOLD,
+    precision, prepare_encoded_training, relevance, split_log, train_test_round, verify_journal,
+    Aggregate, BoundQuery, CoreError, EncodedTraining, EvaluationResult, ExecutionKind,
+    ExecutionLog, ExecutionRecord, ExplainConfig, Explanation, ExplanationQuality, FeatureCatalog,
+    FeatureDef, FeatureKind, FeatureLevel, FsyncPolicy, JournalHealth, JournalStats,
+    MetricEstimate, PairCatalog, PairExample, PairFeatureGroup, PairLabel, PartialSnapshot,
+    PerfXplain, QueryInput, QueryOutcome, QueryRequest, RecordShard, RuleOfThumb, ShardDamage,
+    ShardEntry, ShardHealth, ShardInput, SimButDiff, Snapshot, SnapshotManifest, SnapshotShard,
+    SnapshotUsage, SnapshotViews, SyncReport, Technique, XplainService, DEFAULT_SIM_THRESHOLD,
     DURATION_FEATURE, SNAPSHOT_VERSION,
 };
 

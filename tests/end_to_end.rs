@@ -3,7 +3,8 @@
 
 use perfxplain::prelude::*;
 use perfxplain::{
-    assess, evaluate_on_log, generate_explanation, prepare_training_set, split_log, ExecutionLog,
+    assess, evaluate_on_log, generate_explanation, prepare_encoded_training, split_log,
+    ExecutionLog,
 };
 
 /// One shared log for the whole file: building it exercises the full
@@ -24,7 +25,7 @@ fn job_query_end_to_end() {
     // The explanation is applicable to the pair of interest (Definition 3)…
     let poi = binding
         .bound
-        .verify_preconditions(&log, config.sim_threshold)
+        .pair_of_interest(&log, config.sim_threshold)
         .unwrap();
     assert!(explanation.is_applicable(&poi));
     // …has the requested width…
@@ -36,7 +37,7 @@ fn job_query_end_to_end() {
         .iter()
         .all(|f| !f.starts_with("duration")));
     // …and beats the base rate P(obs | des) on the related pairs.
-    let related = prepare_training_set(&log, &binding.bound, &config).unwrap();
+    let related = prepare_encoded_training(&log, &binding.bound, &config).unwrap();
     let quality = assess(&related, &explanation);
     let base_rate = related.num_observed() as f64 / related.len() as f64;
     assert!(
@@ -56,7 +57,7 @@ fn task_query_end_to_end() {
 
     let poi = binding
         .bound
-        .verify_preconditions(&log, config.sim_threshold)
+        .pair_of_interest(&log, config.sim_threshold)
         .unwrap();
     assert!(explanation.is_applicable(&poi));
     assert!(explanation.width() >= 1);
@@ -128,7 +129,7 @@ fn generated_despite_clause_improves_relevance_of_underspecified_query() {
 
     let config = ExplainConfig::default();
     let engine = PerfXplain::new(config.clone());
-    let related = prepare_training_set(&log, &underspecified, &config).unwrap();
+    let related = prepare_encoded_training(&log, &underspecified, &config).unwrap();
     let before = perfxplain::relevance(&related, &Predicate::always_true()).unwrap_or(0.0);
 
     let despite = engine

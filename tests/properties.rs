@@ -223,7 +223,7 @@ proptest! {
             }
         }
         if observed > 0 && expected > 0 {
-            let set = perfxplain::prepare_training_set(&log, &bound, &config).unwrap();
+            let set = perfxplain::prepare_encoded_training(&log, &bound, &config).unwrap();
             prop_assert_eq!(set.num_observed() + set.num_expected(), set.len());
             let quality = perfxplain::assess(&set, &perfxplain::Explanation::default());
             for estimate in [quality.precision, quality.generality, quality.relevance] {
@@ -554,20 +554,20 @@ proptest! {
         let config = uncapped_config();
         for query in query_pool() {
             let bound = BoundQuery::new(query, "job_0", "job_1");
-            let Ok(poi) = bound.verify_preconditions(&log, config.sim_threshold) else {
+            if bound.verify_preconditions(&log, config.sim_threshold).is_err() {
                 continue;
-            };
+            }
             let Ok(encoded) =
                 perfxplain_core::training::prepare_encoded_training(&log, &bound, &config)
             else {
                 continue;
             };
-            let set = perfxplain::prepare_training_set(&log, &bound, &config).unwrap();
+            let poi = bound.pair_of_interest(&log, config.sim_threshold).unwrap();
             let catalog = PairCatalog::from_raw(log.job_catalog())
                 .restrict_to_groups(config.feature_level.allowed_groups());
             let excluded = perfxplain_core::query::excluded_raw_features(&bound, &config);
 
-            let by_maps = DatasetBridge::build(&set, &poi, &catalog, &excluded);
+            let by_maps = DatasetBridge::build(&encoded, &poi, &catalog, &excluded);
             let poi_rows = (
                 encoded.view.row_of(&log, &bound.left_id).unwrap(),
                 encoded.view.row_of(&log, &bound.right_id).unwrap(),
@@ -796,33 +796,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(&ExecutionLog::from_shards(shard_logs), &log);
-    }
-
-    /// The encoded end-to-end engine produces explanations identical to the
-    /// legacy map-based clause generation.
-    #[test]
-    fn encoded_explanations_match_the_map_based_path(seed in 0u64..200) {
-        let log = random_log(seed);
-        let config = uncapped_config();
-        let engine = perfxplain::PerfXplain::new(config.clone());
-        for query in query_pool() {
-            let bound = BoundQuery::new(query, "job_0", "job_1");
-            let Ok(poi) = bound.verify_preconditions(&log, config.sim_threshold) else {
-                continue;
-            };
-            let Ok(set) = perfxplain::prepare_training_set(&log, &bound, &config) else {
-                continue;
-            };
-            let new_path = engine.explain(&log, &bound).unwrap();
-            let legacy = engine.because_from_training(&set, &poi, &log, &bound);
-            prop_assert_eq!(
-                new_path.because, legacy,
-                "because clause diverges for seed {}", seed
-            );
-            let new_despite = engine.generate_despite(&log, &bound).unwrap();
-            let legacy_despite = engine.despite_from_training(&set, &poi, &log, &bound);
-            prop_assert_eq!(new_despite, legacy_despite);
-        }
     }
 }
 
@@ -1068,7 +1041,7 @@ proptest! {
     }
 
     /// Over the same three edge views, the bridge encoded straight from a
-    /// view equals the map-based bridge over the materialised training set:
+    /// view equals the reference bridge over the sampled pairs' feature maps:
     /// attributes and their dictionaries, the pair of interest's row, the
     /// labels, every row, and the rendered original behind every id of
     /// every attribute (rendered, because `Bool(true)` and `"T"` share one
@@ -1096,7 +1069,8 @@ proptest! {
                         &log.records()[view.position(k % rows)].id,
                     ))
                     .find_map(|bound| {
-                        let poi = bound.verify_preconditions(&log, config.sim_threshold).ok()?;
+                        bound.verify_preconditions(&log, config.sim_threshold).ok()?;
+                        let poi = bound.pair_of_interest(&log, config.sim_threshold).ok()?;
                         Some((bound, poi))
                     })
                 else {
@@ -1105,12 +1079,11 @@ proptest! {
                 let encoded = perfxplain_core::training::prepare_encoded_training_in(
                     &log, view.clone(), &bound, &config,
                 ).unwrap();
-                let set = encoded.materialise(config.sim_threshold);
                 let catalog = PairCatalog::from_raw(log.job_catalog())
                     .restrict_to_groups(config.feature_level.allowed_groups());
                 let excluded = perfxplain_core::query::excluded_raw_features(&bound, &config);
 
-                let by_maps = DatasetBridge::build(&set, &poi, &catalog, &excluded);
+                let by_maps = DatasetBridge::build(&encoded, &poi, &catalog, &excluded);
                 let by_view = DatasetBridge::encode_from_view(
                     &encoded,
                     encoded.poi_rows(&bound).unwrap(),
@@ -1312,7 +1285,7 @@ proptest! {
                             (Ok(outcome), Ok((explanation, effective))) => {
                                 assert_identical(&outcome.explanation, explanation)?;
                                 assert_identical(&outcome.query, effective)?;
-                                let poi = bound.verify_preconditions(&log, config.sim_threshold).unwrap();
+                                let poi = bound.pair_of_interest(&log, config.sim_threshold).unwrap();
                                 assert_constants_are_the_pairs_own(explanation, &poi, &catalog)?;
                                 prop_assert!(
                                     explanation.is_applicable(&poi),
@@ -1350,6 +1323,354 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Metrics and SimButDiff on the encoded sample ≡ pair-feature maps
+// ---------------------------------------------------------------------------
+
+/// A number one ulp above `v`: equal to `v` under PXQL's numeric
+/// tolerance, but not bit for bit.
+fn ulp_above(v: f64) -> Value {
+    Value::Num(f64::from_bits(v.to_bits() + 1))
+}
+
+/// The raw features of a metric edge log besides `duration`.
+const METRIC_EDGE_FEATURES: [&str; 4] = ["inputsize", "blocksize", "pigscript", "host"];
+
+/// The cells a metric edge log draws for `feature`: explicit `Null`,
+/// numbers equal under PXQL's tolerance but not bit for bit, `0` beside
+/// `-0`, `NaN`, `Bool(true)` beside `"T"` (one canonical text) and a
+/// string in a numeric column.  No pool holds two values PXQL equates
+/// under different canonical texts (`Bool(true)` and `"true"`), the one
+/// case interning by text tells apart.  The first cell keeps the column's
+/// catalog kind.
+fn metric_edge_cells(feature: &str) -> Vec<Value> {
+    match feature {
+        "inputsize" => vec![
+            Value::Num(1.0e9),
+            ulp_above(1.0e9),
+            Value::Num(4.0e9),
+            Value::Num(0.0),
+            Value::Num(-0.0),
+            Value::Num(f64::NAN),
+            Value::Null,
+        ],
+        "blocksize" => vec![
+            Value::Num(64.0),
+            Value::Num(1024.0),
+            ulp_above(1024.0),
+            Value::str("big"),
+        ],
+        "pigscript" => vec![
+            Value::str("a.pig"),
+            Value::str("b.pig"),
+            Value::Bool(true),
+            Value::str("T"),
+            Value::Bool(false),
+            Value::str("F"),
+            Value::str("NaN"),
+            Value::Null,
+        ],
+        _ => vec![Value::str("h1"), Value::str("h2")],
+    }
+}
+
+/// Numbers pushed into the nominal `pigscript` column after its catalog
+/// was built.
+fn metric_edge_numeric_scripts() -> [Value; 5] {
+    [
+        Value::Num(0.0),
+        Value::Num(-0.0),
+        Value::Num(f64::NAN),
+        Value::Num(7.0),
+        ulp_above(7.0),
+    ]
+}
+
+/// Job `i` of a metric edge log: each raw feature absent or drawn from its
+/// pool, job 0 holding every pool's first cell, and a duration cycling
+/// through 100, 104, 400 and 1000 s, so sampled pairs perform both as
+/// observed (`SIM`) and as expected (`GT`).
+fn metric_edge_record(seed: u64, i: u64) -> ExecutionRecord {
+    let durations = [100.0, 104.0, 400.0, 1000.0];
+    let mut record = ExecutionRecord::job(format!("job_{i}"))
+        .with_feature("duration", durations[(i % 4) as usize]);
+    for (k, feature) in METRIC_EDGE_FEATURES.iter().enumerate() {
+        let h = splitmix(seed ^ (i << 8) ^ k as u64);
+        let cells = metric_edge_cells(feature);
+        if i == 0 {
+            record.set_feature(*feature, cells[0].clone());
+        } else if !h.is_multiple_of(8) {
+            record.set_feature(*feature, cells[(h >> 3) as usize % cells.len()].clone());
+        }
+    }
+    record
+}
+
+/// A metric edge log served as a live service serves it: jobs pushed and
+/// catalogued, then jobs pushed whose `pigscript` cells are numbers (the
+/// stale catalog keeps the column nominal), the view cached, and a tail
+/// appended.  Returns the refreshed view, whose append tail holds the
+/// tail's jobs, beside the log at its generation.
+fn metric_edge_view(seed: u64) -> (std::sync::Arc<ColumnarLog>, ExecutionLog) {
+    use perfxplain::{ExecutionKind, XplainService};
+
+    let catalogued = 8 + splitmix(seed) % 6;
+    let mut log = ExecutionLog::new();
+    for i in 0..catalogued {
+        log.push(metric_edge_record(seed, i));
+    }
+    log.rebuild_catalogs();
+    let numeric_scripts = metric_edge_numeric_scripts();
+    for (k, script) in numeric_scripts.iter().enumerate() {
+        if !splitmix(seed ^ 0x5C1 ^ k as u64).is_multiple_of(3) {
+            let mut record = metric_edge_record(seed, catalogued + k as u64);
+            record.set_feature("pigscript", script.clone());
+            log.push(record);
+        }
+    }
+    let service = XplainService::new(log);
+    service.view(ExecutionKind::Job);
+    let first = catalogued + numeric_scripts.len() as u64;
+    let tail = (first..first + 2 + splitmix(seed ^ 0x7A11) % 3)
+        .map(|i| metric_edge_record(seed, i))
+        .collect();
+    service.append(tail).unwrap();
+    (service.view(ExecutionKind::Job), service.snapshot())
+}
+
+/// Every constant a metric edge atom compares a base or diff feature
+/// against: each pool's cells, the numbers of the nominal column, the
+/// durations, and `Null`.
+fn metric_edge_constants() -> Vec<Value> {
+    let mut constants: Vec<Value> = METRIC_EDGE_FEATURES
+        .iter()
+        .flat_map(|feature| metric_edge_cells(feature))
+        .chain(metric_edge_numeric_scripts())
+        .collect();
+    constants.extend([100.0, 104.0, 400.0, 1000.0].map(Value::Num));
+    constants.push(Value::Null);
+    constants
+}
+
+/// A random atom over a metric edge log's features and one it lacks:
+/// `isSame` against `T`, `F` or `Null`, `compare` against an outcome,
+/// `diff` against a pair constant or `Null`, or a base feature under `=`,
+/// `!=`, `<=` or `>`.
+fn metric_edge_atom(h: u64) -> Atom {
+    let raw = [
+        "inputsize",
+        "blocksize",
+        "pigscript",
+        "host",
+        "duration",
+        "ghost",
+    ][(h % 6) as usize];
+    let constants = metric_edge_constants();
+    let constant = |salt: u32| constants[(h >> salt) as usize % constants.len()].clone();
+    let either = if (h >> 12).is_multiple_of(2) {
+        Op::Eq
+    } else {
+        Op::Ne
+    };
+    match (h >> 8) % 4 {
+        0 => {
+            let flags = [
+                Value::Bool(true),
+                Value::Bool(false),
+                Value::str("T"),
+                Value::str("F"),
+                Value::Null,
+            ];
+            Atom::new(
+                format!("{raw}_isSame"),
+                either,
+                flags[(h >> 16) as usize % 5].clone(),
+            )
+        }
+        1 => {
+            let outcomes = ["LT", "SIM", "GT"];
+            Atom::new(
+                format!("{raw}_compare"),
+                either,
+                outcomes[(h >> 16) as usize % 3],
+            )
+        }
+        2 => {
+            let pair = if (h >> 14).is_multiple_of(5) {
+                Value::Null
+            } else {
+                Value::pair(constant(16), constant(32))
+            };
+            Atom::new(format!("{raw}_diff"), either, pair)
+        }
+        _ => {
+            let op = [Op::Eq, Op::Ne, Op::Le, Op::Gt][(h >> 13) as usize % 4];
+            Atom::new(raw, op, constant(16))
+        }
+    }
+}
+
+/// `P(hit | condition)` over `maps`, each a sampled pair's full feature
+/// map beside whether it performed as observed.
+fn estimate_from_maps(
+    maps: &[(BTreeMap<String, Value>, bool)],
+    condition: &Predicate,
+    hit: impl Fn(&BTreeMap<String, Value>, bool) -> bool,
+) -> perfxplain::MetricEstimate {
+    let satisfying: Vec<&(BTreeMap<String, Value>, bool)> = maps
+        .iter()
+        .filter(|(features, _)| condition.eval(features))
+        .collect();
+    let hits = satisfying
+        .iter()
+        .filter(|(features, observed)| hit(features, *observed))
+        .count();
+    perfxplain::MetricEstimate {
+        value: (!satisfying.is_empty()).then(|| hits as f64 / satisfying.len() as f64),
+        support: satisfying.len(),
+    }
+}
+
+/// Relevance, precision and generality (Definitions 4–6) counted over the
+/// sampled pairs' full feature maps with `Predicate::eval`.
+fn quality_from_maps(
+    maps: &[(BTreeMap<String, Value>, bool)],
+    explanation: &perfxplain::Explanation,
+) -> perfxplain::ExplanationQuality {
+    let context = &explanation.despite;
+    perfxplain::ExplanationQuality {
+        relevance: estimate_from_maps(maps, context, |_, observed| !observed),
+        precision: estimate_from_maps(
+            maps,
+            &context.conjoin(&explanation.because),
+            |_, observed| observed,
+        ),
+        generality: estimate_from_maps(maps, context, |features, _| {
+            explanation.because.eval(features)
+        }),
+    }
+}
+
+/// SimButDiff's what-if scores (Algorithm 2) counted over the pair of
+/// interest's and the sampled pairs' full feature maps: a missing value
+/// agrees only with a missing one.
+fn what_if_from_maps(
+    poi: &BTreeMap<String, Value>,
+    maps: &[(BTreeMap<String, Value>, bool)],
+    features: &[String],
+    similarity: f64,
+) -> Vec<perfxplain_core::baselines::simbutdiff::WhatIfScore> {
+    let value = |map: &BTreeMap<String, Value>, feature: &str| {
+        map.get(feature).cloned().unwrap_or(Value::Null)
+    };
+    let agrees = |map: &BTreeMap<String, Value>, feature: &str| {
+        let (a, b) = (value(poi, feature), value(map, feature));
+        (a.is_null() && b.is_null()) || a.pxql_eq(&b)
+    };
+    let threshold = (similarity * features.len() as f64).ceil() as usize;
+    let similar: Vec<&(BTreeMap<String, Value>, bool)> = maps
+        .iter()
+        .filter(|(map, _)| features.iter().filter(|f| agrees(map, f)).count() >= threshold)
+        .collect();
+    let mut scores: Vec<_> = features
+        .iter()
+        .map(|feature| {
+            let disagreeing: Vec<bool> = similar
+                .iter()
+                .filter(|(map, _)| !agrees(map, feature))
+                .map(|(_, observed)| *observed)
+                .collect();
+            perfxplain_core::baselines::simbutdiff::WhatIfScore {
+                feature: feature.clone(),
+                disagreeing: disagreeing.len(),
+                expected: disagreeing.iter().filter(|observed| !**observed).count(),
+            }
+        })
+        .collect();
+    scores.sort_by(|a, b| {
+        b.score()
+            .partial_cmp(&a.score())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(b.disagreeing.cmp(&a.disagreeing))
+    });
+    scores
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Relevance, precision and generality over a drawn sample, and
+    /// SimButDiff's what-if scores, equal the counts taken over every
+    /// sampled pair's full feature map with `Predicate::eval`.  The
+    /// explanations mix every pair-feature group and operator over the
+    /// metric edge logs: missing cells, explicit `Null`, `NaN`, `0` beside
+    /// `-0`, `Bool(true)` beside `"T"`, numbers in a nominal column and a
+    /// string in a numeric one, numbers within PXQL's tolerance, and rows
+    /// in a service view's append tail.
+    #[test]
+    fn metrics_and_what_if_scores_match_the_pair_feature_maps(seed in 0u64..1000) {
+        use perfxplain::{Explanation, SimButDiff};
+
+        let (view, log) = metric_edge_view(seed);
+        prop_assert!(view.tail_rows() > 0, "the view has no append tail");
+        let config = ExplainConfig {
+            sim_threshold: [0.1, 0.3][(seed % 2) as usize],
+            ..ExplainConfig::default()
+        };
+        let sim = config.sim_threshold;
+        let query =
+            parse_query("OBSERVED duration_compare = SIM\nEXPECTED duration_compare = GT").unwrap();
+        let bound = BoundQuery::new(query, "job_0", "job_1");
+        let training = perfxplain_core::training::prepare_encoded_training_in(
+            &log, view.clone(), &bound, &config,
+        )
+        .unwrap();
+        let catalog = log.job_catalog();
+        let record = |row: usize| &log.records()[view.position(row)];
+        let maps: Vec<(BTreeMap<String, Value>, bool)> = training
+            .pairs
+            .iter()
+            .zip(training.labels.iter())
+            .map(|(&(l, r), &observed)| {
+                (compute_pair_features(catalog, record(l), record(r), sim), observed)
+            })
+            .collect();
+
+        for k in 0..8u64 {
+            let h = splitmix(seed ^ (k << 40));
+            let clause = |salt: u64, width: u64| -> Predicate {
+                (0..width).map(|j| metric_edge_atom(splitmix(h ^ salt ^ (j << 20)))).collect()
+            };
+            let explanation = Explanation::new(clause(1, h % 3), clause(2, (h >> 2) % 4));
+            prop_assert_eq!(
+                perfxplain::assess(&training, &explanation),
+                quality_from_maps(&maps, &explanation),
+                "{}", explanation
+            );
+        }
+
+        let rows = view.num_rows();
+        let h = splitmix(seed ^ 0x51B);
+        let left = (h % rows as u64) as usize;
+        let right = (left + 1 + (h >> 20) as usize % (rows - 1)) % rows;
+        let features: Vec<String> = catalog
+            .names()
+            .map(|name| format!("{name}_isSame"))
+            .chain(["ghost_isSame".to_string()])
+            .collect();
+        let similarity = (seed % 5) as f64 / 4.0;
+        let baseline = SimButDiff::new(ExplainConfig {
+            simbutdiff_similarity: similarity,
+            ..config.clone()
+        });
+        let poi = PairExample::build(catalog, record(left), record(right), sim);
+        prop_assert_eq!(
+            baseline.what_if_scores(&training, (left, right), &features),
+            what_if_from_maps(&poi.features, &maps, &features, similarity)
+        );
     }
 }
 
