@@ -9,7 +9,11 @@
 //! *original* `Value`s (so that learned tests can be turned back into PXQL
 //! atoms, including `diff` features whose values are pairs), and each
 //! attribute's [`SplitSummary`] over every row, built the first time a
-//! search asks for it.  The per-pair part is the pair of interest's row,
+//! search asks for it.  A numeric attribute's summary carries its sorted
+//! row order (four bytes per sampled row with a value, charged in
+//! `SharedDataset::bytes` and so against the memo's bound), which the
+//! clause loop's later iterations walk under their survivors' mask instead
+//! of sorting again.  The per-pair part is the pair of interest's row,
 //! which Algorithm 1 needs to enforce applicability.  Every pair of
 //! interest asked under one template draws the same sample, so the served
 //! path keeps the shared part beside the memoized sample

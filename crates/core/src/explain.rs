@@ -29,7 +29,7 @@ use crate::training::{
     prepare_encoded_training_in, prepare_encoded_training_memoized, Drawn, EncodedTraining,
     SampleMemo,
 };
-use mlcore::{percentile_ranks, SplitCandidate, SplitSummary};
+use mlcore::{percentile_ranks, RowMask, SplitCandidate};
 use pxql::{Atom, Predicate};
 use std::sync::Arc;
 
@@ -312,16 +312,21 @@ impl PerfXplain {
                 break;
             }
             // Line 5 of Algorithm 1: the best (applicable) predicate for
-            // every feature.  Each attribute's search is an independent
-            // sweep — a summary of the candidates replayed under the
-            // applicability filter — so on large nodes the per-attribute
-            // searches fan out over the shared worker pool; results are
-            // collected in attribute order either way, keeping the scored
-            // candidate list (and therefore the percentile normalisation
-            // below) bit-identical to the serial loop.  The first
-            // iteration searches every row, whose summaries the bridge
-            // shares with every pair asked against the same sample, so
-            // there the search is a replay alone.
+            // every feature.  Each attribute's search is independent, so on
+            // large nodes the per-attribute searches fan out over the
+            // shared worker pool; results are collected in attribute order
+            // either way, keeping the scored candidate list (and therefore
+            // the percentile normalisation below) bit-identical to the
+            // serial loop.  Every search starts from the attribute's
+            // summary over every row, which the bridge shares with every
+            // pair asked against the same sample.  The first iteration
+            // searches every row, so there the search is the summary's
+            // replay under the applicability filter.  A later one searches
+            // the rows satisfying the clause so far: their mask and class
+            // counts are built once, and each attribute's search scores
+            // only what the pair of interest satisfies over them (one pass
+            // of a nominal column, or a walk of a numeric one's kept sort),
+            // with no sort and no new summary.
             let first = atoms.is_empty();
             let attrs: Vec<usize> = (0..bridge.num_attributes())
                 .filter(|&attr| {
@@ -329,22 +334,20 @@ impl PerfXplain {
                         && !atoms.iter().any(|a| a.feature == bridge.attr_name(attr))
                 })
                 .collect();
+            let mask = (!first).then(|| RowMask::new(dataset, &current));
             let search = |attr: usize| {
-                let fresh;
-                let summary = if first {
-                    bridge.summary(attr)
-                } else {
-                    fresh = SplitSummary::new(dataset, &current, attr);
-                    &fresh
-                };
-                summary
-                    .best_applicable_to(bridge.poi_value(attr))
-                    .map(|candidate| (attr, candidate))
+                let summary = bridge.summary(attr);
+                let value = bridge.poi_value(attr);
+                match &mask {
+                    None => summary.best_applicable_to(value),
+                    Some(mask) => summary.best_applicable_within(dataset, mask, value),
+                }
+                .map(|candidate| (attr, candidate))
             };
             let work = if first {
                 attrs.iter().map(|&attr| bridge.summary_work(attr)).sum()
             } else {
-                current.len().saturating_mul(attrs.len())
+                dataset.len().saturating_mul(attrs.len())
             };
             let per_chunk: Vec<Vec<(usize, SplitCandidate)>> = crate::pool::shared()
                 .map_chunks_gated(&attrs, work, |chunk| {

@@ -221,15 +221,22 @@
 //!    satisfy every emitted predicate).  The first iteration searches every
 //!    sampled row, so its summaries are kept with the encoded sample and a
 //!    repeated template replays them: one lookup per nominal attribute, one
-//!    comparison per candidate on a numeric one, no sort and no gain.  The
-//!    per-attribute searches of the greedy clause loop ([`PerfXplain`]) fan
-//!    out over the shared worker pool on large nodes, and Relief
-//!    ([`mlcore::relief_weights`], behind the RuleOfThumb baseline) scans
-//!    the dataset's own typed columns attribute-major, with its sampled
-//!    instances fanned out the same way.  Every search and the clause
-//!    loop's row filter read one attribute's contiguous column.  The pre-sweep trainer is retained
-//!    as `mlcore::oracle` (tests only) and the winners are
-//!    proptest-proven bit-identical to it.
+//!    comparison per candidate on a numeric one, no sort and no gain.  A
+//!    numeric summary also keeps its sorted row order, so the later
+//!    iterations, which search the rows satisfying the clause so far,
+//!    neither sort nor summarise again: each builds the survivors' row mask
+//!    and class counts once, then scores only what the pair of interest
+//!    satisfies ([`mlcore::SplitSummary::best_applicable_within`]): one
+//!    pass over a nominal attribute's ids counting the pair's own id, and
+//!    one walk of a numeric attribute's kept order under the mask, as in
+//!    SLIQ.  The per-attribute searches of the greedy clause loop
+//!    ([`PerfXplain`]) fan out over the shared worker pool on large nodes,
+//!    and Relief ([`mlcore::relief_weights`], behind the RuleOfThumb
+//!    baseline) scans the dataset's own typed columns attribute-major, with
+//!    its sampled instances fanned out the same way.  Every search and the
+//!    clause loop's row filter read one attribute's contiguous column.  The
+//!    pre-sweep trainer is retained as `mlcore::oracle` (tests only) and
+//!    the winners are proptest-proven bit-identical to it.
 //! 8. **Persist the encoded form, compressed.** The [`snapshot`] store
 //!    writes each shard as a length-prefixed binary segment file (format
 //!    v2) under a manifest of FxHash content fingerprints, per-shard

@@ -20,7 +20,10 @@
 //!   are then sorted, by their canonical PXQL text.  Text order is kept
 //!   because the group order fixes every candidate's ordinal, and the cap
 //!   below decides by ordinal: reordering the groups would change which
-//!   candidates the cap keeps.
+//!   candidates the cap keeps.  A numeric cell in the column (a record
+//!   pushed under a stale catalog) equals another within PXQL's tolerance,
+//!   which no text captures, so the numbers form groups of their own after
+//!   the text groups: runs of ascending values, each adjacent two equal.
 //! * **Capping** — if the candidate space is still larger than
 //!   `max_candidate_pairs`, a deterministic subset is kept, decided by a
 //!   stateless per-candidate hash so that enumeration order (and therefore
@@ -69,7 +72,7 @@ use crate::features::FeatureKind;
 use crate::pairs::{parse_pair_feature, PairFeatureGroup};
 use crate::query::{BoundQuery, PairLabel};
 use crate::record::ExecutionLog;
-use mlcore::{balanced_sample, AttrValue, NominalDictionary};
+use mlcore::{balanced_sample, AttrValue};
 use pxql::{Op, Predicate, Value};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -153,48 +156,53 @@ impl CandidatePlan {
         }
     }
 
-    /// Groups the rows by their cell in the blocking column `col`, ordered
-    /// by the cell's canonical PXQL text — the order of the map-based path,
-    /// which keyed a `BTreeMap<String, _>` by `Value::to_string()`.  Rows
-    /// with a missing cell can never satisfy `f_isSame = T` and are dropped.
+    /// Groups the rows by their cell in the blocking column `col`: first
+    /// the nominal cells, ordered by the cell's canonical PXQL text — the
+    /// order of the map-based path, which keyed a `BTreeMap<String, _>` by
+    /// `Value::to_string()` — then the numeric cells (possible when records
+    /// were pushed under a stale catalog) in runs of ascending values.
+    /// Rows with a missing or NaN cell can never satisfy `f_isSame = T`
+    /// and are dropped.
     ///
-    /// The grouping is a counting sort over group keys, never a string per
-    /// row: a nominal cell's key is its global dictionary id, one pass
-    /// reads the keys, the rows are counted per key, and only the distinct
-    /// keys are sorted by their text.  The dictionary is keyed by that same
-    /// text, so equal texts share an id.  A numeric cell (possible when
-    /// records were pushed under a stale catalog) takes the id of the
-    /// dictionary entry with its text, or else an extra key shared by every
-    /// numeric cell with that text.
+    /// The nominal grouping is a counting sort over dictionary ids, never a
+    /// string per row: one pass reads the ids, the rows are counted per id,
+    /// and only the distinct ids are sorted by their text.  The dictionary
+    /// is keyed by that same text, so equal texts share an id.
+    ///
+    /// A number equals no nominal cell, and equals another number within
+    /// PXQL's tolerance ([`ColumnarLog::cells_equal`]), which is not
+    /// transitive: `7` equals `7.000000000000001`, and so does
+    /// `7.000000000000002`, which does not equal `7`.  So the numbers are
+    /// sorted and cut where two adjacent values are not equal.  Two equal
+    /// finite numbers always share a run (every adjacent two between them
+    /// are equal too), and a run can hold unequal ones, whose candidates
+    /// the classifier rejects.  An infinity is the exception: its
+    /// difference to any other number is infinite and so is its
+    /// tolerance, so it equals every finite number and the other infinity,
+    /// though not itself.  With an infinity and anything it equals, every
+    /// number is one run.  Rows ascend within a run.
     fn blocked(view: &ColumnarLog, col: usize) -> CandidatePlan {
-        use std::fmt::Write as _;
         let dictionary = view.dictionary(col);
-        let mut numeric = NominalDictionary::new();
-        let mut text = String::new();
+        let mut numbers: Vec<(f64, usize)> = Vec::new();
         let keys: Vec<Option<u32>> = (0..view.num_rows())
             .map(|row| match view.cell(row, col) {
-                AttrValue::Missing => None,
                 AttrValue::Nom(id) => Some(id),
                 AttrValue::Num(v) => {
-                    text.clear();
-                    write!(text, "{}", Value::Num(v))
-                        .expect("formatting into a String cannot fail");
-                    Some(match dictionary.get(&text) {
-                        Some(id) => id,
-                        None => dictionary.len() as u32 + numeric.intern(&text),
-                    })
+                    if !v.is_nan() {
+                        numbers.push((v, row));
+                    }
+                    None
                 }
+                AttrValue::Missing => None,
             })
             .collect();
         let key_text = |key: usize| {
-            match key.checked_sub(dictionary.len()) {
-                None => dictionary.resolve(key as u32),
-                Some(extra) => numeric.resolve(extra as u32),
-            }
-            .expect("every group key names an interned text")
+            dictionary
+                .resolve(key as u32)
+                .expect("every group key names an interned text")
         };
 
-        let mut counts = vec![0usize; dictionary.len() + numeric.len()];
+        let mut counts = vec![0usize; dictionary.len()];
         for &key in keys.iter().flatten() {
             counts[key as usize] += 1;
         }
@@ -217,6 +225,34 @@ impl CandidatePlan {
                 let slot = &mut next[key as usize];
                 rows[*slot] = row;
                 *slot += 1;
+            }
+        }
+
+        // The numeric runs, ascending.
+        numbers.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN cells were dropped"));
+        let (mut negative_inf, mut positive_inf) = (0, 0);
+        for &(v, _) in &numbers {
+            negative_inf += usize::from(v == f64::NEG_INFINITY);
+            positive_inf += usize::from(v == f64::INFINITY);
+        }
+        let finite = numbers.len() - negative_inf - positive_inf;
+        let one_run = negative_inf + positive_inf > 0
+            && (finite > 0 || (negative_inf > 0 && positive_inf > 0));
+        let mut run_start = 0;
+        for at in 1..=numbers.len() {
+            let cut = at == numbers.len()
+                || !(one_run
+                    || view.cells_equal(
+                        AttrValue::Num(numbers[at - 1].0),
+                        AttrValue::Num(numbers[at].0),
+                    ));
+            if cut {
+                let mut run: Vec<usize> =
+                    numbers[run_start..at].iter().map(|&(_, row)| row).collect();
+                run.sort_unstable();
+                groups.push(rows.len()..rows.len() + run.len());
+                rows.extend(run);
+                run_start = at;
             }
         }
         CandidatePlan { rows, groups }
@@ -897,6 +933,56 @@ mod tests {
         }
     }
 
+    /// Two numbers within PXQL's tolerance whose texts differ, `7` and
+    /// `7.000000000000001`, pushed into the nominal blocking column under a
+    /// stale catalog, satisfy `pigscript_isSame = T`: the blocked plan
+    /// enumerates their pair, the pair of interest itself, and the related
+    /// pairs are `classify_records` over every ordered pair, in order.
+    #[test]
+    fn blocking_pairs_numbers_equal_within_the_tolerance() {
+        let job = |i: usize, script: Value, input: f64| {
+            let mut record = ExecutionRecord::job(format!("job_{i}"))
+                .with_feature("inputsize", input)
+                .with_feature("duration", 100.0);
+            record.set_feature("pigscript", script);
+            record
+        };
+        let mut log = ExecutionLog::new();
+        log.push(job(0, Value::str("a.pig"), 1.0e9));
+        log.push(job(1, Value::str("a.pig"), 4.0e9));
+        log.rebuild_catalogs();
+        let seven_and_an_ulp = 7.0f64.next_up();
+        assert_eq!(
+            Value::Num(seven_and_an_ulp).to_string(),
+            "7.000000000000001"
+        );
+        log.push(job(2, Value::Num(7.0), 4.0e9));
+        log.push(job(3, Value::Num(seven_and_an_ulp), 1.0e9));
+        let q = parse_query(
+            "DESPITE pigscript_isSame = T AND inputsize_compare = GT\n\
+             OBSERVED duration_compare = SIM\n\
+             EXPECTED duration_compare = GT",
+        )
+        .unwrap();
+        let bound = BoundQuery::new(q, "job_2", "job_3");
+        assert_eq!(blocking_feature(&bound, &log), Some("pigscript"));
+        bound.verify_preconditions(&log, 0.1).unwrap();
+        let config = ExplainConfig::default();
+        let (records, related) = related_pairs(&log, &bound, &config);
+        let streamed: Vec<(usize, usize)> = related.iter().map(|p| (p.left, p.right)).collect();
+        let every: Vec<(usize, usize)> = (0..4)
+            .flat_map(|left| (0..4).map(move |right| (left, right)))
+            .filter(|&(left, right)| {
+                left != right
+                    && bound
+                        .classify_records(&log, records[left], records[right], 0.1)
+                        .is_related()
+            })
+            .collect();
+        assert_eq!(streamed, vec![(1, 0), (2, 3)]);
+        assert_eq!(streamed, every);
+    }
+
     #[test]
     fn single_class_fails_with_descriptive_error() {
         // All jobs identical: no pair can perform "as observed".
@@ -1076,6 +1162,37 @@ mod tests {
         small.insert(&query(), &seeded(3), training, dataset);
         assert!(small.get(&query(), &seeded(3)).is_none());
         assert_eq!(small.gauges(), MemoGauges::default());
+    }
+
+    /// An entry is charged each summary as it is built, a numeric one's
+    /// kept sort included: at least four bytes per sampled row with a
+    /// value of a numeric attribute.
+    #[test]
+    fn the_memo_charges_the_kept_sort_orders() {
+        let log = synthetic_log();
+        let view = Arc::new(ColumnarLog::build(&log, ExecutionKind::Job));
+        let config = ExplainConfig::default();
+        let (training, dataset) = shared_dataset(&log, &view, &config);
+        let memo = SampleMemo::default();
+        memo.insert(&query(), &config, &training, &dataset);
+        let stored = memo.gauges().bytes as usize;
+        assert_eq!(stored, entry_bytes(&training, &dataset));
+
+        let poi = training.poi_rows(&query()).unwrap();
+        let bridge = crate::bridge::DatasetBridge::for_pair(dataset.clone(), &view, poi, 0.1);
+        let data = bridge.dataset();
+        let (mut summaries, mut sorted_rows) = (0, 0);
+        for attr in 0..bridge.num_attributes() {
+            summaries += bridge.summary(attr).heap_bytes();
+            if data.attributes()[attr].kind == mlcore::AttrKind::Numeric {
+                sorted_rows += (0..data.len())
+                    .filter(|&row| matches!(data.value(row, attr), AttrValue::Num(_)))
+                    .count();
+            }
+        }
+        assert!(sorted_rows > 0, "no numeric attribute holds a value");
+        assert!(summaries >= sorted_rows * std::mem::size_of::<u32>());
+        assert_eq!(memo.gauges().bytes as usize, stored + summaries);
     }
 
     /// The gauges count the entries held, their bytes (datasets and

@@ -72,7 +72,10 @@
 //!   steps: a [`SplitSummary`] scores every candidate independently of
 //!   the applicability filter of PerfXplain's greedy loop, and a replay
 //!   offers the candidates the filter admits.  A summary kept for many
-//!   filters makes each later search a replay: no sort, no gain.  Every
+//!   filters makes each later search a replay: no sort, no gain.  A
+//!   numeric summary keeps its sorted row order too, so a search of a
+//!   subset of its rows under a [`RowMask`] walks that order instead of
+//!   sorting, and scores only the candidates one value satisfies.  Every
 //!   summary reads the attribute's typed column in place.  Nominal
 //!   candidates count into a dense array indexed by id (first-seen order
 //!   preserved) instead of a linear scan or a hash map, and equality
@@ -150,7 +153,7 @@ pub use pool::WorkerPool;
 pub use relief::{relief_weights, ReliefConfig};
 pub use sample::{balanced_sample, BalanceStats};
 pub use split::{
-    best_split_for_attribute, best_split_for_attribute_filtered, SplitCandidate, SplitSummary,
-    TestAtom, TestConstant, TestOp,
+    best_split_for_attribute, best_split_for_attribute_filtered, RowMask, SplitCandidate,
+    SplitSummary, TestAtom, TestConstant, TestOp,
 };
 pub use stats::{mean, percentile_ranks, stddev};

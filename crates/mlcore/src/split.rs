@@ -44,7 +44,9 @@
 //! * [`SplitSummary::new`] is the part that does not depend on it: the
 //!   sort, the prefix counts, and every candidate in visit order with its
 //!   inside counts and its information gain (a numeric attribute's
-//!   thresholds and equalities, a nominal attribute's first-seen ids).
+//!   thresholds and equalities, a nominal attribute's first-seen ids).  A
+//!   numeric summary also keeps its sort: the summarised rows with a value,
+//!   ascending (ties in row order), as `u32` row numbers.
 //! * [`SplitSummary::replay`] offers the candidates the filter admits, in
 //!   visit order, under the same replacement rule.  It does not take a
 //!   prefix maximum: the rule's 1e-12 tie tolerance is not transitive, so
@@ -59,6 +61,28 @@
 //! costs one lookup on a nominal attribute
 //! ([`SplitSummary::best_applicable_to`]) and one comparison per candidate
 //! on a numeric one, with no sort and no gain computed.
+//!
+//! # Searching a subset of the summarised rows
+//!
+//! The clause loop's later iterations search the rows that satisfy the
+//! clause so far, each under one pair of interest's applicability filter.
+//! [`SplitSummary::best_applicable_within`] answers that from the summary
+//! over every row and a [`RowMask`] of the subset (its class of each row
+//! and its class counts, built once per iteration), with no sort and no
+//! new summary, in the spirit of SLIQ's presorted attribute lists (Mehta,
+//! Agrawal and Rissanen, EDBT 1996):
+//!
+//! * nominal: only the pair's own id can be applicable, so one pass over
+//!   the id column counts the subset's rows holding it;
+//! * numeric: the kept sort, filtered by the mask, is the stable sort of
+//!   the subset (the subset ascends by row, so ties and the first-seen of
+//!   `-0.0` and `0.0` agree), and only the candidates the pair's value
+//!   satisfies are scored: the `<=` side of a threshold at or above it,
+//!   the `>` side of one below it, and the equalities it matches.  They
+//!   are offered in the replay's order with its twin suppression.
+//!
+//! The winner is the one `SplitSummary::new` over the subset replayed by
+//! `best_applicable_to` returns, bit for bit, which the proptests check.
 
 use crate::dataset::{AttrKind, AttrValue, ColumnCells, Dataset, NO_NOMINAL};
 use crate::entropy::{CellCounts, GainScorer};
@@ -276,6 +300,9 @@ enum Candidates {
     Numeric {
         thresholds: Vec<Threshold>,
         equalities: Vec<Equality>,
+        /// The summarised rows with a value, ascending by value, ties in
+        /// row order: the sweep's stable sort.
+        order: Vec<u32>,
     },
     Nominal {
         /// In first-seen order.
@@ -316,6 +343,7 @@ impl SplitSummary {
             Candidates::Numeric {
                 thresholds,
                 equalities,
+                ..
             } => {
                 // Whether the suppressing twins were offered: an equality
                 // is skipped only when its twin passed the filter.
@@ -384,21 +412,164 @@ impl SplitSummary {
             Candidates::Numeric {
                 thresholds,
                 equalities,
+                ..
             } => 2 * thresholds.len() + equalities.len(),
             Candidates::Nominal { .. } => 1,
         }
     }
 
-    /// Bytes the summary holds on the heap.
+    /// [`SplitSummary::best_applicable_to`] over the subset of the
+    /// summarised rows that `mask` admits: the candidate
+    /// `SplitSummary::new` over that subset would give, found without a
+    /// sort or a new summary (see the module docs).  The summary must cover
+    /// every row the mask admits, as one over every row of `data` does.
+    pub fn best_applicable_within(
+        &self,
+        data: &Dataset,
+        mask: &RowMask,
+        value: AttrValue,
+    ) -> Option<SplitCandidate> {
+        let mut best = RunningBest::new(mask.total);
+        match (&self.candidates, value) {
+            (Candidates::Nominal { position, .. }, AttrValue::Nom(id)) => {
+                // No row holds the id (the missing id included), so no
+                // admitted one does.
+                if position.get(id as usize).is_none_or(|&at| at == UNSEEN) {
+                    return None;
+                }
+                let inside = mask.count_nominal(data.column(self.attribute), id);
+                if inside.total() > 0 {
+                    let gain = mask.scorer.gain(inside);
+                    best.offer(
+                        self.atom(TestOp::Eq, TestConstant::Nom(id)),
+                        Scored { inside, gain },
+                    );
+                }
+            }
+            (Candidates::Numeric { order, .. }, AttrValue::Num(v)) if !v.is_nan() => {
+                let (distinct, prefix) = match data.column(self.attribute) {
+                    ColumnCells::Numeric(cells) => mask.sorted_within(order, |row| cells[row]),
+                    ColumnCells::Mixed(cells) => mask.sorted_within(order, |row| {
+                        cells[row]
+                            .as_num()
+                            .expect("the sort holds numeric cells only")
+                    }),
+                    ColumnCells::Absent | ColumnCells::Nominal(_) => return None,
+                };
+                self.offer_applicable(&mut best, mask, &distinct, &prefix, v);
+            }
+            // No numeric test matches a nominal, missing or NaN value, and
+            // no nominal test a numeric or missing one.
+            _ => {}
+        }
+        best.best
+    }
+
+    /// Offers, in the replay's order, the candidates over the subset whose
+    /// distinct values and prefix counts are `distinct` and `prefix` that
+    /// the finite or infinite `value` satisfies: what
+    /// `summarize_numeric` over the subset builds, replayed by
+    /// `best_applicable_to`, with only the offered candidates scored.
+    fn offer_applicable(
+        &self,
+        best: &mut RunningBest,
+        mask: &RowMask,
+        distinct: &[f64],
+        prefix: &[CellCounts],
+        value: f64,
+    ) {
+        let k = distinct.len();
+        let total = mask.total;
+        let present = prefix[k];
+        // The thresholds, ascending.  `value` is not NaN, so it satisfies
+        // exactly one side of each: `<=` where it is at most the
+        // threshold, `>` where it is above.
+        let mut below = 0usize;
+        let mut first_le_prefix = None;
+        let mut last_gt_suffix = None;
+        let mut first_le = false;
+        let mut last_gt = false;
+        for i in 0..k.saturating_sub(1) {
+            let threshold = (distinct[i] + distinct[i + 1]) / 2.0;
+            if threshold.is_nan() {
+                continue;
+            }
+            while below < k && distinct[below] <= threshold {
+                below += 1;
+            }
+            let first = i == 0;
+            let last = i == k - 2 && below < k;
+            if first {
+                first_le_prefix = Some(below);
+            }
+            if last {
+                last_gt_suffix = Some(below);
+            }
+            let le_inside = prefix[below];
+            if value <= threshold {
+                first_le |= first;
+                let atom = self.atom(TestOp::Le, TestConstant::Num(threshold));
+                best.offer(
+                    atom,
+                    Scored {
+                        inside: le_inside,
+                        gain: mask.scorer.gain(le_inside),
+                    },
+                );
+            } else {
+                last_gt |= last;
+                let inside = present.minus(le_inside);
+                if inside.total() > 0 {
+                    // The summary's `>` gain: with every admitted row
+                    // present, the `<=` side's.
+                    let gain = mask
+                        .scorer
+                        .gain(if present == total { le_inside } else { inside });
+                    let atom = self.atom(TestOp::Gt, TestConstant::Num(threshold));
+                    best.offer(atom, Scored { inside, gain });
+                }
+            }
+        }
+        // The finite equalities `value` matches, ascending, less those
+        // whose offered twin makes them redundant.
+        for i in 0..k {
+            if !distinct[i].is_finite() {
+                continue;
+            }
+            let atom = self.atom(TestOp::Eq, TestConstant::Num(distinct[i]));
+            if !atom.matches_num(value) {
+                continue;
+            }
+            let (lo, hi) = eq_band(distinct, i, &atom);
+            let twin_of_first_le = lo == 0 && first_le_prefix == Some(hi + 1);
+            let twin_of_last_gt = hi + 1 == k && last_gt_suffix == Some(lo);
+            if (twin_of_first_le && first_le) || (twin_of_last_gt && last_gt) {
+                continue;
+            }
+            let inside = prefix[hi + 1].minus(prefix[lo]);
+            best.offer(
+                atom,
+                Scored {
+                    inside,
+                    gain: mask.scorer.gain(inside),
+                },
+            );
+        }
+    }
+
+    /// Bytes the summary holds on the heap, a numeric summary's kept sort
+    /// included.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         match &self.candidates {
             Candidates::Numeric {
                 thresholds,
                 equalities,
+                order,
             } => {
                 thresholds.capacity() * size_of::<Threshold>()
                     + equalities.capacity() * size_of::<Equality>()
+                    + order.capacity() * size_of::<u32>()
             }
             Candidates::Nominal { values, position } => {
                 values.capacity() * size_of::<NominalValue>()
@@ -425,6 +596,100 @@ fn class_counts(labels: &[bool], indices: &[usize]) -> CellCounts {
     total
 }
 
+/// A [`RowMask`] class: the row is in the subset with a positive label.
+const POSITIVE: u8 = 1;
+/// A [`RowMask`] class: the row is in the subset with a negative label.
+const NEGATIVE: u8 = 2;
+
+/// A subset of a dataset's rows as [`SplitSummary::best_applicable_within`]
+/// reads it: one byte per row of the dataset, holding its positive and
+/// negative membership bits (neither outside the subset), and the subset's
+/// class counts with their entropy.  Build it once per set of rows and
+/// search every attribute under it.
+#[derive(Debug)]
+pub struct RowMask {
+    classes: Vec<u8>,
+    total: CellCounts,
+    scorer: GainScorer,
+}
+
+impl RowMask {
+    /// The mask of the rows of `data` listed in `rows`.
+    pub fn new(data: &Dataset, rows: &[usize]) -> Self {
+        let labels = data.labels();
+        let mut classes = vec![0u8; data.len()];
+        for &row in rows {
+            classes[row] = if labels[row] { POSITIVE } else { NEGATIVE };
+        }
+        let total = class_counts(labels, rows);
+        RowMask {
+            classes,
+            total,
+            scorer: GainScorer::new(total),
+        }
+    }
+
+    /// The class counts of the subset's rows whose cell of `column` is the
+    /// nominal `id`: one pass over the whole column.
+    fn count_nominal(&self, column: &ColumnCells, id: u32) -> CellCounts {
+        let (mut positive, mut negative) = (0usize, 0usize);
+        match column {
+            ColumnCells::Nominal(ids) => {
+                // Branch-free: a matching cell keeps its row's class bits.
+                for (&cell, &class) in ids.iter().zip(&self.classes) {
+                    let hit = class & ((cell == id) as u8).wrapping_neg();
+                    positive += (hit & POSITIVE) as usize;
+                    negative += (hit >> 1) as usize;
+                }
+            }
+            ColumnCells::Mixed(cells) => {
+                for (&cell, &class) in cells.iter().zip(&self.classes) {
+                    if cell == AttrValue::Nom(id) {
+                        positive += (class & POSITIVE) as usize;
+                        negative += (class >> 1) as usize;
+                    }
+                }
+            }
+            ColumnCells::Absent | ColumnCells::Numeric(_) => {}
+        }
+        CellCounts { positive, negative }
+    }
+
+    /// Walks a numeric summary's kept sort `order` under the mask: the
+    /// subset's distinct values ascending, each the first admitted row's
+    /// value of its run of equal values, and `prefix`, where `prefix[j]`
+    /// counts the admitted rows of `distinct[..j]`.  `value(row)` reads
+    /// the row's cell.
+    fn sorted_within(
+        &self,
+        order: &[u32],
+        value: impl Fn(usize) -> f64,
+    ) -> (Vec<f64>, Vec<CellCounts>) {
+        let mut distinct: Vec<f64> = Vec::new();
+        let mut prefix = vec![CellCounts::default()];
+        let mut running = CellCounts::default();
+        for &row in order {
+            let row = row as usize;
+            let class = self.classes[row];
+            if class == 0 {
+                continue;
+            }
+            let v = value(row);
+            if distinct.last() != Some(&v) {
+                if !distinct.is_empty() {
+                    prefix.push(running);
+                }
+                distinct.push(v);
+            }
+            running.record(class == POSITIVE);
+        }
+        if !distinct.is_empty() {
+            prefix.push(running);
+        }
+        (distinct, prefix)
+    }
+}
+
 /// The numeric summary: sort the present values once, then score every
 /// threshold and equality candidate in O(1) from prefix counts.
 fn summarize_numeric(data: &Dataset, indices: &[usize], attribute: usize) -> SplitSummary {
@@ -434,11 +699,12 @@ fn summarize_numeric(data: &Dataset, indices: &[usize], attribute: usize) -> Spl
     // column.
     let labels = data.labels();
     let total = class_counts(labels, indices);
-    let mut values: Vec<(f64, bool)> = match data.column(attribute) {
-        ColumnCells::Numeric(cells) => indices.iter().map(|&i| (cells[i], labels[i])).collect(),
+    let row = |i: usize| u32::try_from(i).expect("a summarised row fits in u32");
+    let mut values: Vec<(f64, u32)> = match data.column(attribute) {
+        ColumnCells::Numeric(cells) => indices.iter().map(|&i| (cells[i], row(i))).collect(),
         ColumnCells::Mixed(cells) => indices
             .iter()
-            .filter_map(|&i| Some((cells[i].as_num()?, labels[i])))
+            .filter_map(|&i| Some((cells[i].as_num()?, row(i))))
             .collect(),
         ColumnCells::Absent | ColumnCells::Nominal(_) => Vec::new(),
     };
@@ -452,12 +718,15 @@ fn summarize_numeric(data: &Dataset, indices: &[usize], attribute: usize) -> Spl
     // counts: `prefix[j]` covers `distinct[..j]`.
     let mut distinct: Vec<f64> = Vec::new();
     let mut cells: Vec<CellCounts> = Vec::new();
-    for &(v, label) in &values {
+    for &(v, row) in &values {
         if distinct.last().is_none_or(|&last| last != v) {
             distinct.push(v);
             cells.push(CellCounts::default());
         }
-        cells.last_mut().expect("just pushed").record(label);
+        cells
+            .last_mut()
+            .expect("just pushed")
+            .record(labels[row as usize]);
     }
     let k = distinct.len();
     let mut prefix: Vec<CellCounts> = Vec::with_capacity(k + 1);
@@ -566,6 +835,7 @@ fn summarize_numeric(data: &Dataset, indices: &[usize], attribute: usize) -> Spl
         candidates: Candidates::Numeric {
             thresholds,
             equalities,
+            order: values.iter().map(|&(_, row)| row).collect(),
         },
     }
 }
@@ -966,5 +1236,88 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Over every subset of twelve rows (the `edges` values beside
+    /// nominal ids, and a missing row), the masked search of the summary
+    /// over all of them gives, for every probe, what a fresh summary of
+    /// the subset gives, `-0.0` told from `0.0`: with `-0.0` at rows 1 and
+    /// 9 and `0.0` at row 2, which of them leads the subset's zeros decides
+    /// the sign of an `= 0` constant.
+    #[test]
+    fn a_masked_search_equals_a_fresh_summary_of_every_subset() {
+        let edges = [
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.0 + 2.0 * f64::EPSILON,
+            7.5,
+            f64::NAN,
+            f64::INFINITY,
+            -0.0,
+            7.5,
+        ];
+        let mut ds = Dataset::new(vec![Attribute::numeric("x"), Attribute::nominal("c")]);
+        let ids = [0, 1, 0, 2, 1, 0, 0, 3, 1, 2, 0];
+        for (i, (&v, &id)) in edges.iter().zip(&ids).enumerate() {
+            ds.push(
+                vec![AttrValue::Num(v), AttrValue::Nom(id)],
+                (i * 7) % 3 != 0,
+            );
+        }
+        ds.push(vec![AttrValue::Missing, AttrValue::Missing], true);
+        let all = all_indices(&ds);
+        let summaries = [0, 1].map(|attr| SplitSummary::new(&ds, &all, attr));
+        let mut probes: Vec<AttrValue> = edges.iter().map(|&v| AttrValue::Num(v)).collect();
+        probes.extend([AttrValue::Num(2.5), AttrValue::Missing]);
+        probes.extend([0, 1, 2, 3, 4, NO_NOMINAL].map(AttrValue::Nom));
+        for bits in 0u32..1 << ds.len() {
+            let rows: Vec<usize> = all
+                .iter()
+                .copied()
+                .filter(|&i| bits >> i & 1 == 1)
+                .collect();
+            let mask = RowMask::new(&ds, &rows);
+            assert_eq!(mask.total, class_counts(ds.labels(), &rows));
+            for (attr, summary) in summaries.iter().enumerate() {
+                let fresh = SplitSummary::new(&ds, &rows, attr);
+                for &probe in &probes {
+                    assert_eq!(
+                        format!("{:?}", summary.best_applicable_within(&ds, &mask, probe)),
+                        format!("{:?}", fresh.best_applicable_to(probe)),
+                        "rows {rows:?}, attribute {attr}, probe {probe:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A numeric summary charges its kept sort, four bytes per summarised
+    /// row with a value (missing and NaN rows are not sorted), beside its
+    /// candidates; a nominal summary keeps no sort.
+    #[test]
+    fn a_numeric_summary_charges_its_kept_sort() {
+        let summary_bytes = |copies: usize| {
+            let mut ds = Dataset::new(vec![Attribute::numeric("x"), Attribute::nominal("c")]);
+            let red = ds.attribute_mut(1).dictionary.intern("red");
+            for copy in 0..copies {
+                for v in 1..=5 {
+                    ds.push(
+                        vec![AttrValue::Num(v as f64), AttrValue::Nom(red)],
+                        copy % 2 == 0,
+                    );
+                }
+            }
+            ds.push(vec![AttrValue::Missing, AttrValue::Missing], true);
+            ds.push(vec![AttrValue::Num(f64::NAN), AttrValue::Missing], false);
+            let idx = all_indices(&ds);
+            [0, 1].map(|attr| SplitSummary::new(&ds, &idx, attr).heap_bytes())
+        };
+        let (once, thrice) = (summary_bytes(1), summary_bytes(3));
+        // The same five distinct values: only the sort grows, by ten rows.
+        assert_eq!(thrice[0] - once[0], 10 * std::mem::size_of::<u32>());
+        assert_eq!(thrice[1], once[1]);
     }
 }

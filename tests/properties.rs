@@ -854,9 +854,12 @@ fn edge_record(seed: u64, i: u64, script: Option<Value>) -> ExecutionRecord {
 }
 
 /// The map-based grouping the blocked plan must reproduce: rows keyed by
-/// `Value::to_string()` of their blocking cell in a `BTreeMap` (byte order
-/// of the text, equal texts in one group), missing cells dropped.  An
-/// unblocked plan is one group of every row.
+/// `Value::to_string()` of their non-numeric blocking cell in a `BTreeMap`
+/// (byte order of the text, equal texts in one group), then the rows of
+/// numeric cells grouped by the connected components of `Value::pxql_eq`
+/// over every two of them, ordered by their least value, then row, with
+/// rows ascending within a component.  Missing and NaN cells are dropped.
+/// An unblocked plan is one group of every row.
 fn reference_groups(
     view: &ColumnarLog,
     log: &ExecutionLog,
@@ -866,13 +869,53 @@ fn reference_groups(
         return vec![(0..view.num_rows()).collect()];
     };
     let mut groups: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
+    let mut numbers: Vec<(f64, usize)> = Vec::new();
     for row in 0..view.num_rows() {
-        let value = log.records()[view.position(row)].feature(feature);
-        if value != Value::Null {
-            groups.entry(value.to_string()).or_default().push(row);
+        match log.records()[view.position(row)].feature(feature) {
+            Value::Null => {}
+            Value::Num(v) if v.is_nan() => {}
+            Value::Num(v) => numbers.push((v, row)),
+            value => groups.entry(value.to_string()).or_default().push(row),
         }
     }
-    groups.into_values().collect()
+    // Union-find over every equal two.
+    let mut parent: Vec<usize> = (0..numbers.len()).collect();
+    fn root(parent: &mut [usize], mut at: usize) -> usize {
+        while parent[at] != at {
+            at = parent[at];
+        }
+        at
+    }
+    for a in 0..numbers.len() {
+        for b in a + 1..numbers.len() {
+            if Value::Num(numbers[a].0).pxql_eq(&Value::Num(numbers[b].0)) {
+                let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
+                parent[ra] = rb;
+            }
+        }
+    }
+    let mut components: BTreeMap<usize, Vec<(f64, usize)>> = BTreeMap::new();
+    for (at, &number) in numbers.iter().enumerate() {
+        let r = root(&mut parent, at);
+        components.entry(r).or_default().push(number);
+    }
+    let mut runs: Vec<Vec<(f64, usize)>> = components.into_values().collect();
+    let least = |run: &Vec<(f64, usize)>| {
+        run.iter()
+            .copied()
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .expect("a component is not empty")
+    };
+    runs.sort_by(|a, b| {
+        let (a, b) = (least(a), least(b));
+        a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1))
+    });
+    let runs = runs.into_iter().map(|run| {
+        let mut rows: Vec<usize> = run.into_iter().map(|(_, row)| row).collect();
+        rows.sort_unstable();
+        rows
+    });
+    groups.into_values().chain(runs).collect()
 }
 
 /// The capped enumeration, spelled out: candidates numbered in group
@@ -989,6 +1032,93 @@ fn edge_views(
     vec![from_snapshot, flat, (delta, log)]
 }
 
+/// Numbers a blocking column can hold beside its texts, in blocks:
+/// chains of values each equal to the next within PXQL's tolerance though
+/// not to the one after (`7` and the next three doubles; `0`,
+/// `f64::EPSILON` and `3e-16`, with `-0` beside them), values one ulp
+/// apart on either side of a power of two, and `"7"`, the text of a
+/// chained number.  Blocks of a seed's choice add ±inf, which PXQL's
+/// tolerance makes equal to every finite number and to the other
+/// infinity, but not to itself: two `inf`s alone, or with `-inf`, or with
+/// the finite blocks.
+fn tolerance_chains(seed: u64) -> Vec<Value> {
+    let up = |v: f64, steps: usize| (0..steps).fold(v, |v, _| v.next_up());
+    let mut cells: Vec<f64> = Vec::new();
+    if seed % 4 != 3 {
+        cells.extend((0..4).map(|steps| up(7.0, steps)));
+        cells.extend([0.0, f64::EPSILON, 3.0e-16, -0.0]);
+        cells.extend([8.0f64.next_down().next_down(), 8.0, 8.0f64.next_up()]);
+    }
+    match seed % 4 {
+        0 => {}
+        1 => cells.extend([f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY]),
+        2 => cells.push(f64::NEG_INFINITY),
+        _ => cells.extend([f64::INFINITY, f64::INFINITY]),
+    }
+    let mut cells: Vec<Value> = cells.into_iter().map(Value::Num).collect();
+    cells.push(Value::str("7"));
+    cells
+}
+
+/// Uncapped, the blocked enumeration finds every related pair: over the
+/// edge views with [`tolerance_chains`] in the delta view's tail, and a
+/// flat view of that whole log, the related pairs it streams are exactly
+/// those `classify_records` finds among every ordered pair of rows, and
+/// its groups are [`reference_groups`].  Some of the pairs join two
+/// numbers whose texts differ.
+#[test]
+fn blocked_enumeration_finds_every_related_pair_over_tolerance_chains() {
+    use perfxplain::ExecutionKind;
+
+    let query = BoundQuery::new(parse_query(BLOCKED_QUERY).unwrap(), "job_0", "job_1");
+    let config = uncapped_config();
+    let mut across_texts = 0;
+    for seed in 0..24u64 {
+        let mut views = edge_views(seed, "uncapped", 0, tolerance_chains(seed));
+        let (_, log) = views.last().expect("a delta view");
+        let log = log.clone();
+        views.push((ColumnarLog::build(&log, ExecutionKind::Job), log));
+        for (view, log) in &views {
+            let record = |row: usize| &log.records()[view.position(row)];
+            let mut streamed: Vec<(usize, usize, PairLabel)> =
+                perfxplain_core::training::collect_related_pairs_in(view, &query, log, &config)
+                    .iter()
+                    .map(|p| (p.left, p.right, p.label))
+                    .collect();
+            streamed.sort_by_key(|&(left, right, _)| (left, right));
+            let rows = view.num_rows();
+            let every: Vec<(usize, usize, PairLabel)> = (0..rows * rows)
+                .map(|k| (k / rows, k % rows))
+                .filter(|(left, right)| left != right)
+                .map(|(left, right)| {
+                    let label = query.classify_records(
+                        log,
+                        record(left),
+                        record(right),
+                        config.sim_threshold,
+                    );
+                    (left, right, label)
+                })
+                .filter(|(_, _, label)| label.is_related())
+                .collect();
+            assert_eq!(streamed, every, "seed {seed}");
+            assert_capped_enumeration_matches(view, log, 50).unwrap();
+            across_texts += every
+                .iter()
+                .filter(|&&(left, right, _)| {
+                    let (l, r) = (record(left).feature(BLOCK), record(right).feature(BLOCK));
+                    matches!((&l, &r), (Value::Num(_), Value::Num(_)))
+                        && l.to_string() != r.to_string()
+                })
+                .count();
+        }
+    }
+    assert!(
+        across_texts > 0,
+        "no related pair joined two numbers with different texts"
+    );
+}
+
 /// Runs a blocked and an unblocked query over `view` with the cap set to
 /// `cap_percent` of each plan's candidates and compares the streaming
 /// enumeration with the reference, pair for pair and in order.
@@ -1027,8 +1157,9 @@ proptest! {
     /// keeps exactly the reference's candidates and returns its related
     /// pairs in its order — over a flat view (numeric cells `0`, `-0`,
     /// `NaN` and `7` pushed into the nominal column after the catalog was
-    /// built), a delta view whose tail adds dictionary values that sort
-    /// between the base's, and a view opened from a snapshot.
+    /// built, which group apart from the text groups), a delta view whose
+    /// tail adds dictionary values that sort between the base's, and a
+    /// view opened from a snapshot.
     #[test]
     fn capped_enumeration_matches_a_text_grouped_reference_in_order(
         seed in 0u64..400,
@@ -1680,7 +1811,7 @@ proptest! {
 
 use perfxplain::mlcore::{
     best_split_for_attribute, best_split_for_attribute_filtered, percentile_ranks, relief_weights,
-    AttrValue, Attribute, Dataset, ReliefConfig, SplitCandidate,
+    AttrValue, Attribute, Dataset, ReliefConfig, RowMask, SplitCandidate, SplitSummary, NO_NOMINAL,
 };
 use perfxplain_core::bridge::DatasetBridge;
 
@@ -1692,6 +1823,23 @@ fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// The numbers [`build_split_dataset`] draws its numeric cells from, beside
+/// NaN and ±infinity.
+const SPLIT_POOL: [f64; 12] = [
+    0.0,
+    -0.0,
+    1.0,
+    1.0 + f64::EPSILON,
+    1.5,
+    -2.0,
+    1.0e9,
+    1.0e-17,
+    2.0e-17,
+    -1.0e-17,
+    600.0,
+    5.0,
+];
 
 /// An adversarial dataset for the split search: numeric/nominal mix, missing
 /// cells, NaN, ±infinity, schema-drift cells, heavy value ties, and values
@@ -1709,20 +1857,7 @@ fn build_split_dataset(
     row_seeds: &[u64],
     poi_seed: u64,
 ) -> (Dataset, Vec<AttrValue>) {
-    let pool = [
-        0.0,
-        -0.0,
-        1.0,
-        1.0 + f64::EPSILON,
-        1.5,
-        -2.0,
-        1.0e9,
-        1.0e-17,
-        2.0e-17,
-        -1.0e-17,
-        600.0,
-        5.0,
-    ];
+    let pool = SPLIT_POOL;
     let numeric = |a: usize| (schema_seed >> a) & 1 == 0;
     let attributes = (0..num_attrs)
         .map(|a| {
@@ -1825,6 +1960,80 @@ proptest! {
         }
     }
 
+    /// A later clause iteration's search (the summary over every row,
+    /// asked about the rows a mask admits) returns exactly what a fresh
+    /// summary of those rows replayed for the probe returns, and the
+    /// naive oracle under the probe's applicability filter, down to the
+    /// sign of a zero constant.  Subsets: none, one row, every row, a
+    /// pseudo-random share, and the rows kept by chaining
+    /// `retain_matching` over each attribute's applicable winner, as the
+    /// clause loop chains them.  Probes: the derived pair's row, every
+    /// pool value, ±inf, NaN, every dictionary id, an id no row holds, the
+    /// missing id and `Missing`.
+    #[test]
+    fn masked_search_matches_a_fresh_summary_and_the_oracle(
+        schema_seed in any::<u64>(),
+        num_attrs in 1usize..4,
+        row_seeds in proptest::collection::vec(any::<u64>(), 0..48),
+        poi_seed in any::<u64>(),
+    ) {
+        let (dataset, poi) =
+            build_split_dataset(schema_seed, num_attrs, &row_seeds, poi_seed);
+        let n = dataset.len();
+        let all: Vec<usize> = (0..n).collect();
+        let mut subsets = vec![Vec::new(), all.clone()];
+        if n > 0 {
+            subsets.push(vec![(poi_seed % n as u64) as usize]);
+        }
+        subsets.push(
+            all.iter()
+                .copied()
+                .filter(|&i| !splitmix(poi_seed ^ (i as u64)).is_multiple_of(3))
+                .collect(),
+        );
+        let mut chained = all.clone();
+        for (attribute, &value) in poi.iter().enumerate() {
+            let summary = SplitSummary::new(&dataset, &chained, attribute);
+            if let Some(winner) = summary.best_applicable_to(value) {
+                winner.atom.retain_matching(&dataset, &mut chained);
+                subsets.push(chained.clone());
+            }
+        }
+        let mut probes = poi.clone();
+        probes.extend(SPLIT_POOL.map(AttrValue::Num));
+        probes.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN].map(AttrValue::Num));
+        probes.extend([0, 1, 2, 3, 9, NO_NOMINAL].map(AttrValue::Nom));
+        probes.push(AttrValue::Missing);
+        let summaries: Vec<SplitSummary> = (0..num_attrs)
+            .map(|attribute| SplitSummary::new(&dataset, &all, attribute))
+            .collect();
+        // Debug text tells `-0.0` from `0.0`, which `==` does not.
+        let text = |candidate: Option<SplitCandidate>| format!("{candidate:?}");
+        for rows in &subsets {
+            let mask = RowMask::new(&dataset, rows);
+            for (attribute, summary) in summaries.iter().enumerate() {
+                let fresh = SplitSummary::new(&dataset, rows, attribute);
+                for &probe in &probes {
+                    let masked = summary.best_applicable_within(&dataset, &mask, probe);
+                    prop_assert_eq!(
+                        text(masked),
+                        text(fresh.best_applicable_to(probe)),
+                        "attribute {} rows {:?} probe {:?}", attribute, rows, probe
+                    );
+                    let naive = mlcore::oracle::best_split_for_attribute_filtered(
+                        &dataset, rows, attribute,
+                        |atom| atom.matches_value(probe),
+                    );
+                    prop_assert_eq!(
+                        text(masked),
+                        text(naive),
+                        "oracle: attribute {} rows {:?} probe {:?}", attribute, rows, probe
+                    );
+                }
+            }
+        }
+    }
+
     /// The columnar, fanned-out Relief returns weights bit-identical to the
     /// retained row-at-a-time oracle on the same adversarial datasets.
     #[test]
@@ -1845,9 +2054,13 @@ proptest! {
 
 /// The greedy clause loop of Algorithm 1, reimplemented against the *naive*
 /// split oracle: what `PerfXplain` produced before the sweep rewrite.
-fn oracle_because_clause(
+/// `target_observed` picks the class the clause maximises: `true` for a
+/// because clause (precision), `false` for a despite extension
+/// (relevance).
+fn oracle_clause(
     bridge: &DatasetBridge,
     config: &ExplainConfig,
+    target_observed: bool,
     width: usize,
 ) -> Predicate {
     let dataset = bridge.dataset();
@@ -1881,10 +2094,15 @@ fn oracle_because_clause(
             .iter()
             .map(|(_, c)| {
                 let total = c.inside.total() as f64;
+                let hits = if target_observed {
+                    c.inside.positive
+                } else {
+                    c.inside.negative
+                };
                 if total == 0.0 {
                     0.0
                 } else {
-                    c.inside.positive as f64 / total
+                    hits as f64 / total
                 }
             })
             .collect();
@@ -1920,24 +2138,20 @@ fn oracle_because_clause(
     Predicate::from_atoms(atoms)
 }
 
-/// The training dataset `PerfXplain::explain` grows its because clause over,
-/// the explanation it gives, and the one the greedy loop re-run against the
-/// naive oracle gives over the same dataset.  `None` when the query fails
-/// its preconditions or has no training set.
-fn sweep_and_oracle_explanations(
-    log: &ExecutionLog,
+/// The training sample of `bound` and its dataset, encoded straight from
+/// the view.  `None` when the query has no training set.
+fn oracle_bridge<'a>(
+    log: &'a ExecutionLog,
     bound: &BoundQuery,
     config: &ExplainConfig,
 ) -> Option<(
+    perfxplain_core::training::EncodedTraining<'a>,
     DatasetBridge,
-    perfxplain::Explanation,
-    perfxplain::Explanation,
 )> {
     use perfxplain_core::pairs::PairCatalog;
 
-    bound.verify_preconditions(log, config.sim_threshold).ok()?;
     let encoded = perfxplain_core::training::prepare_encoded_training(log, bound, config).ok()?;
-    let catalog = PairCatalog::from_raw(log.job_catalog())
+    let catalog = PairCatalog::from_raw(log.catalog(bound.kind))
         .restrict_to_groups(config.feature_level.allowed_groups());
     let excluded = perfxplain_core::query::excluded_raw_features(bound, config);
     let poi_rows = encoded.poi_rows(bound).expect("poi rows exist");
@@ -1948,11 +2162,50 @@ fn sweep_and_oracle_explanations(
         &excluded,
         config.sim_threshold,
     );
+    Some((encoded, bridge))
+}
+
+/// The training dataset `PerfXplain` grows its because clause over, the
+/// explanation it gives, and the one the greedy loop re-run against the
+/// naive oracle gives over the same dataset.  With `extend_despite`, both
+/// first extend a despite clause whose relevance on the sample falls below
+/// the configured threshold (`PerfXplain::explain_full`), and the because
+/// clause is grown over the extended query's sample.  `None` when the query
+/// fails its preconditions or has no training set.
+fn sweep_and_oracle_explanations(
+    log: &ExecutionLog,
+    bound: &BoundQuery,
+    config: &ExplainConfig,
+    extend_despite: bool,
+) -> Option<(
+    DatasetBridge,
+    perfxplain::Explanation,
+    perfxplain::Explanation,
+)> {
+    bound.verify_preconditions(log, config.sim_threshold).ok()?;
+    let (encoded, bridge) = oracle_bridge(log, bound, config)?;
+    let engine = perfxplain::PerfXplain::new(config.clone());
+    let relevance = encoded.num_expected() as f64 / encoded.len().max(1) as f64;
+    if extend_despite && relevance < config.relevance_threshold {
+        let extension = oracle_clause(&bridge, config, false, config.despite_width);
+        let mut extended = bound.clone();
+        extended.query = extended
+            .query
+            .clone()
+            .with_despite(bound.query.despite.conjoin(&extension));
+        let (_, extended_bridge) = oracle_bridge(log, &extended, config)?;
+        let because = oracle_clause(&extended_bridge, config, true, config.width);
+        let (actual, _) = engine.explain_full(log, bound).unwrap();
+        let expected = perfxplain::Explanation::new(extension, because);
+        return Some((extended_bridge, actual, expected));
+    }
     let expected =
-        perfxplain::Explanation::because_only(oracle_because_clause(&bridge, config, config.width));
-    let actual = perfxplain::PerfXplain::new(config.clone())
-        .explain(log, bound)
-        .unwrap();
+        perfxplain::Explanation::because_only(oracle_clause(&bridge, config, true, config.width));
+    let actual = if extend_despite {
+        engine.explain_full(log, bound).unwrap().0
+    } else {
+        engine.explain(log, bound).unwrap()
+    };
     Some((bridge, actual, expected))
 }
 
@@ -1969,7 +2222,7 @@ proptest! {
         for query in query_pool() {
             let bound = BoundQuery::new(query, "job_0", "job_1");
             if let Some((_, actual, expected)) =
-                sweep_and_oracle_explanations(&log, &bound, &config)
+                sweep_and_oracle_explanations(&log, &bound, &config, false)
             {
                 prop_assert_eq!(actual, expected, "explanation diverged for seed {}", seed);
             }
@@ -1987,7 +2240,7 @@ fn the_sweep_trainer_matches_the_naive_oracle_on_a_blocked_log() {
     let config = ExplainConfig::default();
     let query = parse_query(perfxplain_bench::BLOCKED_QUERY).unwrap();
     let bound = BoundQuery::new(query, "job_2", "job_0");
-    let (bridge, actual, expected) = sweep_and_oracle_explanations(&log, &bound, &config)
+    let (bridge, actual, expected) = sweep_and_oracle_explanations(&log, &bound, &config, false)
         .expect("the blocked query has a training set");
     let dataset = bridge.dataset();
     assert_eq!((dataset.len(), dataset.num_attributes()), (1_908, 28));
@@ -2002,6 +2255,62 @@ fn the_sweep_trainer_matches_the_naive_oracle_on_a_blocked_log() {
         relief_weights(dataset, relief),
         mlcore::oracle::relief_weights(dataset, relief),
     );
+}
+
+/// The cross-check on the paper grid's own queries, with despite
+/// extension: the tiny preset's job and task queries, each asked about its
+/// canonical pair and the next pairs after it that meet the
+/// preconditions.  The grid's datasets hold 164 attributes, nominal `diff`
+/// pairs among them, where the random logs and the blocked log hold 28 at
+/// most.
+#[test]
+fn the_sweep_trainer_matches_the_naive_oracle_on_the_paper_grid() {
+    use perfxplain::workload::{
+        build_execution_log, why_last_task_faster, why_slower_despite_same_num_instances, LogPreset,
+    };
+
+    let log = build_execution_log(LogPreset::Tiny, 42);
+    let config = ExplainConfig::default();
+    let bindings = [
+        why_slower_despite_same_num_instances(&log).expect("a job pair of interest"),
+        why_last_task_faster(&log).expect("a task pair of interest"),
+    ];
+    let mut attributes = Vec::new();
+    let mut extended = 0;
+    for binding in bindings {
+        let canonical = binding.bound;
+        let ids: Vec<&str> = log
+            .records()
+            .iter()
+            .filter(|record| record.kind == canonical.kind)
+            .map(|record| record.id.as_str())
+            .collect();
+        let start = ids.iter().position(|&id| id == canonical.left_id).unwrap();
+        let others = ids[start..]
+            .iter()
+            .flat_map(|&left| ids.iter().map(move |&right| (left, right)))
+            .filter(|(left, right)| left != right)
+            .map(|(left, right)| BoundQuery::new(canonical.query.clone(), left, right))
+            .filter(|bound| {
+                bound
+                    .verify_preconditions(&log, config.sim_threshold)
+                    .is_ok()
+            })
+            .filter(|bound| *bound != canonical)
+            .take(2);
+        for bound in std::iter::once(canonical.clone()).chain(others) {
+            let (bridge, actual, expected) =
+                sweep_and_oracle_explanations(&log, &bound, &config, true)
+                    .expect("the paper query has a training set");
+            assert_eq!(actual, expected, "{bound:?}");
+            assert!(actual.width() >= 1, "empty explanation for {bound:?}");
+            attributes.push(bridge.num_attributes());
+            extended += usize::from(!actual.despite.is_trivial());
+        }
+    }
+    assert_eq!(attributes.len(), 6);
+    assert!(attributes.iter().any(|&n| n >= 164), "{attributes:?}");
+    assert!(extended > 0, "no query extended its despite clause");
 }
 
 /// Regression: a single NaN feature cell used to panic the split search
